@@ -4,8 +4,8 @@ The tangent recursion is, per step k -> k+1,
 
     A_k X_{k+1} = M_k X_k + dt * (h_{k+1}, 0, 0)
 
-with A_k the step operator linearized at the stored solution (step_matrix)
-and M_k collecting the old-level terms. The adjoint sweep solves the exact
+with A_k the step operator linearized at the stored solution and M_k
+collecting the old-level terms. The adjoint sweep solves the exact
 transposes backward,
 
     A_{Nt-1}^T y_Nt = d_Nt,
@@ -19,6 +19,9 @@ stacked state at level k. By construction the duality identity
 holds to linear-solver precision, and the multiplier block attached to the
 balance equation, divided by the cell measure, is the reduced gradient q.
 
+One StepOperator serves the whole sweep: it is assembled once, relinearized
+in place at every level, and solved through the transpose of its LU factors.
+
 The level-0 entries of the returned (q, p) duplicate level 1: the
 backward-Euler adjoint is defined on levels 1..Nt.
 """
@@ -28,10 +31,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import LinearSolveDivergence, ShapeMismatch
-from .dynamics import TangentSolution, Trajectory, step_matrix
+from .dynamics import StepOperator, TangentSolution, Trajectory
 from .grid import Grid, TimeGrid
 from .problem import CostSpec, PhysicsParams, ProblemSpec
 
@@ -156,6 +158,7 @@ def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> Adjoi
     y1 = np.zeros(n)
     y2 = np.zeros(n)
     y3 = np.zeros(n)
+    stepop = StepOperator(grid, dt, physics)
     for level in range(nt, 0, -1):
         rhs_theta = d_theta[level - 1]
         rhs_phi = d_phi[level - 1]
@@ -165,8 +168,8 @@ def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> Adjoi
             rest_slope = pot.d2w_rest(state.phi[level])
             rhs_theta = rhs_theta + y1
             rhs_phi = rhs_phi + physics.latent * y1 + y2 + (rest_slope - visc_dt) * y3
-        op = step_matrix(grid, dt, physics, pot.d2w_convex_eff(state.phi[level]))
-        sol = splu(op).solve(np.concatenate([rhs_theta, rhs_phi, rhs_mu]), trans="T")
+        rhs = np.concatenate([rhs_theta, rhs_phi, rhs_mu])
+        sol = stepop.factor(pot.d2w_convex_eff(state.phi[level])).solve(rhs, trans="T")
         if not np.all(np.isfinite(sol)):
             raise LinearSolveDivergence(f"adjoint sweep broke down at level {level}")
         y1, y2, y3 = sol[:n], sol[n : 2 * n], sol[2 * n :]

@@ -20,6 +20,11 @@ lam[k] multiplies R(phi at level k) in the step producing level k+1.
 The tangent solver differentiates each discrete step exactly: the implicit
 convex term contributes its derivative at the new level, the explicit
 remainder its derivative at the old level, with zero initial conditions.
+
+Forward Newton, tangent and adjoint sweeps all solve with the same block step
+operator. Only its (mu, phi) diagonal depends on the linearization point, so
+each sweep assembles one StepOperator and relinearizes it in place before
+every factorization.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ __all__ = [
     "solve_tangent",
     "mixture_energy",
     "step_matrix",
+    "StepOperator",
 ]
 
 #: Relative distance to the domain boundary preserved by the Newton safeguard.
@@ -121,6 +127,39 @@ def step_matrix(
     return sps.bmat([[a11, a12, None], [None, eye, a23], [a31, a32, eye]], format="csc")
 
 
+class StepOperator:
+    """The step operator of one sweep, assembled once and relinearized in place.
+
+    Only the diagonal of the a32 block, lap_ii - (visc/dt + dconvex_i), depends
+    on the linearization point. `factor` overwrites those stored entries with
+    the expression step_matrix evaluates, so the factorized matrix is
+    bit-for-bit step_matrix(grid, dt, physics, dconvex).
+    """
+
+    def __init__(self, grid: Grid, dt: float, physics: PhysicsParams):
+        n = grid.ncells
+        self.matrix = step_matrix(grid, dt, physics, np.zeros(n))
+        self._shift = physics.visc / dt
+        self._lap_diag = grid.laplacian.diagonal()
+        # Stored entries at (row 2n + i, column n + i), in order of i. Every
+        # one is present: lap_ii < 0 <= visc/dt keeps it from cancelling.
+        rows = self.matrix.indices
+        cols = np.repeat(np.arange(3 * n), np.diff(self.matrix.indptr))
+        self._a32_diag = np.flatnonzero((cols >= n) & (cols < 2 * n) & (rows == cols + n))
+
+    def factor(self, dconvex: np.ndarray):
+        """SuperLU factors of the operator linearized at the convex slope dconvex.
+
+        Raises LinearSolveDivergence when the operator is exactly singular.
+        """
+        slope = self._shift + np.asarray(dconvex, dtype=float)
+        self.matrix.data[self._a32_diag] = self._lap_diag - slope
+        try:
+            return splu(self.matrix)
+        except RuntimeError as exc:
+            raise LinearSolveDivergence(f"step operator could not be factorized: {exc}") from exc
+
+
 def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], float]:
     lo, hi = potential.lo, potential.hi
 
@@ -145,6 +184,7 @@ def _advance_step(
     grid: Grid,
     dt: float,
     physics: PhysicsParams,
+    stepop: StepOperator,
     convex: Callable[[np.ndarray], np.ndarray],
     dconvex: Callable[[np.ndarray], np.ndarray],
     explicit: np.ndarray,
@@ -158,9 +198,10 @@ def _advance_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One damped-Newton solve of the coupled step equations.
 
-    noise_floor lifts the tolerance to the evaluation noise of the nonlinear
-    terms (the Yosida values carry the resolvent root error amplified by
-    1/eps), below which the residual cannot be driven reliably.
+    The tolerance scales with the size of the old level and of the source
+    increment dt * source_level. noise_floor lifts it to the evaluation noise
+    of the nonlinear terms (the Yosida values carry the resolvent root error
+    amplified by 1/eps), below which the residual cannot be driven reliably.
     """
     n = grid.ncells
     lap = grid.laplacian
@@ -180,15 +221,18 @@ def _advance_step(
         return np.concatenate([r1, r2, r3])
 
     theta, phi, mu = theta_n.copy(), phi_n.copy(), mu_guess.copy()
-    scale = 1.0 + max(float(np.max(np.abs(theta_n))), float(np.max(np.abs(phi_n))))
+    scale = 1.0 + max(
+        float(np.max(np.abs(theta_n))),
+        float(np.max(np.abs(phi_n))),
+        dt * float(np.max(np.abs(source_level))),
+    )
     tol = max(opts.newton_tol, noise_floor) * scale
     res = residual(theta, phi, mu)
     res_norm = float(np.max(np.abs(res)))
     for _ in range(opts.newton_max_iter):
         if res_norm <= tol:
             return theta, phi, mu
-        jac = step_matrix(grid, dt, physics, dconvex(phi))
-        delta = splu(jac).solve(-res)
+        delta = stepop.factor(dconvex(phi)).solve(-res)
         if not np.all(np.isfinite(delta)):
             raise NewtonDivergence("Newton step produced non-finite values")
         d_theta, d_phi, d_mu = delta[:n], delta[n : 2 * n], delta[2 * n :]
@@ -290,12 +334,14 @@ def solve_generalized(
         + lam[0] * remainder(phi[0])
         - physics.coupling * theta[0]
     )
+    stepop = StepOperator(grid, dt, physics)
     for k in range(nt):
         explicit = lam[k] * remainder(phi[k])
         theta[k + 1], phi[k + 1], mu[k] = _advance_step(
             grid,
             dt,
             physics,
+            stepop,
             convex,
             dconvex,
             explicit,
@@ -346,6 +392,7 @@ def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> Tangent
     dtheta = np.zeros((nt + 1, n))
     dphi = np.zeros((nt + 1, n))
     dmu = np.empty((nt, n))
+    stepop = StepOperator(grid, dt, physics)
     for k in range(nt):
         rest_slope = pot.d2w_rest(base.phi[k])
         rhs = np.concatenate(
@@ -355,8 +402,7 @@ def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> Tangent
                 (rest_slope - visc_dt) * dphi[k],
             ]
         )
-        op = step_matrix(grid, dt, physics, pot.d2w_convex_eff(base.phi[k + 1]))
-        sol = splu(op).solve(rhs)
+        sol = stepop.factor(pot.d2w_convex_eff(base.phi[k + 1])).solve(rhs)
         if not np.all(np.isfinite(sol)):
             raise LinearSolveDivergence(f"tangent sweep broke down at step {k}")
         dtheta[k + 1] = sol[:n]

@@ -53,7 +53,8 @@ class SolverDivergence(SolverError):
 
 
 class LinearSolveDivergence(SolverError):
-    """A linear sweep (tangent/adjoint) produced non-finite values or a bad residual."""
+    """A step-operator factorization was singular, or a linear sweep
+    (tangent/adjoint) produced non-finite values or a bad residual."""
 
 
 class NewtonDivergence(SolverError):

@@ -40,6 +40,9 @@ __all__ = [
 #: the root error is amplified by 1/eps in the Yosida values built from it.
 ROOT_XTOL = 1.0e-15
 _ROOT_MAX_ITER = 200
+#: Bracket expansion steps: the doubling step overflows to inf after about
+#: 1024 of them, so from any finite start the bracket reaches +-inf before this.
+_BRACKET_MAX_DOUBLINGS = 1100
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,32 +165,16 @@ class Potential:
         if eps <= 0:
             raise ValueError("resolvent needs eps > 0")
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        lo = np.full(r.shape, self.lo)
-        hi = np.full(r.shape, self.hi)
+        if not np.all(np.isfinite(r)):
+            raise RootSolveFailure("resolvent of a non-finite value")
         if math.isfinite(self.lo):
-            lo = np.nextafter(lo, np.inf)
+            lo = np.nextafter(np.full(r.shape, self.lo), np.inf)
         else:
-            lo = np.minimum(r, 0.0)
-            width = 1.0
-            with np.errstate(over="ignore"):
-                while True:
-                    g = lo + eps * self._dw_convex(lo) - r
-                    if np.all(g <= 0):
-                        break
-                    lo = np.where(g > 0, lo - width, lo)
-                    width *= 2.0
+            lo = self._expand_bracket(np.minimum(r, 0.0), r, eps, -1.0)
         if math.isfinite(self.hi):
-            hi = np.nextafter(hi, -np.inf)
+            hi = np.nextafter(np.full(r.shape, self.hi), -np.inf)
         else:
-            hi = np.maximum(r, 0.0)
-            width = 1.0
-            with np.errstate(over="ignore"):
-                while True:
-                    g = hi + eps * self._dw_convex(hi) - r
-                    if np.all(g >= 0):
-                        break
-                    hi = np.where(g < 0, hi + width, hi)
-                    width *= 2.0
+            hi = self._expand_bracket(np.maximum(r, 0.0), r, eps, 1.0)
         x = np.clip(r, lo, hi)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for _ in range(_ROOT_MAX_ITER):
@@ -206,6 +193,19 @@ class Potential:
             else:
                 raise RootSolveFailure("resolvent iteration did not converge")
         return x
+
+    def _expand_bracket(self, x: np.ndarray, r: np.ndarray, eps: float, sign: float) -> np.ndarray:
+        """Step x outward in direction sign, doubling the step, until
+        sign * (x + eps * dw_convex(x) - r) >= 0 everywhere."""
+        width = 1.0
+        with np.errstate(over="ignore"):
+            for _ in range(_BRACKET_MAX_DOUBLINGS):
+                done = sign * (x + eps * self._dw_convex(x) - r) >= 0
+                if np.all(done):
+                    return x
+                x = np.where(done, x, x + sign * width)
+                width *= 2.0
+        raise RootSolveFailure("resolvent bracket could not be expanded")
 
     def yosida(self, r: np.ndarray, eps: float | None = None) -> np.ndarray:
         """Yosida regularization of dw_convex."""

@@ -10,6 +10,7 @@ import pytest
 
 import pfcontrol as pfc
 import pfcontrol.cli as cli
+from pfcontrol import dynamics
 from pfcontrol.config import build_field, config_digest, load_config, parse_config
 
 
@@ -259,6 +260,15 @@ class TestCliSolve:
         code, _, err = run_cli(["solve", "--config", cfg], capsys)
         assert code == 1
         assert "solver error:" in err
+
+    def test_singular_step_operator_exits_1(self, config_file, capsys, monkeypatch):
+        def singular(_):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(dynamics, "splu", singular)
+        code, _, err = run_cli(["solve", "--config", config_file()], capsys)
+        assert code == 1
+        assert "solver error:" in err and "exactly singular" in err
 
 
 class TestCliDerivatives:

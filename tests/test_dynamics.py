@@ -6,8 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import desk_spec, zero_control
+from scipy.sparse.linalg import splu
 
 import pfcontrol as pfc
+from pfcontrol import dynamics
 
 
 def _random_control(spec, seed=0, amplitude=0.5):
@@ -102,6 +104,20 @@ class TestStepEquations:
         assert np.array_equal(direct.theta, general.theta)
         assert np.array_equal(direct.phi, general.phi)
         assert np.array_equal(direct.mu, general.mu)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0e-3])
+    def test_large_source_step_solves(self, eps):
+        # The Newton tolerance scales with dt * |source|, not only with the
+        # old level, so a huge heat source does not stall the damping.
+        spec = desk_spec("regular", yosida_eps=eps)
+        u = np.full((spec.tgrid.steps, spec.grid.ncells), 1.0e5)
+        traj = pfc.solve_state(u, spec)
+        # Total enthalpy mean(theta + latent * phi) grows by T * mean(u).
+        enthalpy = traj.theta[-1] + spec.physics.latent * traj.phi[-1]
+        start = spec.init.theta0 + spec.physics.latent * spec.init.phi0
+        gain = float(np.mean(enthalpy) - np.mean(start))
+        assert abs(gain - 1.0e5 * spec.tgrid.horizon) <= 1.0e-9 * 1.0e5
+        assert np.ptp(traj.phase_mean_history()) <= 1.0e-12
 
 
 class TestLinearMode:
@@ -229,6 +245,53 @@ class TestTangent:
         base = pfc.solve_state(zero_control(regular_spec), regular_spec)
         with pytest.raises(pfc.ShapeMismatch):
             pfc.solve_tangent(np.zeros((3, 3)), base, regular_spec)
+
+
+class TestStepOperator:
+    @pytest.mark.parametrize("cells", [16, (6, 5)])
+    @pytest.mark.parametrize("visc", [0.0, 1.0])
+    def test_factor_is_the_assembled_operator(self, cells, visc):
+        grid = pfc.Grid(cells)
+        physics = pfc.PhysicsParams(visc=visc, latent=0.7, coupling=1.3)
+        dt = 0.05
+        stepop = dynamics.StepOperator(grid, dt, physics)
+        rng = np.random.default_rng(5)
+        rhs = rng.standard_normal(3 * grid.ncells)
+        # Relinearizing twice: the second slope must fully replace the first.
+        for _ in range(2):
+            slope = rng.uniform(0.0, 4.0, grid.ncells)
+            lu = stepop.factor(slope)
+            want = dynamics.step_matrix(grid, dt, physics, slope)
+            got = stepop.matrix
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(lu.solve(rhs), splu(want).solve(rhs))
+
+    def test_one_assembly_per_sweep(self, log_spec, monkeypatch):
+        assembled, factored = [], []
+        step_matrix, factor = dynamics.step_matrix, dynamics.splu
+        monkeypatch.setattr(
+            dynamics, "step_matrix", lambda *a: assembled.append(1) or step_matrix(*a)
+        )
+        monkeypatch.setattr(dynamics, "splu", lambda a: factored.append(1) or factor(a))
+        spec = log_spec
+        u = _random_control(spec, seed=2, amplitude=0.3)
+        base = pfc.solve_state(u, spec)
+        assert len(assembled) == 1
+        assert len(factored) > spec.tgrid.steps  # several Newton iterations per step
+        pfc.solve_tangent(u, base, spec)
+        assert len(assembled) == 2
+        pfc.solve_adjoint(base, spec.cost, spec)
+        assert len(assembled) == 3
+
+    def test_singular_factorization_is_typed(self, regular_spec, monkeypatch):
+        def singular(_):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(dynamics, "splu", singular)
+        with pytest.raises(pfc.LinearSolveDivergence, match="exactly singular"):
+            pfc.solve_state(_random_control(regular_spec), regular_spec)
 
 
 class TestFailureModes:

@@ -1,6 +1,8 @@
 """Potential splits, domain policing and the Yosida regularization."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +134,30 @@ class TestLogLinear:
         j = self.pot.resolvent(r, eps)
         assert np.all(j > -1.0)
         np.testing.assert_allclose(j + eps * j / (1.0 + j), r, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "pfc.quartic_double_well(1e-3).yosida(np.array([np.nan]))",
+        "pfc.quartic_double_well(1e-3).yosida(np.array([0.5, -np.inf]))",
+        "pfc.log_linear(1e-3).yosida(np.array([np.inf]))",
+        # A convex derivative that is NaN everywhere never closes the bracket.
+        "dataclasses.replace(pfc.quartic_double_well(1e-3),"
+        " _dw_convex=lambda r: np.full_like(r, np.nan)).yosida(np.array([0.5]))",
+    ],
+)
+def test_resolvent_fails_instead_of_hanging(call):
+    # In a child process with a timeout, so a regression fails the test
+    # rather than hanging the suite.
+    script = (
+        "import dataclasses\nimport numpy as np\nimport pfcontrol as pfc\n"
+        f"try:\n    {call}\nexcept pfc.RootSolveFailure:\n    print('RootSolveFailure')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.strip() == "RootSolveFailure", proc.stderr
 
 
 def test_eval_wrappers():
