@@ -22,28 +22,8 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .grid import (
-    Field,
-    FieldNorms,
-    Grid,
-    TimeGrid,
-    dual_norm,
-    inverse_neumann,
-    laplacian_neumann,
-    mean,
-    norms,
-)
-from .potential import (
-    Potential,
-    PotentialValues,
-    SplitValues,
-    eval_split,
-    eval_w,
-    log_double_well,
-    log_linear,
-    quartic_double_well,
-    yosida,
-)
+from .grid import Grid, TimeGrid
+from .potential import Potential, log_double_well, log_linear, quartic_double_well
 from .problem import (
     ControlBox,
     CostSpec,
@@ -53,11 +33,9 @@ from .problem import (
     SolverOptions,
 )
 from .dynamics import (
-    GeneralizedProblem,
     TangentSolution,
     Trajectory,
     mixture_energy,
-    solve_generalized,
     solve_state,
     solve_tangent,
     step_matrix,
@@ -75,7 +53,6 @@ from .control import (
     OptimizeOptions,
     OptimizeReport,
     bang_bang_classify,
-    cost,
     lq_inner,
     lq_norm,
     optimize,
@@ -121,24 +98,12 @@ __all__ = [
     "DomainEscape",
     # grid
     "Grid",
-    "Field",
     "TimeGrid",
-    "FieldNorms",
-    "laplacian_neumann",
-    "mean",
-    "inverse_neumann",
-    "dual_norm",
-    "norms",
     # potential
     "Potential",
-    "PotentialValues",
-    "SplitValues",
     "quartic_double_well",
     "log_double_well",
     "log_linear",
-    "eval_w",
-    "eval_split",
-    "yosida",
     # problem
     "PhysicsParams",
     "InitialData",
@@ -147,10 +112,8 @@ __all__ = [
     "ControlBox",
     "ProblemSpec",
     # dynamics
-    "GeneralizedProblem",
     "Trajectory",
     "TangentSolution",
-    "solve_generalized",
     "solve_state",
     "solve_tangent",
     "mixture_energy",
@@ -166,7 +129,6 @@ __all__ = [
     "OptimizeOptions",
     "OptimizeReport",
     "BangBangReport",
-    "cost",
     "reduced_gradient",
     "project_box",
     "stationarity_residual",

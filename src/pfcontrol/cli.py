@@ -248,7 +248,6 @@ def _cmd_optimize(args) -> int:
         "residual_final": report.residual_final,
         "bang_bang": dataclasses.asdict(report.bang_bang),
         "start_seed": report.start_seed,
-        "fd_check": report.fd_check,
     }
     _write_json(payload, _report_path(args, "optimize_report.json"))
     out = _out_dir(args)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adjoint import cost_value, solve_adjoint
-from .dynamics import Trajectory, solve_state
+from .dynamics import solve_state
 from .errors import ShapeMismatch, ValidationError
 from .problem import ControlBox, ProblemSpec
 
@@ -24,7 +24,6 @@ __all__ = [
     "OptimizeOptions",
     "OptimizeReport",
     "BangBangReport",
-    "cost",
     "reduced_gradient",
     "project_box",
     "stationarity_residual",
@@ -34,8 +33,6 @@ __all__ = [
     "lq_inner",
     "lq_norm",
 ]
-
-cost = cost_value
 
 
 def lq_inner(a: np.ndarray, b: np.ndarray, spec: ProblemSpec) -> float:
@@ -47,24 +44,10 @@ def lq_norm(a: np.ndarray, spec: ProblemSpec) -> float:
     return float(np.sqrt(max(lq_inner(a, a, spec), 0.0)))
 
 
-def _resolve_box(box: ControlBox, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    def expand(value, name):
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            return np.full(shape, float(arr))
-        if arr.shape == (shape[1],):
-            return np.broadcast_to(arr, shape).copy()
-        if arr.shape == shape:
-            return arr
-        raise ShapeMismatch(f"{name}: shape {arr.shape} incompatible with {shape}")
-
-    return expand(box.lower, "box.lower"), expand(box.upper, "box.upper")
-
-
 def project_box(u: np.ndarray, box: ControlBox) -> np.ndarray:
     """Nodewise clamp onto the admissible box."""
     u = np.asarray(u, dtype=float)
-    lo, hi = _resolve_box(box, u.shape)
+    lo, hi = box.bounds(u.shape)
     if np.any(lo > hi):
         raise ShapeMismatch("box: lower exceeds upper somewhere")
     return np.clip(u, lo, hi)
@@ -115,7 +98,7 @@ def bang_bang_classify(
         raise ShapeMismatch(f"control {u.shape} and gradient {q.shape} differ")
     if tol is None:
         tol = 1.0e-8 * float(np.max(np.abs(q))) if q.size else 0.0
-    lo, hi = _resolve_box(box, u.shape)
+    lo, hi = box.bounds(u.shape)
     positive = q > tol
     negative = q < -tol
     at_lower = np.abs(u - lo) <= tol
@@ -141,18 +124,23 @@ def random_admissible_control(spec: ProblemSpec, seed: int | np.random.Generator
     """Seeded random control: nodewise uniform in the box, then one implicit
     smoothing step per level to suppress grid-frequency noise, then clamped."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    shape = (spec.tgrid.steps, spec.grid.ncells)
-    lo, hi = _resolve_box(spec.box, shape)
-    raw = rng.uniform(lo, hi)
-    coef = 4.0 * max(spec.grid.spacing) ** 2
-    smooth = np.stack([spec.grid.helmholtz_solve(level, coef) for level in raw])
-    return np.clip(smooth, lo, hi)
+    lo, hi = spec.box.bounds((spec.tgrid.steps, spec.grid.ncells))
+    return np.clip(spec.grid.smooth_levels(rng.uniform(lo, hi)), lo, hi)
 
 
 @dataclasses.dataclass(frozen=True)
 class OptimizeOptions:
-    """Projected-gradient settings: BB1 step estimate with a monotone Armijo
-    backtracking line search along the projection arc."""
+    """Projected-gradient settings.
+
+    stat_tol: stop once the L2(Q) stationarity residual is at most this.
+    max_iter: iteration cap; reaching it terminates with "max_iterations".
+    armijo_sigma, max_backtracks: sufficient-decrease constant and halving
+    budget of the monotone backtracking line search along the projection arc.
+    initial_step: first trial step; later steps start from the BB1 estimate
+    clipped to [step_min, step_max].
+    starts: seeds of extra random admissible starting controls; the run with
+    the lowest final cost is reported.
+    """
 
     stat_tol: float = 1.0e-6
     max_iter: int = 500
@@ -161,9 +149,6 @@ class OptimizeOptions:
     initial_step: float = 1.0
     step_min: float = 1.0e-10
     step_max: float = 1.0e10
-    fd_check: bool = False
-    fd_delta: float = 1.0e-5
-    fd_seed: int = 2024
     starts: Sequence[int] = ()
 
 
@@ -183,7 +168,6 @@ class OptimizeReport:
     termination: str
     bang_bang: BangBangReport
     start_seed: Optional[int] = None
-    fd_check: Optional[dict] = None
 
     @property
     def j_final(self) -> float:
@@ -194,17 +178,13 @@ class OptimizeReport:
         return self.residual_history[-1]
 
 
-def _gradient_from_state(state: Trajectory, spec: ProblemSpec) -> np.ndarray:
-    return solve_adjoint(state, spec.cost, spec).reduced_gradient()
-
-
 def _optimize_single(
     spec: ProblemSpec, u0: np.ndarray, opts: OptimizeOptions, start_seed: Optional[int]
 ) -> OptimizeReport:
     u = project_box(u0, spec.box)
     state = solve_state(u, spec)
     j = cost_value(state, spec.cost)
-    grad = _gradient_from_state(state, spec)
+    grad = solve_adjoint(state, spec.cost, spec).reduced_gradient()
     j_hist = [j]
     res_hist = []
     step_hist = []
@@ -241,7 +221,7 @@ def _optimize_single(
             break
         step_hist.append(float(step))
         du_norms.append(float(np.sqrt(decrease)))
-        new_grad = _gradient_from_state(trial_state, spec)
+        new_grad = solve_adjoint(trial_state, spec.cost, spec).reduced_gradient()
         du = trial - u
         dg = new_grad - grad
         curvature = lq_inner(du, dg, spec)
@@ -251,9 +231,6 @@ def _optimize_single(
         u, state, j, grad = trial, trial_state, trial_j, new_grad
         j_hist.append(j)
     bb = bang_bang_classify(u, grad, spec.box)
-    fd_report = None
-    if opts.fd_check:
-        fd_report = _fd_cross_check(u, grad, spec, opts)
     return OptimizeReport(
         u_opt=u,
         gradient=grad,
@@ -265,30 +242,7 @@ def _optimize_single(
         termination=termination,
         bang_bang=bb,
         start_seed=start_seed,
-        fd_check=fd_report,
     )
-
-
-def _fd_cross_check(
-    u: np.ndarray, grad: np.ndarray, spec: ProblemSpec, opts: OptimizeOptions
-) -> dict:
-    rng = np.random.default_rng(opts.fd_seed)
-    h = rng.standard_normal(u.shape)
-    coef = 4.0 * max(spec.grid.spacing) ** 2
-    h = np.stack([spec.grid.helmholtz_solve(level, coef) for level in h])
-    h /= max(np.max(np.abs(h)), 1e-30)
-    delta = opts.fd_delta
-    j_plus = cost_value(solve_state(u + delta * h, spec), spec.cost)
-    j_minus = cost_value(solve_state(u - delta * h, spec), spec.cost)
-    fd = (j_plus - j_minus) / (2.0 * delta)
-    pred = lq_inner(grad, h, spec)
-    denom = max(abs(fd), abs(pred), 1e-30)
-    return {
-        "delta": delta,
-        "fd_value": fd,
-        "adjoint_value": pred,
-        "rel_error": abs(fd - pred) / denom,
-    }
 
 
 def optimize(

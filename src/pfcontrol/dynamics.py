@@ -4,7 +4,7 @@ Per step (dt = T / Nt, level n -> n+1, all equations scaled by dt):
 
     theta' - theta + latent * (phi' - phi) - dt * Lap theta' = dt * v'
     phi' - phi - dt * Lap mu' = 0
-    mu' = visc * (phi' - phi) / dt - Lap phi' + B(phi') + lam * R(phi) - coupling * theta'
+    mu' = visc * (phi' - phi) / dt - Lap phi' + B(phi') + R(phi) - coupling * theta'
 
 where primes mark the new level, B is the derivative of the convex potential
 part (implicit; Yosida-regularized when eps > 0) and R the derivative of the
@@ -14,8 +14,6 @@ phase update keeps mean(phi) constant.
 
 Index conventions: trajectories hold theta, phi at levels 0..Nt; chemical
 potential and sources at levels 1..Nt (array index k maps to level k+1).
-The generalized coefficient lam is indexed by the OLD level of a step:
-lam[k] multiplies R(phi at level k) in the step producing level k+1.
 
 The tangent solver differentiates each discrete step exactly: the implicit
 convex term contributes its derivative at the new level, the explicit
@@ -45,13 +43,11 @@ from .errors import (
 )
 from .grid import Grid, TimeGrid
 from .potential import Potential
-from .problem import InitialData, PhysicsParams, ProblemSpec, SolverOptions
+from .problem import PhysicsParams, ProblemSpec, SolverOptions
 
 __all__ = [
-    "GeneralizedProblem",
     "Trajectory",
     "TangentSolution",
-    "solve_generalized",
     "solve_state",
     "solve_tangent",
     "mixture_energy",
@@ -62,23 +58,6 @@ __all__ = [
 #: Relative distance to the domain boundary preserved by the Newton safeguard.
 _BOUNDARY_FRACTION = 0.99
 _MIN_STEP_FRACTION = 1.0e-10
-
-
-@dataclasses.dataclass(frozen=True)
-class GeneralizedProblem:
-    """Forward problem with a per-level coefficient on the explicit term.
-
-    mode "full": the phase equation carries B(phi') + lam * R(phi).
-    mode "linear": B is off and the explicit term is lam * phi (identity
-    remainder), so every step is a single linear solve.
-    """
-
-    physics: PhysicsParams
-    potential: Potential
-    init: InitialData
-    source: np.ndarray
-    lam: np.ndarray | float = 1.0
-    mode: str = "full"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -266,77 +245,48 @@ def _advance_step(
     )
 
 
-def _resolve_lam(lam, tgrid: TimeGrid, grid: Grid) -> np.ndarray:
-    arr = np.asarray(lam, dtype=float)
-    shape = (tgrid.steps, grid.ncells)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    if arr.shape == (grid.ncells,):
-        return np.broadcast_to(arr, shape).copy()
-    if arr.shape == shape:
-        return arr
-    raise ShapeMismatch(f"lam: shape {arr.shape} incompatible with {shape}")
-
-
-def solve_generalized(
-    problem: GeneralizedProblem,
-    grid: Grid,
-    tgrid: TimeGrid,
-    opts: SolverOptions | None = None,
-) -> Trajectory:
-    """March the generalized system over the whole horizon.
+def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
+    """March the state system with source u over the whole horizon.
 
     Raises ConfigError for inadmissible setups, NewtonDivergence /
     DomainEscape when a step cannot be completed.
     """
-    opts = opts or SolverOptions()
-    if problem.mode not in ("full", "linear"):
-        raise ConfigError(f"unknown mode {problem.mode!r}")
-    pot = problem.potential
-    physics = problem.physics
+    grid, tgrid, opts = spec.grid, spec.tgrid, spec.options
+    pot, physics = spec.potential, spec.physics
     exact_singular = pot.is_singular and pot.yosida_eps == 0
-    if problem.mode == "full" and exact_singular and physics.visc == 0:
+    if exact_singular and physics.visc == 0:
         raise ConfigError(
             "singular potential in exact mode requires positive viscosity"
         )
-    bad = problem.init.validate(grid, pot)
+    bad = spec.init.validate(grid, pot)
     if bad:
         raise ConfigError("; ".join(bad))
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
-    source = np.asarray(problem.source, dtype=float)
+    source = np.asarray(u, dtype=float)
     if source.shape != (nt, n):
         raise ShapeMismatch(f"source: shape {source.shape} != {(nt, n)}")
-    lam = _resolve_lam(problem.lam, tgrid, grid)
 
-    if problem.mode == "full":
-        convex = pot.dw_convex_eff
-        dconvex = pot.d2w_convex_eff
-        remainder = pot.dw_rest
-    else:
-        convex = lambda r: np.zeros_like(r)
-        dconvex = lambda r: np.zeros_like(r)
-        remainder = lambda r: r
-    guard = _domain_guard(pot) if (problem.mode == "full" and exact_singular) else None
+    convex, dconvex, remainder = pot.dw_convex_eff, pot.d2w_convex_eff, pot.dw_rest
+    guard = _domain_guard(pot) if exact_singular else None
     noise_floor = 0.0
-    if problem.mode == "full" and pot.yosida_eps > 0:
+    if pot.yosida_eps > 0:
         noise_floor = 16.0 * np.finfo(float).eps / pot.yosida_eps
 
     theta = np.empty((nt + 1, n))
     phi = np.empty((nt + 1, n))
     mu = np.empty((nt, n))
-    theta[0] = problem.init.theta0
-    phi[0] = problem.init.phi0
+    theta[0] = spec.init.theta0
+    phi[0] = spec.init.phi0
     phase_mean = float(np.sum(phi[0])) / n
 
     mu_guess = (
         -(grid.laplacian @ phi[0])
         + convex(phi[0])
-        + lam[0] * remainder(phi[0])
+        + remainder(phi[0])
         - physics.coupling * theta[0]
     )
     stepop = StepOperator(grid, dt, physics)
     for k in range(nt):
-        explicit = lam[k] * remainder(phi[k])
         theta[k + 1], phi[k + 1], mu[k] = _advance_step(
             grid,
             dt,
@@ -344,7 +294,7 @@ def solve_generalized(
             stepop,
             convex,
             dconvex,
-            explicit,
+            remainder(phi[k]),
             theta[k],
             phi[k],
             mu_guess,
@@ -357,19 +307,6 @@ def solve_generalized(
         phi[k + 1] += phase_mean - float(np.sum(phi[k + 1])) / n
         mu_guess = mu[k]
     return Trajectory(grid=grid, tgrid=tgrid, theta=theta, phi=phi, mu=mu, source=source)
-
-
-def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
-    """State system: generalized problem with unit coefficient, full mode."""
-    problem = GeneralizedProblem(
-        physics=spec.physics,
-        potential=spec.potential,
-        init=spec.init,
-        source=np.asarray(u, dtype=float),
-        lam=1.0,
-        mode="full",
-    )
-    return solve_generalized(problem, spec.grid, spec.tgrid, spec.options)
 
 
 def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> TangentSolution:

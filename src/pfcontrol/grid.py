@@ -2,7 +2,8 @@
 
 The spatial operators live here: the divergence-form Laplacian with mirror
 ghost cells (zero boundary flux), means and integrals, the inverse Neumann
-operator on zero-mean data, and the H / V / sup / dual norms built on it.
+operator on zero-mean data, the H / V / sup / dual norms built on it, and
+cached Helmholtz solves with the smoothing step built on them.
 
 Fields are cell values flattened in C order. All cells have the same measure,
 so the measure-weighted mean is the plain arithmetic average.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sps
@@ -20,19 +21,9 @@ from scipy.sparse.linalg import splu
 
 from .errors import NonZeroMean, ShapeMismatch, SolverDivergence
 
-__all__ = [
-    "Grid",
-    "Field",
-    "TimeGrid",
-    "FieldNorms",
-    "laplacian_neumann",
-    "mean",
-    "inverse_neumann",
-    "dual_norm",
-    "norms",
-]
+__all__ = ["Grid", "TimeGrid"]
 
-#: Default relative tolerance on |mean(f)| for the inverse Neumann operator.
+#: Relative tolerance on |mean(f)| for the inverse Neumann operator.
 MEAN_RTOL = 1.0e-12
 
 #: Relative residual bound above which a direct solve is declared broken.
@@ -122,11 +113,6 @@ class Grid:
         return splu(k)
 
     @cached_property
-    def _riesz_lu(self):
-        # (I - Laplacian), the Riesz map of the discrete V inner product.
-        return splu((sps.identity(self.ncells) - self.laplacian).tocsc())
-
-    @cached_property
     def _helmholtz_cache(self) -> dict:
         return {}
 
@@ -169,6 +155,12 @@ class Grid:
         self._residual_guard(rhs - (w - key * (self.laplacian @ w)), rhs, "helmholtz solve")
         return w
 
+    def smooth_levels(self, levels: np.ndarray) -> np.ndarray:
+        """One implicit smoothing step (I - 4 h^2 Laplacian)^-1 per row of
+        levels, with h the coarsest spacing: damps grid-frequency noise."""
+        coef = 4.0 * max(self.spacing) ** 2
+        return np.stack([self.helmholtz_solve(level, coef) for level in levels])
+
     def _residual_guard(self, residual: np.ndarray, rhs: np.ndarray, what: str) -> None:
         scale = float(np.linalg.norm(rhs))
         if scale == 0.0:
@@ -177,19 +169,19 @@ class Grid:
         if not np.isfinite(rel) or rel > LINEAR_RTOL:
             raise SolverDivergence(f"{what}: relative residual {rel:.3e} exceeds {LINEAR_RTOL:.1e}")
 
-    def inverse_neumann(self, values: np.ndarray, mean_rtol: float = MEAN_RTOL) -> np.ndarray:
+    def inverse_neumann(self, values: np.ndarray) -> np.ndarray:
         """Solve -Laplacian g = f with zero-flux boundary and mean(g) = 0.
 
         The data must have (numerically) zero mean: |mean(f)| is allowed up to
-        mean_rtol * ||f||_inf. The solution mean is removed by post-projection.
+        MEAN_RTOL * ||f||_inf. The solution mean is removed by post-projection.
         """
         f = self._check(values)
         scale = float(np.max(np.abs(f))) if f.size else 0.0
         m = self.mean(f)
-        if abs(m) > mean_rtol * scale:
+        if abs(m) > MEAN_RTOL * scale:
             raise NonZeroMean(
                 f"inverse Neumann needs zero-mean data: |mean| = {abs(m):.3e} "
-                f"> {mean_rtol:.1e} * ||f||_inf = {mean_rtol * scale:.3e}"
+                f"> {MEAN_RTOL:.1e} * ||f||_inf = {MEAN_RTOL * scale:.3e}"
             )
         if scale == 0.0:
             return np.zeros_like(f)
@@ -223,52 +215,11 @@ class Grid:
     def v_norm(self, values: np.ndarray) -> float:
         return float(np.sqrt(self.h_norm(values) ** 2 + self.grad_sq(values)))
 
-    def vprime_norm(self, values: np.ndarray) -> float:
-        """Dual V' norm via the (I - Laplacian) Riesz map (independent of N)."""
-        f = self._check(values)
-        w = self._riesz_lu.solve(f)
-        return float(np.sqrt(max(self.inner(f, w), 0.0)))
-
-    def dual_norm(self, values: np.ndarray, mean_rtol: float = MEAN_RTOL) -> float:
+    def dual_norm(self, values: np.ndarray) -> float:
         """Norm induced by the inverse Neumann operator on zero-mean data."""
         f = self._check(values)
-        g = self.inverse_neumann(f, mean_rtol=mean_rtol)
+        g = self.inverse_neumann(f)
         return float(np.sqrt(max(self.inner(f, g), 0.0)))
-
-
-@dataclasses.dataclass(frozen=True)
-class Field:
-    """A single-time-level scalar field: flattened cell values bound to a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float, copy=True)
-        if vals.shape != (self.grid.ncells,):
-            raise ShapeMismatch(
-                f"field has {vals.shape}, grid wants ({self.grid.ncells},)"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field entries must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.ncells, float(value)))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        pts = grid.coords()
-        return cls(grid, np.asarray(fn(*(pts[:, k] for k in range(grid.dim))), dtype=float))
-
-
-@dataclasses.dataclass(frozen=True)
-class FieldNorms:
-    h: float
-    v: float
-    sup: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -291,28 +242,3 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """All Nt+1 level times; endpoint exactly the horizon."""
         return np.linspace(0.0, self.horizon, self.steps + 1)
-
-
-# -- functional wrappers over Field ------------------------------------------
-
-
-def laplacian_neumann(f: Field) -> Field:
-    """Divergence-form Laplacian with zero boundary flux."""
-    return Field(f.grid, f.grid.apply_laplacian(f.values))
-
-
-def mean(f: Field) -> float:
-    return f.grid.mean(f.values)
-
-
-def inverse_neumann(f: Field, mean_rtol: float = MEAN_RTOL) -> Field:
-    return Field(f.grid, f.grid.inverse_neumann(f.values, mean_rtol=mean_rtol))
-
-
-def dual_norm(f: Field, mean_rtol: float = MEAN_RTOL) -> float:
-    return f.grid.dual_norm(f.values, mean_rtol=mean_rtol)
-
-
-def norms(f: Field) -> FieldNorms:
-    g = f.grid
-    return FieldNorms(h=g.h_norm(f.values), v=g.v_norm(f.values), sup=g.sup_norm(f.values))

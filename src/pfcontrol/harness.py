@@ -17,14 +17,7 @@ import numpy as np
 
 from .adjoint import cost_value, solve_adjoint
 from .control import lq_inner, lq_norm, random_admissible_control
-from .dynamics import (
-    GeneralizedProblem,
-    Trajectory,
-    mixture_energy,
-    solve_generalized,
-    solve_state,
-    solve_tangent,
-)
+from .dynamics import Trajectory, mixture_energy, solve_state, solve_tangent
 from .errors import ShapeMismatch
 from .grid import Grid, TimeGrid
 from .problem import ProblemSpec
@@ -103,9 +96,7 @@ def trajectory_y_norm(
 
 def smooth_direction(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
     """Seeded probe direction: white noise smoothed per level, sup-normalized."""
-    raw = rng.standard_normal((spec.tgrid.steps, spec.grid.ncells))
-    coef = 4.0 * max(spec.grid.spacing) ** 2
-    h = np.stack([spec.grid.helmholtz_solve(level, coef) for level in raw])
+    h = spec.grid.smooth_levels(rng.standard_normal((spec.tgrid.steps, spec.grid.ncells)))
     return h / max(float(np.max(np.abs(h))), 1.0e-30)
 
 
@@ -480,15 +471,8 @@ def energy_probe(
     t0 = time.perf_counter()
     physics = dataclasses.replace(spec.physics, latent=0.0, coupling=0.0)
     tgrid = TimeGrid(spec.tgrid.horizon, steps)
-    problem = GeneralizedProblem(
-        physics=physics,
-        potential=spec.potential,
-        init=spec.init,
-        source=np.zeros((steps, spec.grid.ncells)),
-        lam=1.0,
-        mode="full",
-    )
-    traj = solve_generalized(problem, spec.grid, tgrid, spec.options)
+    decoupled = dataclasses.replace(spec, physics=physics, tgrid=tgrid)
+    traj = solve_state(np.zeros((steps, spec.grid.ncells)), decoupled)
     energies = np.array(
         [mixture_energy(spec.grid, spec.potential, lv) for lv in traj.phi]
     )

@@ -26,41 +26,21 @@ from .errors import OutOfDomain, RootSolveFailure
 
 __all__ = [
     "Potential",
-    "SplitValues",
-    "PotentialValues",
     "quartic_double_well",
     "log_double_well",
     "log_linear",
-    "eval_w",
-    "eval_split",
-    "yosida",
 ]
 
 #: Relative step tolerance of the resolvent root solve; a few ulps, because
 #: the root error is amplified by 1/eps in the Yosida values built from it.
 ROOT_XTOL = 1.0e-15
-_ROOT_MAX_ITER = 200
+#: Root iterations: a bisection step halves the bracket, whose width falls
+#: from at most 2**1025 to the smallest subnormal 2**-1074 in about 2100
+#: halvings, so any finite bracket collapses to adjacent floats before this.
+_ROOT_MAX_ITER = 2200
 #: Bracket expansion steps: the doubling step overflows to inf after about
 #: 1024 of them, so from any finite start the bracket reaches +-inf before this.
 _BRACKET_MAX_DOUBLINGS = 1100
-
-
-@dataclasses.dataclass(frozen=True)
-class PotentialValues:
-    w: np.ndarray
-    w_convex: np.ndarray
-    w_rest: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
-class SplitValues:
-    """First and second derivatives of both parts; third of the remainder."""
-
-    dw_convex: np.ndarray
-    d2w_convex: np.ndarray
-    dw_rest: np.ndarray
-    d2w_rest: np.ndarray
-    d3w_rest: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,7 +63,6 @@ class Potential:
     _w_rest: Callable[[np.ndarray], np.ndarray]
     _dw_rest: Callable[[np.ndarray], np.ndarray]
     _d2w_rest: Callable[[np.ndarray], np.ndarray]
-    _d3w_rest: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.yosida_eps < 0:
@@ -144,9 +123,6 @@ class Potential:
 
     def d2w_rest(self, r: np.ndarray) -> np.ndarray:
         return self._d2w_rest(np.asarray(r, dtype=float))
-
-    def d3w_rest(self, r: np.ndarray) -> np.ndarray:
-        return self._d3w_rest(np.asarray(r, dtype=float))
 
     def w(self, r: np.ndarray) -> np.ndarray:
         return self.w_convex(r) + self.w_rest(r)
@@ -262,7 +238,6 @@ def quartic_double_well(yosida_eps: float = 0.0) -> Potential:
         _w_rest=lambda r: 0.25 * (1.0 - 2.0 * r**2),
         _dw_rest=lambda r: -r,
         _d2w_rest=lambda r: -np.ones_like(r),
-        _d3w_rest=lambda r: np.zeros_like(r),
     )
 
 
@@ -289,7 +264,6 @@ def log_double_well(c: float = 2.0, yosida_eps: float = 0.0) -> Potential:
         _w_rest=lambda r: -c * r**2,
         _dw_rest=lambda r: -2.0 * c * r,
         _d2w_rest=lambda r: np.full_like(r, -2.0 * c),
-        _d3w_rest=lambda r: np.zeros_like(r),
     )
 
 
@@ -309,30 +283,4 @@ def log_linear(yosida_eps: float = 0.0) -> Potential:
         _w_rest=lambda r: np.zeros_like(r),
         _dw_rest=lambda r: np.zeros_like(r),
         _d2w_rest=lambda r: np.zeros_like(r),
-        _d3w_rest=lambda r: np.zeros_like(r),
     )
-
-
-# -- functional wrappers ------------------------------------------------------------
-
-
-def eval_w(pot: Potential, r: np.ndarray) -> PotentialValues:
-    """Exact potential values; raises OutOfDomain outside the domain closure."""
-    r = np.asarray(r, dtype=float)
-    return PotentialValues(w=pot.w(r), w_convex=pot.w_convex(r), w_rest=pot.w_rest(r))
-
-
-def eval_split(pot: Potential, r: np.ndarray) -> SplitValues:
-    """Exact derivatives of the split; raises OutOfDomain outside the open domain."""
-    r = np.asarray(r, dtype=float)
-    return SplitValues(
-        dw_convex=pot.dw_convex(r),
-        d2w_convex=pot.d2w_convex(r),
-        dw_rest=pot.dw_rest(r),
-        d2w_rest=pot.d2w_rest(r),
-        d3w_rest=pot.d3w_rest(r),
-    )
-
-
-def yosida(pot: Potential, eps: float, r: np.ndarray) -> np.ndarray:
-    return pot.yosida(r, eps)

@@ -83,13 +83,11 @@ class InitialData:
 
 @dataclasses.dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances for the per-step Newton solve and the linear algebra."""
+    """Tolerance and iteration budgets of the per-step damped Newton solve."""
 
     newton_tol: float = 1.0e-12
     newton_max_iter: int = 50
     newton_max_backtracks: int = 40
-    linear_rtol: float = 1.0e-10
-    mean_rtol: float = 1.0e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,36 +128,31 @@ class CostSpec:
         )
 
     def running_targets(self, grid: Grid, tgrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+        shape = (tgrid.steps, grid.ncells)
         return (
-            _as_time_indexed(self.theta_target, grid, tgrid, "theta_target"),
-            _as_time_indexed(self.phi_target, grid, tgrid, "phi_target"),
+            broadcast(self.theta_target, shape, "theta_target"),
+            broadcast(self.phi_target, shape, "phi_target"),
         )
 
     def final_targets(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        shape = (grid.ncells,)
         return (
-            _as_field(self.theta_final_target, grid, "theta_final_target"),
-            _as_field(self.phi_final_target, grid, "phi_final_target"),
+            broadcast(self.theta_final_target, shape, "theta_final_target"),
+            broadcast(self.phi_final_target, shape, "phi_final_target"),
         )
 
 
-def _as_field(value, grid: Grid, name: str) -> np.ndarray:
+def broadcast(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A scalar, a single field (sized like the last axis of shape) or an
+    array of the full shape, as an array of the given shape. An array that
+    already has that shape is returned as is."""
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.ncells, float(arr))
-    if arr.shape == (grid.ncells,):
-        return arr
-    raise ShapeMismatch(f"{name}: shape {arr.shape} incompatible with ({grid.ncells},)")
-
-
-def _as_time_indexed(value, grid: Grid, tgrid: TimeGrid, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    shape = (tgrid.steps, grid.ncells)
     if arr.ndim == 0:
         return np.full(shape, float(arr))
-    if arr.shape == (grid.ncells,):
-        return np.broadcast_to(arr, shape).copy()
     if arr.shape == shape:
         return arr
+    if arr.shape == shape[-1:]:
+        return np.broadcast_to(arr, shape).copy()
     raise ShapeMismatch(f"{name}: shape {arr.shape} incompatible with {shape}")
 
 
@@ -170,14 +163,15 @@ class ControlBox:
     lower: np.ndarray | float = -1.0
     upper: np.ndarray | float = 1.0
 
-    def resolve(self, grid: Grid, tgrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        lo = _as_time_indexed(self.lower, grid, tgrid, "box.lower")
-        hi = _as_time_indexed(self.upper, grid, tgrid, "box.upper")
+    def bounds(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds broadcast to a control of the given shape."""
+        lo = broadcast(self.lower, shape, "box.lower")
+        hi = broadcast(self.upper, shape, "box.upper")
         return lo, hi
 
     def validate(self, grid: Grid, tgrid: TimeGrid) -> list[str]:
         try:
-            lo, hi = self.resolve(grid, tgrid)
+            lo, hi = self.bounds((tgrid.steps, grid.ncells))
         except ShapeMismatch as exc:
             return [str(exc)]
         bad = np.argwhere(lo > hi)

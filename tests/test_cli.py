@@ -245,6 +245,24 @@ class TestCliSolve:
         assert "lower > upper" in err
         assert "viscosity" in err
 
+    def test_unknown_keys_exit_2(self, config_file, capsys):
+        # A removed option and a typo are rejected, not silently ignored.
+        cfg = config_file(
+            optimize={"stat_tol": 1e-4, "fd_check": True},
+            physics={"visc": 0.0, "latnet": 1.0},
+            optimise={"max_iter": 3},
+        )
+        code, _, err = run_cli(["solve", "--config", cfg], capsys)
+        assert code == 2
+        assert "config error: optimize.fd_check: unknown key" in err
+        assert "config error: physics.latnet: unknown key" in err
+        assert "config error: optimise: unknown section" in err
+        # A key read by another branch of its section stays accepted.
+        code, _, _ = run_cli(
+            ["solve", "--config", config_file(potential={"kind": "quartic", "c": 2.0})], capsys
+        )
+        assert code == 0
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["solve", "--config", str(tmp_path / "none.json")], capsys

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfcontrol as pfc
+from pfcontrol.problem import broadcast
 
 
 def _small_spec(**kw):
@@ -106,7 +107,7 @@ class TestRandomControl:
         u1 = pfc.random_admissible_control(spec, 42)
         u2 = pfc.random_admissible_control(spec, 42)
         u3 = pfc.random_admissible_control(spec, 43)
-        lo, hi = spec.box.resolve(spec.grid, spec.tgrid)
+        lo, hi = spec.box.bounds((spec.tgrid.steps, spec.grid.ncells))
         assert np.all(u1 >= lo) and np.all(u1 <= hi)
         assert np.array_equal(u1, u2)
         assert not np.array_equal(u1, u3)
@@ -116,6 +117,37 @@ class TestRandomControl:
         spec = dataclasses.replace(spec, box=pfc.ControlBox(lower=0.2, upper=0.3))
         u = pfc.random_admissible_control(spec, 7)
         assert np.all(u >= 0.2) and np.all(u <= 0.3)
+
+
+class TestSharedHelpers:
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            (0.5, np.full((3, 4), 0.5)),
+            (np.arange(4.0), np.tile(np.arange(4.0), (3, 1))),
+            (np.ones((3, 4)), np.ones((3, 4))),
+        ],
+    )
+    def test_broadcast(self, value, expected):
+        out = broadcast(value, (3, 4), "box.lower")
+        assert out.shape == (3, 4) and np.array_equal(out, expected)
+
+    def test_broadcast_bad_shape(self):
+        with pytest.raises(
+            pfc.ShapeMismatch, match=r"^box\.lower: shape \(3,\) incompatible with \(3, 4\)$"
+        ):
+            broadcast(np.ones(3), (3, 4), "box.lower")
+
+    def test_random_admissible_control_unchanged(self):
+        spec = desk_spec()
+        rng = np.random.default_rng(11)
+        shape = (spec.tgrid.steps, spec.grid.ncells)
+        lo, hi = np.full(shape, -1.0), np.full(shape, 1.0)
+        raw = rng.uniform(lo, hi)
+        coef = 4.0 * max(spec.grid.spacing) ** 2
+        smooth = np.stack([spec.grid.helmholtz_solve(level, coef) for level in raw])
+        expected = np.clip(smooth, lo, hi)
+        assert np.array_equal(pfc.random_admissible_control(spec, 11), expected)
 
 
 class TestOptimize:
@@ -143,7 +175,7 @@ class TestOptimize:
         sigma = opts.armijo_sigma
         for k, (s, dn) in enumerate(zip(report.step_history, report.du_norm_history)):
             assert j[k + 1] <= j[k] - (sigma / s) * dn**2 + 1.0e-15 * (1.0 + abs(j[k]))
-        lo, hi = spec.box.resolve(spec.grid, spec.tgrid)
+        lo, hi = spec.box.bounds((spec.tgrid.steps, spec.grid.ncells))
         assert np.all(report.u_opt >= lo) and np.all(report.u_opt <= hi)
 
     def test_reaches_stationarity_at_loose_tol(self):
@@ -156,13 +188,6 @@ class TestOptimize:
         grad = pfc.reduced_gradient(report.u_opt, spec)
         res = pfc.stationarity_residual(report.u_opt, grad, spec.box, spec)
         assert res == pytest.approx(report.residual_final, rel=1e-10)
-
-    def test_fd_check_report(self):
-        spec = _small_spec()
-        opts = pfc.OptimizeOptions(stat_tol=1.0e-10, max_iter=3, fd_check=True)
-        report = pfc.optimize(spec, opts=opts)
-        assert report.fd_check is not None
-        assert report.fd_check["rel_error"] <= 1.0e-6
 
     def test_multistart_keeps_best(self):
         spec = _small_spec()

@@ -87,24 +87,6 @@ class TestStepEquations:
         drift = np.max(np.abs(means - means[0]))
         assert drift <= 1.0e-13 * (1.0 + abs(means[0]))
 
-    def test_solve_state_is_unit_generalized(self, regular_spec):
-        u = _random_control(regular_spec, seed=9)
-        direct = pfc.solve_state(u, regular_spec)
-        problem = pfc.GeneralizedProblem(
-            physics=regular_spec.physics,
-            potential=regular_spec.potential,
-            init=regular_spec.init,
-            source=u,
-            lam=1.0,
-            mode="full",
-        )
-        general = pfc.solve_generalized(
-            problem, regular_spec.grid, regular_spec.tgrid, regular_spec.options
-        )
-        assert np.array_equal(direct.theta, general.theta)
-        assert np.array_equal(direct.phi, general.phi)
-        assert np.array_equal(direct.mu, general.mu)
-
     @pytest.mark.parametrize("eps", [0.0, 1.0e-3])
     def test_large_source_step_solves(self, eps):
         # The Newton tolerance scales with dt * |source|, not only with the
@@ -120,61 +102,6 @@ class TestStepEquations:
         assert np.ptp(traj.phase_mean_history()) <= 1.0e-12
 
 
-class TestLinearMode:
-    def _problem(self, spec, u, lam):
-        return pfc.GeneralizedProblem(
-            physics=spec.physics,
-            potential=spec.potential,
-            init=spec.init,
-            source=u,
-            lam=lam,
-            mode="linear",
-        )
-
-    def test_linear_mode_residuals(self, regular_spec):
-        spec = regular_spec
-        u = _random_control(spec, seed=3)
-        lam = 0.7
-        traj = pfc.solve_generalized(
-            self._problem(spec, u, lam), spec.grid, spec.tgrid
-        )
-        grid, dt = spec.grid, spec.tgrid.dt
-        lap, phys = grid.laplacian, spec.physics
-        worst = 0.0
-        for k in range(spec.tgrid.steps):
-            r3 = (
-                traj.mu[k]
-                - phys.visc * (traj.phi[k + 1] - traj.phi[k]) / dt
-                + lap @ traj.phi[k + 1]
-                - lam * traj.phi[k]
-                + phys.coupling * traj.theta[k + 1]
-            )
-            worst = max(worst, float(np.max(np.abs(r3))))
-        assert worst <= 1.0e-10
-
-    def test_scalar_lam_matches_full_array(self, regular_spec):
-        spec = regular_spec
-        u = _random_control(spec, seed=5)
-        shape = (spec.tgrid.steps, spec.grid.ncells)
-        scalar = pfc.solve_generalized(
-            self._problem(spec, u, 0.7), spec.grid, spec.tgrid
-        )
-        arrayed = pfc.solve_generalized(
-            self._problem(spec, u, np.full(shape, 0.7)), spec.grid, spec.tgrid
-        )
-        assert np.array_equal(scalar.phi, arrayed.phi)
-        assert np.array_equal(scalar.theta, arrayed.theta)
-
-    def test_bad_lam_shape_raises(self, regular_spec):
-        spec = regular_spec
-        with pytest.raises(pfc.ShapeMismatch):
-            pfc.solve_generalized(
-                self._problem(spec, zero_control(spec), np.zeros(7)),
-                spec.grid,
-                spec.tgrid,
-            )
-
-
 class TestEnergyStability:
     @pytest.mark.parametrize("regime", ["regular", "log"])
     def test_decoupled_energy_never_increases(self, regime):
@@ -184,13 +111,12 @@ class TestEnergyStability:
         )
         rng = np.random.default_rng(17)
         phi0 = 0.5 * rng.uniform(-1.0, 1.0, spec.grid.ncells)
-        problem = pfc.GeneralizedProblem(
+        decoupled = dataclasses.replace(
+            spec,
             physics=physics,
-            potential=spec.potential,
             init=pfc.InitialData(theta0=np.zeros(spec.grid.ncells), phi0=phi0),
-            source=zero_control(spec),
         )
-        traj = pfc.solve_generalized(problem, spec.grid, spec.tgrid)
+        traj = pfc.solve_state(zero_control(spec), decoupled)
         energies = np.array(
             [pfc.mixture_energy(spec.grid, spec.potential, lv) for lv in traj.phi]
         )
@@ -295,18 +221,6 @@ class TestStepOperator:
 
 
 class TestFailureModes:
-    def test_unknown_mode_rejected(self, regular_spec):
-        spec = regular_spec
-        problem = pfc.GeneralizedProblem(
-            physics=spec.physics,
-            potential=spec.potential,
-            init=spec.init,
-            source=zero_control(spec),
-            mode="implicit",
-        )
-        with pytest.raises(pfc.ConfigError, match="unknown mode"):
-            pfc.solve_generalized(problem, spec.grid, spec.tgrid)
-
     def test_exact_singular_needs_viscosity(self):
         spec = desk_spec("log")
         inviscid = dataclasses.replace(

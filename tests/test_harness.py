@@ -12,6 +12,16 @@ def _small(regime="regular", **kw):
     return desk_spec(regime, cells=16, steps=8, **kw)
 
 
+def test_smooth_direction_unchanged():
+    spec = desk_spec()
+    raw = np.random.default_rng(5).standard_normal((spec.tgrid.steps, spec.grid.ncells))
+    coef = 4.0 * max(spec.grid.spacing) ** 2
+    h = np.stack([spec.grid.helmholtz_solve(level, coef) for level in raw])
+    expected = h / max(float(np.max(np.abs(h))), 1.0e-30)
+    got = pfc.smooth_direction(spec, np.random.default_rng(5))
+    assert np.array_equal(got, expected)
+
+
 class TestTimeAntiderivative:
     def test_unit_integrand_hand_sum(self):
         tgrid = pfc.TimeGrid(1.0, 4)

@@ -69,7 +69,7 @@ class TestLogarithmic:
         with pytest.raises(OutOfDomain):
             self.pot.w_convex(np.array([1.5]))
         with pytest.raises(OutOfDomain):
-            pfc.eval_split(self.pot, np.array([-1.0]))
+            self.pot.d2w_convex(np.array([-1.0]))
 
     def test_blow_up_towards_endpoints(self):
         assert self.pot.dw_convex(np.array([1.0 - 1e-12]))[0] > 25.0
@@ -160,15 +160,24 @@ def test_resolvent_fails_instead_of_hanging(call):
     assert proc.stdout.strip() == "RootSolveFailure", proc.stderr
 
 
-def test_eval_wrappers():
+def test_split_methods():
     pot = pfc.quartic_double_well()
     r = np.array([0.5, -0.5])
-    vals = pfc.eval_w(pot, r)
-    np.testing.assert_allclose(vals.w, vals.w_convex + vals.w_rest)
-    split = pfc.eval_split(pot, r)
-    np.testing.assert_allclose(split.dw_convex, r**3)
-    np.testing.assert_allclose(split.d2w_rest, -1.0)
-    np.testing.assert_allclose(pfc.yosida(pot, 1.0, np.array([2.0])), [1.0])
+    np.testing.assert_allclose(pot.w(r), pot.w_convex(r) + pot.w_rest(r))
+    np.testing.assert_allclose(pot.dw_convex(r), r**3)
+    np.testing.assert_allclose(pot.d2w_rest(r), -1.0)
+    np.testing.assert_allclose(pot.yosida(np.array([2.0]), 1.0), [1.0])
+
+
+@pytest.mark.parametrize("r", [1.0e300, -1.0e300])
+def test_resolvent_of_huge_input(r):
+    # x**3 overflows at the starting bracket end, so the root is reached by
+    # about 660 bisection halvings before Newton takes over.
+    eps = 1.0e-3
+    pot = pfc.quartic_double_well(eps)
+    x = pot.resolvent(np.array([r]), eps)
+    assert np.all(np.isfinite(pot.yosida(np.array([r]))))
+    assert abs(x[0] + eps * x[0] ** 3 - r) <= 1.0e-14 * abs(r)
 
 
 @settings(max_examples=40, deadline=None)
