@@ -46,7 +46,6 @@ from .adjoint import (
     cost_value,
     dj_along_tangent,
     solve_adjoint,
-    terminal_conditions,
 )
 from .control import (
     BangBangReport,
@@ -120,7 +119,6 @@ __all__ = [
     "step_matrix",
     # adjoint
     "AdjointSolution",
-    "terminal_conditions",
     "solve_adjoint",
     "cost_value",
     "cost_state_gradient",

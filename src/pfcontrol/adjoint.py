@@ -35,11 +35,10 @@ import numpy as np
 from .errors import LinearSolveDivergence, ShapeMismatch
 from .dynamics import StepOperator, TangentSolution, Trajectory
 from .grid import Grid, TimeGrid
-from .problem import CostSpec, PhysicsParams, ProblemSpec
+from .problem import CostSpec, ProblemSpec
 
 __all__ = [
     "AdjointSolution",
-    "terminal_conditions",
     "solve_adjoint",
     "cost_value",
     "cost_state_gradient",
@@ -116,25 +115,6 @@ def dj_along_tangent(tangent: TangentSolution, state: Trajectory, cost: CostSpec
     """Chain-rule derivative of the cost along a tangent solution."""
     d_theta, d_phi = cost_state_gradient(state, cost)
     return float(np.sum(d_theta * tangent.dtheta[1:]) + np.sum(d_phi * tangent.dphi[1:]))
-
-
-def terminal_conditions(
-    state: Trajectory, cost: CostSpec, physics: PhysicsParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Continuum-form terminal data: q_T = g3 and (I - visc * Lap) p_T = g4 - latent * g3,
-
-    with g3, g4 the terminal cost residuals. This is the dt -> 0 limit of the
-    terminal block of the exact-transpose sweep, exposed for cross-checks and
-    reporting.
-    """
-    grid = state.grid
-    theta_om, phi_om = cost.final_targets(grid)
-    g3 = cost.w_theta_final * (state.theta[-1] - theta_om)
-    g4 = cost.w_phi_final * (state.phi[-1] - phi_om)
-    q_t = g3
-    rhs = g4 - physics.latent * g3
-    p_t = grid.helmholtz_solve(rhs, physics.visc) if physics.visc > 0 else rhs.copy()
-    return q_t, p_t
 
 
 def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> AdjointSolution:

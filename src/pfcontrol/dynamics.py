@@ -164,8 +164,7 @@ def _advance_step(
     dt: float,
     physics: PhysicsParams,
     stepop: StepOperator,
-    convex: Callable[[np.ndarray], np.ndarray],
-    dconvex: Callable[[np.ndarray], np.ndarray],
+    convex: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     explicit: np.ndarray,
     theta_n: np.ndarray,
     phi_n: np.ndarray,
@@ -181,23 +180,29 @@ def _advance_step(
     increment dt * source_level. noise_floor lifts it to the evaluation noise
     of the nonlinear terms (the Yosida values carry the resolvent root error
     amplified by 1/eps), below which the residual cannot be driven reliably.
+
+    convex(phi) returns the implicit convex term and its slope together (one
+    resolvent solve in the Yosida mode). The residual of each iterate keeps
+    that slope, and the next Newton step factorizes the operator linearized
+    with it, so the phase field of an iterate is never solved for twice.
     """
     n = grid.ncells
     lap = grid.laplacian
     latent, coupling, visc = physics.latent, physics.coupling, physics.visc
 
     def residual(th, ph, m):
+        b, slope = convex(ph)
         r1 = th - theta_n + latent * (ph - phi_n) - dt * (lap @ th) - dt * source_level
         r2 = ph - phi_n - dt * (lap @ m)
         r3 = (
             m
             - visc * (ph - phi_n) / dt
             + lap @ ph
-            - convex(ph)
+            - b
             - explicit
             + coupling * th
         )
-        return np.concatenate([r1, r2, r3])
+        return np.concatenate([r1, r2, r3]), slope
 
     theta, phi, mu = theta_n.copy(), phi_n.copy(), mu_guess.copy()
     scale = 1.0 + max(
@@ -206,12 +211,12 @@ def _advance_step(
         dt * float(np.max(np.abs(source_level))),
     )
     tol = max(opts.newton_tol, noise_floor) * scale
-    res = residual(theta, phi, mu)
+    res, slope = residual(theta, phi, mu)
     res_norm = float(np.max(np.abs(res)))
     for _ in range(opts.newton_max_iter):
         if res_norm <= tol:
             return theta, phi, mu
-        delta = stepop.factor(dconvex(phi)).solve(-res)
+        delta = stepop.factor(slope).solve(-res)
         if not np.all(np.isfinite(delta)):
             raise NewtonDivergence("Newton step produced non-finite values")
         d_theta, d_phi, d_mu = delta[:n], delta[n : 2 * n], delta[2 * n :]
@@ -225,7 +230,7 @@ def _advance_step(
         accepted = False
         for _ in range(opts.newton_max_backtracks):
             trial = (theta + alpha * d_theta, phi + alpha * d_phi, mu + alpha * d_mu)
-            trial_res = residual(*trial)
+            trial_res, trial_slope = residual(*trial)
             trial_norm = float(np.max(np.abs(trial_res)))
             if np.isfinite(trial_norm) and (trial_norm < res_norm or trial_norm <= tol):
                 accepted = True
@@ -236,7 +241,7 @@ def _advance_step(
                 f"Newton damping stalled at residual {res_norm:.3e} (tol {tol:.1e})"
             )
         theta, phi, mu = trial
-        res, res_norm = trial_res, trial_norm
+        res, res_norm, slope = trial_res, trial_norm, trial_slope
     if res_norm <= tol:
         return theta, phi, mu
     raise NewtonDivergence(
@@ -266,7 +271,6 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     if source.shape != (nt, n):
         raise ShapeMismatch(f"source: shape {source.shape} != {(nt, n)}")
 
-    convex, dconvex, remainder = pot.dw_convex_eff, pot.d2w_convex_eff, pot.dw_rest
     guard = _domain_guard(pot) if exact_singular else None
     noise_floor = 0.0
     if pot.yosida_eps > 0:
@@ -281,8 +285,8 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
 
     mu_guess = (
         -(grid.laplacian @ phi[0])
-        + convex(phi[0])
-        + remainder(phi[0])
+        + pot.dw_convex_eff(phi[0])
+        + pot.dw_rest(phi[0])
         - physics.coupling * theta[0]
     )
     stepop = StepOperator(grid, dt, physics)
@@ -292,9 +296,8 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
             dt,
             physics,
             stepop,
-            convex,
-            dconvex,
-            remainder(phi[k]),
+            pot.dw_and_d2w_convex_eff,
+            pot.dw_rest(phi[k]),
             theta[k],
             phi[k],
             mu_guess,

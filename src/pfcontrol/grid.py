@@ -124,9 +124,6 @@ class Grid:
             )
         return values
 
-    def apply_laplacian(self, values: np.ndarray) -> np.ndarray:
-        return self.laplacian @ self._check(values)
-
     def mean(self, values: np.ndarray) -> float:
         """Measure-weighted mean; uniform cells make it the arithmetic average."""
         return float(np.sum(self._check(values)) / self.ncells)

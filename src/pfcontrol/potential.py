@@ -11,6 +11,15 @@ regularization with parameter eps: dw_eps(r) = (r - resolvent(r)) / eps where
 resolvent(r) solves x + eps * dw_convex(x) = r. The regularization is globally
 defined, Lipschitz with constant 1/eps, and satisfies |dw_eps| <= |dw_convex|
 pointwise on the domain.
+
+The resolvent is a vectorized root solve: Newton steps inside a bracket that
+shrinks with every evaluation, replaced by bisection whenever a step leaves
+the bracket or fails to halve the previous move. An entry ends, and is left
+where it is, when its move is below ROOT_XTOL and either zero or at most half
+of a previous move, so a converged entry is never thrown back into bisection,
+and the tiny but growing steps Newton takes away from a singular endpoint are
+never taken for convergence. dw_and_d2w_convex_eff returns the Yosida value
+and slope from one such solve.
 """
 
 from __future__ import annotations
@@ -136,7 +145,14 @@ class Potential:
         """Solve x + eps * dw_convex(x) = r for x in the open domain.
 
         Bracketed Newton with bisection fallback; the map is strictly
-        increasing, so the root is unique.
+        increasing, so the root is unique. A Newton step is kept only if it
+        stays in the closed bracket and moves at most half as far as the step
+        before it; otherwise the entry bisects. An entry is done, and stays
+        where it is, once its move is below ROOT_XTOL and is either zero or at
+        most half of a previous move. The first move alone never ends an entry:
+        from a start at a singular endpoint Newton crawls in steps far below
+        ROOT_XTOL that double each time. Each entry's root is independent of
+        the other entries of r.
         """
         if eps <= 0:
             raise ValueError("resolvent needs eps > 0")
@@ -152,18 +168,20 @@ class Potential:
         else:
             hi = self._expand_bracket(np.maximum(r, 0.0), r, eps, 1.0)
         x = np.clip(r, lo, hi)
+        last = np.full(r.shape, np.inf)
+        done = np.zeros(r.shape, dtype=bool)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for _ in range(_ROOT_MAX_ITER):
                 g = x + eps * self._dw_convex(x) - r
                 lo = np.where(g <= 0, x, lo)
                 hi = np.where(g > 0, x, hi)
-                dg = 1.0 + eps * self._d2w_convex(x)
-                step = g / dg
-                x_new = x - step
-                outside = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
-                x_new = np.where(outside, 0.5 * (lo + hi), x_new)
-                done = np.abs(x_new - x) <= ROOT_XTOL * (1.0 + np.abs(x_new))
-                x = x_new
+                x_new = x - g / (1.0 + eps * self._d2w_convex(x))
+                newton = (lo <= x_new) & (x_new <= hi) & (np.abs(x_new - x) <= 0.5 * last)
+                x_new = np.where(done, x, np.where(newton, x_new, 0.5 * (lo + hi)))
+                move = np.abs(x_new - x)
+                contracted = (move <= 0.5 * last) & np.isfinite(last)
+                done = (move <= ROOT_XTOL * (1.0 + np.abs(x_new))) & ((move == 0) | contracted)
+                x, last = x_new, move
                 if np.all(done):
                     break
             else:
@@ -215,6 +233,18 @@ class Potential:
         if self.yosida_eps > 0:
             return self.yosida_prime(r)
         return self.d2w_convex(r)
+
+    def dw_and_d2w_convex_eff(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dw_convex_eff(r), d2w_convex_eff(r)), bit for bit, from one
+        resolvent solve when regularized."""
+        if self.yosida_eps == 0:
+            r = self._require_inside(r)
+            return self._dw_convex(r), self._d2w_convex(r)
+        eps = self.yosida_eps
+        r = np.asarray(r, dtype=float)
+        j = self.resolvent(r, eps)
+        b = self._d2w_convex(j)
+        return (r - j) / eps, b / (1.0 + eps * b)
 
     def w_convex_eff(self, r: np.ndarray) -> np.ndarray:
         if self.yosida_eps > 0:

@@ -118,15 +118,6 @@ class CostSpec:
             if w < 0:
                 raise ValueError("cost weights must be nonnegative")
 
-    def scaled(self, s: float) -> "CostSpec":
-        return dataclasses.replace(
-            self,
-            w_theta=s * self.w_theta,
-            w_phi=s * self.w_phi,
-            w_theta_final=s * self.w_theta_final,
-            w_phi_final=s * self.w_phi_final,
-        )
-
     def running_targets(self, grid: Grid, tgrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         shape = (tgrid.steps, grid.ncells)
         return (

@@ -211,6 +211,18 @@ class TestStepOperator:
         pfc.solve_adjoint(base, spec.cost, spec)
         assert len(assembled) == 3
 
+    def test_one_resolvent_solve_per_newton_iterate(self, log_spec, monkeypatch):
+        solves, factored = [], []
+        resolvent, factor = pfc.Potential.resolvent, dynamics.splu
+        monkeypatch.setattr(
+            pfc.Potential, "resolvent", lambda *a: solves.append(1) or resolvent(*a)
+        )
+        monkeypatch.setattr(dynamics, "splu", lambda a: factored.append(1) or factor(a))
+        pfc.solve_state(_random_control(log_spec, seed=2, amplitude=0.3), log_spec)
+        # One solve for the initial chemical potential, one for the old level
+        # of each step, and one per Newton iterate, whose slope is factorized.
+        assert len(solves) <= 1 + log_spec.tgrid.steps + len(factored)
+
     def test_singular_factorization_is_typed(self, regular_spec, monkeypatch):
         def singular(_):
             raise RuntimeError("Factor is exactly singular")

@@ -12,13 +12,13 @@ from pfcontrol.errors import NonZeroMean, ShapeMismatch
 def test_interior_stencil_unit_spacing():
     grid = pfc.Grid(3, 3.0)
     assert grid.spacing == (1.0,)
-    out = grid.apply_laplacian(np.array([0.0, 1.0, 0.0]))
+    out = grid.laplacian @ np.array([0.0, 1.0, 0.0])
     np.testing.assert_allclose(out, [1.0, -2.0, 1.0])
 
 
 def test_boundary_stencil_is_zero_flux():
     grid = pfc.Grid(3, 3.0)
-    out = grid.apply_laplacian(np.array([1.0, 0.0, 0.0]))
+    out = grid.laplacian @ np.array([1.0, 0.0, 0.0])
     np.testing.assert_allclose(out, [-1.0, 1.0, 0.0])
 
 
@@ -29,7 +29,7 @@ def test_mean_is_arithmetic_average():
 
 def test_laplacian_annihilates_constants_to_rounding():
     for grid in (pfc.Grid(17, 0.7), pfc.Grid((12, 9), (1.3, 0.4))):
-        out = grid.apply_laplacian(np.ones(grid.ncells))
+        out = grid.laplacian @ np.ones(grid.ncells)
         bound = 8 * np.finfo(float).eps / min(grid.spacing) ** 2
         assert np.max(np.abs(out)) <= bound
 
@@ -49,7 +49,7 @@ def test_laplacian_second_order_on_cosine():
         x = grid.coords()[:, 0]
         f = np.cos(np.pi * x)
         exact = -np.pi**2 * f
-        errors.append(np.max(np.abs(grid.apply_laplacian(f) - exact)))
+        errors.append(np.max(np.abs(grid.laplacian @ f - exact)))
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.6
 
@@ -61,7 +61,7 @@ def test_inverse_neumann_round_trip_and_mean():
     f -= f.mean()
     g = grid.inverse_neumann(f)
     assert abs(grid.mean(g)) <= 1e-13 * np.max(np.abs(g))
-    back = -grid.apply_laplacian(g)
+    back = -(grid.laplacian @ g)
     assert np.linalg.norm(back - f) <= 1e-10 * np.linalg.norm(f)
 
 
@@ -139,7 +139,7 @@ def test_helmholtz_solve_identity_at_zero_and_consistency():
     f = rng.standard_normal(24)
     np.testing.assert_array_equal(grid.helmholtz_solve(f, 0.0), f)
     w = grid.helmholtz_solve(f, 0.3)
-    np.testing.assert_allclose(w - 0.3 * grid.apply_laplacian(w), f, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(w - 0.3 * (grid.laplacian @ w), f, rtol=0, atol=1e-10)
 
 
 def test_2d_laplacian_consistent_with_1d():
@@ -148,8 +148,8 @@ def test_2d_laplacian_consistent_with_1d():
     x = grid1.coords()[:, 0]
     f1 = np.cos(np.pi * x)
     f2 = np.repeat(f1, 4)
-    out2 = grid2.apply_laplacian(f2).reshape(16, 4)
-    out1 = grid1.apply_laplacian(f1)
+    out2 = (grid2.laplacian @ f2).reshape(16, 4)
+    out1 = grid1.laplacian @ f1
     np.testing.assert_allclose(out2, np.tile(out1[:, None], (1, 4)), atol=1e-9)
 
 
@@ -173,7 +173,7 @@ def test_inverse_neumann_undoes_laplacian():
     x = grid.coords()[:, 0]
     f = np.cos(np.pi * x)
     assert grid.mean(f) == pytest.approx(0.0, abs=1e-14)
-    back = grid.inverse_neumann(grid.apply_laplacian(f))
+    back = grid.inverse_neumann(grid.laplacian @ f)
     np.testing.assert_allclose(-back, f - grid.mean(f), atol=1e-8)
     assert grid.sup_norm(f) == pytest.approx(np.max(np.abs(f)))
     assert grid.dual_norm(f) > 0

@@ -1,12 +1,13 @@
 """Potential splits, domain policing and the Yosida regularization."""
 
+import dataclasses
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pfcontrol as pfc
@@ -200,3 +201,94 @@ def test_quartic_yosida_sandwich_property(r, eps):
     exact = pot.dw_convex(np.array([r]))[0]
     assert abs(reg) <= abs(exact) + 1e-10
     assert reg * exact >= -1e-14
+
+
+WELLS = {
+    "log": pfc.log_double_well(c=2.0),
+    "quartic": pfc.quartic_double_well(),
+    "loglinear": pfc.log_linear(),
+}
+
+
+def _root_iterations(pot, r, eps):
+    """Resolvent iterations, counted as evaluations of the convex slope."""
+    calls = []
+    d2w = pot._d2w_convex
+    counted = dataclasses.replace(pot, _d2w_convex=lambda x: calls.append(1) or d2w(x))
+    counted.resolvent(r, eps)
+    return len(calls)
+
+
+# Iterations of one resolvent call on 64 points for eps = 1e-3, 1e-2, 1e-1, 1
+# under the earlier termination rule, which bisected every entry whose Newton
+# step landed on its bracket end, converged ones included.
+EARLIER_ITERATIONS = [
+    ("log", (-0.95, 0.95), (53, 54, 55, 53)),
+    ("log", (-3.0, 3.0), (64, 66, 68, 69)),
+    ("quartic", (-3.0, 3.0), (53, 55, 56, 56)),
+    ("loglinear", (-3.0, 3.0), (99, 103, 105, 108)),
+    ("loglinear", (-1.0e6, 1.0e6), (83, 86, 90, 93)),
+]
+
+
+@pytest.mark.parametrize("well,interval,earlier", EARLIER_ITERATIONS)
+def test_resolvent_iterations_not_above_earlier_rule(well, interval, earlier):
+    r = np.linspace(*interval, 64)
+    for eps, bound in zip((1e-3, 1e-2, 1e-1, 1.0), earlier):
+        assert _root_iterations(WELLS[well], r, eps) <= bound
+
+
+def test_converged_entries_are_not_bisected_again():
+    r = np.linspace(-0.95, 0.95, 64)
+    assert _root_iterations(WELLS["log"], r, 1e-3) <= 12
+
+
+def _bisected_root(pot, r, eps):
+    """Root of x + eps * dw_convex(x) = r by plain bisection down to adjacent
+    floats. The root lies between 0 and r, because dw_convex has the sign of x."""
+    lo = max(min(r, 0.0), np.nextafter(pot.lo, np.inf))
+    hi = min(max(r, 0.0), np.nextafter(pot.hi, -np.inf))
+
+    def g(x):
+        return x + eps * pot._dw_convex(np.array([x]))[0] - r
+
+    with np.errstate(divide="ignore"):
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if g(mid) <= 0:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        return lo if abs(g(lo)) <= abs(g(hi)) else hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(WELLS)),
+    st.floats(min_value=-1.0e6, max_value=1.0e6),
+    st.floats(min_value=1e-3, max_value=1.0),
+)
+# Starting at the singular end -1, Newton crawls off it in steps of about
+# 1 + x, far below ROOT_XTOL; a rule that trusted one small step stopped there.
+@example("loglinear", -1.0e6, 1e-3)
+@example("loglinear", -1.0e3, 1e-3)
+@example("log", 1.03, 1e-3)
+def test_resolvent_matches_bisection(well, r, eps):
+    pot = WELLS[well]
+    x = pot.resolvent(np.array([r]), eps)[0]
+    ref = _bisected_root(pot, r, eps)
+    assert abs(x - ref) <= 32 * np.spacing(abs(ref))
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [pfc.log_double_well(2.0), pfc.log_double_well(2.0, 1e-3), pfc.quartic_double_well(1e-2),
+     pfc.log_linear(1e-3)],
+    ids=["log-exact", "log-yosida", "quartic-yosida", "loglinear-yosida"],
+)
+def test_value_and_slope_together(pot):
+    r = np.linspace(-0.9, 0.9, 19)
+    value, slope = pot.dw_and_d2w_convex_eff(r)
+    assert np.array_equal(value, pot.dw_convex_eff(r))
+    assert np.array_equal(slope, pot.d2w_convex_eff(r))
