@@ -19,8 +19,10 @@ stacked state at level k. By construction the duality identity
 holds to linear-solver precision, and the multiplier block attached to the
 balance equation, divided by the cell measure, is the reduced gradient q.
 
-One StepOperator serves the whole sweep: it is assembled once, relinearized
-in place at every level, and solved through the transpose of its LU factors.
+The sweep uses the problem's one StepOperator, the one the forward and
+tangent sweeps use (assembled and column-ordered once per grid, dt and
+physics): it is relinearized in place at every level and solved through the
+transpose of its LU factors.
 
 The level-0 entries of the returned (q, p) duplicate level 1: the
 backward-Euler adjoint is defined on levels 1..Nt.
@@ -33,7 +35,7 @@ import dataclasses
 import numpy as np
 
 from .errors import LinearSolveDivergence, ShapeMismatch
-from .dynamics import StepOperator, TangentSolution, Trajectory
+from .dynamics import TangentSolution, Trajectory, step_operator
 from .grid import Grid, TimeGrid
 from .problem import CostSpec, ProblemSpec
 
@@ -138,7 +140,7 @@ def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> Adjoi
     y1 = np.zeros(n)
     y2 = np.zeros(n)
     y3 = np.zeros(n)
-    stepop = StepOperator(grid, dt, physics)
+    stepop = step_operator(grid, dt, physics)
     for level in range(nt, 0, -1):
         rhs_theta = d_theta[level - 1]
         rhs_phi = d_phi[level - 1]

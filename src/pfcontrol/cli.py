@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .adjoint import dj_along_tangent, solve_adjoint
-from .config import RunConfig, load_config
+from .config import load_config
 from .control import lq_inner, lq_norm, optimize
 from .dynamics import mixture_energy, solve_state, solve_tangent
 from .errors import ConfigError, PfcError, ValidationError

@@ -44,14 +44,14 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from .control import OptimizeOptions, random_admissible_control
 from .errors import ParseError, ValidationError
 from .grid import Grid, TimeGrid
-from .potential import Potential, log_double_well, log_linear, quartic_double_well
+from .potential import log_double_well, log_linear, quartic_double_well
 from .problem import (
     ControlBox,
     CostSpec,

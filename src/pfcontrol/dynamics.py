@@ -20,9 +20,12 @@ convex term contributes its derivative at the new level, the explicit
 remainder its derivative at the old level, with zero initial conditions.
 
 Forward Newton, tangent and adjoint sweeps all solve with the same block step
-operator. Only its (mu, phi) diagonal depends on the linearization point, so
-each sweep assembles one StepOperator and relinearizes it in place before
-every factorization.
+operator. Only its (mu, phi) diagonal depends on the linearization point and
+its sparsity pattern never changes, so each (grid, dt, physics) has one
+StepOperator (step_operator), assembled once, stored with its fill-reducing
+column ordering already applied, and kept on the grid for as long as the grid
+lives. Every factorization writes the diagonal in place and factorizes the
+pre-ordered matrix; no LU outlives the solve it serves.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "mixture_energy",
     "step_matrix",
     "StepOperator",
+    "step_operator",
 ]
 
 #: Relative distance to the domain boundary preserved by the Newton safeguard.
@@ -106,37 +110,84 @@ def step_matrix(
     return sps.bmat([[a11, a12, None], [None, eye, a23], [a31, a32, eye]], format="csc")
 
 
-class StepOperator:
-    """The step operator of one sweep, assembled once and relinearized in place.
+class _OrderedLU:
+    """SuperLU factors of B = A[:, order], solving in the unknowns of A.
 
-    Only the diagonal of the a32 block, lap_ii - (visc/dt + dconvex_i), depends
-    on the linearization point. `factor` overwrites those stored entries with
-    the expression step_matrix evaluates, so the factorized matrix is
-    bit-for-bit step_matrix(grid, dt, physics, dconvex).
+    A x = b is B y = b with x[order] = y, and A^T x = b is B^T x = b[order].
+    """
+
+    __slots__ = ("_lu", "_order")
+
+    def __init__(self, lu, order: np.ndarray):
+        self._lu = lu
+        self._order = order
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        if trans == "N":
+            x = np.empty(len(self._order))
+            x[self._order] = self._lu.solve(rhs)
+            return x
+        return self._lu.solve(rhs[self._order], trans=trans)
+
+
+def _factorize(matrix: sps.csc_matrix, **options):
+    try:
+        return splu(matrix, **options)
+    except RuntimeError as exc:
+        raise LinearSolveDivergence(f"step operator could not be factorized: {exc}") from exc
+
+
+class StepOperator:
+    """The step operator of one (grid, dt, physics), stored in column-ordered form.
+
+    The sparsity pattern never changes; only the diagonal of the a32 block,
+    lap_ii - (visc/dt + dconvex_i), depends on the linearization point. The
+    operator is assembled once and its fill-reducing column ordering (COLAMD,
+    from one default splu of the assembled template) is applied to the stored
+    matrix, so `matrix` is step_matrix(...)[:, order]. `factor` overwrites the
+    a32 diagonal entries with the expression step_matrix evaluates and
+    factorizes with the natural ordering; its solves equal those of
+    splu(step_matrix(grid, dt, physics, dconvex)) bit for bit.
+
+    Raises LinearSolveDivergence when the template is exactly singular.
     """
 
     def __init__(self, grid: Grid, dt: float, physics: PhysicsParams):
         n = grid.ncells
-        self.matrix = step_matrix(grid, dt, physics, np.zeros(n))
+        template = step_matrix(grid, dt, physics, np.zeros(n))
+        perm_c = _factorize(template).perm_c
+        self.order = np.empty_like(perm_c)
+        self.order[perm_c] = np.arange(3 * n)
+        self.matrix = template[:, self.order]
         self._shift = physics.visc / dt
         self._lap_diag = grid.laplacian.diagonal()
-        # Stored entries at (row 2n + i, column n + i), in order of i. Every
+        # Template entries at (row 2n + i, column n + i), in order of i. Every
         # one is present: lap_ii < 0 <= visc/dt keeps it from cancelling.
-        rows = self.matrix.indices
-        cols = np.repeat(np.arange(3 * n), np.diff(self.matrix.indptr))
-        self._a32_diag = np.flatnonzero((cols >= n) & (cols < 2 * n) & (rows == cols + n))
+        rows = template.indices
+        cols = np.repeat(np.arange(3 * n), np.diff(template.indptr))
+        slots = np.flatnonzero((cols >= n) & (cols < 2 * n) & (rows == cols + n))
+        # Reordering moves whole columns: column c starts at indptr[perm_c[c]].
+        cols = cols[slots]
+        self._a32_diag = self.matrix.indptr[perm_c[cols]] + slots - template.indptr[cols]
 
-    def factor(self, dconvex: np.ndarray):
-        """SuperLU factors of the operator linearized at the convex slope dconvex.
+    def factor(self, dconvex: np.ndarray) -> _OrderedLU:
+        """LU factors of the operator linearized at the convex slope dconvex.
 
         Raises LinearSolveDivergence when the operator is exactly singular.
         """
         slope = self._shift + np.asarray(dconvex, dtype=float)
         self.matrix.data[self._a32_diag] = self._lap_diag - slope
-        try:
-            return splu(self.matrix)
-        except RuntimeError as exc:
-            raise LinearSolveDivergence(f"step operator could not be factorized: {exc}") from exc
+        return _OrderedLU(_factorize(self.matrix, permc_spec="NATURAL"), self.order)
+
+
+def step_operator(grid: Grid, dt: float, physics: PhysicsParams) -> StepOperator:
+    """The StepOperator of (grid, dt, physics), assembled and ordered on first
+    use and kept on the grid, so that it lives exactly as long as the grid."""
+    key = (float(dt), physics)
+    stepop = grid.step_operators.get(key)
+    if stepop is None:
+        stepop = grid.step_operators[key] = StepOperator(grid, dt, physics)
+    return stepop
 
 
 def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], float]:
@@ -289,7 +340,7 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
         + pot.dw_rest(phi[0])
         - physics.coupling * theta[0]
     )
-    stepop = StepOperator(grid, dt, physics)
+    stepop = step_operator(grid, dt, physics)
     for k in range(nt):
         theta[k + 1], phi[k + 1], mu[k] = _advance_step(
             grid,
@@ -332,7 +383,7 @@ def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> Tangent
     dtheta = np.zeros((nt + 1, n))
     dphi = np.zeros((nt + 1, n))
     dmu = np.empty((nt, n))
-    stepop = StepOperator(grid, dt, physics)
+    stepop = step_operator(grid, dt, physics)
     for k in range(nt):
         rest_slope = pot.d2w_rest(base.phi[k])
         rhs = np.concatenate(

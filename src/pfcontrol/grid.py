@@ -116,6 +116,12 @@ class Grid:
     def _helmholtz_cache(self) -> dict:
         return {}
 
+    @cached_property
+    def step_operators(self) -> dict:
+        """Step operators built on this grid, keyed by (dt, physics) and filled
+        by dynamics.step_operator: they live exactly as long as the grid."""
+        return {}
+
     def _check(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.ncells,):

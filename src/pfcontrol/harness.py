@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

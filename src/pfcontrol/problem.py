@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from typing import Optional
 
 import numpy as np
 

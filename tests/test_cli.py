@@ -280,7 +280,7 @@ class TestCliSolve:
         assert "solver error:" in err
 
     def test_singular_step_operator_exits_1(self, config_file, capsys, monkeypatch):
-        def singular(_):
+        def singular(_, **kw):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(dynamics, "splu", singular)

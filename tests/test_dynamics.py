@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import desk_spec, zero_control
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 import pfcontrol as pfc
@@ -188,44 +190,119 @@ class TestStepOperator:
             slope = rng.uniform(0.0, 4.0, grid.ncells)
             lu = stepop.factor(slope)
             want = dynamics.step_matrix(grid, dt, physics, slope)
+            ordered = want[:, stepop.order]
             got = stepop.matrix
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data, want.data)
-            assert np.array_equal(lu.solve(rhs), splu(want).solve(rhs))
+            assert np.array_equal(got.indptr, ordered.indptr)
+            assert np.array_equal(got.indices, ordered.indices)
+            assert np.array_equal(got.data, ordered.data)
+            ref = splu(want)
+            assert np.array_equal(lu.solve(rhs), ref.solve(rhs))
+            assert np.array_equal(lu.solve(rhs, trans="T"), ref.solve(rhs, trans="T"))
 
-    def test_one_assembly_per_sweep(self, log_spec, monkeypatch):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2, 5, 16, (2, 3), (5, 4)]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 0.7, 1.0]),
+        st.sampled_from([0.0, 1.0, 1.3]),
+        st.floats(min_value=1.0e-3, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_ordered_solves_match_property(self, cells, visc, latent, coupling, dt, seed):
+        grid = pfc.Grid(cells)
+        physics = pfc.PhysicsParams(visc=visc, latent=latent, coupling=coupling)
+        stepop = dynamics.StepOperator(grid, dt, physics)
+        rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal(3 * grid.ncells)
+        for slope in (np.zeros(grid.ncells), rng.exponential(2.0, grid.ncells)):
+            lu = stepop.factor(slope)
+            ref = splu(dynamics.step_matrix(grid, dt, physics, slope))
+            assert np.array_equal(lu.solve(rhs), ref.solve(rhs))
+            assert np.array_equal(lu.solve(rhs, trans="T"), ref.solve(rhs, trans="T"))
+
+    def test_one_assembly_per_problem(self, log_spec, monkeypatch):
         assembled, factored = [], []
         step_matrix, factor = dynamics.step_matrix, dynamics.splu
         monkeypatch.setattr(
             dynamics, "step_matrix", lambda *a: assembled.append(1) or step_matrix(*a)
         )
-        monkeypatch.setattr(dynamics, "splu", lambda a: factored.append(1) or factor(a))
+        monkeypatch.setattr(
+            dynamics, "splu", lambda a, **kw: factored.append(1) or factor(a, **kw)
+        )
         spec = log_spec
         u = _random_control(spec, seed=2, amplitude=0.3)
         base = pfc.solve_state(u, spec)
         assert len(assembled) == 1
         assert len(factored) > spec.tgrid.steps  # several Newton iterations per step
+        pfc.solve_state(u, spec)
         pfc.solve_tangent(u, base, spec)
-        assert len(assembled) == 2
         pfc.solve_adjoint(base, spec.cost, spec)
-        assert len(assembled) == 3
+        assert len(assembled) == 1
+        assert len(spec.grid.step_operators) == 1
+
+    def test_operator_lives_on_its_grid(self, regular_spec):
+        spec = regular_spec
+        pfc.solve_state(zero_control(spec), spec)
+        assert len(spec.grid.step_operators) == 1
+        # The decoupled energy flow on the same grid and dt is its own problem.
+        pfc.energy_probe(spec, steps=spec.tgrid.steps)
+        assert len(spec.grid.step_operators) == 2
+        assert not pfc.Grid(spec.grid.cells).step_operators
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(["regular", "log"]), st.sampled_from([8, 16]))
+    def test_energy_probe_on_a_used_grid_property(self, regime, steps):
+        # The spec's own operator is built first; with steps = 16 the probe's
+        # decoupled problem has the same dt and must not pick it up.
+        spec = desk_spec(regime, cells=16, steps=16)
+        pfc.solve_state(_random_control(spec, seed=1, amplitude=0.3), spec)
+        fresh = dataclasses.replace(spec, grid=pfc.Grid(spec.grid.cells))
+        used_probe, fresh_probe = (pfc.energy_probe(s, steps) for s in (spec, fresh))
+        assert used_probe.measured == fresh_probe.measured
+        physics = dataclasses.replace(spec.physics, latent=0.0, coupling=0.0)
+        used, new = (
+            pfc.solve_state(
+                np.zeros((steps, s.grid.ncells)),
+                dataclasses.replace(s, physics=physics, tgrid=pfc.TimeGrid(1.0, steps)),
+            )
+            for s in (spec, fresh)
+        )
+        for name in ("theta", "phi", "mu"):
+            assert np.array_equal(getattr(used, name), getattr(new, name))
 
     def test_one_resolvent_solve_per_newton_iterate(self, log_spec, monkeypatch):
+        # Assemble and order first, so that only Newton factorizations count.
+        dynamics.step_operator(log_spec.grid, log_spec.tgrid.dt, log_spec.physics)
         solves, factored = [], []
         resolvent, factor = pfc.Potential.resolvent, dynamics.splu
         monkeypatch.setattr(
             pfc.Potential, "resolvent", lambda *a: solves.append(1) or resolvent(*a)
         )
-        monkeypatch.setattr(dynamics, "splu", lambda a: factored.append(1) or factor(a))
+        monkeypatch.setattr(
+            dynamics, "splu", lambda a, **kw: factored.append(1) or factor(a, **kw)
+        )
         pfc.solve_state(_random_control(log_spec, seed=2, amplitude=0.3), log_spec)
         # One solve for the initial chemical potential, one for the old level
         # of each step, and one per Newton iterate, whose slope is factorized.
         assert len(solves) <= 1 + log_spec.tgrid.steps + len(factored)
 
     def test_singular_factorization_is_typed(self, regular_spec, monkeypatch):
-        def singular(_):
+        def singular(_, **kw):
             raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(dynamics, "splu", singular)
+        with pytest.raises(pfc.LinearSolveDivergence, match="exactly singular"):
+            pfc.solve_state(_random_control(regular_spec), regular_spec)
+
+    def test_singular_newton_factorization_is_typed(self, regular_spec, monkeypatch):
+        # The template orders with the default options; only the natural-order
+        # factorizations of the Newton steps fail here.
+        factor = dynamics.splu
+
+        def singular(a, **kw):
+            if kw:
+                raise RuntimeError("Factor is exactly singular")
+            return factor(a)
 
         monkeypatch.setattr(dynamics, "splu", singular)
         with pytest.raises(pfc.LinearSolveDivergence, match="exactly singular"):
