@@ -2,7 +2,7 @@
 
 Cell-centered finite differences with zero-flux boundaries in space, backward
 Euler with a convex-implicit splitting in time, exact discrete tangents and
-adjoints on top of the stepper, and a projected-gradient optimizer over box
+adjoints on top of the stepper, and a projected L-BFGS optimizer over box
 constraints. The harness module carries the independent verification probes;
 the cli module exposes the whole pipeline on JSON configs.
 """

@@ -244,6 +244,7 @@ def _cmd_optimize(args) -> int:
         "termination": report.termination,
         "j_history": report.j_history,
         "residual_history": report.residual_history,
+        "evaluations_history": report.evaluations_history,
         "j_final": report.j_final,
         "residual_final": report.residual_final,
         "bang_bang": dataclasses.asdict(report.bang_bang),
@@ -252,21 +253,17 @@ def _cmd_optimize(args) -> int:
     _write_json(payload, _report_path(args, "optimize_report.json"))
     out = _out_dir(args)
     if out is not None:
-        # Row k describes iterate k; step/du_norm are the move that produced
-        # it, so they are empty on the starting row.
+        # Row k describes iterate k; evaluations counts the state solves that
+        # accepting it cost, so it is empty on the starting row.
         _write_csv(
             out / "optimize_history.csv",
             cfg.digest,
-            ["iteration", "j", "residual", "step", "du_norm"],
-            (
-                (
-                    k,
-                    report.j_history[k],
-                    report.residual_history[k],
-                    report.step_history[k - 1] if k >= 1 else "",
-                    report.du_norm_history[k - 1] if k >= 1 else "",
-                )
-                for k in range(len(report.j_history))
+            ["iteration", "j", "residual", "evaluations"],
+            zip(
+                range(len(report.j_history)),
+                report.j_history,
+                report.residual_history,
+                ["", *report.evaluations_history],
             ),
         )
     control_path = args.control_output or (out / "control.json" if out is not None else None)
@@ -341,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1.0e-6)
     p.set_defaults(fn=_cmd_gradcheck)
 
-    p = sub.add_parser("optimize", help="projected-gradient optimization")
+    p = sub.add_parser("optimize", help="projected L-BFGS optimization")
     common(p)
     p.add_argument("--control-output", default=None, help="write the final control here")
     p.set_defaults(fn=_cmd_optimize)

@@ -16,9 +16,7 @@ marked required):
     box                   {"lower": <number or field>, "upper": ..}
     solver                {"newton_tol": 1e-12, "newton_max_iter": 50,
                            "newton_max_backtracks": 40}
-    optimize              {"stat_tol": 1e-6, "max_iter": 500,
-                           "armijo_sigma": 1e-4, "max_backtracks": 60,
-                           "initial_step": 1.0, "starts": [seeds]}
+    optimize              {"stat_tol": 1e-6, "max_iter": 500, "starts": [seeds]}
     control               {"kind": "zeros" | "constant" | "random" | "values",
                            "value": .., "seed": ..}   (source / initial control)
     output                {"snapshot_stride": k}   (write field snapshots every
@@ -77,8 +75,7 @@ _KNOWN_KEYS = {
              "phi_target", "theta_final_target", "phi_final_target"),
     "box": ("lower", "upper"),
     "solver": ("newton_tol", "newton_max_iter", "newton_max_backtracks"),
-    "optimize": ("stat_tol", "max_iter", "armijo_sigma", "max_backtracks", "initial_step",
-                 "starts"),
+    "optimize": ("stat_tol", "max_iter", "starts"),
     "control": ("kind", "value", "seed", "values"),
     "output": ("snapshot_stride",),
 }
@@ -313,9 +310,6 @@ def parse_config(raw: dict) -> RunConfig:
     optimize_opts = OptimizeOptions(
         stat_tol=col.number(opt_sec, "stat_tol", 1.0e-6, "optimize", minimum=0.0, strict=True),
         max_iter=col.integer(opt_sec, "max_iter", 500, "optimize", minimum=0),
-        armijo_sigma=col.number(opt_sec, "armijo_sigma", 1.0e-4, "optimize", minimum=0.0, strict=True),
-        max_backtracks=col.integer(opt_sec, "max_backtracks", 60, "optimize", minimum=1),
-        initial_step=col.number(opt_sec, "initial_step", 1.0, "optimize", minimum=0.0, strict=True),
         starts=tuple(starts),
     )
 

@@ -1,4 +1,4 @@
-"""Reduced-gradient machinery and the projected-gradient optimizer.
+"""Reduced-gradient machinery and the projected L-BFGS optimizer.
 
 Controls are time-indexed fields of shape (steps, ncells) paired in the
 discrete L2 norm over the space-time cylinder (dt * cell-measure weights).
@@ -130,40 +130,31 @@ def random_admissible_control(spec: ProblemSpec, seed: int | np.random.Generator
 
 @dataclasses.dataclass(frozen=True)
 class OptimizeOptions:
-    """Projected-gradient settings.
+    """Optimizer settings.
 
     stat_tol: stop once the L2(Q) stationarity residual is at most this.
     max_iter: iteration cap; reaching it terminates with "max_iterations".
-    armijo_sigma, max_backtracks: sufficient-decrease constant and halving
-    budget of the monotone backtracking line search along the projection arc.
-    initial_step: first trial step; later steps start from the BB1 estimate
-    clipped to [step_min, step_max].
     starts: seeds of extra random admissible starting controls; the run with
     the lowest final cost is reported.
     """
 
     stat_tol: float = 1.0e-6
     max_iter: int = 500
-    armijo_sigma: float = 1.0e-4
-    max_backtracks: int = 60
-    initial_step: float = 1.0
-    step_min: float = 1.0e-10
-    step_max: float = 1.0e10
     starts: Sequence[int] = ()
 
 
 @dataclasses.dataclass(frozen=True)
 class OptimizeReport:
-    """step_history holds the accepted step sizes s_k; du_norm_history the
-    L2(Q) norms of the corresponding composite steps u_{k+1} - u_k, so the
-    sufficient-decrease inequality can be audited from the report alone."""
+    """j_history and residual_history hold one entry per iterate, the start
+    included; evaluations_history[k] is the number of state solves (line-search
+    trials) that accepting iterate k + 1 cost. The trials of a line search
+    that ends in "line_search_stalled" are in none of them."""
 
     u_opt: np.ndarray
     gradient: np.ndarray
     j_history: list[float]
     residual_history: list[float]
-    step_history: list[float]
-    du_norm_history: list[float]
+    evaluations_history: list[int]
     iterations: int
     termination: str
     bang_bang: BangBangReport
@@ -178,20 +169,47 @@ class OptimizeReport:
         return self.residual_history[-1]
 
 
+#: L-BFGS memory, Armijo constant, halvings per line search, active-margin cap,
+#: and the least relative curvature s.y / y.y of a pair the recursion uses.
+_MEMORY, _SIGMA, _MAX_BACKTRACKS, _EPS_MAX = 10, 1.0e-4, 60, 1.0e-3
+_CURVATURE = np.finfo(float).eps
+
+
+def _lbfgs_direction(
+    grad: np.ndarray, pairs: list, free: np.ndarray, spec: ProblemSpec
+) -> np.ndarray:
+    """-H grad on the free nodes, zero elsewhere, by the two-loop recursion: H
+    is the L-BFGS inverse-Hessian estimate, in the L2(Q) inner product, of the
+    stored (s, y) pairs restricted to the free nodes. Pairs without positive
+    curvature there are skipped."""
+    pairs = [(s * free, y * free) for s, y in pairs]
+    pairs = [(s, y) for s, y in pairs if lq_inner(s, y, spec) > _CURVATURE * lq_inner(y, y, spec)]
+    q, alphas = grad * free, []
+    for s, y in reversed(pairs):
+        alphas.append(lq_inner(s, q, spec) / lq_inner(s, y, spec))
+        q -= alphas[-1] * y
+    if pairs:
+        q *= lq_inner(*pairs[-1], spec) / lq_inner(pairs[-1][1], pairs[-1][1], spec)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q += (a - lq_inner(y, q, spec) / lq_inner(s, y, spec)) * s
+    return -q
+
+
 def _optimize_single(
     spec: ProblemSpec, u0: np.ndarray, opts: OptimizeOptions, start_seed: Optional[int]
 ) -> OptimizeReport:
+    """Two-metric projected L-BFGS (Bertsekas, SIAM J. Control Optim. 1982), in
+    NumPy because importing scipy.optimize costs start-up time and memory. Nodes
+    within eps = min(_EPS_MAX, res / sqrt(dt * h)) of a box face that the
+    gradient pushes against take a steepest-descent step, the others an L-BFGS
+    step; the Armijo search halves the step from 1 along the projection arc."""
     u = project_box(u0, spec.box)
+    lo, hi = spec.box.bounds(u.shape)
     state = solve_state(u, spec)
     j = cost_value(state, spec.cost)
     grad = solve_adjoint(state, spec.cost, spec).reduced_gradient()
-    j_hist = [j]
-    res_hist = []
-    step_hist = []
-    du_norms = []
-    step = float(opts.initial_step)
+    j_hist, res_hist, evals, pairs = [j], [], [], []
     termination = "max_iterations"
-    it = 0
     for it in range(opts.max_iter + 1):
         res = stationarity_residual(u, grad, spec.box, spec)
         res_hist.append(res)
@@ -200,47 +218,39 @@ def _optimize_single(
             break
         if it == opts.max_iter:
             break
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            trial = project_box(u - step * grad, spec.box)
-            du = trial - u
-            decrease = lq_inner(du, du, spec)
-            if decrease == 0.0:
-                # Fixed point of the projected step: stationary for any step.
-                break
+        eps = min(_EPS_MAX, res / np.sqrt(spec.tgrid.dt * spec.grid.cell_measure))
+        active = ((u <= lo + eps) & (grad > 0)) | ((u >= hi - eps) & (grad < 0))
+        d_free = _lbfgs_direction(grad, pairs, ~active, spec)
+        if lq_inner(grad, d_free, spec) >= 0.0:
+            pairs.clear()
+            d_free = -grad * ~active
+        slope_free = lq_inner(grad, d_free, spec)
+        d = np.where(active, -grad, d_free)
+        for trials in range(1, _MAX_BACKTRACKS + 1):
+            alpha = 0.5 ** (trials - 1)
+            trial = project_box(u + alpha * d, spec.box)
+            predicted = alpha * slope_free + lq_inner(grad * active, trial - u, spec)
             trial_state = solve_state(trial, spec)
             trial_j = cost_value(trial_state, spec.cost)
-            # Sufficient decrease sigma * s * ||composite gradient mapping||^2
-            # with mapping (u - trial)/s, i.e. (sigma/s) * ||trial - u||^2.
-            if trial_j <= j - (opts.armijo_sigma / step) * decrease:
-                accepted = True
+            if trial_j <= j + _SIGMA * predicted:
                 break
-            step *= 0.5
-        if not accepted:
+        else:
             termination = "line_search_stalled"
             break
-        step_hist.append(float(step))
-        du_norms.append(float(np.sqrt(decrease)))
         new_grad = solve_adjoint(trial_state, spec.cost, spec).reduced_gradient()
-        du = trial - u
-        dg = new_grad - grad
-        curvature = lq_inner(du, dg, spec)
-        if curvature > 0:
-            step = lq_inner(du, du, spec) / curvature
-        step = float(np.clip(step, opts.step_min, opts.step_max))
-        u, state, j, grad = trial, trial_state, trial_j, new_grad
+        pairs = pairs[1 - _MEMORY :] + [(trial - u, new_grad - grad)]
+        u, j, grad = trial, trial_j, new_grad
         j_hist.append(j)
-    bb = bang_bang_classify(u, grad, spec.box)
+        evals.append(trials)
     return OptimizeReport(
         u_opt=u,
         gradient=grad,
         j_history=j_hist,
         residual_history=res_hist,
-        step_history=step_hist,
-        du_norm_history=du_norms,
+        evaluations_history=evals,
         iterations=it,
         termination=termination,
-        bang_bang=bb,
+        bang_bang=bang_bang_classify(u, grad, spec.box),
         start_seed=start_seed,
     )
 
@@ -250,12 +260,12 @@ def optimize(
     u0: np.ndarray | None = None,
     opts: OptimizeOptions | None = None,
 ) -> OptimizeReport:
-    """Projected gradient descent on the reduced cost over the admissible box.
+    """Projected L-BFGS descent on the reduced cost over the admissible box.
 
-    Terminates when the stationarity residual drops below opts.stat_tol or the
-    iteration cap is reached; the cost history is non-increasing by
-    construction. Optional multi-start: extra seeded admissible initial
-    controls, keeping the lowest final cost.
+    Terminates when the stationarity residual drops below opts.stat_tol, the
+    iteration cap is reached or a line search finds no decrease; the cost
+    history is non-increasing by construction. Optional multi-start: extra
+    seeded admissible initial controls, keeping the lowest final cost.
     """
     opts = opts or OptimizeOptions()
     bad = spec.validate(for_control=True)

@@ -223,9 +223,10 @@ def _advance_step(
     source_level: np.ndarray,
     opts: SolverOptions,
     guard: Optional[Callable[[np.ndarray, np.ndarray], float]],
-    noise_floor: float = 0.0,
+    noise_floor: float,
+    where: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One damped-Newton solve of the coupled step equations.
+    """One damped-Newton solve of the coupled step equations at step `where`.
 
     The tolerance scales with the size of the old level and of the source
     increment dt * source_level. noise_floor lifts it to the evaluation noise
@@ -264,19 +265,19 @@ def _advance_step(
     tol = max(opts.newton_tol, noise_floor) * scale
     res, slope = residual(theta, phi, mu)
     res_norm = float(np.max(np.abs(res)))
-    for _ in range(opts.newton_max_iter):
+    for it in range(1, opts.newton_max_iter + 1):
         if res_norm <= tol:
             return theta, phi, mu
         delta = stepop.factor(slope).solve(-res)
         if not np.all(np.isfinite(delta)):
-            raise NewtonDivergence("Newton step produced non-finite values")
+            raise NewtonDivergence(f"{where}, Newton iteration {it}: non-finite step")
         d_theta, d_phi, d_mu = delta[:n], delta[n : 2 * n], delta[2 * n :]
         alpha = 1.0
         if guard is not None:
             alpha = min(1.0, guard(phi, d_phi))
             if alpha < _MIN_STEP_FRACTION:
                 raise DomainEscape(
-                    "Newton iterate pinned to the potential domain boundary"
+                    f"{where}, Newton iteration {it}: iterate pinned to the domain boundary"
                 )
         accepted = False
         for _ in range(opts.newton_max_backtracks):
@@ -289,14 +290,15 @@ def _advance_step(
             alpha *= 0.5
         if not accepted:
             raise NewtonDivergence(
-                f"Newton damping stalled at residual {res_norm:.3e} (tol {tol:.1e})"
+                f"{where}, Newton iteration {it}: damping stalled at residual "
+                f"{res_norm:.3e} (tol {tol:.1e})"
             )
         theta, phi, mu = trial
         res, res_norm, slope = trial_res, trial_norm, trial_slope
     if res_norm <= tol:
         return theta, phi, mu
     raise NewtonDivergence(
-        f"no convergence in {opts.newton_max_iter} iterations "
+        f"{where}: no convergence after Newton iteration {opts.newton_max_iter} "
         f"(residual {res_norm:.3e}, tol {tol:.1e})"
     )
 
@@ -305,7 +307,7 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     """March the state system with source u over the whole horizon.
 
     Raises ConfigError for inadmissible setups, NewtonDivergence /
-    DomainEscape when a step cannot be completed.
+    DomainEscape (naming time step and Newton iteration) when a step fails.
     """
     grid, tgrid, opts = spec.grid, spec.tgrid, spec.options
     pot, physics = spec.potential, spec.physics
@@ -356,6 +358,7 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
             opts,
             guard,
             noise_floor,
+            f"time step {k + 1} of {nt}",
         )
         # Re-anchor the conserved mean; the shift is below Newton tolerance.
         phi[k + 1] += phase_mean - float(np.sum(phi[k + 1])) / n

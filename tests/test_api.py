@@ -1,9 +1,13 @@
-"""Export consistency: every name a module lists in __all__ exists, and no
-module imports a name it never uses."""
+"""Export consistency: every name a module lists in __all__ exists, no
+module imports a name it never uses, and the package stays off the heavy
+SciPy modules."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,27 @@ def test_all_names_resolve(name):
 
 def test_package_all_has_no_duplicates():
     assert len(pfc.__all__) == len(set(pfc.__all__))
+
+
+def test_optimize_does_not_import_scipy_optimize():
+    # scipy.optimize loads HiGHS, scipy.spatial and scipy.fft: start-up time
+    # and resident memory on every command. A fresh interpreter is needed
+    # because other tests may import SciPy modules into this one.
+    code = (
+        "import sys\n"
+        "import pfcontrol as pfc\n"
+        "from conftest import desk_spec\n"
+        "opts = pfc.OptimizeOptions(stat_tol=1e-4, max_iter=50)\n"
+        "assert pfc.optimize(desk_spec(cells=8, steps=4), opts=opts).iterations > 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    paths = [str(Path(pfc.__file__).parent.parent), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 

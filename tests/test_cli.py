@@ -263,6 +263,13 @@ class TestCliSolve:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("key", ["armijo_sigma", "max_backtracks", "initial_step"])
+    def test_removed_optimizer_keys_exit_2(self, config_file, capsys, key):
+        cfg = config_file(optimize={"stat_tol": 1e-4, key: 1.0e-4})
+        code, _, err = run_cli(["optimize", "--config", cfg], capsys)
+        assert code == 2
+        assert f"config error: optimize.{key}: unknown key" in err
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["solve", "--config", str(tmp_path / "none.json")], capsys
@@ -278,6 +285,14 @@ class TestCliSolve:
         code, _, err = run_cli(["solve", "--config", cfg], capsys)
         assert code == 1
         assert "solver error:" in err
+
+    def test_newton_failure_names_its_step(self, config_file, capsys):
+        code, _, err = run_cli(
+            ["solve", "--config", config_file(solver={"newton_max_iter": 1})], capsys
+        )
+        assert code == 1
+        assert "solver error: time step 1 of 8" in err
+        assert "Newton iteration 1" in err
 
     def test_singular_step_operator_exits_1(self, config_file, capsys, monkeypatch):
         def singular(_, **kw):
@@ -358,8 +373,13 @@ class TestCliOptimize:
         assert code == 1
         history = (out_dir / "optimize_history.csv").read_text().splitlines()
         assert history[0].startswith("# config_digest=")
-        assert history[1] == "iteration,j,residual,step,du_norm"
+        assert history[1] == "iteration,j,residual,evaluations"
         assert len(history) == 2 + 4
+        report = json.loads((out_dir / "optimize_report.json").read_text())
+        assert len(report["evaluations_history"]) == len(report["j_history"]) - 1 == 3
+        assert history[2].endswith(",") and [
+            int(row.rsplit(",", 1)[1]) for row in history[3:]
+        ] == report["evaluations_history"]
         control = json.loads((out_dir / "control.json").read_text())
         assert control["shape"] == [8, 16]
 

@@ -1,5 +1,5 @@
 """Control layer: projection, stationarity measure, bang-bang classification,
-seeded admissible controls, and the projected-gradient optimizer."""
+seeded admissible controls, and the projected L-BFGS optimizer."""
 
 import dataclasses
 
@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfcontrol as pfc
+from pfcontrol import control
+from pfcontrol.dynamics import solve_state
 from pfcontrol.problem import broadcast
 
 
@@ -150,6 +152,34 @@ class TestSharedHelpers:
         assert np.array_equal(pfc.random_admissible_control(spec, 11), expected)
 
 
+class TestLbfgsDirection:
+    def test_secant_equation_and_free_nodes(self):
+        # With the newest pair kept, H y = s for that pair; nodes outside the
+        # free set get no move.
+        spec = _small_spec()
+        rng = np.random.default_rng(3)
+        shape = (spec.tgrid.steps, spec.grid.ncells)
+        pairs = []
+        for _ in range(3):
+            s = rng.standard_normal(shape)
+            pairs.append((s, 2.0 * s + 0.1 * rng.standard_normal(shape)))
+        free = np.ones(shape, dtype=bool)
+        s, y = pairs[-1]
+        assert np.allclose(-control._lbfgs_direction(y, pairs, free, spec), s, atol=1e-12)
+        free[0] = False
+        g = rng.standard_normal(shape)
+        d = control._lbfgs_direction(g, pairs, free, spec)
+        assert np.all(d[0] == 0.0)
+        assert pfc.lq_inner(g, d, spec) < 0.0
+
+    def test_pairs_without_curvature_are_skipped(self):
+        spec = _small_spec()
+        g = np.ones((spec.tgrid.steps, spec.grid.ncells))
+        free = np.ones(g.shape, dtype=bool)
+        bad = [(g, -g)]
+        assert np.array_equal(control._lbfgs_direction(g, bad, free, spec), -g)
+
+
 class TestOptimize:
     def test_zero_cost_terminates_immediately(self):
         spec = dataclasses.replace(_small_spec(), cost=pfc.CostSpec())
@@ -169,14 +199,41 @@ class TestOptimize:
         j = np.array(report.j_history)
         assert np.all(np.diff(j) <= 0.0)
         assert len(report.residual_history) == len(j)
-        assert len(report.step_history) == len(j) - 1
-        assert len(report.du_norm_history) == len(j) - 1
-        # Audit the accepted-step sufficient decrease from the report alone.
-        sigma = opts.armijo_sigma
-        for k, (s, dn) in enumerate(zip(report.step_history, report.du_norm_history)):
-            assert j[k + 1] <= j[k] - (sigma / s) * dn**2 + 1.0e-15 * (1.0 + abs(j[k]))
+        assert len(report.evaluations_history) == len(j) - 1
+        assert all(n >= 1 for n in report.evaluations_history)
         lo, hi = spec.box.bounds((spec.tgrid.steps, spec.grid.ncells))
         assert np.all(report.u_opt >= lo) and np.all(report.u_opt <= hi)
+
+    def test_evaluations_count_every_state_solve(self, monkeypatch):
+        # Every state solve is the initial solve of a start or a line-search
+        # trial of an accepted iterate: the stationarity check costs none.
+        calls, reports = [], []
+        single = control._optimize_single
+
+        def counting_solve(u, spec):
+            calls.append(1)
+            return solve_state(u, spec)
+
+        def recording_single(*args, **kw):
+            reports.append(single(*args, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr(control, "solve_state", counting_solve)
+        monkeypatch.setattr(control, "_optimize_single", recording_single)
+        opts = pfc.OptimizeOptions(stat_tol=1.0e-4, max_iter=400, starts=(1,))
+        best = pfc.optimize(_small_spec(), opts=opts)
+        assert len(reports) == 2 and best in reports
+        assert all(r.termination == "stationary" for r in reports)
+        assert len(calls) == sum(sum(r.evaluations_history) for r in reports) + len(reports)
+
+    def test_line_search_stall_is_reported(self, monkeypatch):
+        # A cost that rises off the start rejects every trial.
+        values = iter([1.0] + [2.0] * 100)
+        monkeypatch.setattr(control, "cost_value", lambda state, cost: next(values))
+        report = pfc.optimize(_small_spec())
+        assert report.termination == "line_search_stalled"
+        assert report.iterations == 0
+        assert report.j_history == [1.0] and report.evaluations_history == []
 
     def test_reaches_stationarity_at_loose_tol(self):
         spec = _small_spec()

@@ -340,3 +340,16 @@ class TestFailureModes:
         )
         with pytest.raises(pfc.NewtonDivergence):
             pfc.solve_state(_random_control(starved, seed=8, amplitude=1.0), starved)
+
+    def test_newton_failure_names_step_and_iteration(self):
+        spec = desk_spec()
+        starved = dataclasses.replace(spec, options=pfc.SolverOptions(newton_max_iter=1))
+        message = r"^time step 1 of 16: no convergence after Newton iteration 1 "
+        with pytest.raises(pfc.NewtonDivergence, match=message):
+            pfc.solve_state(zero_control(spec), starved)
+
+    def test_domain_escape_names_step_and_iteration(self, monkeypatch):
+        spec = desk_spec("log")
+        monkeypatch.setattr(dynamics, "_MIN_STEP_FRACTION", 2.0)
+        with pytest.raises(pfc.DomainEscape, match=r"^time step 1 of 16, Newton iteration 1: "):
+            pfc.solve_state(zero_control(spec), spec)
