@@ -20,9 +20,11 @@ holds to linear-solver precision, and the multiplier block attached to the
 balance equation, divided by the cell measure, is the reduced gradient q.
 
 The sweep uses the problem's one StepOperator, the one the forward and
-tangent sweeps use (assembled and column-ordered once per grid, dt and
-physics): it is relinearized in place at every level and solved through the
-transpose of its LU factors.
+tangent sweeps use: it is relinearized in place at every level, solved
+through the transpose of its mu-eliminated LU factors, and refined once
+against the assembled operator. The right-hand side d_k + M_k^T y_{k+1} comes
+from StepOperator.old_level, the same map the tangent sweep applies, so the
+adjoint is the transpose of the tangent by construction.
 
 The level-0 entries of the returned (q, p) duplicate level 1: the
 backward-Euler adjoint is defined on levels 1..Nt.
@@ -122,8 +124,8 @@ def dj_along_tangent(tangent: TangentSolution, state: Trajectory, cost: CostSpec
 def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> AdjointSolution:
     """Backward sweep with the exact transposes of the tangent step operators.
 
-    Only second-order blocks are ever factorized; the fourth-order composite
-    operator of the strong form never appears.
+    The factorized matrix is the (theta, phi) Schur complement, whose (phi,
+    phi) block I + dt L (L - diag(visc/dt + slope)) is fourth order.
     """
     grid, tgrid = state.grid, state.tgrid
     if grid is not spec.grid and grid.cells != spec.grid.cells:
@@ -131,32 +133,23 @@ def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> Adjoi
     _check_state(state, grid, tgrid)
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
     physics, pot = spec.physics, spec.potential
-    visc_dt = physics.visc / dt
     m = grid.cell_measure
 
     d_theta, d_phi = cost_state_gradient(state, cost)
     q = np.zeros((nt + 1, n))
     p = np.zeros((nt + 1, n))
-    y1 = np.zeros(n)
-    y2 = np.zeros(n)
-    y3 = np.zeros(n)
+    y = np.zeros(3 * n)
     stepop = step_operator(grid, dt, physics)
     for level in range(nt, 0, -1):
-        rhs_theta = d_theta[level - 1]
-        rhs_phi = d_phi[level - 1]
-        rhs_mu = np.zeros(n)
-        if level < nt:
-            # M_k^T y_{k+1} for the step leaving this level.
-            rest_slope = pot.d2w_rest(state.phi[level])
-            rhs_theta = rhs_theta + y1
-            rhs_phi = rhs_phi + physics.latent * y1 + y2 + (rest_slope - visc_dt) * y3
-        rhs = np.concatenate([rhs_theta, rhs_phi, rhs_mu])
-        sol = stepop.factor(pot.d2w_convex_eff(state.phi[level])).solve(rhs, trans="T")
-        if not np.all(np.isfinite(sol)):
+        # d_k + M_k^T y_{k+1} for the step leaving this level (y_{Nt+1} = 0).
+        rhs = stepop.old_level(y, pot.d2w_rest(state.phi[level]), trans="T")
+        rhs[:n] += d_theta[level - 1]
+        rhs[n : 2 * n] += d_phi[level - 1]
+        y = stepop.factor(pot.d2w_convex_eff(state.phi[level]))(rhs, trans="T", refine=True)
+        if not np.all(np.isfinite(y)):
             raise LinearSolveDivergence(f"adjoint sweep broke down at level {level}")
-        y1, y2, y3 = sol[:n], sol[n : 2 * n], sol[2 * n :]
-        q[level] = y1 / m
-        p[level] = y2 / m
+        q[level] = y[:n] / m
+        p[level] = y[n : 2 * n] / m
     q[0] = q[1]
     p[0] = p[1]
     return AdjointSolution(grid=grid, tgrid=tgrid, q=q, p=p)

@@ -22,10 +22,11 @@ remainder its derivative at the old level, with zero initial conditions.
 Forward Newton, tangent and adjoint sweeps all solve with the same block step
 operator. Only its (mu, phi) diagonal depends on the linearization point and
 its sparsity pattern never changes, so each (grid, dt, physics) has one
-StepOperator (step_operator), assembled once, stored with its fill-reducing
-column ordering already applied, and kept on the grid for as long as the grid
-lives. Every factorization writes the diagonal in place and factorizes the
-pre-ordered matrix; no LU outlives the solve it serves.
+StepOperator (step_operator), built once and kept on the grid for as long as
+the grid lives. mu is eliminated: every factorization writes the slope into
+the (theta, phi) Schur complement, stored in its symmetric fill-reducing
+order, and factorizes that; solves recover mu by back-substitution. No LU
+outlives the solve it serves.
 """
 
 from __future__ import annotations
@@ -110,44 +111,55 @@ def step_matrix(
     return sps.bmat([[a11, a12, None], [None, eye, a23], [a31, a32, eye]], format="csc")
 
 
-class _OrderedLU:
-    """SuperLU factors of B = A[:, order], solving in the unknowns of A.
-
-    A x = b is B y = b with x[order] = y, and A^T x = b is B^T x = b[order].
-    """
-
-    __slots__ = ("_lu", "_order")
-
-    def __init__(self, lu, order: np.ndarray):
-        self._lu = lu
-        self._order = order
-
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        if trans == "N":
-            x = np.empty(len(self._order))
-            x[self._order] = self._lu.solve(rhs)
-            return x
-        return self._lu.solve(rhs[self._order], trans=trans)
+#: Pivot threshold of every step-operator factorization. SuperLU keeps a
+#: diagonal pivot while it is at least this fraction of the largest entry of
+#: its column, so the symmetric fill-reducing order survives pivoting. With
+#: partial pivoting, the same order at latent 0.7 and coupling 1.3 gave 3x
+#: the fill on 16x16 cells and 15x on 48x48.
+DIAG_PIVOT_THRESH = 0.1
 
 
 def _factorize(matrix: sps.csc_matrix, **options):
     try:
-        return splu(matrix, **options)
+        return splu(matrix, diag_pivot_thresh=DIAG_PIVOT_THRESH, **options)
     except RuntimeError as exc:
         raise LinearSolveDivergence(f"step operator could not be factorized: {exc}") from exc
 
 
-class StepOperator:
-    """The step operator of one (grid, dt, physics), stored in column-ordered form.
+def _both(matrix: sps.spmatrix) -> dict[str, sps.csr_matrix]:
+    """A matrix and its transpose, keyed by the SuperLU `trans` flag."""
+    return {"N": matrix.tocsr(), "T": matrix.T.tocsr()}
 
-    The sparsity pattern never changes; only the diagonal of the a32 block,
-    lap_ii - (visc/dt + dconvex_i), depends on the linearization point. The
-    operator is assembled once and its fill-reducing column ordering (COLAMD,
-    from one default splu of the assembled template) is applied to the stored
-    matrix, so `matrix` is step_matrix(...)[:, order]. `factor` overwrites the
-    a32 diagonal entries with the expression step_matrix evaluates and
-    factorizes with the natural ordering; its solves equal those of
-    splu(step_matrix(grid, dt, physics, dconvex)) bit for bit.
+
+def _act(matrices: dict, slope, x: np.ndarray, trans: str) -> np.ndarray:
+    """(M + D) x, or its transpose, for M in _both form, where D holds
+    diag(slope) in the (mu, phi) block of a stacked (theta, phi, mu) operator."""
+    n = len(x) // 3
+    out = matrices[trans] @ x
+    if trans == "N":
+        out[2 * n :] += slope * x[n : 2 * n]
+    else:
+        out[n : 2 * n] += slope * x[2 * n :]
+    return out
+
+
+class StepOperator:
+    """The step operator of one (grid, dt, physics), factorized with mu eliminated.
+
+    A = step_matrix(grid, dt, physics, slope) = [[K, G], [H, I]] in the
+    unknowns ((theta, phi), mu), where only H = H0 - (0, diag(slope)) depends
+    on the linearization point. A x = b is S z = b_top - G b_mu with the Schur
+    complement S = K - G H = [[I - dt L, latent I], [dt coupling L,
+    I + dt L a32]], a32 = L - diag(visc/dt + slope), and mu = b_mu - H z;
+    A^T y = d is S^T z = d_top - H^T d_mu with y_mu = d_mu - G^T z. The slope
+    enters S only as G[:, j] * slope_j in the phi columns, on the pattern of L.
+
+    The stored `matrix` is S[order][:, order], symmetrically permuted by a
+    minimum-degree ordering of S + S^T taken once at construction; `factor`
+    writes the slope into its slots in place and factorizes it with the
+    natural ordering. `template` holds step_matrix at slope 0 and its
+    transpose, keyed by the SuperLU trans flag "N" or "T"; the Newton
+    residual, the refinement step and `old_level` act through it.
 
     Raises LinearSolveDivergence when the template is exactly singular.
     """
@@ -155,34 +167,82 @@ class StepOperator:
     def __init__(self, grid: Grid, dt: float, physics: PhysicsParams):
         n = grid.ncells
         template = step_matrix(grid, dt, physics, np.zeros(n))
-        perm_c = _factorize(template).perm_c
-        self.order = np.empty_like(perm_c)
-        self.order[perm_c] = np.arange(3 * n)
-        self.matrix = template[:, self.order]
-        self._shift = physics.visc / dt
-        self._lap_diag = grid.laplacian.diagonal()
-        # Template entries at (row 2n + i, column n + i), in order of i. Every
-        # one is present: lap_ii < 0 <= visc/dt keeps it from cancelling.
-        rows = template.indices
-        cols = np.repeat(np.arange(3 * n), np.diff(template.indptr))
-        slots = np.flatnonzero((cols >= n) & (cols < 2 * n) & (rows == cols + n))
-        # Reordering moves whole columns: column c starts at indptr[perm_c[c]].
-        cols = cols[slots]
-        self._a32_diag = self.matrix.indptr[perm_c[cols]] + slots - template.indptr[cols]
+        g, h = template[: 2 * n, 2 * n :].tocoo(), template[2 * n :, : 2 * n]
+        schur = (template[: 2 * n, : 2 * n] - g @ h).tocoo()
+        # The slots of the slope stay stored (value 0 added) even where the
+        # slope-0 entries cancel: sums of sparse matrices drop exact zeros.
+        rows = np.concatenate([schur.row, g.row])
+        cols = np.concatenate([schur.col, g.col + n])
+        data = np.concatenate([schur.data, np.zeros(g.nnz)])
+        shape = (2 * n, 2 * n)
+        perm_c = _factorize(
+            sps.csc_matrix((data, (rows, cols)), shape=shape), permc_spec="MMD_AT_PLUS_A"
+        ).perm_c
+        # Entry (r, c) of S sits at (perm_c[r], perm_c[c]) of the stored matrix.
+        self.matrix = sps.csc_matrix((data, (perm_c[rows], perm_c[cols])), shape=shape)
+        self.order = np.argsort(perm_c)
+        ptr = self.matrix.indptr
+        keys = self.matrix.indices + 2 * n * np.repeat(np.arange(2 * n), np.diff(ptr))
+        self._slots = np.searchsorted(keys, perm_c[g.row] + 2 * n * perm_c[g.col + n])
+        self._slot_base = self.matrix.data[self._slots]
+        self._slot_gain = g.data
+        self._slot_slope = g.col
+        self.template, self._g, self._h = _both(template), _both(g), _both(h)
+        eye = sps.identity(n, format="csr")
+        self._old = _both(
+            sps.bmat(
+                [
+                    [eye, physics.latent * eye, None],
+                    [None, eye, None],
+                    [None, -(physics.visc / dt) * eye, sps.csr_matrix((n, n))],
+                ]
+            )
+        )
 
-    def factor(self, dconvex: np.ndarray) -> _OrderedLU:
-        """LU factors of the operator linearized at the convex slope dconvex.
+    def old_level(self, x: np.ndarray, rest_slope, trans: str = "N") -> np.ndarray:
+        """M_k x, or M_k^T x: the derivative of the step's old-level terms
+        c(x_n) = (theta_n + latent phi_n, phi_n, R(phi_n) - visc/dt phi_n)
+        (source left out) with respect to x_n, where rest_slope = R'(phi_n)."""
+        return _act(self._old, rest_slope, x, trans)
+
+    def factor(self, dconvex: np.ndarray) -> Callable[..., np.ndarray]:
+        """Solver of the operator linearized at the convex slope dconvex:
+        solve(rhs, trans="N", refine=False) for stacked (theta, phi, mu)
+        vectors, with trans="T" for the transpose. refine=True adds one step
+        of iterative refinement against the 3n operator.
 
         Raises LinearSolveDivergence when the operator is exactly singular.
         """
-        slope = self._shift + np.asarray(dconvex, dtype=float)
-        self.matrix.data[self._a32_diag] = self._lap_diag - slope
-        return _OrderedLU(_factorize(self.matrix, permc_spec="NATURAL"), self.order)
+        slope = np.asarray(dconvex, dtype=float)
+        self.matrix.data[self._slots] = self._slot_base + self._slot_gain * slope[self._slot_slope]
+        lu = _factorize(self.matrix, permc_spec="NATURAL")
+        n, order, g, h = len(slope), self.order, self._g, self._h
+
+        def reduced(rhs: np.ndarray, trans: str) -> np.ndarray:
+            b_top, b_mu = rhs[: 2 * n], rhs[2 * n :]
+            x = np.empty(3 * n)
+            if trans == "N":
+                x[order] = lu.solve((b_top - g["N"] @ b_mu)[order])
+                x[2 * n :] = b_mu - h["N"] @ x[: 2 * n] + slope * x[n : 2 * n]
+            else:
+                top = b_top - h["T"] @ b_mu
+                top[n:] += slope * b_mu
+                x[order] = lu.solve(top[order], trans="T")
+                x[2 * n :] = b_mu - g["T"] @ x[: 2 * n]
+            return x
+
+        def solve(rhs: np.ndarray, trans: str = "N", refine: bool = False) -> np.ndarray:
+            x = reduced(rhs, trans)
+            if refine:
+                x += reduced(rhs - _act(self.template, -slope, x, trans), trans)
+            return x
+
+        return solve
 
 
 def step_operator(grid: Grid, dt: float, physics: PhysicsParams) -> StepOperator:
-    """The StepOperator of (grid, dt, physics), assembled and ordered on first
-    use and kept on the grid, so that it lives exactly as long as the grid."""
+    """The StepOperator of (grid, dt, physics), built and ordered on first use
+    and kept on the grid, so that it lives exactly as long as the grid."""
     key = (float(dt), physics)
     stepop = grid.step_operators.get(key)
     if stepop is None:
@@ -211,78 +271,66 @@ def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], fl
 
 
 def _advance_step(
-    grid: Grid,
-    dt: float,
-    physics: PhysicsParams,
     stepop: StepOperator,
     convex: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     explicit: np.ndarray,
-    theta_n: np.ndarray,
-    phi_n: np.ndarray,
-    mu_guess: np.ndarray,
-    source_level: np.ndarray,
+    x_n: np.ndarray,
+    source_step: np.ndarray,
     opts: SolverOptions,
     guard: Optional[Callable[[np.ndarray, np.ndarray], float]],
     noise_floor: float,
     where: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One damped-Newton solve of the coupled step equations at step `where`.
 
+    x_n stacks the old level (theta_n, phi_n) and the starting guess for mu;
+    source_step is dt times the source at the new level. The residual is
+    template @ x - c(x_n) - (0, 0, B(phi)), with the old-level terms c(x_n)
+    formed once.
+
     The tolerance scales with the size of the old level and of the source
-    increment dt * source_level. noise_floor lifts it to the evaluation noise
-    of the nonlinear terms (the Yosida values carry the resolvent root error
-    amplified by 1/eps), below which the residual cannot be driven reliably.
+    increment. noise_floor lifts it to the evaluation noise of the nonlinear
+    terms (the Yosida values carry the resolvent root error amplified by
+    1/eps), below which the residual cannot be driven reliably.
 
     convex(phi) returns the implicit convex term and its slope together (one
     resolvent solve in the Yosida mode). The residual of each iterate keeps
     that slope, and the next Newton step factorizes the operator linearized
     with it, so the phase field of an iterate is never solved for twice.
     """
-    n = grid.ncells
-    lap = grid.laplacian
-    latent, coupling, visc = physics.latent, physics.coupling, physics.visc
+    n = len(explicit)
+    old = stepop.old_level(x_n, 0.0)
+    old[:n] += source_step
+    old[2 * n :] += explicit
 
-    def residual(th, ph, m):
-        b, slope = convex(ph)
-        r1 = th - theta_n + latent * (ph - phi_n) - dt * (lap @ th) - dt * source_level
-        r2 = ph - phi_n - dt * (lap @ m)
-        r3 = (
-            m
-            - visc * (ph - phi_n) / dt
-            + lap @ ph
-            - b
-            - explicit
-            + coupling * th
-        )
-        return np.concatenate([r1, r2, r3]), slope
+    def residual(x):
+        b, slope = convex(x[n : 2 * n])
+        res = stepop.template["N"] @ x - old
+        res[2 * n :] -= b
+        return res, slope
 
-    theta, phi, mu = theta_n.copy(), phi_n.copy(), mu_guess.copy()
-    scale = 1.0 + max(
-        float(np.max(np.abs(theta_n))),
-        float(np.max(np.abs(phi_n))),
-        dt * float(np.max(np.abs(source_level))),
-    )
+    x = x_n.copy()
+    scale = 1.0 + max(float(np.max(np.abs(x_n[: 2 * n]))), float(np.max(np.abs(source_step))))
     tol = max(opts.newton_tol, noise_floor) * scale
-    res, slope = residual(theta, phi, mu)
+    res, slope = residual(x)
     res_norm = float(np.max(np.abs(res)))
     for it in range(1, opts.newton_max_iter + 1):
         if res_norm <= tol:
-            return theta, phi, mu
-        delta = stepop.factor(slope).solve(-res)
+            return x
+        delta = stepop.factor(slope)(-res)
         if not np.all(np.isfinite(delta)):
             raise NewtonDivergence(f"{where}, Newton iteration {it}: non-finite step")
-        d_theta, d_phi, d_mu = delta[:n], delta[n : 2 * n], delta[2 * n :]
         alpha = 1.0
         if guard is not None:
-            alpha = min(1.0, guard(phi, d_phi))
+            alpha = min(1.0, guard(x[n : 2 * n], delta[n : 2 * n]))
             if alpha < _MIN_STEP_FRACTION:
                 raise DomainEscape(
                     f"{where}, Newton iteration {it}: iterate pinned to the domain boundary"
                 )
         accepted = False
         for _ in range(opts.newton_max_backtracks):
-            trial = (theta + alpha * d_theta, phi + alpha * d_phi, mu + alpha * d_mu)
-            trial_res, trial_slope = residual(*trial)
+            trial = x + alpha * delta
+            trial_res, trial_slope = residual(trial)
             trial_norm = float(np.max(np.abs(trial_res)))
             if np.isfinite(trial_norm) and (trial_norm < res_norm or trial_norm <= tol):
                 accepted = True
@@ -293,10 +341,10 @@ def _advance_step(
                 f"{where}, Newton iteration {it}: damping stalled at residual "
                 f"{res_norm:.3e} (tol {tol:.1e})"
             )
-        theta, phi, mu = trial
+        x = trial
         res, res_norm, slope = trial_res, trial_norm, trial_slope
     if res_norm <= tol:
-        return theta, phi, mu
+        return x
     raise NewtonDivergence(
         f"{where}: no convergence after Newton iteration {opts.newton_max_iter} "
         f"(residual {res_norm:.3e}, tol {tol:.1e})"
@@ -343,26 +391,22 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
         - physics.coupling * theta[0]
     )
     stepop = step_operator(grid, dt, physics)
+    x = np.concatenate([theta[0], phi[0], mu_guess])
     for k in range(nt):
-        theta[k + 1], phi[k + 1], mu[k] = _advance_step(
-            grid,
-            dt,
-            physics,
+        x = _advance_step(
             stepop,
             pot.dw_and_d2w_convex_eff,
             pot.dw_rest(phi[k]),
-            theta[k],
-            phi[k],
-            mu_guess,
-            source[k],
+            x,
+            dt * source[k],
             opts,
             guard,
             noise_floor,
             f"time step {k + 1} of {nt}",
         )
         # Re-anchor the conserved mean; the shift is below Newton tolerance.
-        phi[k + 1] += phase_mean - float(np.sum(phi[k + 1])) / n
-        mu_guess = mu[k]
+        x[n : 2 * n] += phase_mean - float(np.sum(x[n : 2 * n])) / n
+        theta[k + 1], phi[k + 1], mu[k] = x[:n], x[n : 2 * n], x[2 * n :]
     return Trajectory(grid=grid, tgrid=tgrid, theta=theta, phi=phi, mu=mu, source=source)
 
 
@@ -381,27 +425,19 @@ def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> Tangent
     if base.theta.shape != (nt + 1, n):
         raise ShapeMismatch("trajectory does not match the grid/time grid")
     pot, physics = spec.potential, spec.physics
-    visc_dt = physics.visc / dt
 
     dtheta = np.zeros((nt + 1, n))
     dphi = np.zeros((nt + 1, n))
     dmu = np.empty((nt, n))
     stepop = step_operator(grid, dt, physics)
+    x = np.zeros(3 * n)
     for k in range(nt):
-        rest_slope = pot.d2w_rest(base.phi[k])
-        rhs = np.concatenate(
-            [
-                dtheta[k] + physics.latent * dphi[k] + dt * h[k],
-                dphi[k],
-                (rest_slope - visc_dt) * dphi[k],
-            ]
-        )
-        sol = stepop.factor(pot.d2w_convex_eff(base.phi[k + 1])).solve(rhs)
-        if not np.all(np.isfinite(sol)):
+        rhs = stepop.old_level(x, pot.d2w_rest(base.phi[k]))
+        rhs[:n] += dt * h[k]
+        x = stepop.factor(pot.d2w_convex_eff(base.phi[k + 1]))(rhs, refine=True)
+        if not np.all(np.isfinite(x)):
             raise LinearSolveDivergence(f"tangent sweep broke down at step {k}")
-        dtheta[k + 1] = sol[:n]
-        dphi[k + 1] = sol[n : 2 * n]
-        dmu[k] = sol[2 * n :]
+        dtheta[k + 1], dphi[k + 1], dmu[k] = x[:n], x[n : 2 * n], x[2 * n :]
     return TangentSolution(grid=grid, tgrid=tgrid, dtheta=dtheta, dphi=dphi, dmu=dmu)
 
 

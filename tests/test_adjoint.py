@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import desk_spec, zero_control
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfcontrol as pfc
 
@@ -28,12 +30,12 @@ def _duality_gap(spec, seed=0):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0e-300)
 
 
-def _spec_2d():
-    grid = pfc.Grid((8, 8))
+def _spec_2d(cells=(8, 8), tgrid=None, physics=None, potential=None):
+    grid = pfc.Grid(cells)
     x = grid.coords()
     init = pfc.InitialData(
         theta0=0.1 * np.cos(np.pi * x[:, 0]),
-        phi0=0.2 * np.cos(np.pi * x[:, 1]),
+        phi0=0.2 * np.cos(np.pi * x[:, -1]),
     )
     cost = pfc.CostSpec(
         w_theta=1.0, w_phi=1.0, w_theta_final=0.5, w_phi_final=0.5,
@@ -42,9 +44,9 @@ def _spec_2d():
     )
     return pfc.ProblemSpec(
         grid=grid,
-        tgrid=pfc.TimeGrid(0.5, 4),
-        physics=pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0),
-        potential=pfc.quartic_double_well(),
+        tgrid=tgrid or pfc.TimeGrid(0.5, 4),
+        physics=physics or pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0),
+        potential=potential or pfc.quartic_double_well(),
         init=init,
         cost=cost,
         box=pfc.ControlBox(),
@@ -60,6 +62,34 @@ class TestDuality:
 
     def test_two_dimensional(self):
         assert _duality_gap(_spec_2d(), seed=3) <= 1.0e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=8, max_value=32),
+            st.tuples(*[st.integers(min_value=2, max_value=6)] * 2),
+        ),
+        st.integers(min_value=2, max_value=4),
+        st.floats(min_value=1.0e-3, max_value=0.5),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 0.7, 1.0, 1.3]),
+        st.sampled_from([0.0, 0.7, 1.0, 1.3]),
+        st.sampled_from(["quartic", "log"]),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_duality_property(self, cells, steps, dt, visc, latent, coupling, well, seed):
+        potential = (
+            pfc.quartic_double_well()
+            if well == "quartic"
+            else pfc.log_double_well(c=2.0, yosida_eps=1.0e-2)
+        )
+        spec = _spec_2d(
+            cells,
+            pfc.TimeGrid(dt * steps, steps),
+            pfc.PhysicsParams(visc=visc, latent=latent, coupling=coupling),
+            potential,
+        )
+        assert _duality_gap(spec, seed) <= 1.0e-10
 
     @pytest.mark.parametrize("regime", ["regular", "log"])
     def test_gradient_matches_central_difference(self, regime):
