@@ -19,12 +19,12 @@ stacked state at level k. By construction the duality identity
 holds to linear-solver precision, and the multiplier block attached to the
 balance equation, divided by the cell measure, is the reduced gradient q.
 
-The sweep uses the problem's one StepOperator, the one the forward and
-tangent sweeps use: it is relinearized in place at every level, solved
-through the transpose of its mu-eliminated LU factors, and refined once
-against the assembled operator. The right-hand side d_k + M_k^T y_{k+1} comes
-from StepOperator.old_level, the same map the tangent sweep applies, so the
-adjoint is the transpose of the tangent by construction.
+The sweep uses the problem's one StepOperator, as the forward and tangent
+sweeps do. Each level is refined to a relative residual of 1e-12 against
+the transpose of the sweep's one LU (first factorized at level Nt), which
+is replaced at the level's slope when it stalls. The right-hand side
+d_k + M_k^T y_{k+1} comes from StepOperator.old_level, the map the tangent
+sweep applies, so the adjoint is the transpose of the tangent by construction.
 
 The level-0 entries of the returned (q, p) duplicate level 1: the
 backward-Euler adjoint is defined on levels 1..Nt.
@@ -37,7 +37,7 @@ import dataclasses
 import numpy as np
 
 from .errors import LinearSolveDivergence, ShapeMismatch
-from .dynamics import TangentSolution, Trajectory, step_operator
+from .dynamics import TangentSolution, Trajectory, StepLU, step_operator
 from .grid import Grid, TimeGrid
 from .problem import CostSpec, ProblemSpec
 
@@ -139,13 +139,13 @@ def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> Adjoi
     q = np.zeros((nt + 1, n))
     p = np.zeros((nt + 1, n))
     y = np.zeros(3 * n)
-    stepop = step_operator(grid, dt, physics)
+    held = StepLU(step_operator(grid, dt, physics))
     for level in range(nt, 0, -1):
         # d_k + M_k^T y_{k+1} for the step leaving this level (y_{Nt+1} = 0).
-        rhs = stepop.old_level(y, pot.d2w_rest(state.phi[level]), trans="T")
+        rhs = held.stepop.old_level(y, pot.d2w_rest(state.phi[level]), trans="T")
         rhs[:n] += d_theta[level - 1]
         rhs[n : 2 * n] += d_phi[level - 1]
-        y = stepop.factor(pot.d2w_convex_eff(state.phi[level]))(rhs, trans="T", refine=True)
+        y = held.solve_at(rhs, pot.d2w_convex_eff(state.phi[level]), trans="T")
         if not np.all(np.isfinite(y)):
             raise LinearSolveDivergence(f"adjoint sweep broke down at level {level}")
         q[level] = y[:n] / m

@@ -25,14 +25,14 @@ its sparsity pattern never changes, so each (grid, dt, physics) has one
 StepOperator (step_operator), built once and kept on the grid for as long as
 the grid lives. mu is eliminated: every factorization writes the slope into
 the (theta, phi) Schur complement, stored in its symmetric fill-reducing
-order, and factorizes that; solves recover mu by back-substitution. No LU
-outlives the solve it serves.
+order, and factorizes that; solves recover mu by back-substitution. Each sweep
+holds one LU (StepLU), dropped before its replacement is factorized.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sps
@@ -63,6 +63,8 @@ __all__ = [
 #: Relative distance to the domain boundary preserved by the Newton safeguard.
 _BOUNDARY_FRACTION = 0.99
 _MIN_STEP_FRACTION = 1.0e-10
+#: Relative residual 2-norm at which refined solves stop.
+_REFINE_TOL = 1.0e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,11 +157,11 @@ class StepOperator:
     enters S only as G[:, j] * slope_j in the phi columns, on the pattern of L.
 
     The stored `matrix` is S[order][:, order], symmetrically permuted by a
-    minimum-degree ordering of S + S^T taken once at construction; `factor`
+    minimum-degree ordering of S + S^T taken once at construction; a StepLU
     writes the slope into its slots in place and factorizes it with the
     natural ordering. `template` holds step_matrix at slope 0 and its
     transpose, keyed by the SuperLU trans flag "N" or "T"; the Newton
-    residual, the refinement step and `old_level` act through it.
+    residual, the refinement steps and `old_level` act through it.
 
     Raises LinearSolveDivergence when the template is exactly singular.
     """
@@ -205,39 +207,68 @@ class StepOperator:
         (source left out) with respect to x_n, where rest_slope = R'(phi_n)."""
         return _act(self._old, rest_slope, x, trans)
 
-    def factor(self, dconvex: np.ndarray) -> Callable[..., np.ndarray]:
-        """Solver of the operator linearized at the convex slope dconvex:
-        solve(rhs, trans="N", refine=False) for stacked (theta, phi, mu)
-        vectors, with trans="T" for the transpose. refine=True adds one step
-        of iterative refinement against the 3n operator.
+    def factor(self, dconvex: np.ndarray) -> "StepLU":
+        """LU factors of the operator linearized at the convex slope dconvex."""
+        return StepLU(self).refactor(dconvex)
 
-        Raises LinearSolveDivergence when the operator is exactly singular.
-        """
-        slope = np.asarray(dconvex, dtype=float)
-        self.matrix.data[self._slots] = self._slot_base + self._slot_gain * slope[self._slot_slope]
-        lu = _factorize(self.matrix, permc_spec="NATURAL")
-        n, order, g, h = len(slope), self.order, self._g, self._h
 
-        def reduced(rhs: np.ndarray, trans: str) -> np.ndarray:
-            b_top, b_mu = rhs[: 2 * n], rhs[2 * n :]
-            x = np.empty(3 * n)
-            if trans == "N":
-                x[order] = lu.solve((b_top - g["N"] @ b_mu)[order])
-                x[2 * n :] = b_mu - h["N"] @ x[: 2 * n] + slope * x[n : 2 * n]
-            else:
-                top = b_top - h["T"] @ b_mu
-                top[n:] += slope * b_mu
-                x[order] = lu.solve(top[order], trans="T")
-                x[2 * n :] = b_mu - g["T"] @ x[: 2 * n]
-            return x
+class StepLU:
+    """The one LU of a StepOperator that a sweep holds: forward Newton carries
+    it from step to step, and the tangent and adjoint sweeps refine each level
+    against it until it stalls. Solves act on stacked (theta, phi, mu)
+    vectors; trans="T" solves with the transpose."""
 
-        def solve(rhs: np.ndarray, trans: str = "N", refine: bool = False) -> np.ndarray:
-            x = reduced(rhs, trans)
-            if refine:
-                x += reduced(rhs - _act(self.template, -slope, x, trans), trans)
-            return x
+    def __init__(self, stepop: StepOperator):
+        self.stepop, self.lu, self.slope = stepop, None, None
 
-        return solve
+    def refactor(self, dconvex: np.ndarray) -> "StepLU":
+        """Drop the held LU, then factorize at the convex slope dconvex
+        (LinearSolveDivergence when the operator is exactly singular)."""
+        self.lu, self.slope, op = None, np.asarray(dconvex, dtype=float), self.stepop
+        op.matrix.data[op._slots] = op._slot_base + op._slot_gain * self.slope[op._slot_slope]
+        self.lu = _factorize(op.matrix, permc_spec="NATURAL")
+        return self
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """The mu-eliminated solve with the operator at the LU's own slope."""
+        lu, slope, op, n = self.lu, self.slope, self.stepop, len(self.slope)
+        b_top, b_mu, order, g, h = rhs[: 2 * n], rhs[2 * n :], op.order, op._g, op._h
+        x = np.empty(3 * n)
+        if trans == "N":
+            x[order] = lu.solve((b_top - g["N"] @ b_mu)[order])
+            x[2 * n :] = b_mu - h["N"] @ x[: 2 * n] + slope * x[n : 2 * n]
+        else:
+            top = b_top - h["T"] @ b_mu
+            top[n:] += slope * b_mu
+            x[order] = lu.solve(top[order], trans="T")
+            x[2 * n :] = b_mu - g["T"] @ x[: 2 * n]
+        return x
+
+    def refined(self, rhs: np.ndarray, slope: np.ndarray, trans: str = "N"):
+        """(x, converged) with the operator at `slope`: refined against the
+        assembled operator to a residual 2-norm of _REFINE_TOL times that of rhs,
+        else the iterate before the first correction that fails to halve it."""
+        template, bound = self.stepop.template, _REFINE_TOL * np.linalg.norm(rhs)
+        x = self.solve(rhs, trans)
+        res = rhs - _act(template, -slope, x, trans)
+        res_norm = np.linalg.norm(res)
+        while not res_norm <= bound:
+            trial = x + self.solve(res, trans)
+            res = rhs - _act(template, -slope, trial, trans)
+            last, res_norm = res_norm, np.linalg.norm(res)
+            if not res_norm <= 0.5 * last:
+                return x, False
+            x = trial
+        return x, True
+
+    def solve_at(self, rhs: np.ndarray, slope: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Refine with the held LU; once that stalls, refactorize at `slope`.
+        A fresh LU that stalls gives its last iterate; sweeps check finiteness."""
+        if self.lu is not None:
+            x, converged = self.refined(rhs, slope, trans)
+            if converged:
+                return x
+        return self.refactor(slope).refined(rhs, slope, trans)[0]
 
 
 def step_operator(grid: Grid, dt: float, physics: PhysicsParams) -> StepOperator:
@@ -271,13 +302,13 @@ def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], fl
 
 
 def _advance_step(
-    stepop: StepOperator,
+    held: StepLU,
     convex: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     explicit: np.ndarray,
     x_n: np.ndarray,
     source_step: np.ndarray,
     opts: SolverOptions,
-    guard: Optional[Callable[[np.ndarray, np.ndarray], float]],
+    guard: Callable[[np.ndarray, np.ndarray], float],
     noise_floor: float,
     where: str,
 ) -> np.ndarray:
@@ -295,48 +326,52 @@ def _advance_step(
 
     convex(phi) returns the implicit convex term and its slope together (one
     resolvent solve in the Yosida mode). The residual of each iterate keeps
-    that slope, and the next Newton step factorizes the operator linearized
-    with it, so the phase field of an iterate is never solved for twice.
+    that slope, and a Newton step factorizes the operator linearized with it,
+    so the phase field of an iterate is never solved for twice. Iteration 1
+    first tries the chord step of the LU carried in `held`, kept if it at least
+    halves the residual.
     """
     n = len(explicit)
-    old = stepop.old_level(x_n, 0.0)
+    old = held.stepop.old_level(x_n, 0.0)
     old[:n] += source_step
     old[2 * n :] += explicit
 
     def residual(x):
         b, slope = convex(x[n : 2 * n])
-        res = stepop.template["N"] @ x - old
+        res = held.stepop.template["N"] @ x - old
         res[2 * n :] -= b
-        return res, slope
+        return res, float(np.max(np.abs(res))), slope
 
     x = x_n.copy()
     scale = 1.0 + max(float(np.max(np.abs(x_n[: 2 * n]))), float(np.max(np.abs(source_step))))
     tol = max(opts.newton_tol, noise_floor) * scale
-    res, slope = residual(x)
-    res_norm = float(np.max(np.abs(res)))
+    res, res_norm, slope = residual(x)
     for it in range(1, opts.newton_max_iter + 1):
         if res_norm <= tol:
             return x
-        delta = stepop.factor(slope)(-res)
+        if it == 1 and held.lu is not None:
+            delta = held.solve(-res)
+            if np.all(np.isfinite(delta)):
+                trial = x + guard(x[n : 2 * n], delta[n : 2 * n]) * delta
+                trial_res, trial_norm, trial_slope = residual(trial)
+                if trial_norm <= max(0.5 * res_norm, tol):
+                    x, res, res_norm, slope = trial, trial_res, trial_norm, trial_slope
+                    continue
+        delta = held.refactor(slope).solve(-res)
         if not np.all(np.isfinite(delta)):
             raise NewtonDivergence(f"{where}, Newton iteration {it}: non-finite step")
-        alpha = 1.0
-        if guard is not None:
-            alpha = min(1.0, guard(x[n : 2 * n], delta[n : 2 * n]))
-            if alpha < _MIN_STEP_FRACTION:
-                raise DomainEscape(
-                    f"{where}, Newton iteration {it}: iterate pinned to the domain boundary"
-                )
-        accepted = False
+        alpha = guard(x[n : 2 * n], delta[n : 2 * n])
+        if alpha < _MIN_STEP_FRACTION:
+            raise DomainEscape(
+                f"{where}, Newton iteration {it}: iterate pinned to the domain boundary"
+            )
         for _ in range(opts.newton_max_backtracks):
             trial = x + alpha * delta
-            trial_res, trial_slope = residual(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
+            trial_res, trial_norm, trial_slope = residual(trial)
             if np.isfinite(trial_norm) and (trial_norm < res_norm or trial_norm <= tol):
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise NewtonDivergence(
                 f"{where}, Newton iteration {it}: damping stalled at residual "
                 f"{res_norm:.3e} (tol {tol:.1e})"
@@ -372,7 +407,7 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     if source.shape != (nt, n):
         raise ShapeMismatch(f"source: shape {source.shape} != {(nt, n)}")
 
-    guard = _domain_guard(pot) if exact_singular else None
+    guard = _domain_guard(pot) if exact_singular else lambda phi, dphi: 1.0
     noise_floor = 0.0
     if pot.yosida_eps > 0:
         noise_floor = 16.0 * np.finfo(float).eps / pot.yosida_eps
@@ -390,11 +425,11 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
         + pot.dw_rest(phi[0])
         - physics.coupling * theta[0]
     )
-    stepop = step_operator(grid, dt, physics)
+    held = StepLU(step_operator(grid, dt, physics))
     x = np.concatenate([theta[0], phi[0], mu_guess])
     for k in range(nt):
         x = _advance_step(
-            stepop,
+            held,
             pot.dw_and_d2w_convex_eff,
             pot.dw_rest(phi[k]),
             x,
@@ -429,12 +464,12 @@ def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> Tangent
     dtheta = np.zeros((nt + 1, n))
     dphi = np.zeros((nt + 1, n))
     dmu = np.empty((nt, n))
-    stepop = step_operator(grid, dt, physics)
+    held = StepLU(step_operator(grid, dt, physics))
     x = np.zeros(3 * n)
     for k in range(nt):
-        rhs = stepop.old_level(x, pot.d2w_rest(base.phi[k]))
+        rhs = held.stepop.old_level(x, pot.d2w_rest(base.phi[k]))
         rhs[:n] += dt * h[k]
-        x = stepop.factor(pot.d2w_convex_eff(base.phi[k + 1]))(rhs, refine=True)
+        x = held.solve_at(rhs, pot.d2w_convex_eff(base.phi[k + 1]))
         if not np.all(np.isfinite(x)):
             raise LinearSolveDivergence(f"tangent sweep broke down at step {k}")
         dtheta[k + 1], dphi[k + 1], dmu[k] = x[:n], x[n : 2 * n], x[2 * n :]

@@ -26,6 +26,45 @@ def _constant_spec(regime, theta_c, phi_c):
     return dataclasses.replace(spec, init=init)
 
 
+#: Sampled problems of the invariant property tests: well, viscosity,
+#: (latent, coupling), cells, steps and dt. Exact log needs viscosity.
+_WELLS = {
+    "quartic": pfc.quartic_double_well(),
+    "yosida-log": pfc.log_double_well(c=2.0, yosida_eps=1.0e-3),
+    "log": pfc.log_double_well(c=2.0),
+}
+_sampled_problems = st.tuples(
+    st.sampled_from(sorted(_WELLS)),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([(0.0, 0.0), (0.7, 1.3), (1.0, 1.0), (1.3, 0.7), (1.0, 0.0)]),
+    st.sampled_from([8, 13, (4, 3), (5, 5)]),
+    st.integers(min_value=2, max_value=4),
+    st.floats(min_value=1.0e-3, max_value=0.25),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def _sampled_spec(well, visc, latent_coupling, cells, steps, dt, seed):
+    """A problem with random initial data well inside the potential's domain."""
+    latent, coupling = latent_coupling
+    if well == "log":
+        visc = max(visc, 0.5)
+    spec = desk_spec()
+    grid = pfc.Grid(cells)
+    rng = np.random.default_rng(seed)
+    init = pfc.InitialData(
+        theta0=rng.uniform(-0.5, 0.5, grid.ncells), phi0=rng.uniform(-0.6, 0.6, grid.ncells)
+    )
+    return dataclasses.replace(
+        spec,
+        grid=grid,
+        tgrid=pfc.TimeGrid(dt * steps, steps),
+        physics=pfc.PhysicsParams(visc=visc, latent=latent, coupling=coupling),
+        potential=_WELLS[well],
+        init=init,
+    )
+
+
 class TestFixedPoints:
     @pytest.mark.parametrize(
         "regime,theta_c,phi_c",
@@ -88,6 +127,14 @@ class TestStepEquations:
         drift = np.max(np.abs(means - means[0]))
         assert drift <= 1.0e-13 * (1.0 + abs(means[0]))
 
+    @settings(max_examples=40, deadline=None)
+    @given(_sampled_problems)
+    def test_mass_conserved_property(self, problem):
+        spec = _sampled_spec(*problem)
+        u = np.random.default_rng(problem[-1]).uniform(-1.0, 1.0, zero_control(spec).shape)
+        means = pfc.solve_state(u, spec).phase_mean_history()
+        assert np.max(np.abs(means - means[0])) <= 1.0e-12 * (1.0 + abs(means[0]))
+
     @pytest.mark.parametrize("eps", [0.0, 1.0e-3])
     def test_large_source_step_solves(self, eps):
         # The Newton tolerance scales with dt * |source|, not only with the
@@ -125,6 +172,26 @@ class TestEnergyStability:
         assert np.max(increases, initial=0.0) <= 1.0e-10 * (1.0 + abs(energies[0]))
         # The flow actually relaxes: total drop is strictly negative.
         assert energies[-1] < energies[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sampled_problems)
+    def test_energy_never_increases_property(self, problem):
+        # With zero source, the mixture energy plus coupling / (2 latent)
+        # times the squared L2 norm of theta never increases; the decoupled
+        # flow (latent = coupling = 0) keeps the mixture energy alone.
+        spec = _sampled_spec(*problem)
+        traj = pfc.solve_state(zero_control(spec), spec)
+        latent, coupling = spec.physics.latent, spec.physics.coupling
+        heat = coupling / (2.0 * latent) if latent else 0.0
+        energies = np.array(
+            [
+                pfc.mixture_energy(spec.grid, spec.potential, phi)
+                + heat * spec.grid.integrate(theta * theta)
+                for theta, phi in zip(traj.theta, traj.phi)
+            ]
+        )
+        tol = 1.0e-10 * max(1.0, abs(energies[0]))
+        assert np.max(np.diff(energies)) <= tol
 
 
 class TestTangent:
@@ -198,9 +265,10 @@ class TestStepOperator:
         nnz = stepop.matrix.nnz
         stepop.factor(np.zeros(n))
         assert stepop.matrix.nnz == nnz
-        first = stepop.factor(slope)(rhs, refine=True)
-        again = stepop.factor(slope)(rhs, refine=True)
-        assert np.array_equal(first, again)
+        first = stepop.factor(slope).refined(rhs, slope)
+        again = stepop.factor(slope).refined(rhs, slope)
+        assert first[1] and again[1]
+        assert np.array_equal(first[0], again[0])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -217,14 +285,50 @@ class TestStepOperator:
         grid = pfc.Grid(cells)
         physics = pfc.PhysicsParams(visc=visc, latent=latent, coupling=coupling)
         stepop = dynamics.StepOperator(grid, dt, physics)
+        n = grid.ncells
         rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal(3 * n)
+        for slope in (np.zeros(n), rng.exponential(2.0, n)):
+            lu = stepop.factor(slope)
+            # Refined at its own slope, and at a nearby one, as a held LU is
+            # at the next level of a sweep.
+            nearby = slope * rng.uniform(0.8, 1.2, n) + rng.uniform(0.0, 0.1, n)
+            for target in (slope, nearby):
+                a = dynamics.step_matrix(grid, dt, physics, target)
+                for trans, op in (("N", a), ("T", a.T)):
+                    x, converged = lu.refined(rhs, target, trans)
+                    assert converged
+                    assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
+
+    def test_stalled_refinement_refactorizes(self):
+        grid, dt = pfc.Grid(16), 0.05
+        physics = pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0)
+        held = dynamics.StepLU(dynamics.StepOperator(grid, dt, physics))
+        rng = np.random.default_rng(8)
         rhs = rng.standard_normal(3 * grid.ncells)
-        for slope in (np.zeros(grid.ncells), rng.exponential(2.0, grid.ncells)):
-            solve = stepop.factor(slope)
-            a = dynamics.step_matrix(grid, dt, physics, slope)
-            for trans, op in (("N", a), ("T", a.T)):
-                x = solve(rhs, trans=trans, refine=True)
-                assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
+        slope = rng.uniform(1.0, 4.0, grid.ncells)
+        jumped = slope.copy()
+        jumped[[2, 7, 11]] *= 1.0e3
+        a = dynamics.step_matrix(grid, dt, physics, jumped)
+        for trans, op in (("N", a), ("T", a.T)):
+            assert not held.refactor(slope).refined(rhs, jumped, trans)[1]
+            x = held.solve_at(rhs, jumped, trans)
+            assert np.array_equal(held.slope, jumped)
+            assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
+
+    def test_non_finite_residual_ends_the_sweep(self, regular_spec):
+        stepop = dynamics.step_operator(
+            regular_spec.grid, regular_spec.tgrid.dt, regular_spec.physics
+        )
+        n = regular_spec.grid.ncells
+        x, converged = stepop.factor(np.ones(n)).refined(np.full(3 * n, np.nan), np.ones(n))
+        assert not converged and not np.all(np.isfinite(x))
+        # The held LU of level 0 stalls at level 3, and so does a fresh one.
+        base = pfc.solve_state(zero_control(regular_spec), regular_spec)
+        h = _random_control(regular_spec, seed=3)
+        h[3, 5] = np.inf
+        with pytest.raises(pfc.LinearSolveDivergence, match="tangent sweep broke down at step 3"):
+            pfc.solve_tangent(h, base, regular_spec)
 
     def test_fill_does_not_depend_on_the_coupling(self, monkeypatch):
         # The same MMD order applied to columns only, with partial pivoting,
@@ -261,7 +365,7 @@ class TestStepOperator:
         u = _random_control(spec, seed=2, amplitude=0.3)
         base = pfc.solve_state(u, spec)
         assert len(assembled) == 1
-        assert len(factored) > spec.tgrid.steps  # several Newton iterations per step
+        assert len(factored) > spec.tgrid.steps  # the ordering and the Newton factorizations
         pfc.solve_state(u, spec)
         pfc.solve_tangent(u, base, spec)
         pfc.solve_adjoint(base, spec.cost, spec)
@@ -299,20 +403,37 @@ class TestStepOperator:
             assert np.array_equal(getattr(used, name), getattr(new, name))
 
     def test_one_resolvent_solve_per_newton_iterate(self, log_spec, monkeypatch):
-        # Assemble and order first, so that only Newton factorizations count.
-        dynamics.step_operator(log_spec.grid, log_spec.tgrid.dt, log_spec.physics)
-        solves, factored = [], []
-        resolvent, factor = pfc.Potential.resolvent, dynamics.splu
+        solves, steps = [], []
+        resolvent, solve = pfc.Potential.resolvent, dynamics.StepLU.solve
         monkeypatch.setattr(
             pfc.Potential, "resolvent", lambda *a: solves.append(1) or resolvent(*a)
         )
         monkeypatch.setattr(
-            dynamics, "splu", lambda a, **kw: factored.append(1) or factor(a, **kw)
+            dynamics.StepLU, "solve", lambda *a, **kw: steps.append(1) or solve(*a, **kw)
         )
         pfc.solve_state(_random_control(log_spec, seed=2, amplitude=0.3), log_spec)
         # One solve for the initial chemical potential, one for the old level
-        # of each step, and one per Newton iterate, whose slope is factorized.
-        assert len(solves) <= 1 + log_spec.tgrid.steps + len(factored)
+        # of each step, and one per Newton iterate, each of which is reached
+        # by one LU solve (with the carried LU or one at the iterate's slope).
+        assert len(solves) <= 1 + log_spec.tgrid.steps + len(steps)
+
+    def test_factorizations_per_sweep(self, regular_spec, monkeypatch):
+        spec = regular_spec
+        dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
+        factored, factor = [], dynamics.splu
+        monkeypatch.setattr(
+            dynamics, "splu", lambda a, **kw: factored.append(1) or factor(a, **kw)
+        )
+        u = _random_control(spec, seed=2, amplitude=0.3)
+        base = pfc.solve_state(u, spec)
+        assert len(factored) <= spec.tgrid.steps + 3
+        for sweep in (
+            lambda: pfc.solve_tangent(u, base, spec),
+            lambda: pfc.solve_adjoint(base, spec.cost, spec),
+        ):
+            factored.clear()
+            sweep()
+            assert len(factored) == 1
 
     def test_singular_factorization_is_typed(self, regular_spec, monkeypatch):
         def singular(_, **kw):
@@ -335,6 +456,81 @@ class TestStepOperator:
         monkeypatch.setattr(dynamics, "splu", singular)
         with pytest.raises(pfc.LinearSolveDivergence, match="exactly singular"):
             pfc.solve_state(_random_control(regular_spec), regular_spec)
+
+
+def _carrying(refactored, far_off):
+    """A StepLU that solves each Newton iteration with a fresh LU, recorded in
+    `refactored`, and carries into the next step either no LU or, if far_off,
+    one at a far-off slope, whose chord step never halves the residual."""
+    base = dynamics.StepLU
+
+    class Carrying(base):
+        def refactor(self, dconvex):
+            fresh = base(self.stepop).refactor(dconvex)
+            refactored.append(fresh.lu)
+            if far_off:
+                super().refactor(1.0e3 * (1.0 + np.asarray(dconvex)))
+            return fresh
+
+    return Carrying
+
+
+class TestCarriedLU:
+    @pytest.mark.parametrize("regime,eps", [("regular", 0.0), ("log", 1.0e-3), ("log", 0.0)])
+    def test_rejected_carried_step_still_converges(self, regime, eps, monkeypatch):
+        spec = desk_spec(regime, yosida_eps=eps)
+        u = _random_control(spec, seed=4)
+        want = pfc.solve_state(u, spec)
+        used, uncarried_fresh, fresh = [], [], []
+        uncarrying, stale = _carrying(uncarried_fresh, False), _carrying(fresh, True)
+        solve = dynamics.StepLU.solve
+        monkeypatch.setattr(
+            dynamics.StepLU, "solve", lambda held, *a: used.append(held.lu) or solve(held, *a)
+        )
+        monkeypatch.setattr(dynamics, "StepLU", uncarrying)
+        uncarried = pfc.solve_state(u, spec)
+        monkeypatch.setattr(dynamics, "StepLU", stale)
+        used.clear()
+        got = pfc.solve_state(u, spec)
+        # Every step after the first tries its carried LU once, rejects its
+        # step and goes on with as many Newton iterations as with no carry.
+        assert sum(all(lu is not f for f in fresh) for lu in used) == spec.tgrid.steps - 1
+        assert len(fresh) == len(uncarried_fresh)
+        for name in ("theta", "phi", "mu"):
+            assert np.max(np.abs(getattr(got, name) - getattr(uncarried, name))) <= 1.0e-12
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1.0e-8
+
+    def test_newton_failure_after_rejected_carry_names_step(self, monkeypatch):
+        spec = desk_spec()
+        advance = dynamics._advance_step
+
+        def starved_from_step_2(*args):
+            if args[-1] != "time step 1 of 16":
+                args = args[:5] + (pfc.SolverOptions(newton_max_iter=1),) + args[6:]
+            return advance(*args)
+
+        monkeypatch.setattr(dynamics, "StepLU", _carrying([], True))
+        monkeypatch.setattr(dynamics, "_advance_step", starved_from_step_2)
+        message = r"^time step 2 of 16: no convergence after Newton iteration 1 "
+        with pytest.raises(pfc.NewtonDivergence, match=message):
+            pfc.solve_state(_random_control(spec, seed=4), spec)
+
+    def test_domain_escape_after_rejected_carry_names_step(self, monkeypatch):
+        spec = desk_spec("log")
+        pinned, advance, guard = [], dynamics._advance_step, dynamics._domain_guard
+
+        def pinned_from_step_2(*args):
+            pinned.append(args[-1] != "time step 1 of 16")
+            return advance(*args)
+
+        def domain_guard(potential):
+            real = guard(potential)
+            return lambda phi, dphi: 0.0 if pinned[-1] else real(phi, dphi)
+
+        monkeypatch.setattr(dynamics, "_advance_step", pinned_from_step_2)
+        monkeypatch.setattr(dynamics, "_domain_guard", domain_guard)
+        with pytest.raises(pfc.DomainEscape, match=r"^time step 2 of 16, Newton iteration 1: "):
+            pfc.solve_state(zero_control(spec), spec)
 
 
 class TestFailureModes:
