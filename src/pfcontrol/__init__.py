@@ -24,14 +24,7 @@ from .errors import (
 )
 from .grid import Grid, TimeGrid
 from .potential import Potential, log_double_well, log_linear, quartic_double_well
-from .problem import (
-    ControlBox,
-    CostSpec,
-    InitialData,
-    PhysicsParams,
-    ProblemSpec,
-    SolverOptions,
-)
+from .problem import ControlBox, CostSpec, InitialData, PhysicsParams, ProblemSpec
 from .dynamics import (
     TangentSolution,
     Trajectory,
@@ -106,7 +99,6 @@ __all__ = [
     # problem
     "PhysicsParams",
     "InitialData",
-    "SolverOptions",
     "CostSpec",
     "ControlBox",
     "ProblemSpec",

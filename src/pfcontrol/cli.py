@@ -6,8 +6,10 @@ or into the directory given by --out, or to stdout. With --out, solve also
 writes a per-level time series CSV (and field snapshot rows every
 output.snapshot_stride levels), and optimize writes its iteration history
 CSV plus the final control. Every output file carries the config digest.
-Outputs are deterministic: reruns on the same config are byte-identical,
-timing goes to stderr only.
+gradcheck and probe write the check's report (name, seed, measured,
+thresholds, passed) with it. The count flags --directions, --samples and
+--steps take integers of at least 1. Outputs are deterministic: reruns on
+the same config are byte-identical, timing goes to stderr only.
 
 Exit codes: 0 success, 1 solver failure or non-converged optimization,
 2 invalid config or usage, 3 a check or probe ran but did not pass.
@@ -212,19 +214,6 @@ def _cmd_adjoint(args) -> int:
     return _EXIT_OK
 
 
-def _cmd_gradcheck(args) -> int:
-    cfg = load_config(args.config)
-    u = cfg.initial_control()
-    report = fd_gradient_check(
-        u, cfg.spec, n_directions=args.directions, seed=args.seed, tol=args.tol
-    )
-    _info(f"gradcheck: {report.runtime:.3f}s, max rel error {report.measured['max_rel_error']:.3e}")
-    payload = report.to_json()
-    payload["config_digest"] = cfg.digest
-    _write_json(payload, _report_path(args, "gradcheck_report.json"))
-    return _EXIT_OK if report.passed else _EXIT_CHECK
-
-
 def _cmd_optimize(args) -> int:
     cfg = load_config(args.config)
     spec = cfg.spec
@@ -279,28 +268,46 @@ def _cmd_optimize(args) -> int:
     return _EXIT_OK if report.termination == "stationary" else _EXIT_SOLVER
 
 
-def _cmd_probe(args) -> int:
+def _gradcheck(cfg, a):
+    u = cfg.initial_control()
+    return fd_gradient_check(u, cfg.spec, n_directions=a.directions, seed=a.seed, tol=a.tol)
+
+
+#: probe --name: the probe run on (config, arguments).
+_PROBES = {
+    "frechet": lambda cfg, a: frechet_remainder_probe(cfg.initial_control(), cfg.spec, seed=a.seed),
+    "lipschitz": lambda cfg, a: lipschitz_probe(cfg.spec, n_pairs=a.samples, seed=a.seed),
+    "refinement": lambda cfg, a: lipschitz_refinement_probe(
+        cfg.spec, n_pairs=a.samples, seed=a.seed
+    ),
+    "yosida": lambda cfg, a: yosida_convergence_probe(cfg.spec, seed=a.seed),
+    "energy": lambda cfg, a: energy_probe(cfg.spec, steps=a.steps),
+    "separation": lambda cfg, a: separation_probe(cfg.spec, n_controls=a.samples, seed=a.seed),
+}
+
+
+def _cmd_check(args) -> int:
+    """gradcheck, or probe --name: time the check for stderr, write its
+    report with the config digest, and exit 3 when it did not pass."""
     cfg = load_config(args.config)
-    spec = cfg.spec
-    if args.name == "gradient":
-        report = fd_gradient_check(cfg.initial_control(), spec, seed=args.seed)
-    elif args.name == "frechet":
-        report = frechet_remainder_probe(cfg.initial_control(), spec, seed=args.seed)
-    elif args.name == "lipschitz":
-        report = lipschitz_probe(spec, n_pairs=args.samples, seed=args.seed)
-    elif args.name == "refinement":
-        report = lipschitz_refinement_probe(spec, n_pairs=args.samples, seed=args.seed)
-    elif args.name == "yosida":
-        report = yosida_convergence_probe(spec, seed=args.seed)
-    elif args.name == "energy":
-        report = energy_probe(spec, steps=args.steps)
+    if args.command == "gradcheck":
+        check, report_name = _gradcheck, "gradcheck_report.json"
     else:
-        report = separation_probe(spec, n_controls=args.samples, seed=args.seed)
-    _info(f"probe {report.name}: passed={report.passed}, {report.runtime:.3f}s")
-    payload = report.to_json()
-    payload["config_digest"] = cfg.digest
-    _write_json(payload, _report_path(args, f"probe_{args.name}_report.json"))
+        check, report_name = _PROBES[args.name], f"probe_{args.name}_report.json"
+    t0 = time.perf_counter()
+    report = check(cfg, args)
+    _info(f"{args.command} {report.name}: passed={report.passed}, {time.perf_counter() - t0:.3f}s")
+    payload = {**dataclasses.asdict(report), "config_digest": cfg.digest}
+    _write_json(payload, _report_path(args, report_name))
     return _EXIT_OK if report.passed else _EXIT_CHECK
+
+
+def _count(text: str) -> int:
+    """An argparse type: an integer count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,9 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="adjoint gradient against the FD oracle")
     common(p)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--directions", type=int, default=5)
+    p.add_argument("--directions", type=_count, default=5)
     p.add_argument("--tol", type=float, default=1.0e-6)
-    p.set_defaults(fn=_cmd_gradcheck)
+    p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("optimize", help="projected L-BFGS optimization")
     common(p)
@@ -348,20 +355,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--name",
         required=True,
-        choices=[
-            "gradient",
-            "frechet",
-            "lipschitz",
-            "refinement",
-            "yosida",
-            "energy",
-            "separation",
-        ],
+        choices=list(_PROBES),
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10, help="controls / pairs for sampling probes")
-    p.add_argument("--steps", type=int, default=256, help="time steps for the energy probe")
-    p.set_defaults(fn=_cmd_probe)
+    p.add_argument("--samples", type=_count, default=10, help="controls or pairs to sample")
+    p.add_argument("--steps", type=_count, default=256, help="time steps for the energy probe")
+    p.set_defaults(fn=_cmd_check)
     return parser
 
 

@@ -14,8 +14,6 @@ marked required):
                            "phi_target": .., "theta_final_target": ..,
                            "phi_final_target": ..}
     box                   {"lower": <number or field>, "upper": ..}
-    solver                {"newton_tol": 1e-12, "newton_max_iter": 50,
-                           "newton_max_backtracks": 40}
     optimize              {"stat_tol": 1e-6, "max_iter": 500, "starts": [seeds]}
     control               {"kind": "zeros" | "constant" | "random" | "values",
                            "value": .., "seed": ..}   (source / initial control)
@@ -32,7 +30,9 @@ A <field> is a number (constant), an explicit value list, or one of
 The cosine kind builds a * prod_i cos(m_i * pi * x_i / L_i) + b, which has
 zero boundary flux for integer modes. Validation is collecting: every
 violation found is reported, not just the first. A top-level section or a
-section key that no parser branch reads is a violation, not ignored.
+section key that no parser branch reads is a violation, not ignored. The
+per-step Newton solve has no section: its tolerance and budgets are
+constants of the dynamics module.
 """
 
 from __future__ import annotations
@@ -50,14 +50,7 @@ from .control import OptimizeOptions, random_admissible_control
 from .errors import ParseError, ValidationError
 from .grid import Grid, TimeGrid
 from .potential import log_double_well, log_linear, quartic_double_well
-from .problem import (
-    ControlBox,
-    CostSpec,
-    InitialData,
-    PhysicsParams,
-    ProblemSpec,
-    SolverOptions,
-)
+from .problem import ControlBox, CostSpec, InitialData, PhysicsParams, ProblemSpec
 
 __all__ = ["RunConfig", "load_config", "parse_config", "config_digest", "build_field"]
 
@@ -74,7 +67,6 @@ _KNOWN_KEYS = {
     "cost": ("w_theta", "w_phi", "w_theta_final", "w_phi_final", "theta_target",
              "phi_target", "theta_final_target", "phi_final_target"),
     "box": ("lower", "upper"),
-    "solver": ("newton_tol", "newton_max_iter", "newton_max_backtracks"),
     "optimize": ("stat_tol", "max_iter", "starts"),
     "control": ("kind", "value", "seed", "values"),
     "output": ("snapshot_stride",),
@@ -293,13 +285,6 @@ def parse_config(raw: dict) -> RunConfig:
         upper=_target_entry(box_sec, "upper", grid, col) if "upper" in box_sec else 1.0,
     )
 
-    solver_sec = col.section(raw, "solver")
-    options = SolverOptions(
-        newton_tol=col.number(solver_sec, "newton_tol", 1.0e-12, "solver", minimum=0.0, strict=True),
-        newton_max_iter=col.integer(solver_sec, "newton_max_iter", 50, "solver", minimum=1),
-        newton_max_backtracks=col.integer(solver_sec, "newton_max_backtracks", 40, "solver", minimum=1),
-    )
-
     opt_sec = col.section(raw, "optimize")
     starts = opt_sec.get("starts", [])
     if not isinstance(starts, list) or not all(
@@ -336,7 +321,6 @@ def parse_config(raw: dict) -> RunConfig:
         init=init,
         cost=cost,
         box=box,
-        options=options,
     )
     col.errors.extend(spec.validate())
     if col.errors:

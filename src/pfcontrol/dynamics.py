@@ -12,8 +12,9 @@ smooth remainder (explicit, old level). The implicit/explicit split gives
 unconditional energy stability in the decoupled limit, and the conserved-form
 phase update keeps mean(phi) constant.
 
-Index conventions: trajectories hold theta, phi at levels 0..Nt; chemical
-potential and sources at levels 1..Nt (array index k maps to level k+1).
+Index conventions: trajectories hold theta, phi at levels 0..Nt and the
+chemical potential at levels 1..Nt, where sources live too (array index k
+maps to level k+1).
 
 The tangent solver differentiates each discrete step exactly: the implicit
 convex term contributes its derivative at the new level, the explicit
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .grid import Grid, TimeGrid
 from .potential import Potential
-from .problem import PhysicsParams, ProblemSpec, SolverOptions
+from .problem import PhysicsParams, ProblemSpec
 
 __all__ = [
     "Trajectory",
@@ -63,6 +64,11 @@ __all__ = [
 #: Relative distance to the domain boundary preserved by the Newton safeguard.
 _BOUNDARY_FRACTION = 0.99
 _MIN_STEP_FRACTION = 1.0e-10
+#: Per-step Newton solve: residual tolerance (scaled by the data, see
+#: _advance_step), iteration budget and halvings of a damped step.
+_NEWTON_TOL = 1.0e-12
+_NEWTON_MAX_ITER = 50
+_NEWTON_MAX_BACKTRACKS = 40
 #: Relative residual 2-norm at which refined solves stop.
 _REFINE_TOL = 1.0e-12
 
@@ -76,7 +82,6 @@ class Trajectory:
     theta: np.ndarray
     phi: np.ndarray
     mu: np.ndarray
-    source: np.ndarray
 
     def phase_mean_history(self) -> np.ndarray:
         return self.phi.sum(axis=1) / self.grid.ncells
@@ -207,10 +212,6 @@ class StepOperator:
         (source left out) with respect to x_n, where rest_slope = R'(phi_n)."""
         return _act(self._old, rest_slope, x, trans)
 
-    def factor(self, dconvex: np.ndarray) -> "StepLU":
-        """LU factors of the operator linearized at the convex slope dconvex."""
-        return StepLU(self).refactor(dconvex)
-
 
 class StepLU:
     """The one LU of a StepOperator that a sweep holds: forward Newton carries
@@ -307,7 +308,6 @@ def _advance_step(
     explicit: np.ndarray,
     x_n: np.ndarray,
     source_step: np.ndarray,
-    opts: SolverOptions,
     guard: Callable[[np.ndarray, np.ndarray], float],
     noise_floor: float,
     where: str,
@@ -344,9 +344,9 @@ def _advance_step(
 
     x = x_n.copy()
     scale = 1.0 + max(float(np.max(np.abs(x_n[: 2 * n]))), float(np.max(np.abs(source_step))))
-    tol = max(opts.newton_tol, noise_floor) * scale
+    tol = max(_NEWTON_TOL, noise_floor) * scale
     res, res_norm, slope = residual(x)
-    for it in range(1, opts.newton_max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         if res_norm <= tol:
             return x
         if it == 1 and held.lu is not None:
@@ -365,7 +365,7 @@ def _advance_step(
             raise DomainEscape(
                 f"{where}, Newton iteration {it}: iterate pinned to the domain boundary"
             )
-        for _ in range(opts.newton_max_backtracks):
+        for _ in range(_NEWTON_MAX_BACKTRACKS):
             trial = x + alpha * delta
             trial_res, trial_norm, trial_slope = residual(trial)
             if np.isfinite(trial_norm) and (trial_norm < res_norm or trial_norm <= tol):
@@ -381,7 +381,7 @@ def _advance_step(
     if res_norm <= tol:
         return x
     raise NewtonDivergence(
-        f"{where}: no convergence after Newton iteration {opts.newton_max_iter} "
+        f"{where}: no convergence after Newton iteration {_NEWTON_MAX_ITER} "
         f"(residual {res_norm:.3e}, tol {tol:.1e})"
     )
 
@@ -392,7 +392,7 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     Raises ConfigError for inadmissible setups, NewtonDivergence /
     DomainEscape (naming time step and Newton iteration) when a step fails.
     """
-    grid, tgrid, opts = spec.grid, spec.tgrid, spec.options
+    grid, tgrid = spec.grid, spec.tgrid
     pot, physics = spec.potential, spec.physics
     exact_singular = pot.is_singular and pot.yosida_eps == 0
     if exact_singular and physics.visc == 0:
@@ -434,7 +434,6 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
             pot.dw_rest(phi[k]),
             x,
             dt * source[k],
-            opts,
             guard,
             noise_floor,
             f"time step {k + 1} of {nt}",
@@ -442,7 +441,7 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
         # Re-anchor the conserved mean; the shift is below Newton tolerance.
         x[n : 2 * n] += phase_mean - float(np.sum(x[n : 2 * n])) / n
         theta[k + 1], phi[k + 1], mu[k] = x[:n], x[n : 2 * n], x[2 * n :]
-    return Trajectory(grid=grid, tgrid=tgrid, theta=theta, phi=phi, mu=mu, source=source)
+    return Trajectory(grid=grid, tgrid=tgrid, theta=theta, phi=phi, mu=mu)
 
 
 def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> TangentSolution:

@@ -2,7 +2,7 @@
 
 The spatial operators live here: the divergence-form Laplacian with mirror
 ghost cells (zero boundary flux), means and integrals, the inverse Neumann
-operator on zero-mean data, the H / V / sup / dual norms built on it, and
+operator on zero-mean data, the H / V / dual norms built on it, and
 cached Helmholtz solves with the smoothing step built on them.
 
 Fields are cell values flattened in C order. All cells have the same measure,
@@ -67,26 +67,16 @@ class Grid:
         self.spacing: tuple[float, ...] = tuple(L / n for L, n in zip(self.lengths, self.cells))
         self.cell_measure: float = float(np.prod(self.spacing))
         self.ncells: int = int(np.prod(self.cells))
-        self.volume: float = float(np.prod(self.lengths))
 
     def __repr__(self) -> str:
         return f"Grid(cells={self.cells}, lengths={self.lengths})"
 
     # -- geometry -----------------------------------------------------------
 
-    def axis_centers(self) -> tuple[np.ndarray, ...]:
-        """Cell-center coordinates along each axis."""
-        return tuple(
-            (np.arange(n) + 0.5) * h for n, h in zip(self.cells, self.spacing)
-        )
-
     def coords(self) -> np.ndarray:
         """Cell-center coordinates, shape (ncells, dim), C-order flattening."""
-        axes = self.axis_centers()
-        if self.dim == 1:
-            return axes[0][:, None]
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        axes = [(np.arange(n) + 0.5) * h for n, h in zip(self.cells, self.spacing)]
+        return np.column_stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")])
 
     # -- operators ----------------------------------------------------------
 
@@ -202,9 +192,6 @@ class Grid:
     def h_norm(self, values: np.ndarray) -> float:
         v = self._check(values)
         return float(np.sqrt(np.sum(v * v) * self.cell_measure))
-
-    def sup_norm(self, values: np.ndarray) -> float:
-        return float(np.max(np.abs(self._check(values))))
 
     def grad_sq(self, values: np.ndarray) -> float:
         """Squared discrete Dirichlet energy, sum over interior faces."""

@@ -2,15 +2,16 @@
 regularity claims.
 
 Every probe returns a ProbeReport with the measured quantities, the thresholds
-it judged them against, a pass flag and the runtime. Probes are deterministic
-given (config, seed). The finite-difference oracle never looks at the adjoint
+it judged them against and a pass flag. Probes are deterministic given
+(config, seed). The finite-difference oracle never looks at the adjoint
 value when selecting its step, so the two derivative routes stay independent.
+The step ladders, bands and eps ladder the probes judge by are the module
+constants below.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,30 +41,26 @@ __all__ = [
 ]
 
 
+#: FD gradient check: central-difference steps, relative to max|u| + 1.
+FD_STEPS = tuple(10.0**-k for k in range(3, 8))
+#: Taylor remainder probe: perturbation sizes and the band of the fitted slope.
+TAYLOR_DELTAS = tuple(np.logspace(-1.0, -4.0, 7))
+TAYLOR_SLOPE_BAND = (1.8, 2.2)
+#: Refinement probe: allowed factor between the fine and coarse max ratios.
+REFINEMENT_FACTOR = 2.0
+#: Yosida probe: the decreasing regularization ladder.
+EPS_LADDER = (1.0e-1, 1.0e-2, 1.0e-3, 1.0e-4)
+
+
 @dataclasses.dataclass(frozen=True)
 class ProbeReport:
-    """Outcome of one probe run."""
+    """Outcome of one probe run; dataclasses.asdict gives its JSON payload."""
 
     name: str
-    digest: str
     seed: Optional[int]
     measured: dict
     thresholds: dict
     passed: bool
-    runtime: float
-
-    def to_json(self, include_runtime: bool = False) -> dict:
-        payload = {
-            "name": self.name,
-            "config_digest": self.digest,
-            "seed": self.seed,
-            "measured": self.measured,
-            "thresholds": self.thresholds,
-            "passed": self.passed,
-        }
-        if include_runtime:
-            payload["runtime_seconds"] = self.runtime
-        return payload
 
 
 def time_antiderivative(f: np.ndarray, tgrid: TimeGrid) -> np.ndarray:
@@ -132,16 +129,13 @@ def fd_gradient_check(
     spec: ProblemSpec,
     n_directions: int = 5,
     seed: int = 7,
-    deltas: Sequence[float] | None = None,
     tol: float = 1.0e-6,
 ) -> ProbeReport:
     """Adjoint gradient against the central-FD oracle over seeded directions."""
-    t0 = time.perf_counter()
     state = solve_state(u, spec)
     grad = solve_adjoint(state, spec.cost, spec).reduced_gradient()
     scale = float(np.max(np.abs(u))) + 1.0
-    if deltas is None:
-        deltas = [scale * 10.0**-k for k in range(3, 8)]
+    deltas = [scale * d for d in FD_STEPS]
     rng = np.random.default_rng(seed)
     directions = []
     worst = 0.0
@@ -159,33 +153,26 @@ def fd_gradient_check(
                 "rel_error": rel,
             }
         )
-    report = ProbeReport(
+    return ProbeReport(
         name="fd_gradient_check",
-        digest=spec.digest(),
         seed=seed,
         measured={"directions": directions, "max_rel_error": worst},
         thresholds={"max_rel_error": tol},
         passed=bool(worst <= tol),
-        runtime=time.perf_counter() - t0,
     )
-    return report
 
 
 def frechet_remainder_probe(
     u: np.ndarray,
     spec: ProblemSpec,
     h: np.ndarray | None = None,
-    deltas: Sequence[float] | None = None,
     seed: int = 11,
-    slope_bounds: tuple[float, float] = (1.8, 2.2),
 ) -> ProbeReport:
     """Quadratic-remainder check: r(delta) = ||S(u + delta h) - S(u) - delta * DS h||_Y
-    should scale like delta^2 (log-log slope within the given bounds)."""
-    t0 = time.perf_counter()
+    should scale like delta^2 (log-log slope within TAYLOR_SLOPE_BAND)."""
     if h is None:
         h = smooth_direction(spec, np.random.default_rng(seed))
-    if deltas is None:
-        deltas = np.logspace(-1.0, -4.0, 7)
+    deltas = TAYLOR_DELTAS
     base = solve_state(u, spec)
     tangent = solve_tangent(h, base, spec)
     remainders = []
@@ -230,19 +217,17 @@ def frechet_remainder_probe(
             slope = float(np.polyfit(log_d[window], log_r[window], 1)[0])
         else:
             slope = 0.0
-        passed = slope_bounds[0] <= slope <= slope_bounds[1]
+        passed = TAYLOR_SLOPE_BAND[0] <= slope <= TAYLOR_SLOPE_BAND[1]
     return ProbeReport(
         name="frechet_remainder",
-        digest=spec.digest(),
         seed=seed,
         measured={
             "deltas": [float(d) for d in deltas],
             "remainders": [float(r) for r in remainders],
             "slope": slope,
         },
-        thresholds={"slope_min": slope_bounds[0], "slope_max": slope_bounds[1]},
+        thresholds={"slope_min": TAYLOR_SLOPE_BAND[0], "slope_max": TAYLOR_SLOPE_BAND[1]},
         passed=bool(passed),
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -273,7 +258,6 @@ def lipschitz_probe(
     strong: Y norm of the state difference over the L2(Q) control distance;
     weak: the dual-norm composite over the same denominator.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     if controls is None:
         controls = [
@@ -307,71 +291,54 @@ def lipschitz_probe(
         passed = True
     return ProbeReport(
         name="lipschitz_ratio",
-        digest=spec.digest(),
         seed=seed,
         measured=measured,
         thresholds={"finite": True},
         passed=passed,
-        runtime=time.perf_counter() - t0,
     )
 
 
-def _refine_field(values: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(cells)
-    for axis in range(len(cells)):
-        arr = np.repeat(arr, 2, axis=axis)
-    return arr.ravel()
-
-
-def _refine_maybe_field(value, cells, time_indexed: bool):
-    arr = np.asarray(value, dtype=float)
+def prolong_control(u, spec: ProblemSpec):
+    """Piecewise-constant prolongation from spec to refine_spec(spec): a
+    scalar stays as it is, a field (ncells,) doubles every axis, and a
+    time-indexed array (steps, ncells), such as a control, also doubles its
+    levels."""
+    arr = np.asarray(u, dtype=float)
     if arr.ndim == 0:
-        return value
-    if time_indexed and arr.ndim == 2:
-        levels = [_refine_field(level, cells) for level in arr]
-        return np.repeat(np.stack(levels), 2, axis=0)
-    return _refine_field(arr, cells)
+        return u
+    arr = arr.reshape(arr.shape[:-1] + spec.grid.cells)
+    for axis in range(arr.ndim):
+        arr = np.repeat(arr, 2, axis=axis)
+    return arr.reshape(arr.shape[: arr.ndim - spec.grid.dim] + (-1,))
 
 
 def refine_spec(spec: ProblemSpec) -> ProblemSpec:
     """Double every axis and the time grid, prolonging data piecewise-constantly
     so both levels discretize the same continuum problem."""
-    cells = spec.grid.cells
-    fine_grid = Grid(tuple(2 * c for c in cells), spec.grid.lengths)
+    fine_grid = Grid(tuple(2 * c for c in spec.grid.cells), spec.grid.lengths)
     fine_tgrid = TimeGrid(spec.tgrid.horizon, 2 * spec.tgrid.steps)
-    init = dataclasses.replace(
-        spec.init,
-        theta0=_refine_field(spec.init.theta0, cells),
-        phi0=_refine_field(spec.init.phi0, cells),
-    )
-    cost = dataclasses.replace(
-        spec.cost,
-        theta_target=_refine_maybe_field(spec.cost.theta_target, cells, True),
-        phi_target=_refine_maybe_field(spec.cost.phi_target, cells, True),
-        theta_final_target=_refine_maybe_field(spec.cost.theta_final_target, cells, False),
-        phi_final_target=_refine_maybe_field(spec.cost.phi_final_target, cells, False),
-    )
-    box = dataclasses.replace(
-        spec.box,
-        lower=_refine_maybe_field(spec.box.lower, cells, True),
-        upper=_refine_maybe_field(spec.box.upper, cells, True),
-    )
+
+    def prolonged(part, *names):
+        return dataclasses.replace(
+            part, **{name: prolong_control(getattr(part, name), spec) for name in names}
+        )
+
     return dataclasses.replace(
-        spec, grid=fine_grid, tgrid=fine_tgrid, init=init, cost=cost, box=box
+        spec,
+        grid=fine_grid,
+        tgrid=fine_tgrid,
+        init=prolonged(spec.init, "theta0", "phi0"),
+        cost=prolonged(
+            spec.cost, "theta_target", "phi_target", "theta_final_target", "phi_final_target"
+        ),
+        box=prolonged(spec.box, "lower", "upper"),
     )
-
-
-def prolong_control(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Piecewise-constant prolongation of a control to the doubled spec."""
-    levels = [_refine_field(level, spec.grid.cells) for level in np.asarray(u, dtype=float)]
-    return np.repeat(np.stack(levels), 2, axis=0)
 
 
 def lipschitz_refinement_probe(
-    spec: ProblemSpec, n_pairs: int = 20, seed: int = 0, factor: float = 2.0
+    spec: ProblemSpec, n_pairs: int = 20, seed: int = 0
 ) -> ProbeReport:
     """Stability of the max Lipschitz ratio under one grid/time doubling."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     pairs = [
         (random_admissible_control(spec, rng), random_admissible_control(spec, rng))
@@ -386,10 +353,9 @@ def lipschitz_refinement_probe(
     r_coarse = coarse.measured["max_ratio_strong"]
     r_fine = fine.measured["max_ratio_strong"]
     change = r_fine / r_coarse
-    passed = (1.0 / factor) <= change <= factor
+    passed = (1.0 / REFINEMENT_FACTOR) <= change <= REFINEMENT_FACTOR
     return ProbeReport(
         name="lipschitz_refinement",
-        digest=spec.digest(),
         seed=seed,
         measured={
             "max_ratio_coarse": r_coarse,
@@ -398,27 +364,20 @@ def lipschitz_refinement_probe(
             "max_ratio_weak_coarse": coarse.measured["max_ratio_weak"],
             "max_ratio_weak_fine": fine.measured["max_ratio_weak"],
         },
-        thresholds={"change_min": 1.0 / factor, "change_max": factor},
+        thresholds={"change_min": 1.0 / REFINEMENT_FACTOR, "change_max": REFINEMENT_FACTOR},
         passed=bool(passed),
-        runtime=time.perf_counter() - t0,
     )
 
 
-def yosida_convergence_probe(
-    spec: ProblemSpec,
-    u: np.ndarray | None = None,
-    eps_ladder: Sequence[float] = (1.0e-1, 1.0e-2, 1.0e-3, 1.0e-4),
-    seed: int = 5,
-) -> ProbeReport:
-    """Regularized trajectories along a decreasing eps ladder: consecutive
-    differences must strictly decrease, the regularized slope must stay below
-    the exact one on the sampled range, and mass must be conserved."""
-    t0 = time.perf_counter()
-    if u is None:
-        u = random_admissible_control(spec, seed)
+def yosida_convergence_probe(spec: ProblemSpec, seed: int = 5) -> ProbeReport:
+    """Regularized trajectories along EPS_LADDER under the seeded admissible
+    control: consecutive differences must strictly decrease, the regularized
+    slope must stay below the exact one on the sampled range, and mass must
+    be conserved."""
+    u = random_admissible_control(spec, seed)
     trajectories = []
     drifts = []
-    for eps in eps_ladder:
+    for eps in EPS_LADDER:
         eps_spec = dataclasses.replace(spec, potential=spec.potential.with_eps(eps))
         traj = solve_state(u, eps_spec)
         trajectories.append(traj)
@@ -437,7 +396,7 @@ def yosida_convergence_probe(
     samples = np.unique(samples[inside])
     sandwich = True
     exact = np.abs(pot.dw_convex(samples))
-    for eps in eps_ladder:
+    for eps in EPS_LADDER:
         reg = np.abs(pot.yosida(samples, eps))
         # Slack covers the resolvent root error amplified by 1/eps.
         slack = 8.0 * np.finfo(float).eps * (1.0 + np.abs(samples)) / eps
@@ -448,10 +407,9 @@ def yosida_convergence_probe(
     drift_ok = max(drifts) <= 1.0e-12 * (1.0 + abs(m0))
     return ProbeReport(
         name="yosida_convergence",
-        digest=spec.digest(),
         seed=seed,
         measured={
-            "eps_ladder": [float(e) for e in eps_ladder],
+            "eps_ladder": [float(e) for e in EPS_LADDER],
             "consecutive_diffs": [float(d) for d in diffs],
             "max_mean_drift": max(drifts),
             "strictly_decreasing": bool(decreasing),
@@ -459,7 +417,6 @@ def yosida_convergence_probe(
         },
         thresholds={"mean_drift": 1.0e-12 * (1.0 + abs(m0))},
         passed=bool(decreasing and sandwich and drift_ok),
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -468,7 +425,6 @@ def energy_probe(
 ) -> ProbeReport:
     """Energy decay of the decoupled flow (latent = coupling = 0, zero source)
     under the configured potential: no increase above tol_scale * max(1, |E0|)."""
-    t0 = time.perf_counter()
     physics = dataclasses.replace(spec.physics, latent=0.0, coupling=0.0)
     tgrid = TimeGrid(spec.tgrid.horizon, steps)
     decoupled = dataclasses.replace(spec, physics=physics, tgrid=tgrid)
@@ -482,7 +438,6 @@ def energy_probe(
     n_violations = int(np.count_nonzero(increments > tol))
     return ProbeReport(
         name="energy_decay",
-        digest=spec.digest(),
         seed=None,
         measured={
             "steps": steps,
@@ -493,7 +448,6 @@ def energy_probe(
         },
         thresholds={"increase_tol": tol},
         passed=bool(n_violations == 0),
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -502,16 +456,9 @@ def separation_probe(
 ) -> ProbeReport:
     """Minimum distance of the phase to the potential-domain boundary over
     seeded admissible controls. Not applicable for entire-domain potentials."""
-    t0 = time.perf_counter()
     if not spec.potential.is_singular:
         return ProbeReport(
-            name="separation",
-            digest=spec.digest(),
-            seed=seed,
-            measured={"applicable": False},
-            thresholds={},
-            passed=True,
-            runtime=time.perf_counter() - t0,
+            name="separation", seed=seed, measured={"applicable": False}, thresholds={}, passed=True
         )
     rng = np.random.default_rng(seed)
     margins = []
@@ -522,7 +469,6 @@ def separation_probe(
     margin = min(margins)
     return ProbeReport(
         name="separation",
-        digest=spec.digest(),
         seed=seed,
         measured={
             "applicable": True,
@@ -532,5 +478,4 @@ def separation_probe(
         },
         thresholds={"min_margin": 0.0},
         passed=bool(margin > 0.0),
-        runtime=time.perf_counter() - t0,
     )

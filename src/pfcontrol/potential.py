@@ -133,9 +133,6 @@ class Potential:
     def d2w_rest(self, r: np.ndarray) -> np.ndarray:
         return self._d2w_rest(np.asarray(r, dtype=float))
 
-    def w(self, r: np.ndarray) -> np.ndarray:
-        return self.w_convex(r) + self.w_rest(r)
-
     # -- Yosida regularization ---------------------------------------------------
 
     def with_eps(self, eps: float) -> "Potential":
@@ -207,13 +204,6 @@ class Potential:
         r = np.asarray(r, dtype=float)
         return (r - self.resolvent(r, eps)) / eps
 
-    def yosida_prime(self, r: np.ndarray, eps: float | None = None) -> np.ndarray:
-        """Derivative of the Yosida regularization (implicit differentiation)."""
-        eps = self.yosida_eps if eps is None else eps
-        j = self.resolvent(r, eps)
-        b = self._d2w_convex(j)
-        return b / (1.0 + eps * b)
-
     def w_convex_envelope(self, r: np.ndarray, eps: float | None = None) -> np.ndarray:
         """Moreau envelope of the convex part (the Lyapunov density at eps > 0)."""
         eps = self.yosida_eps if eps is None else eps
@@ -225,18 +215,15 @@ class Potential:
 
     def dw_convex_eff(self, r: np.ndarray) -> np.ndarray:
         """Derivative of the convex part as driven by the dynamics (exact or Yosida)."""
-        if self.yosida_eps > 0:
-            return self.yosida(r)
-        return self.dw_convex(r)
+        return self.dw_and_d2w_convex_eff(r)[0]
 
     def d2w_convex_eff(self, r: np.ndarray) -> np.ndarray:
-        if self.yosida_eps > 0:
-            return self.yosida_prime(r)
-        return self.d2w_convex(r)
+        return self.dw_and_d2w_convex_eff(r)[1]
 
     def dw_and_d2w_convex_eff(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dw_convex_eff(r), d2w_convex_eff(r)), bit for bit, from one
-        resolvent solve when regularized."""
+        """(dw_convex_eff(r), d2w_convex_eff(r)): exact, or the Yosida value
+        and its derivative (implicit differentiation of the resolvent) from
+        one resolvent solve when regularized."""
         if self.yosida_eps == 0:
             r = self._require_inside(r)
             return self._dw_convex(r), self._d2w_convex(r)

@@ -16,7 +16,6 @@ from .potential import Potential
 __all__ = [
     "PhysicsParams",
     "InitialData",
-    "SolverOptions",
     "CostSpec",
     "ControlBox",
     "ProblemSpec",
@@ -78,15 +77,6 @@ class InitialData:
                     f"({potential.lo}, {potential.hi})"
                 )
         return bad
-
-
-@dataclasses.dataclass(frozen=True)
-class SolverOptions:
-    """Tolerance and iteration budgets of the per-step damped Newton solve."""
-
-    newton_tol: float = 1.0e-12
-    newton_max_iter: int = 50
-    newton_max_backtracks: int = 40
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,7 +175,6 @@ class ProblemSpec:
     init: InitialData
     cost: CostSpec = dataclasses.field(default_factory=CostSpec)
     box: ControlBox = dataclasses.field(default_factory=ControlBox)
-    options: SolverOptions = dataclasses.field(default_factory=SolverOptions)
 
     def validate(self, for_control: bool = False) -> list[str]:
         """Collect every violation; empty list means valid.

@@ -1,6 +1,7 @@
 """Config ingestion and the command-line driver: collecting validation,
 deterministic outputs, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import pfcontrol as pfc
 import pfcontrol.cli as cli
 from pfcontrol import dynamics
-from pfcontrol.config import build_field, config_digest, load_config, parse_config
+from pfcontrol.config import _KNOWN_KEYS, build_field, config_digest, load_config, parse_config
 
 
 def base_config(**overrides):
@@ -134,6 +135,68 @@ class TestParseConfig:
     def test_snapshot_stride_parsed(self):
         cfg = parse_config(base_config(output={"snapshot_stride": 4}))
         assert cfg.snapshot_stride == 4
+
+
+def _parsed(raw: dict) -> str:
+    """Everything a parsed run is made of, as text. The spec digest leaves
+    out potential.c, so the remainder slope stands in for it."""
+    cfg = parse_config(raw)
+    r = np.linspace(-0.9, 0.9, 7)
+    return json.dumps(
+        [
+            cfg.spec.digest(),
+            cfg.spec.potential.dw_rest(r).tolist(),
+            dataclasses.asdict(cfg.optimize),
+            cfg.initial_control().tolist(),
+            cfg.snapshot_stride,
+        ]
+    )
+
+
+# Per (section, key): the section without the key, or with a value that
+# needs it, and the section with the key set to a valid non-default value.
+_KEY_CHANGES = {
+    ("grid", "cells"): ({"cells": [16]}, {"cells": [12]}),
+    ("grid", "lengths"): ({"cells": [16]}, {"cells": [16], "lengths": [2.0]}),
+    ("time", "horizon"): ({"horizon": 0.5, "steps": 8}, {"horizon": 0.7, "steps": 8}),
+    ("time", "steps"): ({"horizon": 0.5, "steps": 8}, {"horizon": 0.5, "steps": 6}),
+    ("physics", "visc"): ({}, {"visc": 0.5}),
+    ("physics", "latent"): ({}, {"latent": 0.8}),
+    ("physics", "coupling"): ({}, {"coupling": 0.8}),
+    ("potential", "kind"): ({}, {"kind": "logarithmic"}),
+    ("potential", "c"): ({"kind": "logarithmic"}, {"kind": "logarithmic", "c": 3.0}),
+    ("potential", "eps"): ({}, {"eps": 1.0e-3}),
+    ("initial", "theta"): ({"phi": 0.1}, {"phi": 0.1, "theta": 0.2}),
+    ("initial", "phi"): ({"theta": 0.2}, {"theta": 0.2, "phi": 0.1}),
+    **{("cost", key): ({}, {key: 0.3}) for key in _KNOWN_KEYS["cost"]},
+    ("box", "lower"): ({}, {"lower": -0.5}),
+    ("box", "upper"): ({}, {"upper": 0.5}),
+    ("optimize", "stat_tol"): ({}, {"stat_tol": 1.0e-4}),
+    ("optimize", "max_iter"): ({}, {"max_iter": 7}),
+    ("optimize", "starts"): ({}, {"starts": [1]}),
+    ("control", "kind"): ({}, {"kind": "random"}),
+    ("control", "value"): ({"kind": "constant"}, {"kind": "constant", "value": 0.3}),
+    ("control", "seed"): ({"kind": "random"}, {"kind": "random", "seed": 4}),
+    ("control", "values"): (
+        {"kind": "values", "values": np.zeros((8, 16)).tolist()},
+        {"kind": "values", "values": np.full((8, 16), 0.3).tolist()},
+    ),
+    ("output", "snapshot_stride"): ({}, {"snapshot_stride": 2}),
+}
+
+
+def test_key_changes_cover_every_known_key():
+    known = {(section, key) for section, keys in _KNOWN_KEYS.items() for key in keys}
+    assert set(_KEY_CHANGES) == known
+
+
+@pytest.mark.parametrize("section,key", sorted(_KEY_CHANGES))
+def test_every_known_key_is_honoured(section, key):
+    # A key the parser accepts must change the parsed run, or be removed.
+    # Unit viscosity keeps the logarithmic kind valid in exact mode.
+    without, with_key = _KEY_CHANGES[section, key]
+    raw = base_config(physics={"visc": 1.0, "latent": 1.0, "coupling": 1.0})
+    assert _parsed({**raw, section: without}) != _parsed({**raw, section: with_key})
 
 
 class TestBuildField:
@@ -277,19 +340,23 @@ class TestCliSolve:
         assert code == 2
         assert "config error:" in err
 
-    def test_solver_failure_exits_1(self, config_file, capsys):
-        cfg = config_file(
-            solver={"newton_max_iter": 1},
-            control={"kind": "random", "seed": 1},
-        )
+    def test_solver_section_exits_2(self, config_file, capsys):
+        # The Newton settings are constants of the dynamics module.
+        cfg = config_file(solver={"newton_max_iter": 1})
+        code, _, err = run_cli(["solve", "--config", cfg], capsys)
+        assert code == 2
+        assert "config error: solver: unknown section" in err
+
+    def test_solver_failure_exits_1(self, config_file, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
+        cfg = config_file(control={"kind": "random", "seed": 1})
         code, _, err = run_cli(["solve", "--config", cfg], capsys)
         assert code == 1
         assert "solver error:" in err
 
-    def test_newton_failure_names_its_step(self, config_file, capsys):
-        code, _, err = run_cli(
-            ["solve", "--config", config_file(solver={"newton_max_iter": 1})], capsys
-        )
+    def test_newton_failure_names_its_step(self, config_file, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
+        code, _, err = run_cli(["solve", "--config", config_file()], capsys)
         assert code == 1
         assert "solver error: time step 1 of 8" in err
         assert "Newton iteration 1" in err
@@ -394,7 +461,8 @@ class TestCliProbe:
         payload = json.loads(out)
         assert payload["name"] == "energy_decay"
         assert payload["passed"] is True
-        assert "config_digest" in payload
+        assert set(payload) == {"name", "seed", "measured", "thresholds", "passed", "config_digest"}
+        assert payload["config_digest"] == load_config(config_file()).digest
 
     def test_separation_probe_on_log_config(self, config_file, capsys):
         cfg = config_file(
@@ -415,6 +483,39 @@ class TestCliProbe:
         )
         assert code == 2
         assert "invalid choice" in err
+
+    def test_gradient_probe_is_gone(self, config_file, capsys):
+        # The FD gradient check runs under the gradcheck command only.
+        code, _, err = run_cli(
+            ["probe", "--config", config_file(), "--name", "gradient"], capsys
+        )
+        assert code == 2
+        assert "invalid choice: 'gradient'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probe", "--name", "separation", "--samples", "0"],
+            ["probe", "--name", "refinement", "--samples", "0"],
+            ["probe", "--name", "energy", "--steps", "0"],
+            ["gradcheck", "--directions", "0"],
+            ["probe", "--name", "lipschitz", "--samples", "-3"],
+        ],
+        ids=["separation-samples-0", "refinement-samples-0", "energy-steps-0",
+             "gradcheck-directions-0", "lipschitz-samples-minus-3"],
+    )
+    def test_count_below_one_exits_2(self, config_file, capsys, argv):
+        # A count below 1 samples nothing: the probes would fail on empty
+        # data or pass vacuously.
+        cfg = config_file(
+            potential={"kind": "logarithmic", "c": 2.0},
+            physics={"visc": 1.0, "latent": 1.0, "coupling": 1.0},
+            initial={"theta": 0.0, "phi": {"kind": "cosine", "amplitude": 0.2, "modes": [1]}},
+        )
+        code, out, err = run_cli(argv + ["--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
 
 
 class TestCliMisc:

@@ -273,3 +273,24 @@ class TestOptimize:
         u0 = np.full((8, 16), 5.0)
         report = pfc.optimize(spec, u0=u0)
         assert np.all(report.u_opt <= 1.0)
+
+
+def test_yosida_ladder_of_optimal_values_is_first_order():
+    # |J_eps - J_exact| at eps 1e-1, 1e-2, 1e-3 measured 4.20e-5, 4.76e-6 and
+    # 4.79e-7. The optimal controls converge too slowly for a rate.
+    stat_tol = 1.0e-5
+    opts = pfc.OptimizeOptions(stat_tol=stat_tol, max_iter=2000)
+    exact_spec = desk_spec("log", cells=16, steps=8)
+    exact = pfc.optimize(exact_spec, opts=opts)
+    assert exact.termination == "stationary"
+    gaps = []
+    for eps in (1.0e-1, 1.0e-2, 1.0e-3):
+        report = pfc.optimize(desk_spec("log", cells=16, steps=8, yosida_eps=eps), opts=opts)
+        assert report.termination == "stationary"
+        gaps.append(abs(report.j_final - exact.j_final))
+    slopes = [np.log10(a / b) for a, b in zip(gaps, gaps[1:])]
+    assert all(0.8 <= slope <= 1.2 for slope in slopes), (gaps, slopes)
+    # The eps = 1e-3 optimum is nearly stationary for the exact problem.
+    grad = pfc.reduced_gradient(report.u_opt, exact_spec)
+    residual = pfc.stationarity_residual(report.u_opt, grad, exact_spec.box, exact_spec)
+    assert residual <= 2.0 * stat_tol

@@ -255,7 +255,7 @@ class TestStepOperator:
         # Relinearizing twice: the second slope must fully replace the first.
         for _ in range(2):
             slope = rng.uniform(0.0, 4.0, n)
-            stepop.factor(slope)
+            dynamics.StepLU(stepop).refactor(slope)
             a = dynamics.step_matrix(grid, dt, physics, slope).toarray()
             schur = a[: 2 * n, : 2 * n] - a[: 2 * n, 2 * n :] @ a[2 * n :, : 2 * n]
             got = stepop.matrix.toarray()
@@ -263,10 +263,10 @@ class TestStepOperator:
             assert np.max(np.abs(got - want)) <= 1.0e-14 * np.max(np.abs(want))
         # The slope's slots stay stored, so the pattern never changes.
         nnz = stepop.matrix.nnz
-        stepop.factor(np.zeros(n))
+        dynamics.StepLU(stepop).refactor(np.zeros(n))
         assert stepop.matrix.nnz == nnz
-        first = stepop.factor(slope).refined(rhs, slope)
-        again = stepop.factor(slope).refined(rhs, slope)
+        first = dynamics.StepLU(stepop).refactor(slope).refined(rhs, slope)
+        again = dynamics.StepLU(stepop).refactor(slope).refined(rhs, slope)
         assert first[1] and again[1]
         assert np.array_equal(first[0], again[0])
 
@@ -289,7 +289,7 @@ class TestStepOperator:
         rng = np.random.default_rng(seed)
         rhs = rng.standard_normal(3 * n)
         for slope in (np.zeros(n), rng.exponential(2.0, n)):
-            lu = stepop.factor(slope)
+            lu = dynamics.StepLU(stepop).refactor(slope)
             # Refined at its own slope, and at a nearby one, as a held LU is
             # at the next level of a sweep.
             nearby = slope * rng.uniform(0.8, 1.2, n) + rng.uniform(0.0, 0.1, n)
@@ -321,7 +321,8 @@ class TestStepOperator:
             regular_spec.grid, regular_spec.tgrid.dt, regular_spec.physics
         )
         n = regular_spec.grid.ncells
-        x, converged = stepop.factor(np.ones(n)).refined(np.full(3 * n, np.nan), np.ones(n))
+        held = dynamics.StepLU(stepop).refactor(np.ones(n))
+        x, converged = held.refined(np.full(3 * n, np.nan), np.ones(n))
         assert not converged and not np.all(np.isfinite(x))
         # The held LU of level 0 stalls at level 3, and so does a fresh one.
         base = pfc.solve_state(zero_control(regular_spec), regular_spec)
@@ -348,7 +349,7 @@ class TestStepOperator:
             pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0),
             pfc.PhysicsParams(visc=0.0, latent=0.7, coupling=1.3),
         ):
-            dynamics.StepOperator(grid, 0.05, physics).factor(slope)
+            dynamics.StepLU(dynamics.StepOperator(grid, 0.05, physics)).refactor(slope)
         reference, other = fill[1], fill[3]
         assert abs(other - reference) <= 0.1 * reference
 
@@ -506,7 +507,7 @@ class TestCarriedLU:
 
         def starved_from_step_2(*args):
             if args[-1] != "time step 1 of 16":
-                args = args[:5] + (pfc.SolverOptions(newton_max_iter=1),) + args[6:]
+                monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
             return advance(*args)
 
         monkeypatch.setattr(dynamics, "StepLU", _carrying([], True))
@@ -558,19 +559,17 @@ class TestFailureModes:
         with pytest.raises(pfc.ShapeMismatch):
             pfc.solve_state(np.zeros((2, 2)), regular_spec)
 
-    def test_newton_budget_exhaustion_raises(self, regular_spec):
-        starved = dataclasses.replace(
-            regular_spec, options=pfc.SolverOptions(newton_max_iter=1)
-        )
+    def test_newton_budget_exhaustion_raises(self, regular_spec, monkeypatch):
+        monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(pfc.NewtonDivergence):
-            pfc.solve_state(_random_control(starved, seed=8, amplitude=1.0), starved)
+            pfc.solve_state(_random_control(regular_spec, seed=8, amplitude=1.0), regular_spec)
 
-    def test_newton_failure_names_step_and_iteration(self):
+    def test_newton_failure_names_step_and_iteration(self, monkeypatch):
         spec = desk_spec()
-        starved = dataclasses.replace(spec, options=pfc.SolverOptions(newton_max_iter=1))
+        monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
         message = r"^time step 1 of 16: no convergence after Newton iteration 1 "
         with pytest.raises(pfc.NewtonDivergence, match=message):
-            pfc.solve_state(zero_control(spec), starved)
+            pfc.solve_state(zero_control(spec), spec)
 
     def test_domain_escape_names_step_and_iteration(self, monkeypatch):
         spec = desk_spec("log")

@@ -175,7 +175,6 @@ def test_inverse_neumann_undoes_laplacian():
     assert grid.mean(f) == pytest.approx(0.0, abs=1e-14)
     back = grid.inverse_neumann(grid.laplacian @ f)
     np.testing.assert_allclose(-back, f - grid.mean(f), atol=1e-8)
-    assert grid.sup_norm(f) == pytest.approx(np.max(np.abs(f)))
     assert grid.dual_norm(f) > 0
 
 
