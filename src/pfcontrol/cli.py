@@ -106,7 +106,6 @@ def _cmd_solve(args) -> int:
         "command": "solve",
         "version": __version__,
         "config_digest": cfg.digest,
-        "spec_digest": spec.digest(),
         "times": spec.tgrid.times().tolist(),
         "phase_mean": traj.phase_mean_history().tolist(),
         "energy": energies,
@@ -228,7 +227,6 @@ def _cmd_optimize(args) -> int:
         "command": "optimize",
         "version": __version__,
         "config_digest": cfg.digest,
-        "spec_digest": spec.digest(),
         "iterations": report.iterations,
         "termination": report.termination,
         "j_history": report.j_history,

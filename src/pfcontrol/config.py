@@ -80,7 +80,6 @@ class RunConfig:
     spec: ProblemSpec
     optimize: OptimizeOptions
     control: dict
-    raw: dict
     digest: str
     snapshot_stride: int = 0
 
@@ -94,10 +93,7 @@ class RunConfig:
             return np.full(shape, float(self.control.get("value", 0.0)))
         if kind == "random":
             return random_admissible_control(self.spec, int(self.control.get("seed", 0)))
-        values = np.asarray(self.control["values"], dtype=float)
-        if values.shape != shape:
-            raise ValidationError([f"control.values: shape {values.shape} != {shape}"])
-        return values
+        return np.asarray(self.control["values"], dtype=float)
 
 
 class _Collector:
@@ -329,7 +325,6 @@ def parse_config(raw: dict) -> RunConfig:
         spec=spec,
         optimize=optimize_opts,
         control=control,
-        raw=raw,
         digest=config_digest(raw),
         snapshot_stride=max(snapshot_stride, 0),
     )

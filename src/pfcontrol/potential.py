@@ -18,8 +18,13 @@ the bracket or fails to halve the previous move. An entry ends, and is left
 where it is, when its move is below ROOT_XTOL and either zero or at most half
 of a previous move, so a converged entry is never thrown back into bisection,
 and the tiny but growing steps Newton takes away from a singular endpoint are
-never taken for convergence. dw_and_d2w_convex_eff returns the Yosida value
-and slope from one such solve.
+never taken for convergence.
+
+There is one evaluator per job: w_convex, dw_convex, w_rest, dw_rest and
+d2w_rest are exact; dw_convex_eff, d2w_convex_eff, dw_and_d2w_convex_eff
+(value and slope from one resolvent solve) and w_convex_eff (the Moreau
+envelope when regularized) follow the potential's yosida_eps, which
+with_eps(eps) replaces.
 """
 
 from __future__ import annotations
@@ -57,12 +62,10 @@ class Potential:
     """A split potential with optional Yosida regularization of the convex part.
 
     Attributes:
-        kind: short tag ("quartic", "logarithmic", "loglinear", "custom").
         lo, hi: open domain of the convex part's derivative (+-inf if entire).
         yosida_eps: regularization parameter; 0 means exact evaluation.
     """
 
-    kind: str
     lo: float
     hi: float
     yosida_eps: float
@@ -120,9 +123,6 @@ class Potential:
 
     def dw_convex(self, r: np.ndarray) -> np.ndarray:
         return self._dw_convex(self._require_inside(r))
-
-    def d2w_convex(self, r: np.ndarray) -> np.ndarray:
-        return self._d2w_convex(self._require_inside(r))
 
     def w_rest(self, r: np.ndarray) -> np.ndarray:
         return self._w_rest(np.asarray(r, dtype=float))
@@ -198,19 +198,6 @@ class Potential:
                 width *= 2.0
         raise RootSolveFailure("resolvent bracket could not be expanded")
 
-    def yosida(self, r: np.ndarray, eps: float | None = None) -> np.ndarray:
-        """Yosida regularization of dw_convex."""
-        eps = self.yosida_eps if eps is None else eps
-        r = np.asarray(r, dtype=float)
-        return (r - self.resolvent(r, eps)) / eps
-
-    def w_convex_envelope(self, r: np.ndarray, eps: float | None = None) -> np.ndarray:
-        """Moreau envelope of the convex part (the Lyapunov density at eps > 0)."""
-        eps = self.yosida_eps if eps is None else eps
-        j = self.resolvent(r, eps)
-        y = (np.asarray(r, dtype=float) - j) / eps
-        return self._w_convex(j) + 0.5 * eps * y * y
-
     # -- effective (mode-respecting) evaluation -----------------------------------
 
     def dw_convex_eff(self, r: np.ndarray) -> np.ndarray:
@@ -234,9 +221,14 @@ class Potential:
         return (r - j) / eps, b / (1.0 + eps * b)
 
     def w_convex_eff(self, r: np.ndarray) -> np.ndarray:
-        if self.yosida_eps > 0:
-            return self.w_convex_envelope(r)
-        return self.w_convex(r)
+        """Convex part in the energy: exact, or its Moreau envelope if regularized."""
+        if self.yosida_eps == 0:
+            return self.w_convex(r)
+        eps = self.yosida_eps
+        r = np.asarray(r, dtype=float)
+        j = self.resolvent(r, eps)
+        y = (r - j) / eps
+        return self._w_convex(j) + 0.5 * eps * y * y
 
 
 # -- stock kinds ------------------------------------------------------------------
@@ -245,7 +237,6 @@ class Potential:
 def quartic_double_well(yosida_eps: float = 0.0) -> Potential:
     """W(r) = (r^2 - 1)^2 / 4 split as r^4/4 + (1 - 2 r^2)/4; entire domain."""
     return Potential(
-        kind="quartic",
         lo=-math.inf,
         hi=math.inf,
         yosida_eps=yosida_eps,
@@ -271,7 +262,6 @@ def log_double_well(c: float = 2.0, yosida_eps: float = 0.0) -> Potential:
         return xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r)
 
     return Potential(
-        kind="logarithmic",
         lo=-1.0,
         hi=1.0,
         yosida_eps=yosida_eps,
@@ -290,7 +280,6 @@ def log_linear(yosida_eps: float = 0.0) -> Potential:
     No remainder for this kind; the potential is the convex part alone.
     """
     return Potential(
-        kind="loglinear",
         lo=-1.0,
         hi=math.inf,
         yosida_eps=yosida_eps,

@@ -1,11 +1,9 @@
-"""Problem description types shared by the forward, adjoint and control layers."""
+"""Problem description types shared by the forward, adjoint and control
+layers. A run is identified by its config digest (config.config_digest)."""
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import math
 
 import numpy as np
 
@@ -185,61 +183,25 @@ class ProblemSpec:
         """
         bad = self.init.validate(self.grid, self.potential)
         bad += self.box.validate(self.grid, self.tgrid)
-        if self.potential.is_singular and self.potential.yosida_eps == 0 and self.physics.visc == 0:
-            bad.append(
-                "physics.visc: singular potential in exact mode requires positive "
-                "viscosity (visc > 0)"
-            )
+        if self.potential.is_singular and self.physics.visc == 0:
+            if self.potential.yosida_eps == 0:
+                bad.append(
+                    "physics.visc: singular potential in exact mode requires positive "
+                    "viscosity (visc > 0)"
+                )
+            elif for_control:
+                bad.append(
+                    "physics.visc: singular potential requires visc > 0 for the "
+                    "control problem"
+                )
         if for_control:
             if self.physics.latent <= 0:
                 bad.append("physics.latent: must be positive for the control problem")
             if self.physics.coupling <= 0:
                 bad.append("physics.coupling: must be positive for the control problem")
-            if self.potential.is_singular and self.physics.visc <= 0:
-                bad.append(
-                    "physics.visc: singular potential requires visc > 0 for the "
-                    "control problem"
-                )
         try:
             self.cost.running_targets(self.grid, self.tgrid)
             self.cost.final_targets(self.grid)
         except ShapeMismatch as exc:
             bad.append(str(exc))
         return bad
-
-    def digest(self) -> str:
-        """Stable content hash for provenance lines in reports."""
-        pot = self.potential
-        payload = {
-            "grid": {"cells": list(self.grid.cells), "lengths": list(self.grid.lengths)},
-            "time": {"horizon": self.tgrid.horizon, "steps": self.tgrid.steps},
-            "physics": dataclasses.asdict(self.physics),
-            "potential": {
-                "kind": pot.kind,
-                "lo": None if math.isinf(pot.lo) else pot.lo,
-                "hi": None if math.isinf(pot.hi) else pot.hi,
-                "eps": pot.yosida_eps,
-            },
-            "init": {
-                "theta0": self.init.theta0.tolist(),
-                "phi0": self.init.phi0.tolist(),
-            },
-            "cost": {
-                "w": [
-                    self.cost.w_theta,
-                    self.cost.w_phi,
-                    self.cost.w_theta_final,
-                    self.cost.w_phi_final,
-                ],
-                "theta_target": np.asarray(self.cost.theta_target).tolist(),
-                "phi_target": np.asarray(self.cost.phi_target).tolist(),
-                "theta_final_target": np.asarray(self.cost.theta_final_target).tolist(),
-                "phi_final_target": np.asarray(self.cost.phi_final_target).tolist(),
-            },
-            "box": {
-                "lower": np.asarray(self.box.lower).tolist(),
-                "upper": np.asarray(self.box.upper).tolist(),
-            },
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()

@@ -4,6 +4,7 @@ SciPy modules."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -82,3 +83,21 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert not _unused_imports(path)
+
+
+def test_benchmark_tracer_installs_on_every_traced_name():
+    # The suite collects only tests/, so a traced name deleted from the
+    # package would otherwise break only the benchmark's --trace run.
+    importlib.import_module("pfcontrol.cli")
+    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    loader_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(loader_spec)
+    loader_spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        wrapped = spans.wrapped_bindings()
+    finally:
+        tracer.uninstall()
+    assert wrapped
+    assert not spans.wrapped_bindings()

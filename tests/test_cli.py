@@ -65,7 +65,7 @@ class TestParseConfig:
         cfg = parse_config(base_config())
         assert cfg.spec.grid.cells == (16,)
         assert cfg.spec.tgrid.steps == 8
-        assert cfg.spec.potential.kind == "quartic"
+        assert cfg.spec.potential.dw_convex_eff(np.array([2.0]))[0] == 8.0
         assert cfg.snapshot_stride == 0
         assert len(cfg.digest) == 64
 
@@ -138,14 +138,29 @@ class TestParseConfig:
 
 
 def _parsed(raw: dict) -> str:
-    """Everything a parsed run is made of, as text. The spec digest leaves
-    out potential.c, so the remainder slope stands in for it."""
+    """Everything a parsed run is made of, as text. The potential's c shows
+    only in its values, so the remainder and effective convex slopes are
+    sampled."""
     cfg = parse_config(raw)
+    spec = cfg.spec
+    pot, cost = spec.potential, spec.cost
     r = np.linspace(-0.9, 0.9, 7)
+    targets = (*cost.running_targets(spec.grid, spec.tgrid), *cost.final_targets(spec.grid))
+    bounds = spec.box.bounds((spec.tgrid.steps, spec.grid.ncells))
     return json.dumps(
         [
-            cfg.spec.digest(),
-            cfg.spec.potential.dw_rest(r).tolist(),
+            spec.grid.cells,
+            spec.grid.lengths,
+            [spec.tgrid.horizon, spec.tgrid.steps],
+            dataclasses.asdict(spec.physics),
+            [pot.lo, pot.hi, pot.yosida_eps],
+            pot.dw_rest(r).tolist(),
+            pot.dw_convex_eff(r).tolist(),
+            spec.init.theta0.tolist(),
+            spec.init.phi0.tolist(),
+            [cost.w_theta, cost.w_phi, cost.w_theta_final, cost.w_phi_final],
+            [t.tolist() for t in targets],
+            [b.tolist() for b in bounds],
             dataclasses.asdict(cfg.optimize),
             cfg.initial_control().tolist(),
             cfg.snapshot_stride,

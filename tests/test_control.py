@@ -263,6 +263,15 @@ class TestOptimize:
             pfc.optimize(decoupled)
         assert any("latent" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0e-3], ids=["exact", "yosida"])
+    def test_inviscid_singular_well_is_one_violation(self, eps):
+        spec = dataclasses.replace(
+            desk_spec("log", yosida_eps=eps), physics=pfc.PhysicsParams(visc=0.0)
+        )
+        with pytest.raises(pfc.ValidationError) as err:
+            pfc.optimize(spec)
+        assert [v.startswith("physics.visc") for v in err.value.violations] == [True]
+
     def test_initial_guess_shape_checked(self):
         spec = _small_spec()
         with pytest.raises(pfc.ShapeMismatch):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pfcontrol as pfc
+from pfcontrol.harness import _weak_difference_norm
 
 
 def _small(regime="regular", **kw):
@@ -194,6 +195,25 @@ class TestStabilityProbes:
         report = pfc.lipschitz_probe(spec, controls=[(u, u.copy())])
         assert report.passed
         assert report.measured["n_pairs"] == 0
+
+    def test_weak_norm_drops_roundoff_mean_of_phase_difference(self):
+        # A difference of sup 1e-5 whose mean, 3e-17, is roundoff for phases
+        # of order one but above the dual norm's zero-mean tolerance for
+        # the difference itself.
+        spec = _small()
+        levels, n = spec.tgrid.steps + 1, spec.grid.ncells
+        zero = np.zeros((levels, n))
+        wave = np.zeros((levels, n))
+        wave[1] = 1.0e-5 * np.resize([1.0, -1.0], n)
+        shifted = wave.copy()
+        shifted[1] += 3.0e-17
+        assert abs(spec.grid.mean(shifted[1])) > pfc.grid.MEAN_RTOL * 1.0e-5
+
+        def traj(phi):
+            return pfc.Trajectory(spec.grid, spec.tgrid, zero, phi, zero)
+
+        norm = _weak_difference_norm(traj(zero), traj(shifted))
+        assert norm == pytest.approx(_weak_difference_norm(traj(zero), traj(wave)), rel=1e-9)
 
     def test_refinement_stability(self):
         spec = _small()

@@ -38,13 +38,14 @@ class TestQuartic:
         fd = _central(self.pot.w_convex, r)
         np.testing.assert_allclose(self.pot.dw_convex(r), fd, rtol=1e-8, atol=1e-8)
         fd2 = _central(self.pot.dw_convex, r)
-        np.testing.assert_allclose(self.pot.d2w_convex(r), fd2, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(self.pot.d2w_convex_eff(r), fd2, rtol=1e-6, atol=1e-6)
         fd_rest = _central(self.pot.w_rest, r)
         np.testing.assert_allclose(self.pot.dw_rest(r), fd_rest, rtol=1e-8, atol=1e-8)
 
     def test_yosida_unit_eps_at_two(self):
         # x + x^3 = 2 has root 1, so the regularized slope is (2 - 1)/1 = 1.
-        assert self.pot.yosida(np.array([2.0]), 1.0)[0] == pytest.approx(1.0, rel=1e-12)
+        slope = self.pot.with_eps(1.0).dw_convex_eff(np.array([2.0]))[0]
+        assert slope == pytest.approx(1.0, rel=1e-12)
 
     def test_resolvent_equation(self):
         r = np.linspace(-3.0, 3.0, 11)
@@ -58,7 +59,7 @@ class TestLogarithmic:
 
     def test_known_values(self):
         assert self.pot.dw_convex(np.array([0.5]))[0] == pytest.approx(math.log(3.0))
-        assert self.pot.d2w_convex(np.array([0.0]))[0] == pytest.approx(2.0)
+        assert self.pot.d2w_convex_eff(np.array([0.0]))[0] == pytest.approx(2.0)
         assert self.pot.w_rest(np.array([0.3]))[0] == pytest.approx(-2.0 * 0.09)
 
     def test_closure_of_convex_part_is_finite(self):
@@ -71,14 +72,14 @@ class TestLogarithmic:
         with pytest.raises(OutOfDomain):
             self.pot.w_convex(np.array([1.5]))
         with pytest.raises(OutOfDomain):
-            self.pot.d2w_convex(np.array([-1.0]))
+            self.pot.d2w_convex_eff(np.array([-1.0]))
 
     def test_blow_up_towards_endpoints(self):
         assert self.pot.dw_convex(np.array([1.0 - 1e-12]))[0] > 25.0
         assert self.pot.dw_convex(np.array([-1.0 + 1e-12]))[0] < -25.0
 
     def test_yosida_defined_outside_domain(self):
-        vals = self.pot.yosida(np.array([-5.0, 5.0]), 1e-2)
+        vals = self.pot.with_eps(1e-2).dw_convex_eff(np.array([-5.0, 5.0]))
         assert np.all(np.isfinite(vals))
         assert vals[0] < 0 < vals[1]
 
@@ -87,7 +88,7 @@ class TestLogarithmic:
         exact = self.pot.dw_convex(r)
         prev_err = None
         for eps in (0.2, 0.1, 0.05, 0.025):
-            reg = self.pot.yosida(r, eps)
+            reg = self.pot.with_eps(eps).dw_convex_eff(r)
             assert np.all(np.abs(reg) <= np.abs(exact) + 1e-12)
             assert np.all(reg * exact >= -1e-14)
             err = np.abs(reg - exact)
@@ -98,17 +99,19 @@ class TestLogarithmic:
     def test_yosida_prime_matches_fd(self):
         r = np.linspace(-0.8, 0.8, 9)
         eps = 1e-2
-        fd = _central(lambda s: self.pot.yosida(s, eps), r)
-        slope = self.pot.with_eps(eps).d2w_convex_eff(r)
+        reg = self.pot.with_eps(eps)
+        fd = _central(reg.dw_convex_eff, r)
+        slope = reg.d2w_convex_eff(r)
         np.testing.assert_allclose(slope, fd, rtol=1e-6)
 
     def test_envelope_below_exact_and_derivative(self):
         r = np.linspace(-0.9, 0.9, 9)
         eps = 1e-2
-        env = self.pot.w_convex_envelope(r, eps)
+        reg = self.pot.with_eps(eps)
+        env = reg.w_convex_eff(r)
         assert np.all(env <= self.pot.w_convex(r) + 1e-12)
-        fd = _central(lambda s: self.pot.w_convex_envelope(s, eps), r)
-        np.testing.assert_allclose(self.pot.yosida(r, eps), fd, rtol=1e-6, atol=1e-8)
+        fd = _central(reg.w_convex_eff, r)
+        np.testing.assert_allclose(reg.dw_convex_eff(r), fd, rtol=1e-6, atol=1e-8)
 
     def test_with_eps_switches_effective_mode(self):
         reg = self.pot.with_eps(1e-3)
@@ -142,12 +145,12 @@ class TestLogLinear:
 @pytest.mark.parametrize(
     "call",
     [
-        "pfc.quartic_double_well(1e-3).yosida(np.array([np.nan]))",
-        "pfc.quartic_double_well(1e-3).yosida(np.array([0.5, -np.inf]))",
-        "pfc.log_linear(1e-3).yosida(np.array([np.inf]))",
+        "pfc.quartic_double_well(1e-3).dw_convex_eff(np.array([np.nan]))",
+        "pfc.quartic_double_well(1e-3).dw_convex_eff(np.array([0.5, -np.inf]))",
+        "pfc.log_linear(1e-3).dw_convex_eff(np.array([np.inf]))",
         # A convex derivative that is NaN everywhere never closes the bracket.
         "dataclasses.replace(pfc.quartic_double_well(1e-3),"
-        " _dw_convex=lambda r: np.full_like(r, np.nan)).yosida(np.array([0.5]))",
+        " _dw_convex=lambda r: np.full_like(r, np.nan)).dw_convex_eff(np.array([0.5]))",
     ],
 )
 def test_resolvent_fails_instead_of_hanging(call):
@@ -168,7 +171,7 @@ def test_split_methods():
     r = np.array([0.5, -0.5])
     np.testing.assert_allclose(pot.dw_convex(r), r**3)
     np.testing.assert_allclose(pot.d2w_rest(r), -1.0)
-    np.testing.assert_allclose(pot.yosida(np.array([2.0]), 1.0), [1.0])
+    np.testing.assert_allclose(pot.with_eps(1.0).dw_convex_eff(np.array([2.0])), [1.0])
 
 
 @pytest.mark.parametrize("r", [1.0e300, -1.0e300])
@@ -178,7 +181,7 @@ def test_resolvent_of_huge_input(r):
     eps = 1.0e-3
     pot = pfc.quartic_double_well(eps)
     x = pot.resolvent(np.array([r]), eps)
-    assert np.all(np.isfinite(pot.yosida(np.array([r]))))
+    assert np.all(np.isfinite(pot.dw_convex_eff(np.array([r]))))
     assert abs(x[0] + eps * x[0] ** 3 - r) <= 1.0e-14 * abs(r)
 
 
@@ -189,8 +192,8 @@ def test_resolvent_of_huge_input(r):
     st.floats(min_value=1e-4, max_value=1.0),
 )
 def test_yosida_monotone_property(a, b, eps):
-    pot = pfc.log_double_well(c=2.0)
-    ya, yb = pot.yosida(np.array([a]), eps)[0], pot.yosida(np.array([b]), eps)[0]
+    pot = pfc.log_double_well(c=2.0, yosida_eps=eps)
+    ya, yb = pot.dw_convex_eff(np.array([a]))[0], pot.dw_convex_eff(np.array([b]))[0]
     assert (ya - yb) * (a - b) >= -1e-12
 
 
@@ -198,7 +201,7 @@ def test_yosida_monotone_property(a, b, eps):
 @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=1e-3, max_value=10.0))
 def test_quartic_yosida_sandwich_property(r, eps):
     pot = pfc.quartic_double_well()
-    reg = pot.yosida(np.array([r]), eps)[0]
+    reg = pot.with_eps(eps).dw_convex_eff(np.array([r]))[0]
     exact = pot.dw_convex(np.array([r]))[0]
     assert abs(reg) <= abs(exact) + 1e-10
     assert reg * exact >= -1e-14
