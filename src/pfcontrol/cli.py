@@ -7,9 +7,9 @@ writes a per-level time series CSV (and field snapshot rows every
 output.snapshot_stride levels), and optimize writes its iteration history
 CSV plus the final control. Every output file carries the config digest.
 gradcheck and probe write the check's report (name, seed, measured,
-thresholds, passed) with it. The count flags --directions, --samples and
---steps take integers of at least 1. Outputs are deterministic: reruns on
-the same config are byte-identical, timing goes to stderr only.
+thresholds, passed) with it. The counts --directions, --samples and --steps
+are at least 1, --seed at least 0, gradcheck --tol finite and above 0.
+Outputs are deterministic: reruns are byte-identical, timing goes to stderr only.
 
 Exit codes: 0 success, 1 solver failure or non-converged optimization,
 2 invalid config or usage, 3 a check or probe ran but did not pass.
@@ -300,11 +300,24 @@ def _cmd_check(args) -> int:
     return _EXIT_OK if report.passed else _EXIT_CHECK
 
 
-def _count(text: str) -> int:
-    """An argparse type: an integer count of at least 1."""
+def _count(text: str, minimum: int = 1) -> int:
+    """An argparse type: an integer count of at least minimum."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """An argparse type: a NumPy seed, an integer of at least 0."""
+    return _count(text, minimum=0)
+
+
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float above zero (nan fails every comparison)."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -328,19 +341,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tangent", help="directional state derivative along a seeded direction")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_tangent)
 
     p = sub.add_parser("adjoint", help="adjoint solve and tangent duality gap")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_adjoint)
 
     p = sub.add_parser("gradcheck", help="adjoint gradient against the FD oracle")
     common(p)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--directions", type=_count, default=5)
-    p.add_argument("--tol", type=float, default=1.0e-6)
+    p.add_argument("--tol", type=_tolerance, default=1.0e-6)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("optimize", help="projected L-BFGS optimization")
@@ -355,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=list(_PROBES),
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=_count, default=10, help="controls or pairs to sample")
     p.add_argument("--steps", type=_count, default=256, help="time steps for the energy probe")
     p.set_defaults(fn=_cmd_check)

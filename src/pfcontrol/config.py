@@ -14,9 +14,9 @@ marked required):
                            "phi_target": .., "theta_final_target": ..,
                            "phi_final_target": ..}
     box                   {"lower": <number or field>, "upper": ..}
-    optimize              {"stat_tol": 1e-6, "max_iter": 500, "starts": [seeds]}
+    optimize              {"stat_tol": 1e-6, "max_iter": 500, "starts": [seeds >= 0]}
     control               {"kind": "zeros" | "constant" | "random" | "values",
-                           "value": .., "seed": ..}   (source / initial control)
+                           "value": .., "seed": >= 0}  (source / initial control)
     output                {"snapshot_stride": k}   (write field snapshots every
                            k time levels when an output directory is given;
                            0 disables snapshots)
@@ -283,11 +283,10 @@ def parse_config(raw: dict) -> RunConfig:
 
     opt_sec = col.section(raw, "optimize")
     starts = opt_sec.get("starts", [])
-    if not isinstance(starts, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in starts
-    ):
+    if not isinstance(starts, list):
         col.add(f"optimize.starts: expected a list of integer seeds, got {starts!r}")
         starts = []
+    starts = [col.integer({"starts": s}, "starts", 0, "optimize", minimum=0) for s in starts]
     optimize_opts = OptimizeOptions(
         stat_tol=col.number(opt_sec, "stat_tol", 1.0e-6, "optimize", minimum=0.0, strict=True),
         max_iter=col.integer(opt_sec, "max_iter", 500, "optimize", minimum=0),
@@ -299,6 +298,8 @@ def parse_config(raw: dict) -> RunConfig:
     ckind = control.get("kind", "zeros")
     if ckind not in _CONTROL_KINDS:
         col.add(f"control.kind: expected one of {_CONTROL_KINDS}, got {ckind!r}")
+    elif ckind == "random":
+        col.integer(control, "seed", 0, "control", minimum=0)
     elif ckind == "values":
         values = np.asarray(control.get("values", []), dtype=float)
         if values.shape != (tgrid.steps, grid.ncells):

@@ -136,6 +136,25 @@ class TestParseConfig:
         cfg = parse_config(base_config(output={"snapshot_stride": 4}))
         assert cfg.snapshot_stride == 4
 
+    def test_negative_control_seed_is_a_violation(self):
+        # Seed 0 is the smallest seed NumPy accepts.
+        cfg = parse_config(
+            base_config(control={"kind": "random", "seed": 0}, optimize={"starts": [0]})
+        )
+        assert cfg.optimize.starts == (0,)
+        assert cfg.initial_control().shape == (8, 16)
+        with pytest.raises(pfc.ValidationError) as err:
+            parse_config(base_config(control={"kind": "random", "seed": -3}))
+        assert err.value.violations == ["control.seed: must be >= 0, got -3"]
+
+    def test_negative_start_seeds_are_violations(self):
+        with pytest.raises(pfc.ValidationError) as err:
+            parse_config(base_config(optimize={"starts": [2, -1, 0, -5]}))
+        assert err.value.violations == [
+            "optimize.starts: must be >= 0, got -1",
+            "optimize.starts: must be >= 0, got -5",
+        ]
+
 
 def _parsed(raw: dict) -> str:
     """Everything a parsed run is made of, as text. The potential's c shows
@@ -406,13 +425,16 @@ class TestCliDerivatives:
         assert payload["gradient_lq_norm"] > 0.0
 
     def test_gradcheck_passes(self, config_file, capsys):
-        code, out, _ = run_cli(
-            ["gradcheck", "--config", config_file(), "--directions", "2"], capsys
-        )
+        argv = ["gradcheck", "--config", config_file(), "--directions", "2"]
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["measured"]["max_rel_error"] <= 1.0e-6
+        assert set(payload["measured"]) == {"delta", "directions", "max_rel_error"}
+        for direction in payload["measured"]["directions"]:
+            assert set(direction) == {"fd_value", "fd_error_estimate", "adjoint_value", "rel_error"}
+        assert run_cli(argv, capsys)[1] == out
 
     def test_gradcheck_unreachable_tol_exits_3(self, config_file, capsys):
         code, out, _ = run_cli(
@@ -429,6 +451,18 @@ class TestCliDerivatives:
         )
         assert code == 3
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
+    def test_gradcheck_meaningless_tol_exits_2(self, config_file, capsys, tol):
+        # inf would pass every gradient, 0 or below fail every one, and nan
+        # fail without saying why.
+        code, out, err = run_cli(
+            ["gradcheck", "--config", config_file(), "--directions", "1", "--tol", tol],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"argument --tol: must be finite and > 0, got {tol}" in err
 
 
 class TestCliOptimize:
@@ -515,13 +549,19 @@ class TestCliProbe:
             ["probe", "--name", "energy", "--steps", "0"],
             ["gradcheck", "--directions", "0"],
             ["probe", "--name", "lipschitz", "--samples", "-3"],
+            ["tangent", "--seed", "-1"],
+            ["adjoint", "--seed", "-1"],
+            ["gradcheck", "--seed", "-1"],
+            ["probe", "--name", "frechet", "--seed", "-1"],
         ],
         ids=["separation-samples-0", "refinement-samples-0", "energy-steps-0",
-             "gradcheck-directions-0", "lipschitz-samples-minus-3"],
+             "gradcheck-directions-0", "lipschitz-samples-minus-3",
+             "tangent-seed-minus-1", "adjoint-seed-minus-1", "gradcheck-seed-minus-1",
+             "probe-seed-minus-1"],
     )
     def test_count_below_one_exits_2(self, config_file, capsys, argv):
         # A count below 1 samples nothing: the probes would fail on empty
-        # data or pass vacuously.
+        # data or pass vacuously. A seed below 0 is no seed NumPy accepts.
         cfg = config_file(
             potential={"kind": "logarithmic", "c": 2.0},
             physics={"visc": 1.0, "latent": 1.0, "coupling": 1.0},
@@ -530,7 +570,8 @@ class TestCliProbe:
         code, out, err = run_cli(argv + ["--config", cfg], capsys)
         assert code == 2
         assert out == ""
-        assert f"argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
+        minimum = 0 if argv[-2] == "--seed" else 1
+        assert f"argument {argv[-2]}: must be at least {minimum}, got {argv[-1]}" in err
 
 
 class TestCliMisc:

@@ -131,6 +131,74 @@ class TestGradientProbes:
         assert report.measured["max_rel_error"] <= 1.0e-6
         assert len(report.measured["directions"]) == 3
 
+    @pytest.mark.parametrize("n_directions", [1, 3])
+    def test_fd_oracle_runs_four_state_solves_per_direction(self, monkeypatch, n_directions):
+        # One base solve for the adjoint gradient, then the +-delta and
+        # +-delta/2 solves of the Richardson pair along each direction.
+        calls = []
+
+        def counting(u, spec):
+            calls.append(1)
+            return pfc.dynamics.solve_state(u, spec)
+
+        monkeypatch.setattr(pfc.harness, "solve_state", counting)
+        spec = _small()
+        pfc.fd_gradient_check(zero_control(spec), spec, n_directions=n_directions)
+        assert len(calls) == 1 + 4 * n_directions
+
+    @pytest.mark.parametrize("case", ["regular", "yosida-log", "exact-log", "quartic-2d"])
+    @pytest.mark.parametrize("control", ["zero", "random"])
+    def test_fd_oracle_error_far_below_grad_tol(self, case, control):
+        if case == "quartic-2d":
+            grid = pfc.Grid((12, 12))
+            x, y = grid.coords().T
+            spec = dataclasses.replace(
+                desk_spec("regular"),
+                grid=grid,
+                tgrid=pfc.TimeGrid(1.0, 8),
+                init=pfc.InitialData(
+                    theta0=0.1 * np.cos(np.pi * x),
+                    phi0=0.2 * np.cos(np.pi * x) * np.cos(np.pi * y) + 0.05,
+                ),
+            )
+        else:
+            regime = "regular" if case == "regular" else "log"
+            spec = desk_spec(regime, yosida_eps=1.0e-3 if case == "yosida-log" else None)
+        u = zero_control(spec) if control == "zero" else pfc.random_admissible_control(spec, 3)
+        report = pfc.fd_gradient_check(u, spec, n_directions=3)
+        assert all(d["rel_error"] <= 1.0e-10 for d in report.measured["directions"])
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_fd_oracle_near_the_singular_endpoint(self, value):
+        # An exact logarithmic well with the phase at 0.999 of its endpoints:
+        # no perturbed solve of the pair may leave the domain.
+        spec = desk_spec("log")
+        x = spec.grid.coords()[:, 0]
+        spec = dataclasses.replace(
+            spec, init=dataclasses.replace(spec.init, phi0=0.999 * np.cos(np.pi * x))
+        )
+        u = np.full((spec.tgrid.steps, spec.grid.ncells), value)
+        report = pfc.fd_gradient_check(u, spec, n_directions=2)
+        assert report.passed
+        assert report.measured["max_rel_error"] <= 1.0e-10
+
+    def test_fd_oracle_report_shape_and_fixed_step(self):
+        spec = _small()
+        u = pfc.random_admissible_control(spec, 3)
+        report = pfc.fd_gradient_check(u, spec, n_directions=2, seed=7)
+        assert set(report.measured) == {"delta", "directions", "max_rel_error"}
+        delta = report.measured["delta"]
+        assert delta == 0.1 * (float(np.max(np.abs(u))) + 1.0)
+        for d in report.measured["directions"]:
+            assert set(d) == {"fd_value", "fd_error_estimate", "adjoint_value", "rel_error"}
+        # The first direction is the first draw of the seeded generator.
+        h = pfc.smooth_direction(spec, np.random.default_rng(7))
+        coarse = pfc.fd_directional_derivative(u, h, spec, delta)
+        fine = pfc.fd_directional_derivative(u, h, spec, delta / 2.0)
+        first = report.measured["directions"][0]
+        assert first["fd_value"] == (4.0 * fine - coarse) / 3.0
+        assert first["fd_error_estimate"] == abs(fine - coarse) / 3.0
+
     def test_fd_directional_derivative_zero_cost(self):
         spec = dataclasses.replace(_small(), cost=pfc.CostSpec())
         h = pfc.smooth_direction(spec, np.random.default_rng(2))
