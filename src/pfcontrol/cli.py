@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Subcommands: solve, tangent, adjoint, gradcheck, optimize, probe. Every
-command takes a JSON config (--config) and writes a JSON report to --output,
-or into the directory given by --out, or to stdout. With --out, solve also
-writes a per-level time series CSV (and field snapshot rows every
-output.snapshot_stride levels), and optimize writes its iteration history
-CSV plus the final control. Every output file carries the config digest.
-gradcheck and probe write the check's report (name, seed, measured,
-thresholds, passed) with it. The counts --directions, --samples and --steps
-are at least 1, --seed at least 0, gradcheck --tol finite and above 0.
-Outputs are deterministic: reruns are byte-identical, timing goes to stderr only.
+Subcommands: solve, tangent, adjoint, gradcheck, optimize, probe. main
+loads the JSON config (--config) once and hands it to the command, which
+writes its JSON report to stdout or, given --out DIR, into that directory.
+With --out, solve also writes a per-level time series CSV (and field
+snapshot rows every output.snapshot_stride levels), and optimize writes its
+iteration history CSV plus the final control. Every output file carries the
+config digest. The solve, tangent, adjoint and optimize reports carry the
+command and the version with it; gradcheck and probe write the check's
+report (name, seed, measured, thresholds, passed). The counts --directions,
+--samples and --steps are at least 1, --seed at least 0, gradcheck --tol
+finite and above 0. Outputs are deterministic: reruns are byte-identical,
+timing goes to stderr only.
 
 Exit codes: 0 success, 1 solver failure or non-converged optimization,
 2 invalid config or usage, 3 a check or probe ran but did not pass.
@@ -53,7 +55,7 @@ _EXIT_CONFIG = 2
 _EXIT_CHECK = 3
 
 
-def _write_json(payload: dict, path: str | Path | None) -> None:
+def _write_json(payload: dict, path: Path | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
         Path(path).write_text(text)
@@ -61,7 +63,7 @@ def _write_json(payload: dict, path: str | Path | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: str | Path, digest: str, header: list[str], rows) -> None:
+def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
     """CSV with the config digest on a leading comment line; floats go
     through repr so reruns are byte-identical."""
     with open(path, "w", newline="") as fh:
@@ -75,73 +77,67 @@ def _write_csv(path: str | Path, digest: str, header: list[str], rows) -> None:
 
 
 def _out_dir(args) -> Path | None:
-    out = getattr(args, "out", None)
-    if out is None:
+    if args.out is None:
         return None
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _report_path(args, name: str) -> Path | str | None:
-    if args.output:
-        return args.output
+def _report_path(args, name: str) -> Path | None:
     out = _out_dir(args)
     return out / name if out is not None else None
+
+
+def _write_report(cfg, args, **fields) -> None:
+    """The command's report, opened by its command, version and config
+    digest, to stdout or into --out as <command>_report.json."""
+    payload = {"command": args.command, "version": __version__, "config_digest": cfg.digest}
+    _write_json({**payload, **fields}, _report_path(args, f"{args.command}_report.json"))
 
 
 def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_solve(cfg, args) -> int:
     spec = cfg.spec
-    u = cfg.initial_control()
     t0 = time.perf_counter()
-    traj = solve_state(u, spec)
+    traj = solve_state(cfg.initial_control(), spec)
     _info(f"solve: {spec.tgrid.steps} steps in {time.perf_counter() - t0:.3f}s")
+    times = spec.tgrid.times()
+    means = traj.phase_mean_history()
     energies = [mixture_energy(spec.grid, spec.potential, lv) for lv in traj.phi]
-    payload = {
-        "command": "solve",
-        "version": __version__,
-        "config_digest": cfg.digest,
-        "times": spec.tgrid.times().tolist(),
-        "phase_mean": traj.phase_mean_history().tolist(),
-        "energy": energies,
-        "theta_norms": [spec.grid.h_norm(lv) for lv in traj.theta],
-        "phi_norms": [spec.grid.h_norm(lv) for lv in traj.phi],
-        "theta_final": traj.theta[-1].tolist(),
-        "phi_final": traj.phi[-1].tolist(),
-    }
-    _write_json(payload, _report_path(args, "solve_report.json"))
+    theta_norms = [spec.grid.h_norm(lv) for lv in traj.theta]
+    phi_norms = [spec.grid.h_norm(lv) for lv in traj.phi]
+    _write_report(
+        cfg,
+        args,
+        times=times.tolist(),
+        phase_mean=means.tolist(),
+        energy=energies,
+        theta_norms=theta_norms,
+        phi_norms=phi_norms,
+        theta_final=traj.theta[-1].tolist(),
+        phi_final=traj.phi[-1].tolist(),
+    )
     out = _out_dir(args)
-    csv_path = args.csv or (out / "solve_timeseries.csv" if out is not None else None)
-    if csv_path:
-        times = spec.tgrid.times()
-        means = traj.phase_mean_history()
-        _write_csv(
-            csv_path,
-            cfg.digest,
-            ["level", "time", "phase_mean", "energy", "theta_h", "phi_h"],
-            (
-                (
-                    k,
-                    float(times[k]),
-                    float(means[k]),
-                    energies[k],
-                    payload["theta_norms"][k],
-                    payload["phi_norms"][k],
-                )
-                for k in range(spec.tgrid.steps + 1)
-            ),
-        )
-    if out is not None and cfg.snapshot_stride > 0:
+    if out is None:
+        return _EXIT_OK
+    _write_csv(
+        out / "solve_timeseries.csv",
+        cfg.digest,
+        ["level", "time", "phase_mean", "energy", "theta_h", "phi_h"],
+        (
+            (k, float(times[k]), float(means[k]), energies[k], theta_norms[k], phi_norms[k])
+            for k in range(spec.tgrid.steps + 1)
+        ),
+    )
+    if cfg.snapshot_stride > 0:
         stride = cfg.snapshot_stride
         levels = sorted(set(range(0, spec.tgrid.steps + 1, stride)) | {spec.tgrid.steps})
         coords = spec.grid.coords()
         axis_names = ["x", "y"][: spec.grid.dim]
-        times = spec.tgrid.times()
         _write_csv(
             out / "solve_snapshots.csv",
             cfg.digest,
@@ -161,34 +157,28 @@ def _cmd_solve(args) -> int:
     return _EXIT_OK
 
 
-def _cmd_tangent(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_tangent(cfg, args) -> int:
     spec = cfg.spec
-    u = cfg.initial_control()
-    base = solve_state(u, spec)
+    base = solve_state(cfg.initial_control(), spec)
     h = smooth_direction(spec, np.random.default_rng(args.seed))
     t0 = time.perf_counter()
     tan = solve_tangent(h, base, spec)
     _info(f"tangent: {time.perf_counter() - t0:.3f}s")
-    payload = {
-        "command": "tangent",
-        "version": __version__,
-        "config_digest": cfg.digest,
-        "seed": args.seed,
-        "y_norm": trajectory_y_norm(tan.dtheta, tan.dphi, spec.grid, spec.tgrid),
-        "dtheta_norms": [spec.grid.h_norm(lv) for lv in tan.dtheta],
-        "dphi_norms": [spec.grid.h_norm(lv) for lv in tan.dphi],
-        "max_dphi_mean": float(np.max(np.abs(tan.dphi.sum(axis=1) / spec.grid.ncells))),
-    }
-    _write_json(payload, _report_path(args, "tangent_report.json"))
+    _write_report(
+        cfg,
+        args,
+        seed=args.seed,
+        y_norm=trajectory_y_norm(tan.dtheta, tan.dphi, spec.grid, spec.tgrid),
+        dtheta_norms=[spec.grid.h_norm(lv) for lv in tan.dtheta],
+        dphi_norms=[spec.grid.h_norm(lv) for lv in tan.dphi],
+        max_dphi_mean=float(np.max(np.abs(tan.dphi.sum(axis=1) / spec.grid.ncells))),
+    )
     return _EXIT_OK
 
 
-def _cmd_adjoint(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_adjoint(cfg, args) -> int:
     spec = cfg.spec
-    u = cfg.initial_control()
-    state = solve_state(u, spec)
+    state = solve_state(cfg.initial_control(), spec)
     t0 = time.perf_counter()
     adj = solve_adjoint(state, spec.cost, spec)
     _info(f"adjoint: {time.perf_counter() - t0:.3f}s")
@@ -198,46 +188,40 @@ def _cmd_adjoint(args) -> int:
     lhs = lq_inner(grad, h, spec)
     rhs = dj_along_tangent(tan, state, spec.cost)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0e-300)
-    payload = {
-        "command": "adjoint",
-        "version": __version__,
-        "config_digest": cfg.digest,
-        "seed": args.seed,
-        "gradient_lq_norm": lq_norm(grad, spec),
-        "gradient_sup_norm": float(np.max(np.abs(grad))),
-        "duality_lhs": lhs,
-        "duality_rhs": rhs,
-        "duality_rel_gap": gap,
-    }
-    _write_json(payload, _report_path(args, "adjoint_report.json"))
+    _write_report(
+        cfg,
+        args,
+        seed=args.seed,
+        gradient_lq_norm=lq_norm(grad, spec),
+        gradient_sup_norm=float(np.max(np.abs(grad))),
+        duality_lhs=lhs,
+        duality_rhs=rhs,
+        duality_rel_gap=gap,
+    )
     return _EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_optimize(cfg, args) -> int:
     spec = cfg.spec
-    u0 = cfg.initial_control()
     t0 = time.perf_counter()
-    report = optimize(spec, u0, cfg.optimize)
+    report = optimize(spec, cfg.initial_control(), cfg.optimize)
     _info(
         f"optimize: {report.iterations} iterations, termination {report.termination}, "
         f"{time.perf_counter() - t0:.3f}s"
     )
-    payload = {
-        "command": "optimize",
-        "version": __version__,
-        "config_digest": cfg.digest,
-        "iterations": report.iterations,
-        "termination": report.termination,
-        "j_history": report.j_history,
-        "residual_history": report.residual_history,
-        "evaluations_history": report.evaluations_history,
-        "j_final": report.j_final,
-        "residual_final": report.residual_final,
-        "bang_bang": dataclasses.asdict(report.bang_bang),
-        "start_seed": report.start_seed,
-    }
-    _write_json(payload, _report_path(args, "optimize_report.json"))
+    _write_report(
+        cfg,
+        args,
+        iterations=report.iterations,
+        termination=report.termination,
+        j_history=report.j_history,
+        residual_history=report.residual_history,
+        evaluations_history=report.evaluations_history,
+        j_final=report.j_final,
+        residual_final=report.residual_final,
+        bang_bang=dataclasses.asdict(report.bang_bang),
+        start_seed=report.start_seed,
+    )
     out = _out_dir(args)
     if out is not None:
         # Row k describes iterate k; evaluations counts the state solves that
@@ -253,22 +237,21 @@ def _cmd_optimize(args) -> int:
                 ["", *report.evaluations_history],
             ),
         )
-    control_path = args.control_output or (out / "control.json" if out is not None else None)
-    if control_path:
         _write_json(
             {
                 "config_digest": cfg.digest,
                 "shape": list(report.u_opt.shape),
                 "values": report.u_opt.tolist(),
             },
-            control_path,
+            out / "control.json",
         )
     return _EXIT_OK if report.termination == "stationary" else _EXIT_SOLVER
 
 
 def _gradcheck(cfg, a):
-    u = cfg.initial_control()
-    return fd_gradient_check(u, cfg.spec, n_directions=a.directions, seed=a.seed, tol=a.tol)
+    return fd_gradient_check(
+        cfg.initial_control(), cfg.spec, n_directions=a.directions, seed=a.seed, tol=a.tol
+    )
 
 
 #: probe --name: the probe run on (config, arguments).
@@ -284,10 +267,9 @@ _PROBES = {
 }
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(cfg, args) -> int:
     """gradcheck, or probe --name: time the check for stderr, write its
     report with the config digest, and exit 3 when it did not pass."""
-    cfg = load_config(args.config)
     if args.command == "gradcheck":
         check, report_name = _gradcheck, "gradcheck_report.json"
     else:
@@ -331,12 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--output", default=None, help="JSON report path (default stdout)")
         p.add_argument("--out", default=None, help="output directory for report and data files")
 
     p = sub.add_parser("solve", help="run the forward solver")
     common(p)
-    p.add_argument("--csv", default=None, help="optional per-level CSV table")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("tangent", help="directional state derivative along a seeded direction")
@@ -358,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="projected L-BFGS optimization")
     common(p)
-    p.add_argument("--control-output", default=None, help="write the final control here")
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("probe", help="run a verification probe")
@@ -378,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(load_config(args.config), args)
     except ValidationError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)

@@ -10,29 +10,37 @@ marked required):
                            "c": 2.0, "eps": 0.0}
     initial   (required)  {"theta": <field>, "phi": <field>}
     cost                  {"w_theta": .., "w_phi": .., "w_theta_final": ..,
-                           "w_phi_final": .., "theta_target": <field or number>,
+                           "w_phi_final": .., "theta_target": <field>,
                            "phi_target": .., "theta_final_target": ..,
                            "phi_final_target": ..}
-    box                   {"lower": <number or field>, "upper": ..}
+    box                   {"lower": <field>, "upper": ..}
     optimize              {"stat_tol": 1e-6, "max_iter": 500, "starts": [seeds >= 0]}
     control               {"kind": "zeros" | "constant" | "random" | "values",
-                           "value": .., "seed": >= 0}  (source / initial control)
+                           "value": .., "seed": >= 0, "values": [[..]]}
+                          (source / initial control)
     output                {"snapshot_stride": k}   (write field snapshots every
                            k time levels when an output directory is given;
                            0 disables snapshots)
 
-A <field> is a number (constant), an explicit value list, or one of
+A <field> is a number (constant), a list of values (shorthand for the values
+kind), or one of
 
     {"kind": "constant", "value": v}
     {"kind": "cosine", "amplitude": a, "modes": [m per axis], "offset": b}
     {"kind": "values", "values": [...]}
 
-The cosine kind builds a * prod_i cos(m_i * pi * x_i / L_i) + b, which has
-zero boundary flux for integer modes. Validation is collecting: every
-violation found is reported, not just the first. A top-level section or a
-section key that no parser branch reads is a violation, not ignored. The
-per-step Newton solve has no section: its tolerance and budgets are
-constants of the dynamics module.
+build_field is the one reader of this grammar. A value list holds ncells
+values in any nesting; cost targets and box bounds also take exactly
+(steps, ncells) values, one field per time level. The control is built once,
+here: its values list is exactly (steps, ncells), and a random control is
+drawn only from a valid spec. Every number must be finite, and every list
+must hold numbers only; a violation names its key path (for example
+cost.theta_target.amplitude). The cosine kind builds
+a * prod_i cos(m_i * pi * x_i / L_i) + b, which has zero boundary flux for
+integer modes. Validation is collecting: every violation found is reported,
+not just the first. A top-level section or a section key that no parser
+branch reads is a violation, not ignored. The per-step Newton solve has no
+section: its tolerance and budgets are constants of the dynamics module.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from .control import OptimizeOptions, random_admissible_control
 from .errors import ParseError, ValidationError
 from .grid import Grid, TimeGrid
 from .potential import log_double_well, log_linear, quartic_double_well
-from .problem import ControlBox, CostSpec, InitialData, PhysicsParams, ProblemSpec
+from .problem import ControlBox, CostSpec, InitialData, PhysicsParams, ProblemSpec, broadcast
 
 __all__ = ["RunConfig", "load_config", "parse_config", "config_digest", "build_field"]
 
@@ -79,21 +87,14 @@ class RunConfig:
 
     spec: ProblemSpec
     optimize: OptimizeOptions
-    control: dict
+    control: np.ndarray
     digest: str
     snapshot_stride: int = 0
 
     def initial_control(self) -> np.ndarray:
-        """Materialize the configured control / source term."""
-        shape = (self.spec.tgrid.steps, self.spec.grid.ncells)
-        kind = self.control.get("kind", "zeros")
-        if kind == "zeros":
-            return np.zeros(shape)
-        if kind == "constant":
-            return np.full(shape, float(self.control.get("value", 0.0)))
-        if kind == "random":
-            return random_admissible_control(self.spec, int(self.control.get("seed", 0)))
-        return np.asarray(self.control["values"], dtype=float)
+        """The configured control / source term: the one read-only
+        (steps, ncells) array built at parse time, not a copy."""
+        return self.control
 
 
 class _Collector:
@@ -145,54 +146,56 @@ class _Collector:
         return value
 
 
-def build_field(spec: Any, grid: Grid, where: str, errors: "_Collector") -> np.ndarray:
-    """Resolve a <field> config entry to flat cell values on the grid."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return np.full(grid.ncells, float(spec))
-    if isinstance(spec, list):
-        arr = np.asarray(spec, dtype=float).ravel()
-        if arr.shape != (grid.ncells,):
-            errors.add(f"{where}: {arr.size} values for {grid.ncells} cells")
-            return np.zeros(grid.ncells)
-        return arr
-    if not isinstance(spec, dict):
-        errors.add(f"{where}: expected a number, list or object, got {spec!r}")
-        return np.zeros(grid.ncells)
-    kind = spec.get("kind")
+def _numbers(values: Any, where: str, errors: _Collector, *shapes) -> np.ndarray:
+    """A list of finite numbers as a float array of the first of shapes it
+    fits, where a shape (n,) takes n values in any nesting. A violation is
+    recorded and zeros of the first shape returned."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        errors.add(f"{where}: expected a list of numbers")
+    elif not np.all(np.isfinite(arr)):
+        errors.add(f"{where}: must be finite")
+    else:
+        arr = np.asarray(arr, dtype=float)
+        for shape in shapes:
+            if arr.shape == shape:
+                return arr
+            if len(shape) == 1 and arr.size == shape[0]:
+                return arr.ravel()
+        errors.add(f"{where}: shape {arr.shape}, expected {' or '.join(map(str, shapes))}")
+    return np.zeros(shapes[0])
+
+
+def build_field(entry: Any, grid: Grid, where: str, errors: _Collector, steps: int = 0):
+    """Resolve the <field> config entry at key path where: a number or a
+    constant as a float, anything else as cell values of shape (ncells,) or,
+    when steps > 0, (steps, ncells). A violation is recorded and a
+    placeholder returned."""
+    shapes = ((steps, grid.ncells), (grid.ncells,)) if steps > 0 else ((grid.ncells,),)
+    if isinstance(entry, list):
+        return _numbers(entry, where, errors, *shapes)
+    if not isinstance(entry, dict):
+        section, _, key = where.rpartition(".")
+        return errors.number({key: entry}, key, 0.0, section)
+    kind = entry.get("kind")
     if kind == "constant":
-        return np.full(grid.ncells, float(spec.get("value", 0.0)))
+        return errors.number(entry, "value", 0.0, where)
     if kind == "values":
-        arr = np.asarray(spec.get("values", []), dtype=float).ravel()
-        if arr.shape != (grid.ncells,):
-            errors.add(f"{where}: {arr.size} values for {grid.ncells} cells")
-            return np.zeros(grid.ncells)
-        return arr
+        return _numbers(entry.get("values", []), f"{where}.values", errors, *shapes)
     if kind == "cosine":
-        amplitude = float(spec.get("amplitude", 1.0))
-        offset = float(spec.get("offset", 0.0))
-        modes = spec.get("modes", [1] * grid.dim)
-        if not isinstance(modes, list) or len(modes) != grid.dim:
-            errors.add(f"{where}.modes: expected {grid.dim} entries")
-            return np.zeros(grid.ncells)
+        amplitude = errors.number(entry, "amplitude", 1.0, where)
+        offset = errors.number(entry, "offset", 0.0, where)
+        modes = _numbers(entry.get("modes", [1] * grid.dim), f"{where}.modes", errors, (grid.dim,))
         pts = grid.coords()
         values = np.full(grid.ncells, amplitude)
         for axis, (m, length) in enumerate(zip(modes, grid.lengths)):
-            values = values * np.cos(float(m) * np.pi * pts[:, axis] / length)
+            values = values * np.cos(m * np.pi * pts[:, axis] / length)
         return values + offset
     errors.add(f"{where}.kind: unknown field kind {kind!r}")
-    return np.zeros(grid.ncells)
-
-
-def _target_entry(section: dict, key: str, grid: Grid, errors: "_Collector"):
-    """Cost targets may be scalars, fields or full (steps, ncells) value arrays."""
-    value = section.get(key, 0.0)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, dict) and value.get("kind") == "values":
-        arr = np.asarray(value.get("values", []), dtype=float)
-        if arr.ndim == 2:
-            return arr
-    return build_field(value, grid, f"cost.{key}", errors)
+    return 0.0
 
 
 def config_digest(raw: dict) -> str:
@@ -261,7 +264,10 @@ def parse_config(raw: dict) -> RunConfig:
     init_sec = col.section(raw, "initial", required=True)
     theta0 = build_field(init_sec.get("theta", 0.0), grid, "initial.theta", col)
     phi0 = build_field(init_sec.get("phi", 0.0), grid, "initial.phi", col)
-    init = InitialData(theta0=theta0, phi0=phi0)
+    init = InitialData(
+        theta0=broadcast(theta0, (grid.ncells,), "initial.theta"),
+        phi0=broadcast(phi0, (grid.ncells,), "initial.phi"),
+    )
 
     cost_sec = col.section(raw, "cost")
     cost = CostSpec(
@@ -269,16 +275,16 @@ def parse_config(raw: dict) -> RunConfig:
         w_phi=max(col.number(cost_sec, "w_phi", 0.0, "cost", minimum=0.0), 0.0),
         w_theta_final=max(col.number(cost_sec, "w_theta_final", 0.0, "cost", minimum=0.0), 0.0),
         w_phi_final=max(col.number(cost_sec, "w_phi_final", 0.0, "cost", minimum=0.0), 0.0),
-        theta_target=_target_entry(cost_sec, "theta_target", grid, col),
-        phi_target=_target_entry(cost_sec, "phi_target", grid, col),
-        theta_final_target=_target_entry(cost_sec, "theta_final_target", grid, col),
-        phi_final_target=_target_entry(cost_sec, "phi_final_target", grid, col),
+        **{
+            key: build_field(cost_sec.get(key, 0.0), grid, f"cost.{key}", col, tgrid.steps)
+            for key in ("theta_target", "phi_target", "theta_final_target", "phi_final_target")
+        },
     )
 
     box_sec = col.section(raw, "box")
     box = ControlBox(
-        lower=_target_entry(box_sec, "lower", grid, col) if "lower" in box_sec else -1.0,
-        upper=_target_entry(box_sec, "upper", grid, col) if "upper" in box_sec else 1.0,
+        lower=build_field(box_sec.get("lower", -1.0), grid, "box.lower", col, tgrid.steps),
+        upper=build_field(box_sec.get("upper", 1.0), grid, "box.upper", col, tgrid.steps),
     )
 
     opt_sec = col.section(raw, "optimize")
@@ -294,18 +300,18 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
     control_sec = col.section(raw, "control")
-    control = dict(control_sec) if control_sec else {"kind": "zeros"}
-    ckind = control.get("kind", "zeros")
-    if ckind not in _CONTROL_KINDS:
-        col.add(f"control.kind: expected one of {_CONTROL_KINDS}, got {ckind!r}")
+    ckind = control_sec.get("kind", "zeros")
+    shape = (tgrid.steps, grid.ncells)
+    if ckind == "zeros":
+        control = np.zeros(shape)
+    elif ckind == "constant":
+        control = np.full(shape, col.number(control_sec, "value", 0.0, "control"))
     elif ckind == "random":
-        col.integer(control, "seed", 0, "control", minimum=0)
+        seed = col.integer(control_sec, "seed", 0, "control", minimum=0)
     elif ckind == "values":
-        values = np.asarray(control.get("values", []), dtype=float)
-        if values.shape != (tgrid.steps, grid.ncells):
-            col.add(
-                f"control.values: shape {values.shape} != {(tgrid.steps, grid.ncells)}"
-            )
+        control = _numbers(control_sec.get("values", []), "control.values", col, shape)
+    else:
+        col.add(f"control.kind: expected one of {_CONTROL_KINDS}, got {ckind!r}")
 
     out_sec = col.section(raw, "output")
     snapshot_stride = col.integer(out_sec, "snapshot_stride", 0, "output", minimum=0)
@@ -322,6 +328,9 @@ def parse_config(raw: dict) -> RunConfig:
     col.errors.extend(spec.validate())
     if col.errors:
         raise ValidationError(col.errors)
+    if ckind == "random":
+        control = random_admissible_control(spec, seed)
+    control.flags.writeable = False
     return RunConfig(
         spec=spec,
         optimize=optimize_opts,

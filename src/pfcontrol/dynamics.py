@@ -389,8 +389,9 @@ def _advance_step(
 def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     """March the state system with source u over the whole horizon.
 
-    Raises ConfigError for inadmissible setups, NewtonDivergence /
-    DomainEscape (naming time step and Newton iteration) when a step fails.
+    Raises ConfigError for inadmissible setups or a non-finite source,
+    NewtonDivergence / DomainEscape (naming time step and Newton iteration)
+    when a step fails.
     """
     grid, tgrid = spec.grid, spec.tgrid
     pot, physics = spec.potential, spec.physics
@@ -406,6 +407,8 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     source = np.asarray(u, dtype=float)
     if source.shape != (nt, n):
         raise ShapeMismatch(f"source: shape {source.shape} != {(nt, n)}")
+    if not np.all(np.isfinite(source)):
+        raise ConfigError("source: non-finite entries")
 
     guard = _domain_guard(pot) if exact_singular else lambda phi, dphi: 1.0
     noise_floor = 0.0

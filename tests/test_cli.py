@@ -1,10 +1,13 @@
 """Config ingestion and the command-line driver: collecting validation,
 deterministic outputs, exit codes."""
 
+import argparse
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,14 @@ import pytest
 import pfcontrol as pfc
 import pfcontrol.cli as cli
 from pfcontrol import dynamics
-from pfcontrol.config import _KNOWN_KEYS, build_field, config_digest, load_config, parse_config
+from pfcontrol.config import (
+    _KNOWN_KEYS,
+    _Collector,
+    build_field,
+    config_digest,
+    load_config,
+    parse_config,
+)
 
 
 def base_config(**overrides):
@@ -127,6 +137,27 @@ class TestParseConfig:
         assert np.array_equal(r1, r2)
         assert np.all(r1 >= -1.0) and np.all(r1 <= 1.0)
 
+    @pytest.mark.parametrize(
+        "control",
+        [
+            {"kind": "zeros"},
+            {"kind": "constant", "value": 0.25},
+            {"kind": "random", "seed": 3},
+            {"kind": "values", "values": np.full((8, 16), 0.5).tolist()},
+        ],
+        ids=["zeros", "constant", "random", "values"],
+    )
+    def test_control_built_once_read_only(self, control):
+        # The control is built at parse time; every call hands out that
+        # array, not a copy that would stay alive through a sweep.
+        cfg = parse_config(base_config(control=control))
+        u = cfg.initial_control()
+        assert u.shape == (8, 16)
+        assert u is cfg.initial_control()
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+
     def test_bad_control_values_shape(self):
         with pytest.raises(pfc.ValidationError) as err:
             parse_config(base_config(control={"kind": "values", "values": [[1.0]]}))
@@ -234,17 +265,10 @@ def test_every_known_key_is_honoured(section, key):
 
 
 class TestBuildField:
-    class _Errors:
-        def __init__(self):
-            self.errors = []
-
-        def add(self, msg):
-            self.errors.append(msg)
-
     def test_scalar_and_list(self):
         grid = pfc.Grid(4)
-        errs = self._Errors()
-        assert np.array_equal(build_field(0.5, grid, "f", errs), np.full(4, 0.5))
+        errs = _Collector()
+        assert build_field(0.5, grid, "f", errs) == 0.5
         assert np.array_equal(
             build_field([1.0, 2.0, 3.0, 4.0], grid, "f", errs), [1.0, 2.0, 3.0, 4.0]
         )
@@ -252,7 +276,7 @@ class TestBuildField:
 
     def test_cosine_matches_manual(self):
         grid = pfc.Grid(8, 2.0)
-        errs = self._Errors()
+        errs = _Collector()
         values = build_field(
             {"kind": "cosine", "amplitude": 0.3, "modes": [2], "offset": 0.1},
             grid,
@@ -265,15 +289,24 @@ class TestBuildField:
 
     def test_wrong_length_recorded(self):
         grid = pfc.Grid(4)
-        errs = self._Errors()
+        errs = _Collector()
         build_field([1.0, 2.0], grid, "initial.phi", errs)
         assert any("initial.phi" in e for e in errs.errors)
 
     def test_unknown_kind_recorded(self):
         grid = pfc.Grid(4)
-        errs = self._Errors()
+        errs = _Collector()
         build_field({"kind": "sawtooth"}, grid, "f", errs)
         assert any("sawtooth" in e for e in errs.errors)
+
+    def test_time_indexed_values_need_steps(self):
+        grid = pfc.Grid(4)
+        entry = {"kind": "values", "values": np.arange(12.0).reshape(3, 4).tolist()}
+        errs = _Collector()
+        assert build_field(entry, grid, "cost.theta_target", errs, steps=3).shape == (3, 4)
+        assert errs.errors == []
+        build_field(entry, grid, "cost.theta_target", errs)
+        assert errs.errors == ["cost.theta_target.values: shape (3, 4), expected (4,)"]
 
 
 class TestLoadConfig:
@@ -341,6 +374,40 @@ class TestCliSolve:
         assert err.count("config error:") >= 2
         assert "lower > upper" in err
         assert "viscosity" in err
+
+    @pytest.mark.parametrize(
+        "overrides,entry,message",
+        [
+            ({"control": "@"}, '{"kind": "constant", "value": "abc"}',
+             "control.value: expected a number, got 'abc'"),
+            ({"control": "@"}, '{"kind": "constant", "value": 1e400}',
+             "control.value: must be finite"),
+            ({"control": "@"}, '{"kind": "values", "values": [["a"]]}',
+             "control.values: expected a list of numbers"),
+            ({"initial": {"theta": "@", "phi": 0.1}}, '{"kind": "constant", "value": "x"}',
+             "initial.theta.value: expected a number, got 'x'"),
+            ({"cost": {"theta_target": "@"}}, '{"kind": "values", "values": [[1, 2], [3]]}',
+             "cost.theta_target.values: expected a list of numbers"),
+            ({"cost": {"theta_target": "@"}}, '{"kind": "cosine", "amplitude": "big", "modes": [1]}',
+             "cost.theta_target.amplitude: expected a number, got 'big'"),
+            ({"cost": {"theta_target": "@"}}, "1e400", "cost.theta_target: must be finite"),
+            ({"box": {"lower": "@"}, "control": {"kind": "random", "seed": 1}}, "-1e400",
+             "box.lower: must be finite"),
+            ({"box": {"lower": "@"}}, '"x"', "box.lower: expected a number, got 'x'"),
+        ],
+        ids=["control-value-text", "control-value-overflow", "control-values-text",
+             "initial-value-text", "target-values-ragged", "target-amplitude-text",
+             "target-overflow", "box-overflow-random-control", "box-text"],
+    )
+    def test_bad_field_values_exit_2(self, tmp_path, capsys, overrides, entry, message):
+        # JSON reads 1e400 as inf. Each bad value is one violation at its key
+        # path, not a traceback, a frozen state or a mislabelled key.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(base_config(**overrides)).replace('"@"', entry))
+        code, out, err = run_cli(["solve", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"config error: {message}"]
 
     def test_unknown_keys_exit_2(self, config_file, capsys):
         # A removed option and a typo are rejected, not silently ignored.
@@ -575,6 +642,43 @@ class TestCliProbe:
 
 
 class TestCliMisc:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([command, "--output", "r.json"]
+              for command in ("solve", "tangent", "adjoint", "gradcheck", "optimize")),
+            ["probe", "--name", "energy", "--output", "r.json"],
+            ["solve", "--csv", "t.csv"],
+            ["optimize", "--control-output", "c.json"],
+        ],
+        ids=["solve-output", "tangent-output", "adjoint-output", "gradcheck-output",
+             "optimize-output", "probe-output", "solve-csv", "optimize-control-output"],
+    )
+    def test_removed_output_flags_exit_2(self, config_file, capsys, argv):
+        # Reports go to stdout or into --out DIR, which writes every file
+        # these flags used to redirect.
+        code, out, err = run_cli(argv + ["--config", config_file()], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    def test_readme_command_line_flags_exist(self):
+        # Every flag the README's command-line section names is accepted by
+        # the top-level parser or some subcommand.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            flag
+            for p in (parser, *sub.choices.values())
+            for action in p._actions
+            for flag in action.option_strings
+        }
+        assert "--config" in named
+        assert named <= accepted, sorted(named - accepted)
+
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, err = run_cli(["simulate"], capsys)
         assert code == 2

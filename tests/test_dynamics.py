@@ -559,6 +559,15 @@ class TestFailureModes:
         with pytest.raises(pfc.ShapeMismatch):
             pfc.solve_state(np.zeros((2, 2)), regular_spec)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_source_rejected(self, regular_spec, bad):
+        # An inf source made the Newton tolerance inf, so every level kept
+        # the initial state.
+        u = zero_control(regular_spec)
+        u[3, 5] = bad
+        with pytest.raises(pfc.ConfigError, match="^source: non-finite entries$"):
+            pfc.solve_state(u, regular_spec)
+
     def test_newton_budget_exhaustion_raises(self, regular_spec, monkeypatch):
         monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(pfc.NewtonDivergence):
