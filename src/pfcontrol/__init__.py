@@ -18,8 +18,6 @@ from .errors import (
     PfcError,
     RootSolveFailure,
     ShapeMismatch,
-    SolverDivergence,
-    SolverError,
     ValidationError,
 )
 from .grid import Grid, TimeGrid
@@ -33,13 +31,7 @@ from .dynamics import (
     solve_tangent,
     step_matrix,
 )
-from .adjoint import (
-    AdjointSolution,
-    cost_state_gradient,
-    cost_value,
-    dj_along_tangent,
-    solve_adjoint,
-)
+from .adjoint import cost_value, dj_along_tangent, solve_adjoint
 from .control import (
     BangBangReport,
     OptimizeOptions,
@@ -61,11 +53,8 @@ from .harness import (
     frechet_remainder_probe,
     lipschitz_probe,
     lipschitz_refinement_probe,
-    prolong_control,
-    refine_spec,
     separation_probe,
     smooth_direction,
-    time_antiderivative,
     trajectory_y_norm,
     yosida_convergence_probe,
 )
@@ -83,8 +72,6 @@ __all__ = [
     "OutOfDomain",
     "NonZeroMean",
     "RootSolveFailure",
-    "SolverError",
-    "SolverDivergence",
     "LinearSolveDivergence",
     "NewtonDivergence",
     "DomainEscape",
@@ -110,10 +97,8 @@ __all__ = [
     "mixture_energy",
     "step_matrix",
     # adjoint
-    "AdjointSolution",
     "solve_adjoint",
     "cost_value",
-    "cost_state_gradient",
     "dj_along_tangent",
     # control
     "OptimizeOptions",
@@ -134,12 +119,9 @@ __all__ = [
     "frechet_remainder_probe",
     "lipschitz_probe",
     "lipschitz_refinement_probe",
-    "time_antiderivative",
     "yosida_convergence_probe",
     "energy_probe",
     "separation_probe",
     "trajectory_y_norm",
     "smooth_direction",
-    "refine_spec",
-    "prolong_control",
 ]

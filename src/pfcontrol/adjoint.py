@@ -17,7 +17,8 @@ stacked state at level k. By construction the duality identity
     sum_k dt * (q_k, h_k)_Omega = d/d(delta) J(S(u + delta h)) |_0
 
 holds to linear-solver precision, and the multiplier block attached to the
-balance equation, divided by the cell measure, is the reduced gradient q.
+balance equation, divided by the cell measure, is the reduced gradient q,
+which solve_adjoint returns on levels 1..Nt.
 
 The sweep uses the problem's one StepOperator, as the forward and tangent
 sweeps do. Each level is refined to a relative residual of 1e-12 against
@@ -25,14 +26,9 @@ the transpose of the sweep's one LU (first factorized at level Nt), which
 is replaced at the level's slope when it stalls. The right-hand side
 d_k + M_k^T y_{k+1} comes from StepOperator.old_level, the map the tangent
 sweep applies, so the adjoint is the transpose of the tangent by construction.
-
-The level-0 entries of the returned (q, p) duplicate level 1: the
-backward-Euler adjoint is defined on levels 1..Nt.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -42,27 +38,11 @@ from .grid import Grid, TimeGrid
 from .problem import CostSpec, ProblemSpec
 
 __all__ = [
-    "AdjointSolution",
     "solve_adjoint",
     "cost_value",
     "cost_state_gradient",
     "dj_along_tangent",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class AdjointSolution:
-    """Backward multipliers: q pairs with the balance equation, p with the
-    conserved phase equation. Both are level-indexed 0..Nt."""
-
-    grid: Grid
-    tgrid: TimeGrid
-    q: np.ndarray
-    p: np.ndarray
-
-    def reduced_gradient(self) -> np.ndarray:
-        """q at the running levels 1..Nt, shaped like a control."""
-        return self.q[1:].copy()
 
 
 def _check_state(state: Trajectory, grid: Grid, tgrid: TimeGrid) -> None:
@@ -121,8 +101,10 @@ def dj_along_tangent(tangent: TangentSolution, state: Trajectory, cost: CostSpec
     return float(np.sum(d_theta * tangent.dtheta[1:]) + np.sum(d_phi * tangent.dphi[1:]))
 
 
-def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> AdjointSolution:
-    """Backward sweep with the exact transposes of the tangent step operators.
+def solve_adjoint(state: Trajectory, spec: ProblemSpec) -> np.ndarray:
+    """Backward sweep with the exact transposes of the tangent step operators;
+    returns the reduced gradient q of spec.cost, shaped (steps, ncells) like a
+    control.
 
     The factorized matrix is the (theta, phi) Schur complement, whose (phi,
     phi) block I + dt L (L - diag(visc/dt + slope)) is fourth order.
@@ -135,9 +117,8 @@ def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> Adjoi
     physics, pot = spec.physics, spec.potential
     m = grid.cell_measure
 
-    d_theta, d_phi = cost_state_gradient(state, cost)
-    q = np.zeros((nt + 1, n))
-    p = np.zeros((nt + 1, n))
+    d_theta, d_phi = cost_state_gradient(state, spec.cost)
+    q = np.empty((nt, n))
     y = np.zeros(3 * n)
     held = StepLU(step_operator(grid, dt, physics))
     for level in range(nt, 0, -1):
@@ -148,8 +129,5 @@ def solve_adjoint(state: Trajectory, cost: CostSpec, spec: ProblemSpec) -> Adjoi
         y = held.solve_at(rhs, pot.d2w_convex_eff(state.phi[level]), trans="T")
         if not np.all(np.isfinite(y)):
             raise LinearSolveDivergence(f"adjoint sweep broke down at level {level}")
-        q[level] = y[:n] / m
-        p[level] = y[n : 2 * n] / m
-    q[0] = q[1]
-    p[0] = p[1]
-    return AdjointSolution(grid=grid, tgrid=tgrid, q=q, p=p)
+        q[level - 1] = y[:n] / m
+    return q

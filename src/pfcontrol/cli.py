@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, tangent, adjoint, gradcheck, optimize, probe. main
-loads the JSON config (--config) once and hands it to the command, which
-writes its JSON report to stdout or, given --out DIR, into that directory.
+creates --out DIR, then loads the JSON config (--config) once and hands it
+to the command, which writes its JSON report to stdout or into that directory.
 With --out, solve also writes a per-level time series CSV (and field
 snapshot rows every output.snapshot_stride levels), and optimize writes its
 iteration history CSV plus the final control. Every output file carries the
@@ -14,7 +14,8 @@ finite and above 0. Outputs are deterministic: reruns are byte-identical,
 timing goes to stderr only.
 
 Exit codes: 0 success, 1 solver failure or non-converged optimization,
-2 invalid config or usage, 3 a check or probe ran but did not pass.
+2 invalid config or usage (an --out that cannot be made a directory too),
+3 a check or probe ran but did not pass.
 """
 
 from __future__ import annotations
@@ -76,17 +77,8 @@ def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
             )
 
 
-def _out_dir(args) -> Path | None:
-    if args.out is None:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _report_path(args, name: str) -> Path | None:
-    out = _out_dir(args)
-    return out / name if out is not None else None
+    return args.out / name if args.out is not None else None
 
 
 def _write_report(cfg, args, **fields) -> None:
@@ -121,11 +113,10 @@ def _cmd_solve(cfg, args) -> int:
         theta_final=traj.theta[-1].tolist(),
         phi_final=traj.phi[-1].tolist(),
     )
-    out = _out_dir(args)
-    if out is None:
+    if args.out is None:
         return _EXIT_OK
     _write_csv(
-        out / "solve_timeseries.csv",
+        args.out / "solve_timeseries.csv",
         cfg.digest,
         ["level", "time", "phase_mean", "energy", "theta_h", "phi_h"],
         (
@@ -139,7 +130,7 @@ def _cmd_solve(cfg, args) -> int:
         coords = spec.grid.coords()
         axis_names = ["x", "y"][: spec.grid.dim]
         _write_csv(
-            out / "solve_snapshots.csv",
+            args.out / "solve_snapshots.csv",
             cfg.digest,
             ["level", "time", *axis_names, "theta", "phi"],
             (
@@ -180,9 +171,8 @@ def _cmd_adjoint(cfg, args) -> int:
     spec = cfg.spec
     state = solve_state(cfg.initial_control(), spec)
     t0 = time.perf_counter()
-    adj = solve_adjoint(state, spec.cost, spec)
+    grad = solve_adjoint(state, spec)
     _info(f"adjoint: {time.perf_counter() - t0:.3f}s")
-    grad = adj.reduced_gradient()
     h = smooth_direction(spec, np.random.default_rng(args.seed))
     tan = solve_tangent(h, state, spec)
     lhs = lq_inner(grad, h, spec)
@@ -222,12 +212,11 @@ def _cmd_optimize(cfg, args) -> int:
         bang_bang=dataclasses.asdict(report.bang_bang),
         start_seed=report.start_seed,
     )
-    out = _out_dir(args)
-    if out is not None:
+    if args.out is not None:
         # Row k describes iterate k; evaluations counts the state solves that
         # accepting it cost, so it is empty on the starting row.
         _write_csv(
-            out / "optimize_history.csv",
+            args.out / "optimize_history.csv",
             cfg.digest,
             ["iteration", "j", "residual", "evaluations"],
             zip(
@@ -243,7 +232,7 @@ def _cmd_optimize(cfg, args) -> int:
                 "shape": list(report.u_opt.shape),
                 "values": report.u_opt.tolist(),
             },
-            out / "control.json",
+            args.out / "control.json",
         )
     return _EXIT_OK if report.termination == "stationary" else _EXIT_SOLVER
 
@@ -313,7 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None, help="output directory for report and data files")
+        p.add_argument(
+            "--out", type=Path, default=None, help="output directory for report and data files"
+        )
 
     p = sub.add_parser("solve", help="run the forward solver")
     common(p)
@@ -356,6 +347,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.out is not None:
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"usage error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return _EXIT_CONFIG
     try:
         return args.fn(load_config(args.config), args)
     except ValidationError as exc:

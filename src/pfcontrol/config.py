@@ -38,9 +38,10 @@ must hold numbers only; a violation names its key path (for example
 cost.theta_target.amplitude). The cosine kind builds
 a * prod_i cos(m_i * pi * x_i / L_i) + b, which has zero boundary flux for
 integer modes. Validation is collecting: every violation found is reported,
-not just the first. A top-level section or a section key that no parser
-branch reads is a violation, not ignored. The per-step Newton solve has no
-section: its tolerance and budgets are constants of the dynamics module.
+not just the first. A top-level section, a section key or a <field> key
+that no parser branch reads is a violation, not ignored. The per-step
+Newton solve has no section: its tolerance and budgets are constants of the
+dynamics module.
 """
 
 from __future__ import annotations
@@ -78,6 +79,12 @@ _KNOWN_KEYS = {
     "optimize": ("stat_tol", "max_iter", "starts"),
     "control": ("kind", "value", "seed", "values"),
     "output": ("snapshot_stride",),
+}
+#: Keys a <field> object of each kind may hold.
+_FIELD_KEYS = {
+    "constant": ("kind", "value"),
+    "values": ("kind", "values"),
+    "cosine": ("kind", "amplitude", "modes", "offset"),
 }
 
 
@@ -181,21 +188,24 @@ def build_field(entry: Any, grid: Grid, where: str, errors: _Collector, steps: i
         section, _, key = where.rpartition(".")
         return errors.number({key: entry}, key, 0.0, section)
     kind = entry.get("kind")
+    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
+        errors.add(f"{where}.kind: unknown field kind {kind!r}")
+        return 0.0
+    for key in entry:
+        if key not in _FIELD_KEYS[kind]:
+            errors.add(f"{where}.{key}: unknown key")
     if kind == "constant":
         return errors.number(entry, "value", 0.0, where)
     if kind == "values":
         return _numbers(entry.get("values", []), f"{where}.values", errors, *shapes)
-    if kind == "cosine":
-        amplitude = errors.number(entry, "amplitude", 1.0, where)
-        offset = errors.number(entry, "offset", 0.0, where)
-        modes = _numbers(entry.get("modes", [1] * grid.dim), f"{where}.modes", errors, (grid.dim,))
-        pts = grid.coords()
-        values = np.full(grid.ncells, amplitude)
-        for axis, (m, length) in enumerate(zip(modes, grid.lengths)):
-            values = values * np.cos(m * np.pi * pts[:, axis] / length)
-        return values + offset
-    errors.add(f"{where}.kind: unknown field kind {kind!r}")
-    return 0.0
+    amplitude = errors.number(entry, "amplitude", 1.0, where)
+    offset = errors.number(entry, "offset", 0.0, where)
+    modes = _numbers(entry.get("modes", [1] * grid.dim), f"{where}.modes", errors, (grid.dim,))
+    pts = grid.coords()
+    values = np.full(grid.ncells, amplitude)
+    for axis, (m, length) in enumerate(zip(modes, grid.lengths)):
+        values = values * np.cos(m * np.pi * pts[:, axis] / length)
+    return values + offset
 
 
 def config_digest(raw: dict) -> str:

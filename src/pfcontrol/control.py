@@ -56,16 +56,14 @@ def project_box(u: np.ndarray, box: ControlBox) -> np.ndarray:
 def reduced_gradient(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Gradient of the reduced cost in the L2(Q) pairing (adjoint q at the
     running levels)."""
-    state = solve_state(u, spec)
-    return solve_adjoint(state, spec.cost, spec).reduced_gradient()
+    return solve_adjoint(solve_state(u, spec), spec)
 
 
-def stationarity_residual(
-    u: np.ndarray, grad: np.ndarray, box: ControlBox, spec: ProblemSpec
-) -> float:
-    """||u - P(u - grad)|| in the discrete L2(Q) norm; zero iff u is stationary."""
+def stationarity_residual(u: np.ndarray, grad: np.ndarray, spec: ProblemSpec) -> float:
+    """||u - P(u - grad)|| in the discrete L2(Q) norm over spec.box; zero iff
+    u is stationary."""
     u = np.asarray(u, dtype=float)
-    return lq_norm(u - project_box(u - grad, box), spec)
+    return lq_norm(u - project_box(u - grad, spec.box), spec)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,11 +205,11 @@ def _optimize_single(
     lo, hi = spec.box.bounds(u.shape)
     state = solve_state(u, spec)
     j = cost_value(state, spec.cost)
-    grad = solve_adjoint(state, spec.cost, spec).reduced_gradient()
+    grad = solve_adjoint(state, spec)
     j_hist, res_hist, evals, pairs = [j], [], [], []
     termination = "max_iterations"
     for it in range(opts.max_iter + 1):
-        res = stationarity_residual(u, grad, spec.box, spec)
+        res = stationarity_residual(u, grad, spec)
         res_hist.append(res)
         if res <= opts.stat_tol:
             termination = "stationary"
@@ -237,7 +235,7 @@ def _optimize_single(
         else:
             termination = "line_search_stalled"
             break
-        new_grad = solve_adjoint(trial_state, spec.cost, spec).reduced_gradient()
+        new_grad = solve_adjoint(trial_state, spec)
         pairs = pairs[1 - _MEMORY :] + [(trial - u, new_grad - grad)]
         u, j, grad = trial, trial_j, new_grad
         j_hist.append(j)

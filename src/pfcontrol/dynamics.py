@@ -89,13 +89,11 @@ class Trajectory:
 
 @dataclasses.dataclass(frozen=True)
 class TangentSolution:
-    """Directional state derivative along a control direction."""
+    """Directional state derivative along a control direction, level-indexed
+    0..Nt like the trajectory's theta and phi."""
 
-    grid: Grid
-    tgrid: TimeGrid
     dtheta: np.ndarray
     dphi: np.ndarray
-    dmu: np.ndarray
 
 
 def step_matrix(
@@ -465,7 +463,6 @@ def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> Tangent
 
     dtheta = np.zeros((nt + 1, n))
     dphi = np.zeros((nt + 1, n))
-    dmu = np.empty((nt, n))
     held = StepLU(step_operator(grid, dt, physics))
     x = np.zeros(3 * n)
     for k in range(nt):
@@ -474,8 +471,8 @@ def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> Tangent
         x = held.solve_at(rhs, pot.d2w_convex_eff(base.phi[k + 1]))
         if not np.all(np.isfinite(x)):
             raise LinearSolveDivergence(f"tangent sweep broke down at step {k}")
-        dtheta[k + 1], dphi[k + 1], dmu[k] = x[:n], x[n : 2 * n], x[2 * n :]
-    return TangentSolution(grid=grid, tgrid=tgrid, dtheta=dtheta, dphi=dphi, dmu=dmu)
+        dtheta[k + 1], dphi[k + 1] = x[:n], x[n : 2 * n]
+    return TangentSolution(dtheta=dtheta, dphi=dphi)
 
 
 def mixture_energy(grid: Grid, potential: Potential, phi: np.ndarray) -> float:

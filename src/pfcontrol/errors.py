@@ -1,8 +1,8 @@
 """Exception hierarchy for the toolkit.
 
-Configuration problems (bad input data) and solver failures (runtime
-breakdown) are kept in separate branches so the CLI can map them to
-distinct exit codes.
+Configuration problems (bad input data) derive from ConfigError, which the
+CLI maps to exit code 2; every other PfcError is a runtime failure of the
+numerics (exit code 1). Each failure has one class.
 """
 
 from __future__ import annotations
@@ -44,22 +44,15 @@ class RootSolveFailure(PfcError):
     """Scalar root solve (Yosida resolvent) failed to converge."""
 
 
-class SolverError(PfcError):
-    """Base class for numerical solver breakdowns."""
+class LinearSolveDivergence(PfcError):
+    """A step-operator factorization was singular, a linear sweep
+    (tangent/adjoint) produced non-finite values, or a grid solve (Helmholtz,
+    inverse Neumann) left a bad residual."""
 
 
-class SolverDivergence(SolverError):
-    """A linear solve produced an unacceptable residual."""
-
-
-class LinearSolveDivergence(SolverError):
-    """A step-operator factorization was singular, or a linear sweep
-    (tangent/adjoint) produced non-finite values or a bad residual."""
-
-
-class NewtonDivergence(SolverError):
+class NewtonDivergence(PfcError):
     """Newton iteration for a time step failed to converge."""
 
 
-class DomainEscape(SolverError):
+class DomainEscape(PfcError):
     """Exact-mode iterates could not be kept inside the convex part's domain."""

@@ -2,8 +2,8 @@
 
 The spatial operators live here: the divergence-form Laplacian with mirror
 ghost cells (zero boundary flux), means and integrals, the inverse Neumann
-operator on zero-mean data, the H / V / dual norms built on it, and
-cached Helmholtz solves with the smoothing step built on them.
+operator on zero-mean data, the H / V / dual norms built on it, and the
+smoothing step: one Helmholtz solve per level with one cached LU.
 
 Fields are cell values flattened in C order. All cells have the same measure,
 so the measure-weighted mean is the plain arithmetic average.
@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
-from .errors import NonZeroMean, ShapeMismatch, SolverDivergence
+from .errors import LinearSolveDivergence, NonZeroMean, ShapeMismatch
 
 __all__ = ["Grid", "TimeGrid"]
 
@@ -43,7 +43,8 @@ class Grid:
 
     Args:
         cells: cells per axis, an int (1D) or a pair (2D); at least 2 per axis.
-        lengths: axis lengths; defaults to the unit interval/square.
+        lengths: axis lengths, each finite and positive; defaults to the unit
+            interval/square.
     """
 
     def __init__(self, cells: int | Sequence[int], lengths: float | Sequence[float] | None = None):
@@ -62,8 +63,8 @@ class Grid:
         self.lengths: tuple[float, ...] = tuple(float(L) for L in lengths)
         if len(self.lengths) != self.dim:
             raise ValueError("lengths must match the number of axes")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError(f"axis lengths must be positive, got {self.lengths}")
+        if not all(0.0 < L < np.inf for L in self.lengths):
+            raise ValueError(f"axis lengths must be finite and positive, got {self.lengths}")
         self.spacing: tuple[float, ...] = tuple(L / n for L, n in zip(self.lengths, self.cells))
         self.cell_measure: float = float(np.prod(self.spacing))
         self.ncells: int = int(np.prod(self.cells))
@@ -103,8 +104,12 @@ class Grid:
         return splu(k)
 
     @cached_property
-    def _helmholtz_cache(self) -> dict:
-        return {}
+    def _helmholtz_coef(self) -> float:
+        return 4.0 * max(self.spacing) ** 2
+
+    @cached_property
+    def _helmholtz_lu(self):
+        return splu((sps.identity(self.ncells) - self._helmholtz_coef * self.laplacian).tocsc())
 
     @cached_property
     def step_operators(self) -> dict:
@@ -131,28 +136,18 @@ class Grid:
         """Discrete L2(Omega) inner product."""
         return float(np.dot(self._check(u), self._check(v)) * self.cell_measure)
 
-    def helmholtz_solve(self, rhs: np.ndarray, coef: float) -> np.ndarray:
-        """Solve (I - coef * Laplacian) w = rhs. Factorization cached per coef."""
+    def helmholtz_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I - 4 h^2 Laplacian) w = rhs, with h the coarsest spacing."""
         rhs = self._check(rhs)
-        if coef < 0:
-            raise ValueError("helmholtz coefficient must be nonnegative")
-        if coef == 0.0:
-            return rhs.copy()
-        key = float(coef)
-        lu = self._helmholtz_cache.get(key)
-        if lu is None:
-            op = sps.identity(self.ncells) - key * self.laplacian
-            lu = splu(op.tocsc())
-            self._helmholtz_cache[key] = lu
-        w = lu.solve(rhs)
-        self._residual_guard(rhs - (w - key * (self.laplacian @ w)), rhs, "helmholtz solve")
+        w = self._helmholtz_lu.solve(rhs)
+        residual = rhs - (w - self._helmholtz_coef * (self.laplacian @ w))
+        self._residual_guard(residual, rhs, "helmholtz solve")
         return w
 
     def smooth_levels(self, levels: np.ndarray) -> np.ndarray:
-        """One implicit smoothing step (I - 4 h^2 Laplacian)^-1 per row of
-        levels, with h the coarsest spacing: damps grid-frequency noise."""
-        coef = 4.0 * max(self.spacing) ** 2
-        return np.stack([self.helmholtz_solve(level, coef) for level in levels])
+        """One implicit smoothing step (helmholtz_solve) per row of levels:
+        damps grid-frequency noise."""
+        return np.stack([self.helmholtz_solve(level) for level in levels])
 
     def _residual_guard(self, residual: np.ndarray, rhs: np.ndarray, what: str) -> None:
         scale = float(np.linalg.norm(rhs))
@@ -160,7 +155,9 @@ class Grid:
             scale = 1.0
         rel = float(np.linalg.norm(residual)) / scale
         if not np.isfinite(rel) or rel > LINEAR_RTOL:
-            raise SolverDivergence(f"{what}: relative residual {rel:.3e} exceeds {LINEAR_RTOL:.1e}")
+            raise LinearSolveDivergence(
+                f"{what}: relative residual {rel:.3e} exceeds {LINEAR_RTOL:.1e}"
+            )
 
     def inverse_neumann(self, values: np.ndarray) -> np.ndarray:
         """Solve -Laplacian g = f with zero-flux boundary and mean(g) = 0.

@@ -5,8 +5,9 @@ Every probe returns a ProbeReport with the measured quantities, the thresholds
 it judged them against and a pass flag. Probes are deterministic given
 (config, seed). The finite-difference oracle never reads the adjoint value,
 so the two derivative routes stay independent. The FD step, the Taylor
-ladder, the bands and the eps ladder the probes judge by are the module
-constants below.
+ladder and slope band, the energy tolerance, the refinement factor and the
+eps ladder the probes judge by are the module constants below; no probe
+takes them as arguments.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ FD_STEP = 0.1
 #: Taylor remainder probe: perturbation sizes and the band of the fitted slope.
 TAYLOR_DELTAS = tuple(np.logspace(-1.0, -4.0, 7))
 TAYLOR_SLOPE_BAND = (1.8, 2.2)
+#: Energy probe: allowed increase of one step, relative to max(1, |E0|).
+ENERGY_TOL = 1.0e-10
 #: Refinement probe: allowed factor between the fine and coarse max ratios.
 REFINEMENT_FACTOR = 2.0
 #: Yosida probe: the decreasing regularization ladder.
@@ -116,7 +119,7 @@ def fd_gradient_check(
     """Adjoint gradient against the FD oracle along seeded directions: the
     Richardson value (4 D(delta/2) - D(delta)) / 3, error estimate |D(delta/2) - D(delta)| / 3."""
     state = solve_state(u, spec)
-    grad = solve_adjoint(state, spec.cost, spec).reduced_gradient()
+    grad = solve_adjoint(state, spec)
     delta = FD_STEP * (float(np.max(np.abs(u))) + 1.0)
     rng = np.random.default_rng(seed)
     directions = []
@@ -146,16 +149,11 @@ def fd_gradient_check(
     )
 
 
-def frechet_remainder_probe(
-    u: np.ndarray,
-    spec: ProblemSpec,
-    h: np.ndarray | None = None,
-    seed: int = 11,
-) -> ProbeReport:
-    """Quadratic-remainder check: r(delta) = ||S(u + delta h) - S(u) - delta * DS h||_Y
-    should scale like delta^2 (log-log slope within TAYLOR_SLOPE_BAND)."""
-    if h is None:
-        h = smooth_direction(spec, np.random.default_rng(seed))
+def frechet_remainder_probe(u: np.ndarray, spec: ProblemSpec, seed: int = 11) -> ProbeReport:
+    """Quadratic-remainder check along the seeded smooth direction h:
+    r(delta) = ||S(u + delta h) - S(u) - delta * DS h||_Y should scale like
+    delta^2 (log-log slope within TAYLOR_SLOPE_BAND)."""
+    h = smooth_direction(spec, np.random.default_rng(seed))
     deltas = TAYLOR_DELTAS
     base = solve_state(u, spec)
     tangent = solve_tangent(h, base, spec)
@@ -171,37 +169,32 @@ def frechet_remainder_probe(
         remainders.append(r)
     log_d = np.log10(np.asarray(deltas, dtype=float))
     log_r = np.log10(np.maximum(remainders, 1.0e-300))
-    if float(np.max(remainders)) == 0.0:
-        # Zero direction: the expansion is exact, nothing to fit.
-        slope = None
-        passed = True
-    else:
-        # Rungs at the solver noise floor stop decaying and would flatten the
-        # fit; keep the longest run of rungs with a near-quadratic pairwise
-        # decay rate. The gate (1.5 to 2.5) is strictly wider than the pass
-        # band, so a remainder that uniformly decays at any rate outside the
-        # band still fails: the gate can only discard saturated or transition
-        # rungs, never rescue a genuinely non-quadratic remainder.
-        pair = (log_r[:-1] - log_r[1:]) / (log_d[:-1] - log_d[1:])
-        good = (pair >= 1.5) & (pair <= 2.5)
-        best_start, best_len = 0, 0
-        i = 0
-        while i < len(good):
-            if good[i]:
-                j = i
-                while j < len(good) and good[j]:
-                    j += 1
-                if j - i > best_len:
-                    best_start, best_len = i, j - i
-                i = j
-            else:
-                i += 1
-        if best_len >= 2:
-            window = slice(best_start, best_start + best_len + 1)
-            slope = float(np.polyfit(log_d[window], log_r[window], 1)[0])
+    # Rungs at the solver noise floor stop decaying and would flatten the
+    # fit; keep the longest run of rungs with a near-quadratic pairwise
+    # decay rate. The gate (1.5 to 2.5) is strictly wider than the pass
+    # band, so a remainder that uniformly decays at any rate outside the
+    # band still fails: the gate can only discard saturated or transition
+    # rungs, never rescue a genuinely non-quadratic remainder.
+    pair = (log_r[:-1] - log_r[1:]) / (log_d[:-1] - log_d[1:])
+    good = (pair >= 1.5) & (pair <= 2.5)
+    best_start, best_len = 0, 0
+    i = 0
+    while i < len(good):
+        if good[i]:
+            j = i
+            while j < len(good) and good[j]:
+                j += 1
+            if j - i > best_len:
+                best_start, best_len = i, j - i
+            i = j
         else:
-            slope = 0.0
-        passed = TAYLOR_SLOPE_BAND[0] <= slope <= TAYLOR_SLOPE_BAND[1]
+            i += 1
+    if best_len >= 2:
+        window = slice(best_start, best_start + best_len + 1)
+        slope = float(np.polyfit(log_d[window], log_r[window], 1)[0])
+    else:
+        slope = 0.0
+    passed = TAYLOR_SLOPE_BAND[0] <= slope <= TAYLOR_SLOPE_BAND[1]
     return ProbeReport(
         name="frechet_remainder",
         seed=seed,
@@ -406,11 +399,9 @@ def yosida_convergence_probe(spec: ProblemSpec, seed: int = 5) -> ProbeReport:
     )
 
 
-def energy_probe(
-    spec: ProblemSpec, steps: int = 256, tol_scale: float = 1.0e-10
-) -> ProbeReport:
+def energy_probe(spec: ProblemSpec, steps: int = 256) -> ProbeReport:
     """Energy decay of the decoupled flow (latent = coupling = 0, zero source)
-    under the configured potential: no increase above tol_scale * max(1, |E0|)."""
+    under the configured potential: no increase above ENERGY_TOL * max(1, |E0|)."""
     physics = dataclasses.replace(spec.physics, latent=0.0, coupling=0.0)
     tgrid = TimeGrid(spec.tgrid.horizon, steps)
     decoupled = dataclasses.replace(spec, physics=physics, tgrid=tgrid)
@@ -420,7 +411,7 @@ def energy_probe(
     )
     increments = np.diff(energies)
     max_increase = float(np.max(increments)) if increments.size else 0.0
-    tol = tol_scale * max(1.0, abs(float(energies[0])))
+    tol = ENERGY_TOL * max(1.0, abs(float(energies[0])))
     n_violations = int(np.count_nonzero(increments > tol))
     return ProbeReport(
         name="energy_decay",

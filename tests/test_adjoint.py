@@ -20,8 +20,7 @@ def _random_control(spec, seed=0, amplitude=0.4):
 def _duality_gap(spec, seed=0):
     u = _random_control(spec, seed)
     state = pfc.solve_state(u, spec)
-    adj = pfc.solve_adjoint(state, spec.cost, spec)
-    grad = adj.reduced_gradient()
+    grad = pfc.solve_adjoint(state, spec)
     rng = np.random.default_rng(seed + 100)
     h = rng.standard_normal(u.shape)
     tan = pfc.solve_tangent(h, state, spec)
@@ -141,15 +140,14 @@ class TestCostValues:
 
     def test_zero_weights_zero_multipliers(self, regular_spec):
         state = pfc.solve_state(_random_control(regular_spec, 7), regular_spec)
-        adj = pfc.solve_adjoint(state, pfc.CostSpec(), regular_spec)
-        assert not np.any(adj.q)
-        assert not np.any(adj.p)
+        zero_cost = dataclasses.replace(regular_spec, cost=pfc.CostSpec())
+        assert not np.any(pfc.solve_adjoint(state, zero_cost))
         assert pfc.cost_value(state, pfc.CostSpec()) == 0.0
 
     def test_weight_scaling_is_exact(self, regular_spec):
         u = _random_control(regular_spec, 8)
         state = pfc.solve_state(u, regular_spec)
-        base = pfc.solve_adjoint(state, regular_spec.cost, regular_spec)
+        base = pfc.solve_adjoint(state, regular_spec)
         cost = regular_spec.cost
         doubled_cost = dataclasses.replace(
             cost,
@@ -158,32 +156,24 @@ class TestCostValues:
             w_theta_final=2.0 * cost.w_theta_final,
             w_phi_final=2.0 * cost.w_phi_final,
         )
-        doubled = pfc.solve_adjoint(state, doubled_cost, regular_spec)
+        doubled = pfc.solve_adjoint(state, dataclasses.replace(regular_spec, cost=doubled_cost))
         # Doubling every weight doubles cost and multipliers bitwise: every
         # arithmetic path is linear and scaling by 2 is exact.
         assert pfc.cost_value(state, doubled_cost) == 2.0 * pfc.cost_value(
             state, regular_spec.cost
         )
-        assert np.array_equal(doubled.q, 2.0 * base.q)
-        assert np.array_equal(doubled.p, 2.0 * base.p)
+        assert np.array_equal(doubled, 2.0 * base)
 
 
 class TestPlumbing:
-    def test_level_zero_duplicates_level_one(self, regular_spec):
-        state = pfc.solve_state(_random_control(regular_spec, 10), regular_spec)
-        adj = pfc.solve_adjoint(state, regular_spec.cost, regular_spec)
-        assert np.array_equal(adj.q[0], adj.q[1])
-        assert np.array_equal(adj.p[0], adj.p[1])
-
     def test_reduced_gradient_shape(self, regular_spec):
-        state = pfc.solve_state(zero_control(regular_spec), regular_spec)
-        adj = pfc.solve_adjoint(state, regular_spec.cost, regular_spec)
-        grad = adj.reduced_gradient()
+        u = zero_control(regular_spec)
+        grad = pfc.solve_adjoint(pfc.solve_state(u, regular_spec), regular_spec)
         assert grad.shape == (regular_spec.tgrid.steps, regular_spec.grid.ncells)
-        assert np.array_equal(grad, adj.q[1:])
+        assert np.array_equal(grad, pfc.reduced_gradient(u, regular_spec))
 
     def test_grid_mismatch_rejected(self, regular_spec):
         other = desk_spec("regular", cells=16, steps=16)
         state = pfc.solve_state(zero_control(other), other)
         with pytest.raises(pfc.ShapeMismatch):
-            pfc.solve_adjoint(state, regular_spec.cost, regular_spec)
+            pfc.solve_adjoint(state, regular_spec)

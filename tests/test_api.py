@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,3 +102,30 @@ def test_benchmark_tracer_installs_on_every_traced_name():
         tracer.uninstall()
     assert wrapped
     assert not spans.wrapped_bindings()
+
+
+def _quickstart_block() -> str:
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Quickstart (Python)", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_exported_functions_have_a_caller():
+    # A function belongs in the package's public API only if the product,
+    # the benchmark, the acceptance tests or the README quickstart call it.
+    root = Path(pfc.__file__).parent
+    texts = [_quickstart_block()]
+    texts += [p.read_text() for p in (root.parent.parent / "perfbench").glob("*.py")]
+    texts += [(Path(__file__).parent / n).read_text() for n in ("test_acceptance.py", "conftest.py")]
+    functions = [
+        n for n in pfc.__all__
+        if callable(getattr(pfc, n)) and not isinstance(getattr(pfc, n), type)
+    ]
+    uncalled = []
+    for name in functions:
+        home = getattr(pfc, name).__module__.rpartition(".")[2]
+        others = [p.read_text() for p in root.glob("*.py") if p.stem not in (home, "__init__")]
+        pattern = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(pattern.search(text) for text in texts + others):
+            uncalled.append(name)
+    assert not uncalled

@@ -299,6 +299,22 @@ class TestBuildField:
         build_field({"kind": "sawtooth"}, grid, "f", errs)
         assert any("sawtooth" in e for e in errs.errors)
 
+    @pytest.mark.parametrize(
+        "entry,key",
+        [
+            ({"kind": "constant", "value": 0.3, "offset": 0.1}, "offset"),
+            ({"kind": "values", "values": [0.0, 1.0, 2.0, 3.0], "modes": [1]}, "modes"),
+            ({"kind": "cosine", "amplitud": 0.3}, "amplitud"),
+        ],
+        ids=["constant", "values", "cosine"],
+    )
+    def test_unknown_key_recorded(self, entry, key):
+        # A key the kind does not read (a typo, or another kind's key) is a
+        # violation, not a silently applied default.
+        errs = _Collector()
+        build_field(entry, pfc.Grid(4), "initial.theta", errs)
+        assert errs.errors == [f"initial.theta.{key}: unknown key"]
+
     def test_time_indexed_values_need_steps(self):
         grid = pfc.Grid(4)
         entry = {"kind": "values", "values": np.arange(12.0).reshape(3, 4).tolist()}
@@ -394,10 +410,15 @@ class TestCliSolve:
             ({"box": {"lower": "@"}, "control": {"kind": "random", "seed": 1}}, "-1e400",
              "box.lower: must be finite"),
             ({"box": {"lower": "@"}}, '"x"', "box.lower: expected a number, got 'x'"),
+            ({"initial": {"theta": "@", "phi": 0.1}}, '{"kind": "cosine", "amplitud": 0.3}',
+             "initial.theta.amplitud: unknown key"),
+            ({"grid": {"cells": [16], "lengths": "@"}, "control": {"kind": "random", "seed": 1}},
+             "[1e400]", "grid: axis lengths must be finite and positive, got (inf,)"),
         ],
         ids=["control-value-text", "control-value-overflow", "control-values-text",
              "initial-value-text", "target-values-ragged", "target-amplitude-text",
-             "target-overflow", "box-overflow-random-control", "box-text"],
+             "target-overflow", "box-overflow-random-control", "box-text",
+             "initial-field-unknown-key", "grid-length-overflow-random-control"],
     )
     def test_bad_field_values_exit_2(self, tmp_path, capsys, overrides, entry, message):
         # JSON reads 1e400 as inf. Each bad value is one violation at its key
@@ -433,6 +454,21 @@ class TestCliSolve:
         code, _, err = run_cli(["optimize", "--config", cfg], capsys)
         assert code == 2
         assert f"config error: optimize.{key}: unknown key" in err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_naming_a_file_exits_2_before_solving(
+        self, config_file, tmp_path, capsys, under
+    ):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out_path = blocker / "sub" if under else blocker
+        argv = ["solve", "--config", config_file(), "--out", str(out_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"usage error: --out {out_path}: ")
+        assert "solve:" not in err and "Traceback" not in err
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(

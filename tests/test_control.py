@@ -54,20 +54,20 @@ class TestStationarity:
     def test_zero_gradient_is_stationary(self):
         spec = _small_spec()
         u = np.zeros((8, 16))
-        assert pfc.stationarity_residual(u, np.zeros_like(u), spec.box, spec) == 0.0
+        assert pfc.stationarity_residual(u, np.zeros_like(u), spec) == 0.0
 
     def test_pinned_face_against_positive_gradient(self):
         spec = _small_spec()
         u = np.full((8, 16), -1.0)
         g = np.full_like(u, 0.3)
-        assert pfc.stationarity_residual(u, g, spec.box, spec) == 0.0
+        assert pfc.stationarity_residual(u, g, spec) == 0.0
 
     def test_interior_point_measures_gradient_norm(self):
         spec = _small_spec()
         u = np.zeros((8, 16))
         rng = np.random.default_rng(0)
         g = 0.1 * rng.uniform(-1.0, 1.0, u.shape)
-        res = pfc.stationarity_residual(u, g, spec.box, spec)
+        res = pfc.stationarity_residual(u, g, spec)
         assert res == pytest.approx(pfc.lq_norm(g, spec), rel=1e-14)
 
 
@@ -146,8 +146,7 @@ class TestSharedHelpers:
         shape = (spec.tgrid.steps, spec.grid.ncells)
         lo, hi = np.full(shape, -1.0), np.full(shape, 1.0)
         raw = rng.uniform(lo, hi)
-        coef = 4.0 * max(spec.grid.spacing) ** 2
-        smooth = np.stack([spec.grid.helmholtz_solve(level, coef) for level in raw])
+        smooth = np.stack([spec.grid.helmholtz_solve(level) for level in raw])
         expected = np.clip(smooth, lo, hi)
         assert np.array_equal(pfc.random_admissible_control(spec, 11), expected)
 
@@ -243,7 +242,7 @@ class TestOptimize:
         assert report.residual_final <= 1.0e-4
         # Cross-check the reported residual independently.
         grad = pfc.reduced_gradient(report.u_opt, spec)
-        res = pfc.stationarity_residual(report.u_opt, grad, spec.box, spec)
+        res = pfc.stationarity_residual(report.u_opt, grad, spec)
         assert res == pytest.approx(report.residual_final, rel=1e-10)
 
     def test_multistart_keeps_best(self):
@@ -301,5 +300,5 @@ def test_yosida_ladder_of_optimal_values_is_first_order():
     assert all(0.8 <= slope <= 1.2 for slope in slopes), (gaps, slopes)
     # The eps = 1e-3 optimum is nearly stationary for the exact problem.
     grad = pfc.reduced_gradient(report.u_opt, exact_spec)
-    residual = pfc.stationarity_residual(report.u_opt, grad, exact_spec.box, exact_spec)
+    residual = pfc.stationarity_residual(report.u_opt, grad, exact_spec)
     assert residual <= 2.0 * stat_tol

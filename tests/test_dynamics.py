@@ -200,7 +200,6 @@ class TestTangent:
         tan = pfc.solve_tangent(zero_control(regular_spec), base, regular_spec)
         assert not np.any(tan.dtheta)
         assert not np.any(tan.dphi)
-        assert not np.any(tan.dmu)
 
     @pytest.mark.parametrize("regime", ["regular", "log"])
     def test_tangent_mean_zero_and_fd_consistent(self, regime):
@@ -369,7 +368,7 @@ class TestStepOperator:
         assert len(factored) > spec.tgrid.steps  # the ordering and the Newton factorizations
         pfc.solve_state(u, spec)
         pfc.solve_tangent(u, base, spec)
-        pfc.solve_adjoint(base, spec.cost, spec)
+        pfc.solve_adjoint(base, spec)
         assert len(assembled) == 1
         assert len(spec.grid.step_operators) == 1
 
@@ -430,7 +429,7 @@ class TestStepOperator:
         assert len(factored) <= spec.tgrid.steps + 3
         for sweep in (
             lambda: pfc.solve_tangent(u, base, spec),
-            lambda: pfc.solve_adjoint(base, spec.cost, spec),
+            lambda: pfc.solve_adjoint(base, spec),
         ):
             factored.clear()
             sweep()

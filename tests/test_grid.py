@@ -133,13 +133,14 @@ def test_dual_norm_homogeneous(c):
     )
 
 
-def test_helmholtz_solve_identity_at_zero_and_consistency():
+def test_helmholtz_solve_consistency():
+    # The one smoothing coefficient is 4 h^2, h the coarsest spacing.
     grid = pfc.Grid(24)
     rng = np.random.default_rng(5)
     f = rng.standard_normal(24)
-    np.testing.assert_array_equal(grid.helmholtz_solve(f, 0.0), f)
-    w = grid.helmholtz_solve(f, 0.3)
-    np.testing.assert_allclose(w - 0.3 * (grid.laplacian @ w), f, rtol=0, atol=1e-10)
+    w = grid.helmholtz_solve(f)
+    coef = 4.0 * (1.0 / 24) ** 2
+    np.testing.assert_allclose(w - coef * (grid.laplacian @ w), f, rtol=0, atol=1e-10)
 
 
 def test_2d_laplacian_consistent_with_1d():
@@ -166,6 +167,14 @@ def test_grid_construction_errors():
         pfc.Grid((4, 4, 4))
     with pytest.raises(ValueError):
         pfc.Grid(8, -1.0)
+
+
+@pytest.mark.parametrize("length", [np.inf, np.nan], ids=["inf", "nan"])
+def test_grid_rejects_non_finite_lengths(length):
+    with pytest.raises(ValueError, match="finite and positive"):
+        pfc.Grid(8, length)
+    with pytest.raises(ValueError, match="finite and positive"):
+        pfc.Grid((4, 4), (1.0, length))
 
 
 def test_inverse_neumann_undoes_laplacian():
