@@ -95,7 +95,7 @@ def _info(msg: str) -> None:
 def _cmd_solve(cfg, args) -> int:
     spec = cfg.spec
     t0 = time.perf_counter()
-    traj = solve_state(cfg.initial_control(), spec)
+    traj = solve_state(cfg.control, spec)
     _info(f"solve: {spec.tgrid.steps} steps in {time.perf_counter() - t0:.3f}s")
     times = spec.tgrid.times()
     means = traj.phase_mean_history()
@@ -150,7 +150,7 @@ def _cmd_solve(cfg, args) -> int:
 
 def _cmd_tangent(cfg, args) -> int:
     spec = cfg.spec
-    base = solve_state(cfg.initial_control(), spec)
+    base = solve_state(cfg.control, spec)
     h = smooth_direction(spec, np.random.default_rng(args.seed))
     t0 = time.perf_counter()
     tan = solve_tangent(h, base, spec)
@@ -169,7 +169,7 @@ def _cmd_tangent(cfg, args) -> int:
 
 def _cmd_adjoint(cfg, args) -> int:
     spec = cfg.spec
-    state = solve_state(cfg.initial_control(), spec)
+    state = solve_state(cfg.control, spec)
     t0 = time.perf_counter()
     grad = solve_adjoint(state, spec)
     _info(f"adjoint: {time.perf_counter() - t0:.3f}s")
@@ -194,7 +194,7 @@ def _cmd_adjoint(cfg, args) -> int:
 def _cmd_optimize(cfg, args) -> int:
     spec = cfg.spec
     t0 = time.perf_counter()
-    report = optimize(spec, cfg.initial_control(), cfg.optimize)
+    report = optimize(spec, cfg.control, cfg.optimize)
     _info(
         f"optimize: {report.iterations} iterations, termination {report.termination}, "
         f"{time.perf_counter() - t0:.3f}s"
@@ -239,13 +239,13 @@ def _cmd_optimize(cfg, args) -> int:
 
 def _gradcheck(cfg, a):
     return fd_gradient_check(
-        cfg.initial_control(), cfg.spec, n_directions=a.directions, seed=a.seed, tol=a.tol
+        cfg.control, cfg.spec, n_directions=a.directions, seed=a.seed, tol=a.tol
     )
 
 
 #: probe --name: the probe run on (config, arguments).
 _PROBES = {
-    "frechet": lambda cfg, a: frechet_remainder_probe(cfg.initial_control(), cfg.spec, seed=a.seed),
+    "frechet": lambda cfg, a: frechet_remainder_probe(cfg.control, cfg.spec, seed=a.seed),
     "lipschitz": lambda cfg, a: lipschitz_probe(cfg.spec, n_pairs=a.samples, seed=a.seed),
     "refinement": lambda cfg, a: lipschitz_refinement_probe(
         cfg.spec, n_pairs=a.samples, seed=a.seed

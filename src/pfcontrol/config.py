@@ -34,12 +34,14 @@ values in any nesting; cost targets and box bounds also take exactly
 (steps, ncells) values, one field per time level. The control is built once,
 here: its values list is exactly (steps, ncells), and a random control is
 drawn only from a valid spec. Every number must be finite, and every list
-must hold numbers only; a violation names its key path (for example
-cost.theta_target.amplitude). The cosine kind builds
+(grid.lengths too) must be a list of numbers only; a violation names its
+key path (for example cost.theta_target.amplitude). The cosine kind builds
 a * prod_i cos(m_i * pi * x_i / L_i) + b, which has zero boundary flux for
 integer modes. Validation is collecting: every violation found is reported,
-not just the first. A top-level section, a section key or a <field> key
-that no parser branch reads is a violation, not ignored. The per-step
+not just the first, those of the ProblemSpec constructor (initial data,
+box, target shapes, viscosity of an exact singular well) after the
+readers'. A top-level section, a section key or a <field> key that no
+parser branch reads is a violation, not ignored. The per-step
 Newton solve has no section: its tolerance and budgets are constants of the
 dynamics module.
 """
@@ -90,7 +92,9 @@ _FIELD_KEYS = {
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """A validated run: the problem spec plus everything around it."""
+    """A validated run: the problem spec plus everything around it. control
+    is the configured control / source term, one read-only (steps, ncells)
+    array built at parse time."""
 
     spec: ProblemSpec
     optimize: OptimizeOptions
@@ -99,13 +103,15 @@ class RunConfig:
     snapshot_stride: int = 0
 
     def initial_control(self) -> np.ndarray:
-        """The configured control / source term: the one read-only
-        (steps, ncells) array built at parse time, not a copy."""
+        """The same array as control. New code reads control; this stays for
+        perfbench/setup_probe.py, which calls it."""
         return self.control
 
 
 class _Collector:
-    """Accumulates violation messages so a config is validated in one pass."""
+    """Accumulates violation messages so a config is validated in one pass.
+    A reader that records a violation returns its default, so the run built
+    from the placeholders stays constructible and later checks still run."""
 
     def __init__(self):
         self.errors: list[str] = []
@@ -125,11 +131,9 @@ class _Collector:
         if not math.isfinite(value):
             self.add(f"{where}.{key}: must be finite")
             return default
-        if minimum is not None:
-            if strict and value <= minimum:
-                self.add(f"{where}.{key}: must be > {minimum}, got {value!r}")
-            elif not strict and value < minimum:
-                self.add(f"{where}.{key}: must be >= {minimum}, got {value!r}")
+        if minimum is not None and (value <= minimum if strict else value < minimum):
+            self.add(f"{where}.{key}: must be {'>' if strict else '>='} {minimum}, got {value!r}")
+            return default
         return value
 
     def integer(self, section: dict, key: str, default, where: str, minimum=None):
@@ -139,6 +143,7 @@ class _Collector:
             return default
         if minimum is not None and value < minimum:
             self.add(f"{where}.{key}: must be >= {minimum}, got {value!r}")
+            return default
         return value
 
     def section(self, raw: dict, key: str, required: bool = False) -> dict:
@@ -158,7 +163,7 @@ def _numbers(values: Any, where: str, errors: _Collector, *shapes) -> np.ndarray
     fits, where a shape (n,) takes n values in any nesting. A violation is
     recorded and zeros of the first shape returned."""
     try:
-        arr = np.asarray(values)
+        arr = np.asarray(values if isinstance(values, list) else None)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf":
@@ -236,36 +241,36 @@ def parse_config(raw: dict) -> RunConfig:
     elif not all(isinstance(c, int) and not isinstance(c, bool) for c in cells):
         col.add(f"grid.cells: expected integers, got {cells!r}")
     else:
+        n_errors = len(col.errors)
         lengths = grid_sec.get("lengths", [1.0] * len(cells))
-        try:
-            grid = Grid(tuple(cells), tuple(float(L) for L in lengths))
-        except (ValueError, TypeError) as exc:
-            col.add(f"grid: {exc}")
+        lengths = _numbers(lengths, "grid.lengths", col, (len(cells),))
+        if len(col.errors) == n_errors:
+            try:
+                grid = Grid(tuple(cells), lengths)
+            except ValueError as exc:
+                col.add(f"grid: {exc}")
     if grid is None:
         grid = Grid((2,))
 
     time_sec = col.section(raw, "time", required=True)
     horizon = col.number(time_sec, "horizon", None, "time", minimum=0.0, strict=True)
     steps = col.integer(time_sec, "steps", 1, "time", minimum=1)
-    # Recorded violations keep the run invalid; the placeholders below only
-    # keep later checks alive.
-    tgrid = TimeGrid(horizon if horizon and horizon > 0 else 1.0, max(steps, 1))
+    tgrid = TimeGrid(horizon or 1.0, steps)
 
     phys_sec = col.section(raw, "physics")
     physics = PhysicsParams(
-        visc=max(col.number(phys_sec, "visc", 0.0, "physics", minimum=0.0), 0.0),
-        latent=max(col.number(phys_sec, "latent", 1.0, "physics", minimum=0.0), 0.0),
-        coupling=max(col.number(phys_sec, "coupling", 1.0, "physics", minimum=0.0), 0.0),
+        visc=col.number(phys_sec, "visc", 0.0, "physics", minimum=0.0),
+        latent=col.number(phys_sec, "latent", 1.0, "physics", minimum=0.0),
+        coupling=col.number(phys_sec, "coupling", 1.0, "physics", minimum=0.0),
     )
 
     pot_sec = col.section(raw, "potential")
     kind = pot_sec.get("kind", "quartic")
-    eps = max(col.number(pot_sec, "eps", 0.0, "potential", minimum=0.0), 0.0)
+    eps = col.number(pot_sec, "eps", 0.0, "potential", minimum=0.0)
     potential = quartic_double_well(eps)
     if kind == "logarithmic":
         c = col.number(pot_sec, "c", 2.0, "potential", minimum=0.0, strict=True)
-        if c and c > 0:
-            potential = log_double_well(c=c, yosida_eps=eps)
+        potential = log_double_well(c=c, yosida_eps=eps)
     elif kind == "loglinear":
         potential = log_linear(eps)
     elif kind != "quartic":
@@ -281,10 +286,10 @@ def parse_config(raw: dict) -> RunConfig:
 
     cost_sec = col.section(raw, "cost")
     cost = CostSpec(
-        w_theta=max(col.number(cost_sec, "w_theta", 0.0, "cost", minimum=0.0), 0.0),
-        w_phi=max(col.number(cost_sec, "w_phi", 0.0, "cost", minimum=0.0), 0.0),
-        w_theta_final=max(col.number(cost_sec, "w_theta_final", 0.0, "cost", minimum=0.0), 0.0),
-        w_phi_final=max(col.number(cost_sec, "w_phi_final", 0.0, "cost", minimum=0.0), 0.0),
+        w_theta=col.number(cost_sec, "w_theta", 0.0, "cost", minimum=0.0),
+        w_phi=col.number(cost_sec, "w_phi", 0.0, "cost", minimum=0.0),
+        w_theta_final=col.number(cost_sec, "w_theta_final", 0.0, "cost", minimum=0.0),
+        w_phi_final=col.number(cost_sec, "w_phi_final", 0.0, "cost", minimum=0.0),
         **{
             key: build_field(cost_sec.get(key, 0.0), grid, f"cost.{key}", col, tgrid.steps)
             for key in ("theta_target", "phi_target", "theta_final_target", "phi_final_target")
@@ -326,16 +331,18 @@ def parse_config(raw: dict) -> RunConfig:
     out_sec = col.section(raw, "output")
     snapshot_stride = col.integer(out_sec, "snapshot_stride", 0, "output", minimum=0)
 
-    spec = ProblemSpec(
-        grid=grid,
-        tgrid=tgrid,
-        physics=physics,
-        potential=potential,
-        init=init,
-        cost=cost,
-        box=box,
-    )
-    col.errors.extend(spec.validate())
+    try:
+        spec = ProblemSpec(
+            grid=grid,
+            tgrid=tgrid,
+            physics=physics,
+            potential=potential,
+            init=init,
+            cost=cost,
+            box=box,
+        )
+    except ValidationError as exc:
+        col.errors.extend(exc.violations)
     if col.errors:
         raise ValidationError(col.errors)
     if ckind == "random":
@@ -346,7 +353,7 @@ def parse_config(raw: dict) -> RunConfig:
         optimize=optimize_opts,
         control=control,
         digest=config_digest(raw),
-        snapshot_stride=max(snapshot_stride, 0),
+        snapshot_stride=snapshot_stride,
     )
 
 

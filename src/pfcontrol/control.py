@@ -260,13 +260,21 @@ def optimize(
 ) -> OptimizeReport:
     """Projected L-BFGS descent on the reduced cost over the admissible box.
 
-    Terminates when the stationarity residual drops below opts.stat_tol, the
-    iteration cap is reached or a line search finds no decrease; the cost
-    history is non-increasing by construction. Optional multi-start: extra
-    seeded admissible initial controls, keeping the lowest final cost.
+    Raises ValidationError unless latent > 0, coupling > 0 and, for a singular
+    well, visc > 0: the hypotheses of the control theory. Terminates when the
+    stationarity residual drops below opts.stat_tol, the iteration cap is
+    reached or a line search finds no decrease; the cost history is
+    non-increasing by construction. Optional multi-start: extra seeded
+    admissible initial controls, keeping the lowest final cost.
     """
     opts = opts or OptimizeOptions()
-    bad = spec.validate(for_control=True)
+    physics, bad = spec.physics, []
+    if spec.potential.is_singular and physics.visc == 0:
+        bad.append("physics.visc: singular potential requires visc > 0 for the control problem")
+    if physics.latent <= 0:
+        bad.append("physics.latent: must be positive for the control problem")
+    if physics.coupling <= 0:
+        bad.append("physics.coupling: must be positive for the control problem")
     if bad:
         raise ValidationError(bad)
     shape = (spec.tgrid.steps, spec.grid.ncells)

@@ -387,20 +387,14 @@ def _advance_step(
 def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     """March the state system with source u over the whole horizon.
 
-    Raises ConfigError for inadmissible setups or a non-finite source,
+    spec is valid by construction; only the source is checked here. Raises
+    ShapeMismatch / ConfigError for a wrongly shaped or non-finite source,
     NewtonDivergence / DomainEscape (naming time step and Newton iteration)
     when a step fails.
     """
     grid, tgrid = spec.grid, spec.tgrid
     pot, physics = spec.potential, spec.physics
     exact_singular = pot.is_singular and pot.yosida_eps == 0
-    if exact_singular and physics.visc == 0:
-        raise ConfigError(
-            "singular potential in exact mode requires positive viscosity"
-        )
-    bad = spec.init.validate(grid, pot)
-    if bad:
-        raise ConfigError("; ".join(bad))
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
     source = np.asarray(u, dtype=float)
     if source.shape != (nt, n):

@@ -324,25 +324,27 @@ def lipschitz_refinement_probe(
         for _ in range(n_pairs)
     ]
     coarse = lipschitz_probe(spec, seed=seed, controls=pairs)
-    fine_spec = refine_spec(spec)
-    fine_pairs = [
-        (prolong_control(u1, spec), prolong_control(u2, spec)) for u1, u2 in pairs
-    ]
-    fine = lipschitz_probe(fine_spec, seed=seed, controls=fine_pairs)
-    r_coarse = coarse.measured["max_ratio_strong"]
-    r_fine = fine.measured["max_ratio_strong"]
-    change = r_fine / r_coarse
-    passed = (1.0 / REFINEMENT_FACTOR) <= change <= REFINEMENT_FACTOR
-    return ProbeReport(
-        name="lipschitz_refinement",
-        seed=seed,
-        measured={
+    # Without distinct pairs (then none on the fine grid either) the report
+    # is lipschitz_probe's: nothing measured, nothing violated.
+    measured, passed = coarse.measured, True
+    if coarse.measured["n_pairs"]:
+        fine_pairs = [(prolong_control(u1, spec), prolong_control(u2, spec)) for u1, u2 in pairs]
+        fine = lipschitz_probe(refine_spec(spec), seed=seed, controls=fine_pairs)
+        r_coarse = coarse.measured["max_ratio_strong"]
+        r_fine = fine.measured["max_ratio_strong"]
+        change = r_fine / r_coarse
+        passed = (1.0 / REFINEMENT_FACTOR) <= change <= REFINEMENT_FACTOR
+        measured = {
             "max_ratio_coarse": r_coarse,
             "max_ratio_fine": r_fine,
             "change_factor": float(change),
             "max_ratio_weak_coarse": coarse.measured["max_ratio_weak"],
             "max_ratio_weak_fine": fine.measured["max_ratio_weak"],
-        },
+        }
+    return ProbeReport(
+        name="lipschitz_refinement",
+        seed=seed,
+        measured=measured,
         thresholds={"change_min": 1.0 / REFINEMENT_FACTOR, "change_max": REFINEMENT_FACTOR},
         passed=bool(passed),
     )
@@ -401,10 +403,11 @@ def yosida_convergence_probe(spec: ProblemSpec, seed: int = 5) -> ProbeReport:
 
 def energy_probe(spec: ProblemSpec, steps: int = 256) -> ProbeReport:
     """Energy decay of the decoupled flow (latent = coupling = 0, zero source)
-    under the configured potential: no increase above ENERGY_TOL * max(1, |E0|)."""
+    under the configured potential: no increase above ENERGY_TOL * max(1, |E0|).
+    The flow reads no cost or box; their defaults fit any time grid."""
     physics = dataclasses.replace(spec.physics, latent=0.0, coupling=0.0)
     tgrid = TimeGrid(spec.tgrid.horizon, steps)
-    decoupled = dataclasses.replace(spec, physics=physics, tgrid=tgrid)
+    decoupled = ProblemSpec(spec.grid, tgrid, physics, spec.potential, spec.init)
     traj = solve_state(np.zeros((steps, spec.grid.ncells)), decoupled)
     energies = np.array(
         [mixture_energy(spec.grid, spec.potential, lv) for lv in traj.phi]

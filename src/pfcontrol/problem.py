@@ -1,5 +1,9 @@
 """Problem description types shared by the forward, adjoint and control
-layers. A run is identified by its config digest (config.config_digest)."""
+layers. A ProblemSpec is valid once it is built: its constructor checks the
+initial data, the box and the cost targets against the grids and the
+potential, and the viscosity of an exact singular well, and raises one
+ValidationError listing every violation. A run is identified by its config
+digest (config.config_digest)."""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, ValidationError
 from .grid import Grid, TimeGrid
 from .potential import Potential
 
@@ -30,7 +34,8 @@ class PhysicsParams:
 
     latent and coupling are positive in the modelled regime; zero values are
     admitted structurally because the energy-decay diagnostic runs the
-    decoupled limit. Strict positivity is enforced by ProblemSpec.validate.
+    decoupled limit. Strict positivity is a hypothesis of the control
+    problem, checked by control.optimize.
     """
 
     visc: float = 0.0
@@ -54,27 +59,6 @@ class InitialData:
     def __post_init__(self):
         object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
         object.__setattr__(self, "phi0", np.asarray(self.phi0, dtype=float))
-
-    def validate(self, grid: Grid, potential: Potential) -> list[str]:
-        bad = []
-        for name, arr in (("theta0", self.theta0), ("phi0", self.phi0)):
-            if arr.shape != (grid.ncells,):
-                bad.append(f"initial.{name}: shape {arr.shape} != ({grid.ncells},)")
-            elif not np.all(np.isfinite(arr)):
-                bad.append(f"initial.{name}: non-finite entries")
-        if self.phi0.shape == (grid.ncells,) and np.all(np.isfinite(self.phi0)):
-            if potential.is_singular and not np.all(potential.contains(self.phi0)):
-                bad.append(
-                    f"initial.phi0: values must lie strictly inside "
-                    f"({potential.lo}, {potential.hi})"
-                )
-            m0 = float(np.sum(self.phi0)) / grid.ncells
-            if not (potential.lo < m0 < potential.hi):
-                bad.append(
-                    f"initial.phi0: mean {m0!r} not strictly inside "
-                    f"({potential.lo}, {potential.hi})"
-                )
-        return bad
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,20 +131,6 @@ class ControlBox:
         hi = broadcast(self.upper, shape, "box.upper")
         return lo, hi
 
-    def validate(self, grid: Grid, tgrid: TimeGrid) -> list[str]:
-        try:
-            lo, hi = self.bounds((tgrid.steps, grid.ncells))
-        except ShapeMismatch as exc:
-            return [str(exc)]
-        bad = np.argwhere(lo > hi)
-        if bad.size:
-            k, i = (int(v) for v in bad[0])
-            return [
-                f"box: lower > upper at time level {k + 1}, cell {i} "
-                f"({lo[k, i]!r} > {hi[k, i]!r})"
-            ]
-        return []
-
 
 @dataclasses.dataclass(frozen=True)
 class ProblemSpec:
@@ -174,34 +144,44 @@ class ProblemSpec:
     cost: CostSpec = dataclasses.field(default_factory=CostSpec)
     box: ControlBox = dataclasses.field(default_factory=ControlBox)
 
-    def validate(self, for_control: bool = False) -> list[str]:
-        """Collect every violation; empty list means valid.
-
-        for_control additionally enforces the hypotheses of the optimization
-        theory: strictly positive latent/coupling coefficients and, for
-        singular potentials, positive viscosity.
-        """
-        bad = self.init.validate(self.grid, self.potential)
-        bad += self.box.validate(self.grid, self.tgrid)
-        if self.potential.is_singular and self.physics.visc == 0:
-            if self.potential.yosida_eps == 0:
-                bad.append(
-                    "physics.visc: singular potential in exact mode requires positive "
-                    "viscosity (visc > 0)"
-                )
-            elif for_control:
-                bad.append(
-                    "physics.visc: singular potential requires visc > 0 for the "
-                    "control problem"
-                )
-        if for_control:
-            if self.physics.latent <= 0:
-                bad.append("physics.latent: must be positive for the control problem")
-            if self.physics.coupling <= 0:
-                bad.append("physics.coupling: must be positive for the control problem")
+    def __post_init__(self):
+        """Raise one ValidationError listing every violation; the hypotheses
+        of the control theory are control.optimize's to check."""
+        grid, pot, phi0 = self.grid, self.potential, self.init.phi0
+        bad = []
+        for name, arr in (("theta0", self.init.theta0), ("phi0", phi0)):
+            if arr.shape != (grid.ncells,):
+                bad.append(f"initial.{name}: shape {arr.shape} != ({grid.ncells},)")
+            elif not np.all(np.isfinite(arr)):
+                bad.append(f"initial.{name}: non-finite entries")
+        if phi0.shape == (grid.ncells,) and np.all(np.isfinite(phi0)):
+            inside = f"strictly inside ({pot.lo}, {pot.hi})"
+            if pot.is_singular and not np.all(pot.contains(phi0)):
+                bad.append(f"initial.phi0: values must lie {inside}")
+            m0 = float(np.sum(phi0)) / grid.ncells
+            if not (pot.lo < m0 < pot.hi):
+                bad.append(f"initial.phi0: mean {m0!r} not {inside}")
         try:
-            self.cost.running_targets(self.grid, self.tgrid)
-            self.cost.final_targets(self.grid)
+            lo, hi = self.box.bounds((self.tgrid.steps, grid.ncells))
         except ShapeMismatch as exc:
             bad.append(str(exc))
-        return bad
+        else:
+            crossed = np.argwhere(lo > hi)
+            if crossed.size:
+                k, i = (int(v) for v in crossed[0])
+                bad.append(
+                    f"box: lower > upper at time level {k + 1}, cell {i} "
+                    f"({lo[k, i]!r} > {hi[k, i]!r})"
+                )
+        if pot.is_singular and pot.yosida_eps == 0 and self.physics.visc == 0:
+            bad.append(
+                "physics.visc: singular potential in exact mode requires positive "
+                "viscosity (visc > 0)"
+            )
+        try:
+            self.cost.running_targets(grid, self.tgrid)
+            self.cost.final_targets(grid)
+        except ShapeMismatch as exc:
+            bad.append(str(exc))
+        if bad:
+            raise ValidationError(bad)

@@ -125,15 +125,15 @@ class TestParseConfig:
             parse_config([1, 2])
 
     def test_control_kinds(self):
-        zeros = parse_config(base_config()).initial_control()
+        zeros = parse_config(base_config()).control
         assert not np.any(zeros)
         const = parse_config(
             base_config(control={"kind": "constant", "value": 0.25})
-        ).initial_control()
+        ).control
         assert np.all(const == 0.25)
         rand_cfg = base_config(control={"kind": "random", "seed": 3})
-        r1 = parse_config(rand_cfg).initial_control()
-        r2 = parse_config(rand_cfg).initial_control()
+        r1 = parse_config(rand_cfg).control
+        r2 = parse_config(rand_cfg).control
         assert np.array_equal(r1, r2)
         assert np.all(r1 >= -1.0) and np.all(r1 <= 1.0)
 
@@ -151,7 +151,7 @@ class TestParseConfig:
         # The control is built at parse time; every call hands out that
         # array, not a copy that would stay alive through a sweep.
         cfg = parse_config(base_config(control=control))
-        u = cfg.initial_control()
+        u = cfg.control
         assert u.shape == (8, 16)
         assert u is cfg.initial_control()
         assert not u.flags.writeable
@@ -173,7 +173,7 @@ class TestParseConfig:
             base_config(control={"kind": "random", "seed": 0}, optimize={"starts": [0]})
         )
         assert cfg.optimize.starts == (0,)
-        assert cfg.initial_control().shape == (8, 16)
+        assert cfg.control.shape == (8, 16)
         with pytest.raises(pfc.ValidationError) as err:
             parse_config(base_config(control={"kind": "random", "seed": -3}))
         assert err.value.violations == ["control.seed: must be >= 0, got -3"]
@@ -212,7 +212,7 @@ def _parsed(raw: dict) -> str:
             [t.tolist() for t in targets],
             [b.tolist() for b in bounds],
             dataclasses.asdict(cfg.optimize),
-            cfg.initial_control().tolist(),
+            cfg.control.tolist(),
             cfg.snapshot_stride,
         ]
     )
@@ -413,12 +413,19 @@ class TestCliSolve:
             ({"initial": {"theta": "@", "phi": 0.1}}, '{"kind": "cosine", "amplitud": 0.3}',
              "initial.theta.amplitud: unknown key"),
             ({"grid": {"cells": [16], "lengths": "@"}, "control": {"kind": "random", "seed": 1}},
-             "[1e400]", "grid: axis lengths must be finite and positive, got (inf,)"),
+             "[1e400]", "grid.lengths: must be finite"),
+            ({"grid": {"cells": [16], "lengths": "@"}}, "[true]",
+             "grid.lengths: expected a list of numbers"),
+            ({"grid": {"cells": [16], "lengths": "@"}}, '["2"]',
+             "grid.lengths: expected a list of numbers"),
+            ({"grid": {"cells": [16], "lengths": "@"}}, "2.0",
+             "grid.lengths: expected a list of numbers"),
         ],
         ids=["control-value-text", "control-value-overflow", "control-values-text",
              "initial-value-text", "target-values-ragged", "target-amplitude-text",
              "target-overflow", "box-overflow-random-control", "box-text",
-             "initial-field-unknown-key", "grid-length-overflow-random-control"],
+             "initial-field-unknown-key", "grid-length-overflow-random-control",
+             "grid-length-bool", "grid-length-text", "grid-length-bare-number"],
     )
     def test_bad_field_values_exit_2(self, tmp_path, capsys, overrides, entry, message):
         # JSON reads 1e400 as inf. Each bad value is one violation at its key
@@ -628,6 +635,20 @@ class TestCliProbe:
         )
         assert code == 0
         assert json.loads(out)["measured"]["min_margin"] > 0.0
+
+    @pytest.mark.parametrize("name", ["lipschitz", "refinement"])
+    def test_lipschitz_probes_without_distinct_pairs_pass(self, config_file, capsys, name):
+        # A box of one point makes every sampled pair of controls the same.
+        cfg = config_file(
+            grid={"cells": [8]},
+            time={"horizon": 0.5, "steps": 4},
+            box={"lower": 0.2, "upper": 0.2},
+        )
+        code, out, _ = run_cli(["probe", "--config", cfg, "--name", name, "--samples", "2"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["measured"] == {"n_pairs": 0}
+        assert payload["passed"] is True
 
     def test_unknown_probe_name_exits_2(self, config_file, capsys):
         code, _, err = run_cli(

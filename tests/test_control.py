@@ -264,12 +264,16 @@ class TestOptimize:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0e-3], ids=["exact", "yosida"])
     def test_inviscid_singular_well_is_one_violation(self, eps):
-        spec = dataclasses.replace(
-            desk_spec("log", yosida_eps=eps), physics=pfc.PhysicsParams(visc=0.0)
-        )
+        # The exact well cannot be built without viscosity (the constructor's
+        # "exact mode" text). The regularized one can, and solves, but the
+        # control theory needs visc > 0 (optimize's text).
+        well = desk_spec("log", yosida_eps=eps)
         with pytest.raises(pfc.ValidationError) as err:
+            spec = dataclasses.replace(well, physics=pfc.PhysicsParams(visc=0.0))
+            solve_state(np.zeros((spec.tgrid.steps, spec.grid.ncells)), spec)
             pfc.optimize(spec)
         assert [v.startswith("physics.visc") for v in err.value.violations] == [True]
+        assert ("exact mode" in err.value.violations[0]) == (eps == 0.0)
 
     def test_initial_guess_shape_checked(self):
         spec = _small_spec()

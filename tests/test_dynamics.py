@@ -534,25 +534,29 @@ class TestCarriedLU:
 
 
 class TestFailureModes:
+    # An invalid spec cannot be built, so solve_state never sees one.
     def test_exact_singular_needs_viscosity(self):
         spec = desk_spec("log")
-        inviscid = dataclasses.replace(
-            spec, physics=pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0)
-        )
-        with pytest.raises(pfc.ConfigError, match="viscosity"):
-            pfc.solve_state(zero_control(inviscid), inviscid)
+        with pytest.raises(pfc.ValidationError, match="viscosity") as err:
+            dataclasses.replace(
+                spec, physics=pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0)
+            )
+        assert len(err.value.violations) == 1
 
     def test_initial_phase_outside_domain_rejected(self):
         spec = desk_spec("log")
-        bad = dataclasses.replace(
-            spec,
-            init=pfc.InitialData(
-                theta0=np.zeros(spec.grid.ncells),
-                phi0=np.full(spec.grid.ncells, 1.5),
-            ),
-        )
-        with pytest.raises(pfc.ConfigError):
-            pfc.solve_state(zero_control(bad), bad)
+        with pytest.raises(pfc.ValidationError) as err:
+            dataclasses.replace(
+                spec,
+                init=pfc.InitialData(
+                    theta0=np.zeros(spec.grid.ncells),
+                    phi0=np.full(spec.grid.ncells, 1.5),
+                ),
+            )
+        assert err.value.violations == [
+            "initial.phi0: values must lie strictly inside (-1.0, 1.0)",
+            "initial.phi0: mean 1.5 not strictly inside (-1.0, 1.0)",
+        ]
 
     def test_source_shape_checked(self, regular_spec):
         with pytest.raises(pfc.ShapeMismatch):

@@ -97,7 +97,10 @@ class TestRefinement:
         assert fine_u[0, 0] == u[0, 0] and fine_u[1, 1] == u[0, 0]
 
     def test_prolong_scalar_field_and_levels_in_2d(self):
-        spec = dataclasses.replace(_small(), grid=pfc.Grid((2, 3)))
+        # prolong_control reads the grid only.
+        spec = dataclasses.replace(
+            _small(), grid=pfc.Grid((2, 3)), init=pfc.InitialData(np.zeros(6), np.zeros(6))
+        )
         field = np.arange(6.0)
         fine = harness.prolong_control(field, spec)
         assert np.array_equal(fine, np.kron(field.reshape(2, 3), np.ones((2, 2))).ravel())
@@ -120,6 +123,22 @@ class TestProbeReports:
         assert list(payload) == ["name", "seed", "measured", "thresholds", "passed"]
         assert payload["name"] == "energy_decay"
         assert report == pfc.energy_probe(_small(), steps=16)
+
+    def test_energy_probe_ignores_time_indexed_cost_and_box(self):
+        # The decoupled flow runs on its own time grid; (steps, ncells) data
+        # of the configured one would not fit it.
+        spec = _small()
+        shape = (spec.tgrid.steps, spec.grid.ncells)
+        timed = dataclasses.replace(
+            spec,
+            cost=dataclasses.replace(
+                spec.cost, theta_target=np.zeros(shape), phi_target=np.full(shape, 0.1)
+            ),
+            box=pfc.ControlBox(lower=np.full(shape, -0.5), upper=np.full(shape, 0.5)),
+        )
+        report = pfc.energy_probe(timed, steps=16)
+        assert report.passed
+        assert report == pfc.energy_probe(spec, steps=16)
 
 
 class TestGradientProbes:
