@@ -27,7 +27,8 @@ StepOperator (step_operator), built once and kept on the grid for as long as
 the grid lives. mu is eliminated: every factorization writes the slope into
 the (theta, phi) Schur complement, stored in its symmetric fill-reducing
 order, and factorizes that; solves recover mu by back-substitution. Each sweep
-holds one LU (StepLU), dropped before its replacement is factorized.
+holds one LU (StepLU), dropped before its replacement is factorized; forward
+Newton keeps it across iterations where a factorization costs many solves (2D).
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_BACKTRACKS = 40
 #: Relative residual 2-norm at which refined solves stop.
 _REFINE_TOL = 1.0e-12
+#: LU entries per unknown from which Newton reuses a held LU (1D grids 8 to 11, 2D 28 to 105).
+_CHORD_MIN_FILL = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,6 +298,9 @@ def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], fl
             if np.any(rising):
                 room = hi - phi[rising]
                 alpha = min(alpha, float(np.min(_BOUNDARY_FRACTION * room / dphi[rising])))
+        # Rounding can still put the step on an endpoint: halve it until not.
+        while not np.all(potential.contains(phi + alpha * dphi)):
+            alpha *= 0.5
         return alpha
 
     return guard
@@ -325,9 +331,10 @@ def _advance_step(
     convex(phi) returns the implicit convex term and its slope together (one
     resolvent solve in the Yosida mode). The residual of each iterate keeps
     that slope, and a Newton step factorizes the operator linearized with it,
-    so the phase field of an iterate is never solved for twice. Iteration 1
-    first tries the chord step of the LU carried in `held`, kept if it at least
-    halves the residual.
+    so the phase field of an iterate is never solved for twice. Iteration 1,
+    and on LUs of _CHORD_MIN_FILL entries per unknown every iteration after a
+    10x cut of the residual, first tries the chord step of the LU in `held`,
+    kept if it cuts the residual 10x.
     """
     n = len(explicit)
     old = held.stepop.old_level(x_n, 0.0)
@@ -344,15 +351,17 @@ def _advance_step(
     scale = 1.0 + max(float(np.max(np.abs(x_n[: 2 * n]))), float(np.max(np.abs(source_step))))
     tol = max(_NEWTON_TOL, noise_floor) * scale
     res, res_norm, slope = residual(x)
+    contracted = True
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if res_norm <= tol:
             return x
-        if it == 1 and held.lu is not None:
+        lu = held.lu
+        if lu is not None and (it == 1 or contracted and lu.nnz >= _CHORD_MIN_FILL * lu.shape[0]):
             delta = held.solve(-res)
             if np.all(np.isfinite(delta)):
                 trial = x + guard(x[n : 2 * n], delta[n : 2 * n]) * delta
                 trial_res, trial_norm, trial_slope = residual(trial)
-                if trial_norm <= max(0.5 * res_norm, tol):
+                if trial_norm <= max(0.1 * res_norm, tol):
                     x, res, res_norm, slope = trial, trial_res, trial_norm, trial_slope
                     continue
         delta = held.refactor(slope).solve(-res)
@@ -374,6 +383,7 @@ def _advance_step(
                 f"{where}, Newton iteration {it}: damping stalled at residual "
                 f"{res_norm:.3e} (tol {tol:.1e})"
             )
+        contracted = trial_norm <= 0.1 * res_norm
         x = trial
         res, res_norm, slope = trial_res, trial_norm, trial_slope
     if res_norm <= tol:

@@ -9,11 +9,12 @@ import pfcontrol as pfc
 
 def desk_spec(
     regime: str = "regular",
-    cells: int = 32,
+    cells: int | tuple[int, int] = 32,
     steps: int = 16,
     yosida_eps: float | None = None,
 ) -> pfc.ProblemSpec:
-    """1D reference configuration on the unit interval.
+    """1D reference configuration on the unit interval; a pair of cells gives
+    the unit square, with the same data varying along x only.
 
     regular: quartic potential, no viscosity.
     log: logarithmic potential (c = 2), unit viscosity; exact by default.

@@ -2,6 +2,7 @@
 equation residuals, tangent linearization, and failure modes."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ def _constant_spec(regime, theta_c, phi_c):
     )
     return dataclasses.replace(spec, init=init)
 
+
+#: (regime, yosida_eps) of desk_spec: quartic, Yosida-log and exact log.
+_REGIMES = [("regular", 0.0), ("log", 1.0e-3), ("log", 0.0)]
 
 #: Sampled problems of the invariant property tests: well, viscosity,
 #: (latent, coupling), cells, steps and dt. Exact log needs viscosity.
@@ -435,6 +439,31 @@ class TestStepOperator:
             sweep()
             assert len(factored) == 1
 
+    @pytest.mark.parametrize("regime,eps", _REGIMES)
+    def test_factorizations_per_2d_solve(self, regime, eps, monkeypatch):
+        # On 2D fill forward Newton keeps its LU across iterations and steps.
+        spec = desk_spec(regime, cells=(12, 12), steps=8, yosida_eps=eps)
+        dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
+        factored, factor = [], dynamics.splu
+        monkeypatch.setattr(
+            dynamics, "splu", lambda a, **kw: factored.append(1) or factor(a, **kw)
+        )
+        pfc.solve_state(_random_control(spec, seed=2, amplitude=0.3), spec)
+        assert len(factored) <= 2
+
+    def test_chord_gate_separates_1d_from_2d_fill(self):
+        # Stored LU entries per unknown: 8.2 to 10.6 on these 1D grids, 54 and
+        # 105 on the 2D ones.
+        def fill(spec):
+            held = dynamics.StepLU(dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics))
+            lu = held.refactor(np.zeros(spec.grid.ncells)).lu
+            return lu.nnz / lu.shape[0]
+
+        for cells in (32, 64, 128, 256, 512):
+            assert fill(desk_spec(cells=cells)) <= 0.5 * dynamics._CHORD_MIN_FILL
+        for cells in ((12, 12), (48, 48)):
+            assert fill(desk_spec(cells=cells)) >= 1.5 * dynamics._CHORD_MIN_FILL
+
     def test_singular_factorization_is_typed(self, regular_spec, monkeypatch):
         def singular(_, **kw):
             raise RuntimeError("Factor is exactly singular")
@@ -476,9 +505,13 @@ def _carrying(refactored, far_off):
 
 
 class TestCarriedLU:
-    @pytest.mark.parametrize("regime,eps", [("regular", 0.0), ("log", 1.0e-3), ("log", 0.0)])
-    def test_rejected_carried_step_still_converges(self, regime, eps, monkeypatch):
-        spec = desk_spec(regime, yosida_eps=eps)
+    @pytest.mark.parametrize(
+        "regime,eps,cells",
+        [pytest.param(r, e, 32, id=f"{r}-{e}") for r, e in _REGIMES]
+        + [pytest.param(r, e, (12, 12), id=f"{r}-{e}-12x12") for r, e in _REGIMES],
+    )
+    def test_rejected_carried_step_still_converges(self, regime, eps, cells, monkeypatch):
+        spec = desk_spec(regime, cells=cells, yosida_eps=eps)
         u = _random_control(spec, seed=4)
         want = pfc.solve_state(u, spec)
         used, uncarried_fresh, fresh = [], [], []
@@ -492,13 +525,35 @@ class TestCarriedLU:
         monkeypatch.setattr(dynamics, "StepLU", stale)
         used.clear()
         got = pfc.solve_state(u, spec)
-        # Every step after the first tries its carried LU once, rejects its
-        # step and goes on with as many Newton iterations as with no carry.
-        assert sum(all(lu is not f for f in fresh) for lu in used) == spec.tgrid.steps - 1
+        # Every step after the first tries its carried LU, rejects its step
+        # and goes on with as many Newton iterations as with no carry: once
+        # in 1D, and on 2D fill again after each 10x cut of the residual.
+        stale = sum(all(lu is not f for f in fresh) for lu in used)
+        if spec.grid.dim == 1:
+            assert stale == spec.tgrid.steps - 1
+        else:
+            assert stale > spec.tgrid.steps - 1
         assert len(fresh) == len(uncarried_fresh)
         for name in ("theta", "phi", "mu"):
             assert np.max(np.abs(getattr(got, name) - getattr(uncarried, name))) <= 1.0e-12
             assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1.0e-8
+
+    @pytest.mark.parametrize("regime,eps", [("regular", 0.0), ("log", 1.0e-3)])
+    def test_large_2d_source_needs_few_evaluations_per_step(self, regime, eps, monkeypatch):
+        # A chord step counts only when it cuts the residual 10x: accepting
+        # 2x cuts takes 38 evaluations on a quartic step here.
+        spec = desk_spec(regime, cells=(12, 12), steps=8, yosida_eps=eps)
+        evaluations, advance = [], dynamics._advance_step
+
+        def counting(held, convex, *rest):
+            calls = []
+            evaluations.append(calls)
+            return advance(held, lambda phi: calls.append(1) or convex(phi), *rest)
+
+        monkeypatch.setattr(dynamics, "_advance_step", counting)
+        pfc.solve_state(_random_control(spec, seed=0, amplitude=1.0e5), spec)
+        assert len(evaluations) == spec.tgrid.steps
+        assert max(len(calls) for calls in evaluations) <= 25
 
     def test_newton_failure_after_rejected_carry_names_step(self, monkeypatch):
         spec = desk_spec()
@@ -582,6 +637,23 @@ class TestFailureModes:
         message = r"^time step 1 of 16: no convergence after Newton iteration 1 "
         with pytest.raises(pfc.NewtonDivergence, match=message):
             pfc.solve_state(zero_control(spec), spec)
+
+    def test_guarded_step_never_rounds_onto_an_endpoint(self):
+        # 0.99 of a two-ulp room rounds onto the endpoint -1.
+        phi = np.array([np.nextafter(np.nextafter(-1.0, 0.0), 0.0), 0.5])
+        dphi = np.array([-1.0, 0.0])
+        alpha = dynamics._domain_guard(pfc.log_double_well(c=2.0))(phi, dphi)
+        assert 0.0 < alpha and np.all(np.abs(phi + alpha * dphi) < 1.0)
+
+    def test_huge_source_on_exact_log_fails_by_name(self):
+        # Guarded Newton trials come within ulps of the endpoint -1 here; one
+        # that rounds onto it must fail as a trial, not as a bare OutOfDomain.
+        spec = desk_spec("log")
+        u = 1.0e4 * np.random.default_rng(3).uniform(-1.0, 1.0, (16, 32))
+        try:
+            pfc.solve_state(u, spec)
+        except (pfc.DomainEscape, pfc.NewtonDivergence) as exc:
+            assert re.match(r"^time step \d+ of 16", str(exc))
 
     def test_domain_escape_names_step_and_iteration(self, monkeypatch):
         spec = desk_spec("log")
