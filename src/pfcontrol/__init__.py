@@ -51,7 +51,6 @@ from .harness import (
     fd_directional_derivative,
     fd_gradient_check,
     frechet_remainder_probe,
-    lipschitz_probe,
     lipschitz_refinement_probe,
     separation_probe,
     smooth_direction,
@@ -117,7 +116,6 @@ __all__ = [
     "fd_directional_derivative",
     "fd_gradient_check",
     "frechet_remainder_probe",
-    "lipschitz_probe",
     "lipschitz_refinement_probe",
     "yosida_convergence_probe",
     "energy_probe",

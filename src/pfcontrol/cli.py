@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands: solve, tangent, adjoint, gradcheck, optimize, probe. main
+Subcommands: solve, adjoint, gradcheck, optimize, probe. main
 creates --out DIR, then loads the JSON config (--config) once and hands it
 to the command, which writes its JSON report to stdout or into that directory.
 With --out, solve also writes a per-level time series CSV (and field
 snapshot rows every output.snapshot_stride levels), and optimize writes its
 iteration history CSV plus the final control. Every output file carries the
-config digest. The solve, tangent, adjoint and optimize reports carry the
-command and the version with it; gradcheck and probe write the check's
+config digest. The solve, adjoint and optimize reports carry the command
+and the version with it; gradcheck and probe write the check's
 report (name, seed, measured, thresholds, passed). The counts --directions,
 --samples and --steps are at least 1, --seed at least 0, gradcheck --tol
 finite and above 0. Outputs are deterministic: reruns are byte-identical,
@@ -40,7 +40,6 @@ from .harness import (
     energy_probe,
     fd_gradient_check,
     frechet_remainder_probe,
-    lipschitz_probe,
     lipschitz_refinement_probe,
     separation_probe,
     smooth_direction,
@@ -148,25 +147,6 @@ def _cmd_solve(cfg, args) -> int:
     return _EXIT_OK
 
 
-def _cmd_tangent(cfg, args) -> int:
-    spec = cfg.spec
-    base = solve_state(cfg.control, spec)
-    h = smooth_direction(spec, np.random.default_rng(args.seed))
-    t0 = time.perf_counter()
-    tan = solve_tangent(h, base, spec)
-    _info(f"tangent: {time.perf_counter() - t0:.3f}s")
-    _write_report(
-        cfg,
-        args,
-        seed=args.seed,
-        y_norm=trajectory_y_norm(tan.dtheta, tan.dphi, spec.grid, spec.tgrid),
-        dtheta_norms=[spec.grid.h_norm(lv) for lv in tan.dtheta],
-        dphi_norms=[spec.grid.h_norm(lv) for lv in tan.dphi],
-        max_dphi_mean=float(np.max(np.abs(tan.dphi.sum(axis=1) / spec.grid.ncells))),
-    )
-    return _EXIT_OK
-
-
 def _cmd_adjoint(cfg, args) -> int:
     spec = cfg.spec
     state = solve_state(cfg.control, spec)
@@ -187,6 +167,10 @@ def _cmd_adjoint(cfg, args) -> int:
         duality_lhs=lhs,
         duality_rhs=rhs,
         duality_rel_gap=gap,
+        y_norm=trajectory_y_norm(tan.dtheta, tan.dphi, spec.grid, spec.tgrid),
+        dtheta_norms=[spec.grid.h_norm(lv) for lv in tan.dtheta],
+        dphi_norms=[spec.grid.h_norm(lv) for lv in tan.dphi],
+        max_dphi_mean=float(np.max(np.abs(tan.dphi.sum(axis=1) / spec.grid.ncells))),
     )
     return _EXIT_OK
 
@@ -246,7 +230,6 @@ def _gradcheck(cfg, a):
 #: probe --name: the probe run on (config, arguments).
 _PROBES = {
     "frechet": lambda cfg, a: frechet_remainder_probe(cfg.control, cfg.spec, seed=a.seed),
-    "lipschitz": lambda cfg, a: lipschitz_probe(cfg.spec, n_pairs=a.samples, seed=a.seed),
     "refinement": lambda cfg, a: lipschitz_refinement_probe(
         cfg.spec, n_pairs=a.samples, seed=a.seed
     ),
@@ -310,12 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("tangent", help="directional state derivative along a seeded direction")
-    common(p)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(fn=_cmd_tangent)
-
-    p = sub.add_parser("adjoint", help="adjoint solve and tangent duality gap")
+    p = sub.add_parser("adjoint", help="adjoint gradient, tangent norms and their duality gap")
     common(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_adjoint)

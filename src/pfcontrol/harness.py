@@ -4,10 +4,12 @@ regularity claims.
 Every probe returns a ProbeReport with the measured quantities, the thresholds
 it judged them against and a pass flag. Probes are deterministic given
 (config, seed). The finite-difference oracle never reads the adjoint value,
-so the two derivative routes stay independent. The FD step, the Taylor
-ladder and slope band, the energy tolerance, the refinement factor and the
-eps ladder the probes judge by are the module constants below; no probe
-takes them as arguments.
+so the two derivative routes stay independent. The continuous-dependence
+(Lipschitz) ratios are measured under refinement only: the refinement probe
+draws seeded control pairs and compares their ratios on the grid and on its
+doubling. The FD step, the Taylor ladder and slope band, the energy
+tolerance, the refinement factor and the eps ladder the probes judge by are
+the module constants below; no probe takes them as arguments.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "fd_directional_derivative",
     "fd_gradient_check",
     "frechet_remainder_probe",
-    "lipschitz_probe",
     "lipschitz_refinement_probe",
     "time_antiderivative",
     "yosida_convergence_probe",
@@ -226,55 +227,28 @@ def _weak_difference_norm(a: Trajectory, b: Trajectory) -> float:
     return float(l2h_theta + sup_v_anti + sup_dual_phi + l2v_phi)
 
 
-def lipschitz_probe(
-    spec: ProblemSpec,
-    n_pairs: int = 20,
-    seed: int = 0,
-    controls: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> ProbeReport:
-    """Continuous-dependence ratios over seeded admissible control pairs.
+def _lipschitz_ratios(
+    spec: ProblemSpec, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> tuple[list[float], list[float]]:
+    """Continuous-dependence ratios over the distinct control pairs; an
+    identical pair is skipped.
 
     strong: Y norm of the state difference over the L2(Q) control distance;
     weak: the dual-norm composite over the same denominator.
     """
-    rng = np.random.default_rng(seed)
-    if controls is None:
-        controls = [
-            (random_admissible_control(spec, rng), random_admissible_control(spec, rng))
-            for _ in range(n_pairs)
-        ]
     strong, weak = [], []
-    for u1, u2 in controls:
-        s1 = solve_state(u1, spec)
-        s2 = solve_state(u2, spec)
+    for u1, u2 in pairs:
         dist = lq_norm(u1 - u2, spec)
         if dist == 0.0:
             continue
+        s1 = solve_state(u1, spec)
+        s2 = solve_state(u2, spec)
         strong.append(
             trajectory_y_norm(s1.theta - s2.theta, s1.phi - s2.phi, spec.grid, spec.tgrid)
             / dist
         )
         weak.append(_weak_difference_norm(s1, s2) / dist)
-    if strong:
-        measured = {
-            "n_pairs": len(strong),
-            "max_ratio_strong": float(np.max(strong)),
-            "mean_ratio_strong": float(np.mean(strong)),
-            "max_ratio_weak": float(np.max(weak)),
-            "mean_ratio_weak": float(np.mean(weak)),
-        }
-        passed = bool(np.all(np.isfinite(strong)) and np.all(np.isfinite(weak)))
-    else:
-        # Every pair coincided; nothing to measure, nothing violated.
-        measured = {"n_pairs": 0}
-        passed = True
-    return ProbeReport(
-        name="lipschitz_ratio",
-        seed=seed,
-        measured=measured,
-        thresholds={"finite": True},
-        passed=passed,
-    )
+    return strong, weak
 
 
 def prolong_control(u, spec: ProblemSpec):
@@ -323,23 +297,23 @@ def lipschitz_refinement_probe(
         (random_admissible_control(spec, rng), random_admissible_control(spec, rng))
         for _ in range(n_pairs)
     ]
-    coarse = lipschitz_probe(spec, seed=seed, controls=pairs)
-    # Without distinct pairs (then none on the fine grid either) the report
-    # is lipschitz_probe's: nothing measured, nothing violated.
-    measured, passed = coarse.measured, True
-    if coarse.measured["n_pairs"]:
+    strong, weak = _lipschitz_ratios(spec, pairs)
+    # Without distinct pairs (then none on the fine grid either) nothing is
+    # measured and nothing violated.
+    measured, passed = {"n_pairs": 0}, True
+    if strong:
         fine_pairs = [(prolong_control(u1, spec), prolong_control(u2, spec)) for u1, u2 in pairs]
-        fine = lipschitz_probe(refine_spec(spec), seed=seed, controls=fine_pairs)
-        r_coarse = coarse.measured["max_ratio_strong"]
-        r_fine = fine.measured["max_ratio_strong"]
+        fine_strong, fine_weak = _lipschitz_ratios(refine_spec(spec), fine_pairs)
+        r_coarse = float(np.max(strong))
+        r_fine = float(np.max(fine_strong))
         change = r_fine / r_coarse
         passed = (1.0 / REFINEMENT_FACTOR) <= change <= REFINEMENT_FACTOR
         measured = {
             "max_ratio_coarse": r_coarse,
             "max_ratio_fine": r_fine,
             "change_factor": float(change),
-            "max_ratio_weak_coarse": coarse.measured["max_ratio_weak"],
-            "max_ratio_weak_fine": fine.measured["max_ratio_weak"],
+            "max_ratio_weak_coarse": float(np.max(weak)),
+            "max_ratio_weak_fine": float(np.max(fine_weak)),
         }
     return ProbeReport(
         name="lipschitz_refinement",

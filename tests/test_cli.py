@@ -351,11 +351,17 @@ class TestCliSolve:
     def test_byte_identical_reruns(self, config_file, tmp_path, capsys):
         cfg = config_file(output={"snapshot_stride": 4})
         for d in ("a", "b"):
-            code, _, _ = run_cli(
-                ["solve", "--config", cfg, "--out", str(tmp_path / d)], capsys
-            )
-            assert code == 0
-        for name in ("solve_report.json", "solve_timeseries.csv", "solve_snapshots.csv"):
+            for argv in (["solve"], ["adjoint", "--seed", "3"]):
+                code, _, _ = run_cli(
+                    argv + ["--config", cfg, "--out", str(tmp_path / d)], capsys
+                )
+                assert code == 0
+        for name in (
+            "solve_report.json",
+            "solve_timeseries.csv",
+            "solve_snapshots.csv",
+            "adjoint_report.json",
+        ):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
@@ -517,13 +523,16 @@ class TestCliSolve:
 
 class TestCliDerivatives:
     def test_tangent_report(self, config_file, capsys):
+        # The adjoint report carries the tangent along its seeded direction.
         code, out, _ = run_cli(
-            ["tangent", "--config", config_file(), "--seed", "2"], capsys
+            ["adjoint", "--config", config_file(), "--seed", "2"], capsys
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["y_norm"] > 0.0
         assert payload["max_dphi_mean"] <= 1.0e-12
+        # base_config has 8 time steps: levels 0..8.
+        assert len(payload["dtheta_norms"]) == len(payload["dphi_norms"]) == 9
 
     def test_adjoint_duality_in_report(self, config_file, capsys):
         code, out, _ = run_cli(
@@ -636,7 +645,7 @@ class TestCliProbe:
         assert code == 0
         assert json.loads(out)["measured"]["min_margin"] > 0.0
 
-    @pytest.mark.parametrize("name", ["lipschitz", "refinement"])
+    @pytest.mark.parametrize("name", ["refinement"])
     def test_lipschitz_probes_without_distinct_pairs_pass(self, config_file, capsys, name):
         # A box of one point makes every sampled pair of controls the same.
         cfg = config_file(
@@ -657,6 +666,19 @@ class TestCliProbe:
         assert code == 2
         assert "invalid choice" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["tangent"], ["probe", "--name", "lipschitz"]],
+        ids=["tangent", "probe-lipschitz"],
+    )
+    def test_folded_surfaces_are_gone(self, config_file, capsys, argv):
+        # The adjoint report carries the tangent, and the refinement probe
+        # the coarse Lipschitz ratios.
+        code, out, err = run_cli(argv + ["--config", config_file()], capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid choice" in err
+
     def test_gradient_probe_is_gone(self, config_file, capsys):
         # The FD gradient check runs under the gradcheck command only.
         code, _, err = run_cli(
@@ -672,15 +694,14 @@ class TestCliProbe:
             ["probe", "--name", "refinement", "--samples", "0"],
             ["probe", "--name", "energy", "--steps", "0"],
             ["gradcheck", "--directions", "0"],
-            ["probe", "--name", "lipschitz", "--samples", "-3"],
-            ["tangent", "--seed", "-1"],
+            ["probe", "--name", "separation", "--samples", "-3"],
             ["adjoint", "--seed", "-1"],
             ["gradcheck", "--seed", "-1"],
             ["probe", "--name", "frechet", "--seed", "-1"],
         ],
         ids=["separation-samples-0", "refinement-samples-0", "energy-steps-0",
-             "gradcheck-directions-0", "lipschitz-samples-minus-3",
-             "tangent-seed-minus-1", "adjoint-seed-minus-1", "gradcheck-seed-minus-1",
+             "gradcheck-directions-0", "separation-samples-minus-3",
+             "adjoint-seed-minus-1", "gradcheck-seed-minus-1",
              "probe-seed-minus-1"],
     )
     def test_count_below_one_exits_2(self, config_file, capsys, argv):
@@ -703,12 +724,12 @@ class TestCliMisc:
         "argv",
         [
             *([command, "--output", "r.json"]
-              for command in ("solve", "tangent", "adjoint", "gradcheck", "optimize")),
+              for command in ("solve", "adjoint", "gradcheck", "optimize")),
             ["probe", "--name", "energy", "--output", "r.json"],
             ["solve", "--csv", "t.csv"],
             ["optimize", "--control-output", "c.json"],
         ],
-        ids=["solve-output", "tangent-output", "adjoint-output", "gradcheck-output",
+        ids=["solve-output", "adjoint-output", "gradcheck-output",
              "optimize-output", "probe-output", "solve-csv", "optimize-control-output"],
     )
     def test_removed_output_flags_exit_2(self, config_file, capsys, argv):
@@ -719,22 +740,39 @@ class TestCliMisc:
         assert out == ""
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
+    @staticmethod
+    def _readme_command_line():
+        """The README's "Command line" section, the parser, and the parsers of
+        its subcommands by name."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return section, parser, sub.choices
+
     def test_readme_command_line_flags_exist(self):
         # Every flag the README's command-line section names is accepted by
         # the top-level parser or some subcommand.
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        section, parser, subparsers = self._readme_command_line()
         named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
-        parser = cli._build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         accepted = {
             flag
-            for p in (parser, *sub.choices.values())
+            for p in (parser, *subparsers.values())
             for action in p._actions
             for flag in action.option_strings
         }
         assert "--config" in named
         assert named <= accepted, sorted(named - accepted)
+
+    def test_readme_command_line_names_match_parser(self):
+        # The section's command block shows every subcommand and no other,
+        # and its probe --name list is the parser's.
+        section, _, subparsers = self._readme_command_line()
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        shown = {line.split()[1] for line in block.splitlines() if line.startswith("pfcontrol ")}
+        assert shown == set(subparsers)
+        names = re.search(r"`probe --name \{([^}]*)\}`", section).group(1)
+        assert {n.strip() for n in names.split(",")} == set(cli._PROBES)
 
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, err = run_cli(["simulate"], capsys)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pfcontrol as pfc
 from pfcontrol import harness
-from pfcontrol.harness import _weak_difference_norm
+from pfcontrol.harness import _lipschitz_ratios, _weak_difference_norm
 
 
 def _small(regime="regular", **kw):
@@ -263,18 +263,17 @@ class TestGradientProbes:
 class TestStabilityProbes:
     def test_lipschitz_ratios_finite(self):
         spec = _small()
-        report = pfc.lipschitz_probe(spec, n_pairs=5, seed=2)
-        assert report.passed
-        assert report.measured["n_pairs"] == 5
-        assert report.measured["max_ratio_strong"] > 0.0
-        assert report.measured["max_ratio_weak"] > 0.0
+        measured = pfc.lipschitz_refinement_probe(spec, n_pairs=5, seed=2).measured
+        for key in ("max_ratio_coarse", "max_ratio_weak_coarse"):
+            assert np.isfinite(measured[key]) and measured[key] > 0.0
 
     def test_identical_pair_skipped(self):
         spec = _small()
         u = pfc.random_admissible_control(spec, 3)
-        report = pfc.lipschitz_probe(spec, controls=[(u, u.copy())])
-        assert report.passed
-        assert report.measured["n_pairs"] == 0
+        assert _lipschitz_ratios(spec, [(u, u.copy())]) == ([], [])
+        v = pfc.random_admissible_control(spec, 4)
+        strong, weak = _lipschitz_ratios(spec, [(u, u.copy()), (u, v)])
+        assert len(strong) == len(weak) == 1
 
     def test_weak_norm_drops_roundoff_mean_of_phase_difference(self):
         # A difference of sup 1e-5 whose mean, 3e-17, is roundoff for phases
