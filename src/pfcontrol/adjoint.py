@@ -40,7 +40,6 @@ from .problem import CostSpec, ProblemSpec
 __all__ = [
     "solve_adjoint",
     "cost_value",
-    "cost_state_gradient",
     "dj_along_tangent",
 ]
 

@@ -149,7 +149,6 @@ class OptimizeReport:
     that ends in "line_search_stalled" are in none of them."""
 
     u_opt: np.ndarray
-    gradient: np.ndarray
     j_history: list[float]
     residual_history: list[float]
     evaluations_history: list[int]
@@ -242,7 +241,6 @@ def _optimize_single(
         evals.append(trials)
     return OptimizeReport(
         u_opt=u,
-        gradient=grad,
         j_history=j_hist,
         residual_history=res_hist,
         evaluations_history=evals,

@@ -58,8 +58,6 @@ __all__ = [
     "solve_tangent",
     "mixture_energy",
     "step_matrix",
-    "StepOperator",
-    "step_operator",
 ]
 
 #: Relative distance to the domain boundary preserved by the Newton safeguard.
@@ -134,9 +132,11 @@ def _factorize(matrix: sps.csc_matrix, **options):
         raise LinearSolveDivergence(f"step operator could not be factorized: {exc}") from exc
 
 
-def _both(matrix: sps.spmatrix) -> dict[str, sps.csr_matrix]:
-    """A matrix and its transpose, keyed by the SuperLU `trans` flag."""
-    return {"N": matrix.tocsr(), "T": matrix.T.tocsr()}
+def _both(matrix: sps.spmatrix) -> dict[str, sps.spmatrix]:
+    """A matrix in CSR form and its transpose as a view of the same arrays,
+    keyed by the SuperLU `trans` flag."""
+    csr = matrix.tocsr()
+    return {"N": csr, "T": csr.T}
 
 
 def _act(matrices: dict, slope, x: np.ndarray, trans: str) -> np.ndarray:
@@ -166,8 +166,9 @@ class StepOperator:
     minimum-degree ordering of S + S^T taken once at construction; a StepLU
     writes the slope into its slots in place and factorizes it with the
     natural ordering. `template` holds step_matrix at slope 0 and its
-    transpose, keyed by the SuperLU trans flag "N" or "T"; the Newton
-    residual, the refinement steps and `old_level` act through it.
+    transpose (a view), keyed by the SuperLU trans flag "N" or "T"; the
+    Newton residual and the refinement steps act through it. `old_level`
+    applies the old-level blocks from latent and visc/dt alone.
 
     Raises LinearSolveDivergence when the template is exactly singular.
     """
@@ -196,22 +197,26 @@ class StepOperator:
         self._slot_gain = g.data
         self._slot_slope = g.col
         self.template, self._g, self._h = _both(template), _both(g), _both(h)
-        eye = sps.identity(n, format="csr")
-        self._old = _both(
-            sps.bmat(
-                [
-                    [eye, physics.latent * eye, None],
-                    [None, eye, None],
-                    [None, -(physics.visc / dt) * eye, sps.csr_matrix((n, n))],
-                ]
-            )
-        )
+        self._latent, self._damping = physics.latent, -(physics.visc / dt)
 
     def old_level(self, x: np.ndarray, rest_slope, trans: str = "N") -> np.ndarray:
         """M_k x, or M_k^T x: the derivative of the step's old-level terms
         c(x_n) = (theta_n + latent phi_n, phi_n, R(phi_n) - visc/dt phi_n)
-        (source left out) with respect to x_n, where rest_slope = R'(phi_n)."""
-        return _act(self._old, rest_slope, x, trans)
+        (source left out) with respect to x_n, where rest_slope = R'(phi_n).
+        M_k = [[I, latent I, 0], [0, I, 0], [0, diag(rest_slope) - visc/dt I, 0]];
+        each entry sums its terms onto 0.0 in the order a CSR product with
+        M_k, or M_k^T, sums them, so it matches that product to the bit."""
+        n, latent, damping = len(x) // 3, self._latent, self._damping
+        theta, phi, mu = x[:n], x[n : 2 * n], x[2 * n :]
+        out = np.zeros(3 * n)
+        if trans == "N":
+            out[:n] += theta + latent * phi
+            out[n : 2 * n] += phi
+            out[2 * n :] += damping * phi + rest_slope * phi
+        else:
+            out[:n] += theta
+            out[n : 2 * n] += latent * theta + phi + damping * mu + rest_slope * mu
+        return out
 
 
 class StepLU:

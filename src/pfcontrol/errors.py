@@ -7,6 +7,11 @@ numerics (exit code 1). Each failure has one class.
 
 from __future__ import annotations
 
+__all__ = [
+    "PfcError", "ConfigError", "ValidationError", "ParseError", "ShapeMismatch", "OutOfDomain",
+    "NonZeroMean", "RootSolveFailure", "LinearSolveDivergence", "NewtonDivergence", "DomainEscape",
+]
+
 
 class PfcError(Exception):
     """Base class for all toolkit errors."""

@@ -32,14 +32,11 @@ __all__ = [
     "fd_gradient_check",
     "frechet_remainder_probe",
     "lipschitz_refinement_probe",
-    "time_antiderivative",
     "yosida_convergence_probe",
     "energy_probe",
     "separation_probe",
     "trajectory_y_norm",
     "smooth_direction",
-    "refine_spec",
-    "prolong_control",
 ]
 
 

@@ -34,7 +34,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import OutOfDomain, RootSolveFailure
 
@@ -258,8 +257,12 @@ def log_double_well(c: float = 2.0, yosida_eps: float = 0.0) -> Potential:
     if c <= 0:
         raise ValueError("quadratic coefficient c must be positive")
 
+    def xlogx(x):
+        # x ln x, extended by its limit 0 at x = 0 (the domain endpoints).
+        return x * np.log(np.where(x > 0, x, 1.0))
+
     def w_convex(r):
-        return xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r)
+        return xlogx(1.0 + r) + xlogx(1.0 - r)
 
     return Potential(
         lo=-1.0,

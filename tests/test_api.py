@@ -1,6 +1,6 @@
-"""Export consistency: every name a module lists in __all__ exists, no
-module imports a name it never uses, and the package stays off the heavy
-SciPy modules."""
+"""Export consistency: every name a module lists in __all__ exists, the
+package exports exactly the library modules' __all__, no module imports a
+name it never uses, and the package stays off the heavy SciPy modules."""
 
 import ast
 import importlib
@@ -34,17 +34,28 @@ def test_package_all_has_no_duplicates():
     assert len(pfc.__all__) == len(set(pfc.__all__))
 
 
+def test_package_all_is_the_library_modules_all():
+    # Each library module's __all__ is its public API; the package adds only
+    # its version.
+    names = ["__version__"]
+    for name in "errors grid potential problem dynamics adjoint control harness".split():
+        names += importlib.import_module(f"pfcontrol.{name}").__all__
+    assert len(names) == len(set(names))
+    assert sorted(pfc.__all__) == sorted(names)
+
+
 def test_optimize_does_not_import_scipy_optimize():
-    # scipy.optimize loads HiGHS, scipy.spatial and scipy.fft: start-up time
-    # and resident memory on every command. A fresh interpreter is needed
-    # because other tests may import SciPy modules into this one.
+    # scipy.optimize loads HiGHS, scipy.spatial and scipy.fft, and
+    # scipy.special its ufunc tables: start-up time and resident memory on
+    # every command. A fresh interpreter is needed because other tests may
+    # import SciPy modules into this one.
     code = (
         "import sys\n"
         "import pfcontrol as pfc\n"
         "from conftest import desk_spec\n"
         "opts = pfc.OptimizeOptions(stat_tol=1e-4, max_iter=50)\n"
         "assert pfc.optimize(desk_spec(cells=8, steps=4), opts=opts).iterations > 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n"
     )
     paths = [str(Path(pfc.__file__).parent.parent), str(Path(__file__).parent)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
@@ -52,8 +63,7 @@ def test_optimize_does_not_import_scipy_optimize():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
+    assert proc.stdout.strip() == "False False"
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from conftest import desk_spec, zero_control
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,6 +273,35 @@ class TestStepOperator:
         again = dynamics.StepLU(stepop).refactor(slope).refined(rhs, slope)
         assert first[1] and again[1]
         assert np.array_equal(first[0], again[0])
+
+    @pytest.mark.parametrize("cells", [16, (6, 5)])
+    @pytest.mark.parametrize("visc", [0.0, 1.0])
+    @pytest.mark.parametrize("latent", [0.0, 0.7])
+    def test_old_level_is_the_assembled_product_to_the_bit(self, cells, visc, latent):
+        # Reference: the old-level block matrix assembled and applied as a CSR
+        # product (its transpose copied to CSR), plus the remainder slope.
+        grid, dt = pfc.Grid(cells), 0.05
+        n = grid.ncells
+        physics = pfc.PhysicsParams(visc=visc, latent=latent, coupling=1.3)
+        stepop = dynamics.StepOperator(grid, dt, physics)
+        eye = sps.identity(n, format="csr")
+        m = sps.bmat(
+            [
+                [eye, latent * eye, None],
+                [None, eye, None],
+                [None, -(visc / dt) * eye, sps.csr_matrix((n, n))],
+            ]
+        )
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(3 * n)
+        x[::4], x[1::5] = 0.0, -0.0
+        for slope in (0.0, -1.0, rng.standard_normal(n)):
+            want = m.tocsr() @ x
+            want[2 * n :] += slope * x[n : 2 * n]
+            assert stepop.old_level(x, slope).tobytes() == want.tobytes()
+            want = m.T.tocsr() @ x
+            want[n : 2 * n] += slope * x[2 * n :]
+            assert stepop.old_level(x, slope, "T").tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
