@@ -8,8 +8,17 @@ numerics (exit code 1). Each failure has one class.
 from __future__ import annotations
 
 __all__ = [
-    "PfcError", "ConfigError", "ValidationError", "ParseError", "ShapeMismatch", "OutOfDomain",
-    "NonZeroMean", "RootSolveFailure", "LinearSolveDivergence", "NewtonDivergence", "DomainEscape",
+    "PfcError",
+    "ConfigError",
+    "ValidationError",
+    "ParseError",
+    "ShapeMismatch",
+    "OutOfDomain",
+    "NonZeroMean",
+    "RootSolveFailure",
+    "LinearSolveDivergence",
+    "NewtonDivergence",
+    "DomainEscape",
 ]
 
 

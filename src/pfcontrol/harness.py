@@ -15,6 +15,7 @@ the module constants below; no probe takes them as arguments.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -175,18 +176,12 @@ def frechet_remainder_probe(u: np.ndarray, spec: ProblemSpec, seed: int = 11) ->
     # rungs, never rescue a genuinely non-quadratic remainder.
     pair = (log_r[:-1] - log_r[1:]) / (log_d[:-1] - log_d[1:])
     good = (pair >= 1.5) & (pair <= 2.5)
-    best_start, best_len = 0, 0
-    i = 0
-    while i < len(good):
-        if good[i]:
-            j = i
-            while j < len(good) and good[j]:
-                j += 1
-            if j - i > best_len:
-                best_start, best_len = i, j - i
-            i = j
-        else:
-            i += 1
+    best_start, best_len, start = 0, 0, 0
+    for is_good, run in itertools.groupby(good):
+        length = len(list(run))
+        if is_good and length > best_len:
+            best_start, best_len = start, length
+        start += length
     if best_len >= 2:
         window = slice(best_start, best_start + best_len + 1)
         slope = float(np.polyfit(log_d[window], log_r[window], 1)[0])

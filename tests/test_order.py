@@ -25,8 +25,13 @@ COARSE = 8
 
 
 def _ratios(values) -> list[float]:
-    """Ratios of the norms of successive differences along a ladder."""
-    diffs = [np.linalg.norm(np.subtract(b, a)) for a, b in zip(values, values[1:])]
+    """Ratios of successive differences along a ladder: signed for a scalar
+    ladder, so a difference that changes sign fails the band, and of their
+    L2 norms for a field ladder."""
+    diffs = []
+    for a, b in zip(values, values[1:]):
+        d = np.subtract(b, a)
+        diffs.append(d if np.ndim(d) == 0 else np.linalg.norm(d))
     return [d1 / d2 for d1, d2 in zip(diffs, diffs[1:])]
 
 
