@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LinearSolveDivergence, ShapeMismatch
+from .errors import LinearSolveDivergence
 from .dynamics import TangentSolution, Trajectory, StepLU, step_operator
-from .grid import Grid, TimeGrid
 from .problem import CostSpec, ProblemSpec
 
 __all__ = [
@@ -44,18 +43,10 @@ __all__ = [
 ]
 
 
-def _check_state(state: Trajectory, grid: Grid, tgrid: TimeGrid) -> None:
-    want = (tgrid.steps + 1, grid.ncells)
-    if state.theta.shape != want or state.phi.shape != want:
-        raise ShapeMismatch(
-            f"trajectory shape {state.theta.shape} does not match {want}"
-        )
-
-
 def cost_value(state: Trajectory, cost: CostSpec) -> float:
     """Discrete tracking cost: right-endpoint rectangle rule in time."""
+    state.check()
     grid, tgrid = state.grid, state.tgrid
-    _check_state(state, grid, tgrid)
     theta_q, phi_q = cost.running_targets(grid, tgrid)
     theta_om, phi_om = cost.final_targets(grid)
     dt, m = tgrid.dt, grid.cell_measure
@@ -82,8 +73,8 @@ def cost_state_gradient(state: Trajectory, cost: CostSpec) -> tuple[np.ndarray, 
     Includes the quadrature weights (dt * cell measure) and, at the final
     level, the terminal terms.
     """
+    state.check()
     grid, tgrid = state.grid, state.tgrid
-    _check_state(state, grid, tgrid)
     theta_q, phi_q = cost.running_targets(grid, tgrid)
     theta_om, phi_om = cost.final_targets(grid)
     dt, m = tgrid.dt, grid.cell_measure
@@ -108,10 +99,8 @@ def solve_adjoint(state: Trajectory, spec: ProblemSpec) -> np.ndarray:
     The factorized matrix is the (theta, phi) Schur complement, whose (phi,
     phi) block I + dt L (L - diag(visc/dt + slope)) is fourth order.
     """
+    state.check(spec)
     grid, tgrid = state.grid, state.tgrid
-    if grid is not spec.grid and grid.cells != spec.grid.cells:
-        raise ShapeMismatch("state grid does not match the problem spec")
-    _check_state(state, grid, tgrid)
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
     physics, pot = spec.physics, spec.potential
     m = grid.cell_measure

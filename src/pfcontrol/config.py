@@ -7,7 +7,7 @@ marked required):
     time      (required)  {"horizon": T, "steps": Nt}
     physics               {"visc": 0.0, "latent": 1.0, "coupling": 1.0}
     potential             {"kind": "quartic" | "logarithmic" | "loglinear",
-                           "c": 2.0, "eps": 0.0}
+                           "c": 2.0 (logarithmic only), "eps": 0.0}
     initial   (required)  {"theta": <field>, "phi": <field>}
     cost                  {"w_theta": .., "w_phi": .., "w_theta_final": ..,
                            "w_phi_final": .., "theta_target": <field>,
@@ -40,10 +40,13 @@ a * prod_i cos(m_i * pi * x_i / L_i) + b, which has zero boundary flux for
 integer modes. Validation is collecting: every violation found is reported,
 not just the first, those of the ProblemSpec constructor (initial data,
 box, target shapes, viscosity of an exact singular well) after the
-readers'. A top-level section, a section key or a <field> key that no
-parser branch reads is a violation, not ignored. The per-step
-Newton solve has no section: its tolerance and budgets are constants of the
-dynamics module.
+readers'. The readers are the only list of keys: a top-level section, a
+section key or a <field> key that no reader takes is a violation, and so is
+a key the chosen kind does not read (only the logarithmic kind reads
+potential.c; control.value, seed and values are read by the constant,
+random and values kinds). A key given twice in one JSON object is a
+ParseError. The per-step Newton solve has no section: its tolerance and
+budgets are constants of the dynamics module.
 """
 
 from __future__ import annotations
@@ -67,27 +70,6 @@ __all__ = ["RunConfig", "load_config", "parse_config", "config_digest", "build_f
 
 _POTENTIALS = ("quartic", "logarithmic", "loglinear")
 _CONTROL_KINDS = ("zeros", "constant", "random", "values")
-#: Keys a section may hold: every key some parser branch reads (potential.c
-#: is read for the logarithmic kind only, but accepted with any kind).
-_KNOWN_KEYS = {
-    "grid": ("cells", "lengths"),
-    "time": ("horizon", "steps"),
-    "physics": ("visc", "latent", "coupling"),
-    "potential": ("kind", "c", "eps"),
-    "initial": ("theta", "phi"),
-    "cost": ("w_theta", "w_phi", "w_theta_final", "w_phi_final", "theta_target",
-             "phi_target", "theta_final_target", "phi_final_target"),
-    "box": ("lower", "upper"),
-    "optimize": ("stat_tol", "max_iter", "starts"),
-    "control": ("kind", "value", "seed", "values"),
-    "output": ("snapshot_stride",),
-}
-#: Keys a <field> object of each kind may hold.
-_FIELD_KEYS = {
-    "constant": ("kind", "value"),
-    "values": ("kind", "values"),
-    "cosine": ("kind", "amplitude", "modes", "offset"),
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,16 +93,19 @@ class RunConfig:
 class _Collector:
     """Accumulates violation messages so a config is validated in one pass.
     A reader that records a violation returns its default, so the run built
-    from the placeholders stays constructible and later checks still run."""
+    from the placeholders stays constructible and later checks still run.
+    Readers pop their keys from copies handed out by section, so the keys
+    left in sections[name] are the ones no reader took."""
 
     def __init__(self):
         self.errors: list[str] = []
+        self.sections: dict[str, dict] = {}
 
     def add(self, msg: str) -> None:
         self.errors.append(msg)
 
     def number(self, section: dict, key: str, default, where: str, minimum=None, strict=False):
-        value = section.get(key, default)
+        value = section.pop(key, default)
         if value is None:
             self.add(f"{where}.{key}: missing required value")
             return default
@@ -137,7 +122,7 @@ class _Collector:
         return value
 
     def integer(self, section: dict, key: str, default, where: str, minimum=None):
-        value = section.get(key, default)
+        value = section.pop(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             self.add(f"{where}.{key}: expected an integer, got {value!r}")
             return default
@@ -148,14 +133,12 @@ class _Collector:
 
     def section(self, raw: dict, key: str, required: bool = False) -> dict:
         value = raw.get(key)
-        if value is None:
-            if required:
-                self.add(f"{key}: missing required section")
-            return {}
-        if not isinstance(value, dict):
+        self.sections[key] = copy = dict(value) if isinstance(value, dict) else {}
+        if value is None and required:
+            self.add(f"{key}: missing required section")
+        elif value is not None and not isinstance(value, dict):
             self.add(f"{key}: expected an object, got {type(value).__name__}")
-            return {}
-        return value
+        return copy
 
 
 def _numbers(values: Any, where: str, errors: _Collector, *shapes) -> np.ndarray:
@@ -192,25 +175,27 @@ def build_field(entry: Any, grid: Grid, where: str, errors: _Collector, steps: i
     if not isinstance(entry, dict):
         section, _, key = where.rpartition(".")
         return errors.number({key: entry}, key, 0.0, section)
-    kind = entry.get("kind")
-    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
+    entry = dict(entry)
+    kind = entry.pop("kind", None)
+    if kind not in ("constant", "values", "cosine"):
         errors.add(f"{where}.kind: unknown field kind {kind!r}")
         return 0.0
-    for key in entry:
-        if key not in _FIELD_KEYS[kind]:
-            errors.add(f"{where}.{key}: unknown key")
+    start = len(errors.errors)
     if kind == "constant":
-        return errors.number(entry, "value", 0.0, where)
-    if kind == "values":
-        return _numbers(entry.get("values", []), f"{where}.values", errors, *shapes)
-    amplitude = errors.number(entry, "amplitude", 1.0, where)
-    offset = errors.number(entry, "offset", 0.0, where)
-    modes = _numbers(entry.get("modes", [1] * grid.dim), f"{where}.modes", errors, (grid.dim,))
-    pts = grid.coords()
-    values = np.full(grid.ncells, amplitude)
-    for axis, (m, length) in enumerate(zip(modes, grid.lengths)):
-        values = values * np.cos(m * np.pi * pts[:, axis] / length)
-    return values + offset
+        values = errors.number(entry, "value", 0.0, where)
+    elif kind == "values":
+        values = _numbers(entry.pop("values", []), f"{where}.values", errors, *shapes)
+    else:
+        amplitude = errors.number(entry, "amplitude", 1.0, where)
+        offset = errors.number(entry, "offset", 0.0, where)
+        modes = _numbers(entry.pop("modes", [1] * grid.dim), f"{where}.modes", errors, (grid.dim,))
+        pts = grid.coords()
+        values = np.full(grid.ncells, amplitude)
+        for axis, (m, length) in enumerate(zip(modes, grid.lengths)):
+            values = values * np.cos(m * np.pi * pts[:, axis] / length)
+        values = values + offset
+    errors.errors[start:start] = [f"{where}.{key}: unknown key" for key in entry]
+    return values
 
 
 def config_digest(raw: dict) -> str:
@@ -225,16 +210,9 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ParseError(f"config root must be an object, got {type(raw).__name__}")
     col = _Collector()
-    for name, section in raw.items():
-        if name not in _KNOWN_KEYS:
-            col.add(f"{name}: unknown section")
-        elif isinstance(section, dict):
-            for key in section:
-                if key not in _KNOWN_KEYS[name]:
-                    col.add(f"{name}.{key}: unknown key")
-
     grid_sec = col.section(raw, "grid", required=True)
-    cells = grid_sec.get("cells")
+    cells = grid_sec.pop("cells", None)
+    lengths = grid_sec.pop("lengths", [1.0] * len(cells) if isinstance(cells, list) else None)
     grid = None
     if not isinstance(cells, list) or not cells or len(cells) > 2:
         col.add("grid.cells: expected a list of 1 or 2 positive integers")
@@ -242,7 +220,6 @@ def parse_config(raw: dict) -> RunConfig:
         col.add(f"grid.cells: expected integers, got {cells!r}")
     else:
         n_errors = len(col.errors)
-        lengths = grid_sec.get("lengths", [1.0] * len(cells))
         lengths = _numbers(lengths, "grid.lengths", col, (len(cells),))
         if len(col.errors) == n_errors:
             try:
@@ -265,7 +242,7 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
     pot_sec = col.section(raw, "potential")
-    kind = pot_sec.get("kind", "quartic")
+    kind = pot_sec.pop("kind", "quartic")
     eps = col.number(pot_sec, "eps", 0.0, "potential", minimum=0.0)
     potential = quartic_double_well(eps)
     if kind == "logarithmic":
@@ -277,8 +254,8 @@ def parse_config(raw: dict) -> RunConfig:
         col.add(f"potential.kind: expected one of {_POTENTIALS}, got {kind!r}")
 
     init_sec = col.section(raw, "initial", required=True)
-    theta0 = build_field(init_sec.get("theta", 0.0), grid, "initial.theta", col)
-    phi0 = build_field(init_sec.get("phi", 0.0), grid, "initial.phi", col)
+    theta0 = build_field(init_sec.pop("theta", 0.0), grid, "initial.theta", col)
+    phi0 = build_field(init_sec.pop("phi", 0.0), grid, "initial.phi", col)
     init = InitialData(
         theta0=broadcast(theta0, (grid.ncells,), "initial.theta"),
         phi0=broadcast(phi0, (grid.ncells,), "initial.phi"),
@@ -291,19 +268,19 @@ def parse_config(raw: dict) -> RunConfig:
         w_theta_final=col.number(cost_sec, "w_theta_final", 0.0, "cost", minimum=0.0),
         w_phi_final=col.number(cost_sec, "w_phi_final", 0.0, "cost", minimum=0.0),
         **{
-            key: build_field(cost_sec.get(key, 0.0), grid, f"cost.{key}", col, tgrid.steps)
+            key: build_field(cost_sec.pop(key, 0.0), grid, f"cost.{key}", col, tgrid.steps)
             for key in ("theta_target", "phi_target", "theta_final_target", "phi_final_target")
         },
     )
 
     box_sec = col.section(raw, "box")
     box = ControlBox(
-        lower=build_field(box_sec.get("lower", -1.0), grid, "box.lower", col, tgrid.steps),
-        upper=build_field(box_sec.get("upper", 1.0), grid, "box.upper", col, tgrid.steps),
+        lower=build_field(box_sec.pop("lower", -1.0), grid, "box.lower", col, tgrid.steps),
+        upper=build_field(box_sec.pop("upper", 1.0), grid, "box.upper", col, tgrid.steps),
     )
 
     opt_sec = col.section(raw, "optimize")
-    starts = opt_sec.get("starts", [])
+    starts = opt_sec.pop("starts", [])
     if not isinstance(starts, list):
         col.add(f"optimize.starts: expected a list of integer seeds, got {starts!r}")
         starts = []
@@ -315,7 +292,7 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
     control_sec = col.section(raw, "control")
-    ckind = control_sec.get("kind", "zeros")
+    ckind = control_sec.pop("kind", "zeros")
     shape = (tgrid.steps, grid.ncells)
     if ckind == "zeros":
         control = np.zeros(shape)
@@ -324,23 +301,23 @@ def parse_config(raw: dict) -> RunConfig:
     elif ckind == "random":
         seed = col.integer(control_sec, "seed", 0, "control", minimum=0)
     elif ckind == "values":
-        control = _numbers(control_sec.get("values", []), "control.values", col, shape)
+        control = _numbers(control_sec.pop("values", []), "control.values", col, shape)
     else:
         col.add(f"control.kind: expected one of {_CONTROL_KINDS}, got {ckind!r}")
 
     out_sec = col.section(raw, "output")
     snapshot_stride = col.integer(out_sec, "snapshot_stride", 0, "output", minimum=0)
 
+    unread = []
+    for name in raw:
+        if name in col.sections:
+            unread += [f"{name}.{key}: unknown key" for key in col.sections[name]]
+        else:
+            unread.append(f"{name}: unknown section")
+    col.errors[:0] = unread
+
     try:
-        spec = ProblemSpec(
-            grid=grid,
-            tgrid=tgrid,
-            physics=physics,
-            potential=potential,
-            init=init,
-            cost=cost,
-            box=box,
-        )
+        spec = ProblemSpec(grid, tgrid, physics, potential, init, cost, box)
     except ValidationError as exc:
         col.errors.extend(exc.violations)
     if col.errors:
@@ -357,6 +334,17 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object, in which a key given twice is a ParseError
+    rather than a silently overwritten value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Read, decode and validate a JSON config file."""
     path = Path(path)
@@ -365,7 +353,7 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)

@@ -87,6 +87,18 @@ class Trajectory:
     def phase_mean_history(self) -> np.ndarray:
         return self.phi.sum(axis=1) / self.grid.ncells
 
+    def check(self, spec: ProblemSpec | None = None) -> None:
+        """Raise ShapeMismatch unless theta and phi fit the trajectory's own
+        grids and, given spec, those grids have spec's cells, lengths and
+        time grid."""
+        grid, tgrid = self.grid, self.tgrid
+        mine = (grid.cells, grid.lengths, tgrid)
+        if spec is not None and mine != (spec.grid.cells, spec.grid.lengths, spec.tgrid):
+            raise ShapeMismatch(f"state on {grid}, {tgrid}; spec on {spec.grid}, {spec.tgrid}")
+        want = (tgrid.steps + 1, grid.ncells)
+        if self.theta.shape != want or self.phi.shape != want:
+            raise ShapeMismatch(f"trajectory shape {self.theta.shape} does not match {want}")
+
 
 @dataclasses.dataclass(frozen=True)
 class TangentSolution:
@@ -464,10 +476,9 @@ def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> Tangent
     grid, tgrid = base.grid, base.tgrid
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
     h = np.asarray(h, dtype=float)
+    base.check(spec)
     if h.shape != (nt, n):
         raise ShapeMismatch(f"direction: shape {h.shape} != {(nt, n)}")
-    if base.theta.shape != (nt + 1, n):
-        raise ShapeMismatch("trajectory does not match the grid/time grid")
     pot, physics = spec.potential, spec.physics
 
     dtheta = np.zeros((nt + 1, n))

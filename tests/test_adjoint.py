@@ -177,3 +177,15 @@ class TestPlumbing:
         state = pfc.solve_state(zero_control(other), other)
         with pytest.raises(pfc.ShapeMismatch):
             pfc.solve_adjoint(state, regular_spec)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"tgrid": pfc.TimeGrid(1.0, 8)}, {"grid": pfc.Grid(32, 2.0)}],
+        ids=["steps", "lengths"],
+    )
+    def test_state_of_another_spec_rejected(self, regular_spec, change):
+        # Same cell count, but another time grid or domain length.
+        other = dataclasses.replace(regular_spec, **change)
+        state = pfc.solve_state(zero_control(other), other)
+        with pytest.raises(pfc.ShapeMismatch, match="^state on "):
+            pfc.solve_adjoint(state, regular_spec)

@@ -2,6 +2,7 @@
 deterministic outputs, exit codes."""
 
 import argparse
+import copy
 import dataclasses
 import json
 import re
@@ -14,9 +15,8 @@ import pytest
 
 import pfcontrol as pfc
 import pfcontrol.cli as cli
-from pfcontrol import dynamics
+from pfcontrol import config, dynamics
 from pfcontrol.config import (
-    _KNOWN_KEYS,
     _Collector,
     build_field,
     config_digest,
@@ -178,6 +178,49 @@ class TestParseConfig:
             parse_config(base_config(control={"kind": "random", "seed": -3}))
         assert err.value.violations == ["control.seed: must be >= 0, got -3"]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"control": {"kind": "random", "seed": 2}, "output": {"snapshot_stride": 2}},
+            {"potential": {"kind": "quartic", "c": 2.0}, "grid": {"cells": [16], "size": 1}},
+        ],
+        ids=["valid", "unknown-keys"],
+    )
+    def test_config_is_not_mutated(self, overrides):
+        # The readers pop keys from copies: config_digest(raw) and callers
+        # that reuse raw see it as it was.
+        raw = base_config(**overrides)
+        before = copy.deepcopy(raw)
+        try:
+            parse_config(raw)
+        except pfc.ValidationError:
+            pass
+        assert json.dumps(raw) == json.dumps(before)
+        assert config_digest(raw) == config_digest(before)
+
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ([0.5], "grid.cells: expected integers, got [0.5]"),
+            ([], "grid.cells: expected a list of 1 or 2 positive integers"),
+        ],
+        ids=["float", "empty"],
+    )
+    def test_bad_cells_do_not_orphan_lengths(self, cells, message):
+        # lengths is taken even when cells is invalid, so it is not reported
+        # as an unknown key on top of the cells violation.
+        with pytest.raises(pfc.ValidationError) as err:
+            parse_config(base_config(grid={"cells": cells, "lengths": [1.0]}))
+        assert err.value.violations == [message]
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration files")[1]
+        example = section.split("```json\n")[1].split("```")[0]
+        cfg = parse_config(json.loads(example))
+        assert cfg.spec.grid.cells == (32,)
+        assert cfg.snapshot_stride == 4
+
     def test_negative_start_seeds_are_violations(self):
         with pytest.raises(pfc.ValidationError) as err:
             parse_config(base_config(optimize={"starts": [2, -1, 0, -5]}))
@@ -233,7 +276,11 @@ _KEY_CHANGES = {
     ("potential", "eps"): ({}, {"eps": 1.0e-3}),
     ("initial", "theta"): ({"phi": 0.1}, {"phi": 0.1, "theta": 0.2}),
     ("initial", "phi"): ({"theta": 0.2}, {"theta": 0.2, "phi": 0.1}),
-    **{("cost", key): ({}, {key: 0.3}) for key in _KNOWN_KEYS["cost"]},
+    **{
+        ("cost", key): ({}, {key: 0.3})
+        for key in ("w_theta", "w_phi", "w_theta_final", "w_phi_final", "theta_target",
+                    "phi_target", "theta_final_target", "phi_final_target")
+    },
     ("box", "lower"): ({}, {"lower": -0.5}),
     ("box", "upper"): ({}, {"upper": 0.5}),
     ("optimize", "stat_tol"): ({}, {"stat_tol": 1.0e-4}),
@@ -250,9 +297,26 @@ _KEY_CHANGES = {
 }
 
 
+def _documented_keys() -> set:
+    """(section, key) pairs of the section table in the config module's
+    docstring: each quoted name followed by a colon, under the section named
+    at the start of its row."""
+    table = config.__doc__.split("marked required):\n\n")[1].split("\n\n")[0]
+    keys = set()
+    for line in table.splitlines():
+        if not line.startswith(" " * 5):
+            section = line.split()[0]
+        keys |= {(section, key) for key in re.findall(r'"(\w+)":', line)}
+    return keys
+
+
 def test_key_changes_cover_every_known_key():
-    known = {(section, key) for section, keys in _KNOWN_KEYS.items() for key in keys}
-    assert set(_KEY_CHANGES) == known
+    # The readers are the config's only list of keys; the docstring's table
+    # documents them, and _KEY_CHANGES gives each one a change that
+    # test_every_known_key_is_honoured checks.
+    documented = _documented_keys()
+    assert len(documented) == 30
+    assert set(_KEY_CHANGES) == documented
 
 
 @pytest.mark.parametrize("section,key", sorted(_KEY_CHANGES))
@@ -335,6 +399,9 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(pfc.ParseError):
             load_config(path)
+
+
+_VALUES = np.zeros((8, 16)).tolist()
 
 
 class TestCliSolve:
@@ -455,11 +522,59 @@ class TestCliSolve:
         assert "config error: optimize.fd_check: unknown key" in err
         assert "config error: physics.latnet: unknown key" in err
         assert "config error: optimise: unknown section" in err
-        # A key read by another branch of its section stays accepted.
-        code, _, _ = run_cli(
+        # A key that only another kind of its section reads is not honoured,
+        # so it is rejected too.
+        code, _, err = run_cli(
             ["solve", "--config", config_file(potential={"kind": "quartic", "c": 2.0})], capsys
         )
-        assert code == 0
+        assert code == 2
+        assert err.splitlines() == ["config error: potential.c: unknown key"]
+
+    @pytest.mark.parametrize(
+        "section,entry,key",
+        [
+            ("potential", {"kind": "quartic", "c": 3.0}, "c"),
+            ("potential", {"kind": "loglinear", "eps": 1.0e-3, "c": 3.0}, "c"),
+            ("control", {"kind": "zeros", "value": 0.3}, "value"),
+            ("control", {"kind": "random", "value": 0.3}, "value"),
+            ("control", {"kind": "values", "values": _VALUES, "value": 0.3}, "value"),
+            ("control", {"kind": "zeros", "seed": 4}, "seed"),
+            ("control", {"kind": "constant", "seed": 4}, "seed"),
+            ("control", {"kind": "values", "values": _VALUES, "seed": 4}, "seed"),
+            ("control", {"kind": "zeros", "values": _VALUES}, "values"),
+            ("control", {"kind": "constant", "values": _VALUES}, "values"),
+            ("control", {"kind": "random", "values": _VALUES}, "values"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v["kind"],
+    )
+    def test_key_of_another_kind_exits_2(self, config_file, capsys, section, entry, key):
+        # The chosen kind does not read the key, so the run would not honour it.
+        cfg = config_file(**{section: entry})
+        code, out, err = run_cli(["solve", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"config error: {section}.{key}: unknown key"]
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"physics": {"visc": 0.0}, "physics": {"visc": 1.0}}', "physics"),
+            ('{"physics": {"latent": 1.0, "latent": 0.5}}', "latent"),
+        ],
+        ids=["section", "section-key"],
+    )
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, text, key):
+        # The last copy would silently win, and the digest could not tell
+        # the two files apart.
+        body = json.dumps({k: v for k, v in base_config().items() if k != "physics"})
+        path = tmp_path / "dup.json"
+        path.write_text(text[:-1] + ", " + body[1:])
+        with pytest.raises(pfc.ParseError):
+            load_config(path)
+        code, out, err = run_cli(["solve", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"config error: duplicate key {key!r}"]
 
     @pytest.mark.parametrize("key", ["armijo_sigma", "max_backtracks", "initial_step"])
     def test_removed_optimizer_keys_exit_2(self, config_file, capsys, key):

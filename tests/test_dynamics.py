@@ -244,6 +244,19 @@ class TestTangent:
         with pytest.raises(pfc.ShapeMismatch):
             pfc.solve_tangent(np.zeros((3, 3)), base, regular_spec)
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"tgrid": pfc.TimeGrid(1.0, 8)}, {"grid": pfc.Grid(32, 2.0)}],
+        ids=["steps", "lengths"],
+    )
+    def test_state_of_another_spec_rejected(self, regular_spec, change):
+        # A state on another time grid or domain length, with a direction
+        # shaped like the state's own control, is not the spec's state.
+        other = dataclasses.replace(regular_spec, **change)
+        base = pfc.solve_state(zero_control(other), other)
+        with pytest.raises(pfc.ShapeMismatch, match="^state on "):
+            pfc.solve_tangent(zero_control(other), base, regular_spec)
+
 
 class TestStepOperator:
     @pytest.mark.parametrize("cells", [16, (6, 5)])
