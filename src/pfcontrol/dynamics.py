@@ -304,17 +304,9 @@ def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], fl
     lo, hi = potential.lo, potential.hi
 
     def guard(phi: np.ndarray, dphi: np.ndarray) -> float:
-        alpha = 1.0
-        if np.isfinite(lo):
-            falling = dphi < 0
-            if np.any(falling):
-                room = phi[falling] - lo
-                alpha = min(alpha, float(np.min(_BOUNDARY_FRACTION * room / -dphi[falling])))
-        if np.isfinite(hi):
-            rising = dphi > 0
-            if np.any(rising):
-                room = hi - phi[rising]
-                alpha = min(alpha, float(np.min(_BOUNDARY_FRACTION * room / dphi[rising])))
+        room = np.where(dphi < 0, phi - lo, hi - phi)  # a zero move has ratio inf
+        with np.errstate(divide="ignore"):
+            alpha = min(1.0, float(np.min(_BOUNDARY_FRACTION * room / np.abs(dphi))))
         # Rounding can still put the step on an endpoint: halve it until not.
         while not np.all(potential.contains(phi + alpha * dphi)):
             alpha *= 0.5

@@ -13,12 +13,14 @@ defined, Lipschitz with constant 1/eps, and satisfies |dw_eps| <= |dw_convex|
 pointwise on the domain.
 
 The resolvent is a vectorized root solve: Newton steps inside a bracket that
-shrinks with every evaluation, replaced by bisection whenever a step leaves
-the bracket or fails to halve the previous move. An entry ends, and is left
-where it is, when its move is below ROOT_XTOL and either zero or at most half
-of a previous move, so a converged entry is never thrown back into bisection,
-and the tiny but growing steps Newton takes away from a singular endpoint are
-never taken for convergence.
+starts as [min(r, 0), max(r, 0)] cut to the open domain (an infinite end is
+an end at +-inf), which holds the root because every convex part here has
+dw_convex(0) = 0 and dw_convex increasing. The bracket shrinks with every
+evaluation; bisection replaces a step that leaves it or fails to halve the
+previous move. An entry ends, and stays, when its move is below ROOT_XTOL
+and either zero or at most half of a previous move, so a converged entry is
+never bisected again, and Newton's tiny but growing steps away from a
+singular end are never taken for convergence.
 
 There is one evaluator per job: w_convex, dw_convex, w_rest, dw_rest and
 d2w_rest are exact; dw_convex_eff, d2w_convex_eff, dw_and_d2w_convex_eff
@@ -47,13 +49,10 @@ __all__ = [
 #: Relative step tolerance of the resolvent root solve; a few ulps, because
 #: the root error is amplified by 1/eps in the Yosida values built from it.
 ROOT_XTOL = 1.0e-15
-#: Root iterations: a bisection step halves the bracket, whose width falls
-#: from at most 2**1025 to the smallest subnormal 2**-1074 in about 2100
-#: halvings, so any finite bracket collapses to adjacent floats before this.
+#: Root iterations: a bisection step halves the bracket, whose width |r| falls
+#: from below 2**1024 to the smallest subnormal 2**-1074 in about 2100
+#: halvings, so every bracket collapses to adjacent floats before this.
 _ROOT_MAX_ITER = 2200
-#: Bracket expansion steps: the doubling step overflows to inf after about
-#: 1024 of them, so from any finite start the bracket reaches +-inf before this.
-_BRACKET_MAX_DOUBLINGS = 1100
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,12 +93,7 @@ class Potential:
     def distance_to_boundary(self, r: np.ndarray) -> np.ndarray:
         """Pointwise distance to the nearest domain endpoint (inf if entire)."""
         r = np.asarray(r, dtype=float)
-        d = np.full(r.shape, np.inf)
-        if math.isfinite(self.lo):
-            d = np.minimum(d, r - self.lo)
-        if math.isfinite(self.hi):
-            d = np.minimum(d, self.hi - r)
-        return d
+        return np.minimum(r - self.lo, self.hi - r)
 
     def _require_inside(self, r: np.ndarray, closure: bool = False) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -141,28 +135,24 @@ class Potential:
         """Solve x + eps * dw_convex(x) = r for x in the open domain.
 
         Bracketed Newton with bisection fallback; the map is strictly
-        increasing, so the root is unique. A Newton step is kept only if it
-        stays in the closed bracket and moves at most half as far as the step
-        before it; otherwise the entry bisects. An entry is done, and stays
-        where it is, once its move is below ROOT_XTOL and is either zero or at
-        most half of a previous move. The first move alone never ends an entry:
-        from a start at a singular endpoint Newton crawls in steps far below
-        ROOT_XTOL that double each time. Each entry's root is independent of
-        the other entries of r.
+        increasing, so the root is unique, and it lies between 0 and r as
+        dw_convex(0) = 0: the bracket starts as [min(r, 0), max(r, 0)] cut to
+        the domain. A NaN slope raises RootSolveFailure. A Newton step is
+        kept only if it stays in the closed bracket and moves at most half as
+        far as the step before it; otherwise the entry bisects. An entry is
+        done, and stays where it is, once its move is below ROOT_XTOL and is
+        either zero or at most half of a previous move. The first move alone
+        never ends an entry: from a start at a singular endpoint Newton crawls
+        in steps far below ROOT_XTOL that double each time. Each entry's root
+        is independent of the other entries of r.
         """
         if eps <= 0:
             raise ValueError("resolvent needs eps > 0")
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.all(np.isfinite(r)):
             raise RootSolveFailure("resolvent of a non-finite value")
-        if math.isfinite(self.lo):
-            lo = np.nextafter(np.full(r.shape, self.lo), np.inf)
-        else:
-            lo = self._expand_bracket(np.minimum(r, 0.0), r, eps, -1.0)
-        if math.isfinite(self.hi):
-            hi = np.nextafter(np.full(r.shape, self.hi), -np.inf)
-        else:
-            hi = self._expand_bracket(np.maximum(r, 0.0), r, eps, 1.0)
+        lo = np.maximum(np.minimum(r, 0.0), np.nextafter(self.lo, np.inf))
+        hi = np.minimum(np.maximum(r, 0.0), np.nextafter(self.hi, -np.inf))
         x = np.clip(r, lo, hi)
         last = np.full(r.shape, np.inf)
         done = np.zeros(r.shape, dtype=bool)
@@ -182,20 +172,9 @@ class Potential:
                     break
             else:
                 raise RootSolveFailure("resolvent iteration did not converge")
+        if np.any(np.isnan(g)):
+            raise RootSolveFailure("resolvent of a convex part with a NaN slope")
         return x
-
-    def _expand_bracket(self, x: np.ndarray, r: np.ndarray, eps: float, sign: float) -> np.ndarray:
-        """Step x outward in direction sign, doubling the step, until
-        sign * (x + eps * dw_convex(x) - r) >= 0 everywhere."""
-        width = 1.0
-        with np.errstate(over="ignore"):
-            for _ in range(_BRACKET_MAX_DOUBLINGS):
-                done = sign * (x + eps * self._dw_convex(x) - r) >= 0
-                if np.all(done):
-                    return x
-                x = np.where(done, x, x + sign * width)
-                width *= 2.0
-        raise RootSolveFailure("resolvent bracket could not be expanded")
 
     # -- effective (mode-respecting) evaluation -----------------------------------
 

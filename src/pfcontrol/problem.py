@@ -156,7 +156,7 @@ class ProblemSpec:
                 bad.append(f"initial.{name}: non-finite entries")
         if phi0.shape == (grid.ncells,) and np.all(np.isfinite(phi0)):
             inside = f"strictly inside ({pot.lo}, {pot.hi})"
-            if pot.is_singular and not np.all(pot.contains(phi0)):
+            if not np.all(pot.contains(phi0)):
                 bad.append(f"initial.phi0: values must lie {inside}")
             m0 = float(np.sum(phi0)) / grid.ncells
             if not (pot.lo < m0 < pot.hi):

@@ -1,6 +1,7 @@
 """Export consistency: every name a module lists in __all__ exists, the
 package exports exactly the library modules' __all__, no module imports a
-name it never uses, and the package stays off the heavy SciPy modules."""
+name or binds a constant it never uses, and the package stays off the heavy
+SciPy modules."""
 
 import ast
 import importlib
@@ -94,6 +95,36 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert not _unused_imports(path)
+
+
+def _unread_constants(path: Path) -> list[str]:
+    """Module-level names bound by an assignment (tuple targets included)
+    that nothing in the module reads. Dunder names such as __all__ are exempt."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        bound[name.id] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f"{name} (line {bound[name]})" for name in set(bound) - read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(pfc.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem,
+)
+def test_no_unread_module_constants(path):
+    # A constant left behind when its last reader goes, like a loop budget
+    # of a deleted helper, fails here.
+    assert not _unread_constants(path)
 
 
 def test_benchmark_tracer_installs_on_every_traced_name():

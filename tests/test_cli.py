@@ -221,6 +221,12 @@ class TestParseConfig:
         assert cfg.spec.grid.cells == (32,)
         assert cfg.snapshot_stride == 4
 
+    def test_nested_values_list_holds_ncells_values(self):
+        # Any nesting of ncells values is read in row-major order.
+        phi = np.linspace(-0.5, 0.5, 16)
+        raw = base_config(initial={"theta": 0.0, "phi": phi.reshape(2, 4, 2).tolist()})
+        assert np.array_equal(parse_config(raw).spec.init.phi0, phi)
+
     def test_negative_start_seeds_are_violations(self):
         with pytest.raises(pfc.ValidationError) as err:
             parse_config(base_config(optimize={"starts": [2, -1, 0, -5]}))
@@ -506,6 +512,26 @@ class TestCliSolve:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(base_config(**overrides)).replace('"@"', entry))
         code, out, err = run_cli(["solve", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"config error: {message}"]
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"time": {"horizon": 0.5, "steps": 1.5}}, "time.steps: expected an integer, got 1.5"),
+            ({"physics": 3}, "physics: expected an object, got int"),
+            ({"grid": {"cells": [1]}}, "grid: need at least 2 cells per axis, got (1,)"),
+            ({"optimize": {"starts": 3}},
+             "optimize.starts: expected a list of integer seeds, got 3"),
+            ({"control": {"kind": "sine"}},
+             "control.kind: expected one of ('zeros', 'constant', 'random', 'values'), got 'sine'"),
+        ],
+        ids=["fractional-steps", "section-not-object", "one-cell", "starts-not-list",
+             "control-kind"],
+    )
+    def test_bad_section_values_exit_2(self, config_file, capsys, overrides, message):
+        code, out, err = run_cli(["solve", "--config", config_file(**overrides)], capsys)
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"config error: {message}"]

@@ -253,6 +253,21 @@ class TestOptimize:
         assert multi.j_final <= single.j_final
         assert multi.start_seed in (None, 1)
 
+    def test_multistart_reports_lowest_start(self):
+        # With no iterations each start's j_final is its starting cost, and
+        # the ones start is beaten by a random start.
+        spec = desk_spec()
+        u0 = np.ones((spec.tgrid.steps, spec.grid.ncells))
+        opts = pfc.OptimizeOptions(max_iter=0, starts=(1, 2, 3))
+        single = dataclasses.replace(opts, starts=())
+        j = {None: pfc.optimize(spec, u0, single).j_final}
+        for seed in opts.starts:
+            start = control.random_admissible_control(spec, seed)
+            j[seed] = pfc.optimize(spec, start, single).j_final
+        multi = pfc.optimize(spec, u0, opts)
+        assert multi.start_seed == min(j, key=j.get) == 3
+        assert multi.j_final == j[3] < j[None]
+
     def test_control_hypotheses_enforced(self):
         spec = _small_spec()
         decoupled = dataclasses.replace(

@@ -631,6 +631,23 @@ class TestCarriedLU:
             pfc.solve_state(zero_control(spec), spec)
 
 
+_GUARDED_WELLS = [pfc.log_double_well(c=2.0), pfc.log_linear(), pfc.quartic_double_well()]
+
+
+def _two_branch_guard(pot, phi, dphi):
+    """The domain guard written with one branch per finite end."""
+    alpha = 1.0
+    if np.isfinite(pot.lo) and np.any(dphi < 0):
+        room = phi[dphi < 0] - pot.lo
+        alpha = min(alpha, float(np.min(dynamics._BOUNDARY_FRACTION * room / -dphi[dphi < 0])))
+    if np.isfinite(pot.hi) and np.any(dphi > 0):
+        room = pot.hi - phi[dphi > 0]
+        alpha = min(alpha, float(np.min(dynamics._BOUNDARY_FRACTION * room / dphi[dphi > 0])))
+    while not np.all(pot.contains(phi + alpha * dphi)):
+        alpha *= 0.5
+    return alpha
+
+
 class TestFailureModes:
     # An invalid spec cannot be built, so solve_state never sees one.
     def test_exact_singular_needs_viscosity(self):
@@ -687,6 +704,19 @@ class TestFailureModes:
         dphi = np.array([-1.0, 0.0])
         alpha = dynamics._domain_guard(pfc.log_double_well(c=2.0))(phi, dphi)
         assert 0.0 < alpha and np.all(np.abs(phi + alpha * dphi) < 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_guard_matches_two_branch_rule(self, data):
+        pot = data.draw(st.sampled_from(_GUARDED_WELLS))
+        n = data.draw(st.integers(1, 6))
+        inside = st.floats(pot.lo, min(pot.hi, 1.0e6), exclude_min=True, exclude_max=True)
+        phi = np.array(data.draw(st.lists(inside, min_size=n, max_size=n)))
+        moves = st.one_of(st.just(0.0), st.floats(-1.0e3, 1.0e3), st.floats(-1e-3, 1e-3))
+        dphi = np.array(data.draw(st.lists(moves, min_size=n, max_size=n)))
+        with np.errstate(over="ignore"):
+            alpha = dynamics._domain_guard(pot)(phi, dphi)
+            assert alpha == _two_branch_guard(pot, phi, dphi)
 
     def test_huge_source_on_exact_log_fails_by_name(self):
         # Guarded Newton trials come within ulps of the endpoint -1 here; one

@@ -230,6 +230,17 @@ class TestGradientProbes:
         assert report.passed
         assert 1.8 <= report.measured["slope"] <= 2.2
 
+    def test_frechet_probe_fails_a_wrong_tangent(self, monkeypatch):
+        # With a zero tangent the remainder decays like delta, not delta^2.
+        def zero_tangent(h, base, spec):
+            return pfc.TangentSolution(np.zeros_like(base.theta), np.zeros_like(base.phi))
+
+        monkeypatch.setattr(harness, "solve_tangent", zero_tangent)
+        spec = desk_spec()
+        report = pfc.frechet_remainder_probe(zero_control(spec), spec)
+        assert report.measured["slope"] == 0.0
+        assert report.passed is False
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.sampled_from(["quartic", "yosida-log", "exact-log"]),

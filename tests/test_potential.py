@@ -124,6 +124,10 @@ class TestLogarithmic:
         with pytest.raises(ValueError):
             pfc.log_double_well(c=0.0)
 
+    def test_distance_to_boundary(self):
+        d = self.pot.distance_to_boundary(np.array([-0.75, 0.0, 0.5, 0.875]))
+        assert d.tolist() == [0.25, 1.0, 0.5, 0.125]
+
 
 class TestLogLinear:
     pot = pfc.log_linear()
@@ -141,6 +145,11 @@ class TestLogLinear:
         assert np.all(j > -1.0)
         np.testing.assert_allclose(j + eps * j / (1.0 + j), r, rtol=1e-12, atol=1e-12)
 
+    def test_distance_to_boundary(self):
+        # The infinite end is never the nearer one.
+        d = self.pot.distance_to_boundary(np.array([-0.75, 0.0, 1.0e300]))
+        assert d.tolist() == [0.25, 1.0, 1.0e300 + 1.0]
+
 
 @pytest.mark.parametrize(
     "call",
@@ -148,8 +157,13 @@ class TestLogLinear:
         "pfc.quartic_double_well(1e-3).dw_convex_eff(np.array([np.nan]))",
         "pfc.quartic_double_well(1e-3).dw_convex_eff(np.array([0.5, -np.inf]))",
         "pfc.log_linear(1e-3).dw_convex_eff(np.array([np.inf]))",
-        # A convex derivative that is NaN everywhere never closes the bracket.
+        # A convex derivative that is NaN everywhere is a failure on every
+        # well, whether its ends are finite or not.
         "dataclasses.replace(pfc.quartic_double_well(1e-3),"
+        " _dw_convex=lambda r: np.full_like(r, np.nan)).dw_convex_eff(np.array([0.5]))",
+        "dataclasses.replace(pfc.log_double_well(2.0, 1e-3),"
+        " _dw_convex=lambda r: np.full_like(r, np.nan)).resolvent([0.5, -0.3], 1e-3)",
+        "dataclasses.replace(pfc.log_double_well(2.0, 1e-3),"
         " _dw_convex=lambda r: np.full_like(r, np.nan)).dw_convex_eff(np.array([0.5]))",
     ],
 )
