@@ -1,39 +1,23 @@
-"""Adjoint of the discrete tangent system and the tracking-cost machinery.
+"""The tracking cost, its state gradient, and the reduced gradient by the
+adjoint sweep.
 
-The tangent recursion is, per step k -> k+1,
-
-    A_k X_{k+1} = M_k X_k + dt * (h_{k+1}, 0, 0)
-
-with A_k the step operator linearized at the stored solution and M_k
-collecting the old-level terms. The adjoint sweep solves the exact
-transposes backward,
-
-    A_{Nt-1}^T y_Nt = d_Nt,
-    A_{k-1}^T y_k = d_k + M_k^T y_{k+1}    (k = Nt-1 .. 1),
-
-where d_k is the Euclidean gradient of the discrete cost with respect to the
-stacked state at level k. By construction the duality identity
+The adjoint sweep is dynamics.linear_sweep with trans "T": the exact
+transpose of the tangent recursion, run backward and forced at level k by
+d_k, the Euclidean gradient of the discrete cost with respect to (theta, phi)
+at that level. By construction the duality identity
 
     sum_k dt * (q_k, h_k)_Omega = d/d(delta) J(S(u + delta h)) |_0
 
 holds to linear-solver precision, and the multiplier block attached to the
 balance equation, divided by the cell measure, is the reduced gradient q,
 which solve_adjoint returns on levels 1..Nt.
-
-The sweep uses the problem's one StepOperator, as the forward and tangent
-sweeps do. Each level is refined to a relative residual of 1e-12 against
-the transpose of the sweep's one LU (first factorized at level Nt), which
-is replaced at the level's slope when it stalls. The right-hand side
-d_k + M_k^T y_{k+1} comes from StepOperator.old_level, the map the tangent
-sweep applies, so the adjoint is the transpose of the tangent by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import LinearSolveDivergence
-from .dynamics import TangentSolution, Trajectory, StepLU, step_operator
+from .dynamics import TangentSolution, Trajectory, linear_sweep
 from .problem import CostSpec, ProblemSpec
 
 __all__ = [
@@ -94,28 +78,8 @@ def dj_along_tangent(tangent: TangentSolution, state: Trajectory, cost: CostSpec
 def solve_adjoint(state: Trajectory, spec: ProblemSpec) -> np.ndarray:
     """Backward sweep with the exact transposes of the tangent step operators;
     returns the reduced gradient q of spec.cost, shaped (steps, ncells) like a
-    control.
-
-    The factorized matrix is the (theta, phi) Schur complement, whose (phi,
-    phi) block I + dt L (L - diag(visc/dt + slope)) is fourth order.
-    """
+    control."""
     state.check(spec)
-    grid, tgrid = state.grid, state.tgrid
-    n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
-    physics, pot = spec.physics, spec.potential
-    m = grid.cell_measure
-
-    d_theta, d_phi = cost_state_gradient(state, spec.cost)
-    q = np.empty((nt, n))
-    y = np.zeros(3 * n)
-    held = StepLU(step_operator(grid, dt, physics))
-    for level in range(nt, 0, -1):
-        # d_k + M_k^T y_{k+1} for the step leaving this level (y_{Nt+1} = 0).
-        rhs = held.stepop.old_level(y, pot.d2w_rest(state.phi[level]), trans="T")
-        rhs[:n] += d_theta[level - 1]
-        rhs[n : 2 * n] += d_phi[level - 1]
-        y = held.solve_at(rhs, pot.d2w_convex_eff(state.phi[level]), trans="T")
-        if not np.all(np.isfinite(y)):
-            raise LinearSolveDivergence(f"adjoint sweep broke down at level {level}")
-        q[level - 1] = y[:n] / m
-    return q
+    forcing = np.hstack(cost_state_gradient(state, spec.cost))
+    rows = linear_sweep(state, spec, forcing, "T")
+    return rows[:, : state.grid.ncells] / state.grid.cell_measure

@@ -16,9 +16,9 @@ Index conventions: trajectories hold theta, phi at levels 0..Nt and the
 chemical potential at levels 1..Nt, where sources live too (array index k
 maps to level k+1).
 
-The tangent solver differentiates each discrete step exactly: the implicit
-convex term contributes its derivative at the new level, the explicit
-remainder its derivative at the old level, with zero initial conditions.
+The tangent differentiates each discrete step exactly: the implicit convex
+term contributes its derivative at the new level, the explicit remainder its
+derivative at the old level. One loop, linear_sweep, runs it and its transpose.
 
 Forward Newton, tangent and adjoint sweeps all solve with the same block step
 operator. Only its (mu, phi) diagonal depends on the linearization point and
@@ -458,32 +458,54 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     return Trajectory(grid=grid, tgrid=tgrid, theta=theta, phi=phi, mu=mu)
 
 
-def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> TangentSolution:
-    """Exact derivative of the discrete state map along direction h.
+def linear_sweep(
+    state: Trajectory, spec: ProblemSpec, forcing: np.ndarray, trans: str
+) -> np.ndarray:
+    """The linearized step recursion along `state`, forward (trans "N", the
+    tangent) or as its exact transpose backward (trans "T", the adjoint).
 
-    Solves, per step, the state Newton operator (linearized at the stored
-    new-level phase) against the old-level terms differentiated where they
-    were evaluated. Initial conditions are zero and mean(dphi) stays zero.
+    With A_k the step operator linearized at the convex slope of level k+1
+    and M_k the old-level map at the remainder slope of level k
+    (StepOperator.old_level), step k (level k -> k+1, k = 0..Nt-1) solves
+
+        A_k X_{k+1} = M_k X_k + f_k                        (X_0 = 0), or
+        A_k^T Y_{k+1} = M_{k+1}^T Y_{k+2} + f_k            (Y_{Nt+1} = 0),
+
+    where f_k is forcing[k] in the (theta, phi) rows and zero in the mu rows.
+    Each level is refined against the sweep's one StepLU (StepLU.solve_at).
+    Returns forcing with row k overwritten by the (theta, phi) rows of X_{k+1}
+    or Y_{k+1}: in place, as a second (steps, 2n) array raised the 2D peak
+    memory. LinearSolveDivergence when a level is not finite.
     """
-    grid, tgrid = base.grid, base.tgrid
-    n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
+    nt, n, pot = state.tgrid.steps, state.grid.ncells, spec.potential
+    tangent = trans == "N"
+    held = StepLU(step_operator(state.grid, state.tgrid.dt, spec.physics))
+    x = np.zeros(3 * n)
+    for k in range(nt) if tangent else range(nt - 1, -1, -1):
+        rhs = held.stepop.old_level(x, pot.d2w_rest(state.phi[k if tangent else k + 1]), trans)
+        rhs[: 2 * n] += forcing[k]
+        x = held.solve_at(rhs, pot.d2w_convex_eff(state.phi[k + 1]), trans)
+        if not np.all(np.isfinite(x)):
+            sweep = "tangent" if tangent else "adjoint"
+            raise LinearSolveDivergence(f"{sweep} sweep broke down at time step {k + 1} of {nt}")
+        forcing[k] = x[: 2 * n]
+    return forcing
+
+
+def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> TangentSolution:
+    """Exact derivative of the discrete state map along direction h: the
+    forward linear_sweep forced by dt * h. Initial conditions are zero and
+    mean(dphi) stays zero."""
+    n, nt = base.grid.ncells, base.tgrid.steps
     h = np.asarray(h, dtype=float)
     base.check(spec)
     if h.shape != (nt, n):
         raise ShapeMismatch(f"direction: shape {h.shape} != {(nt, n)}")
-    pot, physics = spec.potential, spec.physics
-
-    dtheta = np.zeros((nt + 1, n))
-    dphi = np.zeros((nt + 1, n))
-    held = StepLU(step_operator(grid, dt, physics))
-    x = np.zeros(3 * n)
-    for k in range(nt):
-        rhs = held.stepop.old_level(x, pot.d2w_rest(base.phi[k]))
-        rhs[:n] += dt * h[k]
-        x = held.solve_at(rhs, pot.d2w_convex_eff(base.phi[k + 1]))
-        if not np.all(np.isfinite(x)):
-            raise LinearSolveDivergence(f"tangent sweep broke down at step {k}")
-        dtheta[k + 1], dphi[k + 1] = x[:n], x[n : 2 * n]
+    forcing = np.zeros((nt, 2 * n))
+    forcing[:, :n] = base.tgrid.dt * h
+    rows = linear_sweep(base, spec, forcing, "N")
+    dtheta, dphi = np.zeros((2, nt + 1, n))
+    dtheta[1:], dphi[1:] = rows[:, :n], rows[:, n:]
     return TangentSolution(dtheta=dtheta, dphi=dphi)
 
 

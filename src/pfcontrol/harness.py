@@ -43,7 +43,8 @@ __all__ = [
 
 #: FD gradient check: central differences D at delta and delta/2, delta relative to max|u| + 1.
 FD_STEP = 0.1
-#: Taylor remainder probe: perturbation sizes and the band of the fitted slope.
+#: Taylor remainder probe: perturbation sizes relative to max|u| + 1, like the
+#: FD step, and the band of the fitted slope.
 TAYLOR_DELTAS = tuple(np.logspace(-1.0, -4.0, 7))
 TAYLOR_SLOPE_BAND = (1.8, 2.2)
 #: Energy probe: allowed increase of one step, relative to max(1, |E0|).
@@ -151,9 +152,10 @@ def fd_gradient_check(
 def frechet_remainder_probe(u: np.ndarray, spec: ProblemSpec, seed: int = 11) -> ProbeReport:
     """Quadratic-remainder check along the seeded smooth direction h:
     r(delta) = ||S(u + delta h) - S(u) - delta * DS h||_Y should scale like
-    delta^2 (log-log slope within TAYLOR_SLOPE_BAND)."""
+    delta^2 (log-log slope within TAYLOR_SLOPE_BAND), for delta along
+    TAYLOR_DELTAS scaled by max|u| + 1, above the solver noise at large u."""
     h = smooth_direction(spec, np.random.default_rng(seed))
-    deltas = TAYLOR_DELTAS
+    deltas = (float(np.max(np.abs(u))) + 1.0) * np.asarray(TAYLOR_DELTAS)
     base = solve_state(u, spec)
     tangent = solve_tangent(h, base, spec)
     remainders = []

@@ -62,6 +62,18 @@ class TestDuality:
     def test_two_dimensional(self):
         assert _duality_gap(_spec_2d(), seed=3) <= 1.0e-10
 
+    def test_remainder_curvature_that_varies(self):
+        # Every stock well has a constant remainder curvature R'', so only a
+        # varying one tells M_k (R'' at level k) from the M_{k+1}^T of the
+        # adjoint. W = r^4/4 + cos(r).
+        potential = dataclasses.replace(
+            pfc.quartic_double_well(),
+            _w_rest=np.cos,
+            _dw_rest=lambda r: -np.sin(r),
+            _d2w_rest=lambda r: -np.cos(r),
+        )
+        assert _duality_gap(_spec_2d(potential=potential), seed=4) <= 1.0e-10
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.one_of(

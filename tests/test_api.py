@@ -127,6 +127,38 @@ def test_no_unread_module_constants(path):
     assert not _unread_constants(path)
 
 
+#: The step operator, its LU and their methods: dynamics alone uses them.
+_STEP_INTERNALS = {
+    "StepLU", "StepOperator", "step_operator", "old_level", "solve_at", "refined", "refactor"
+}
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every identifier a module binds, reads, imports or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_step_operator_stays_inside_dynamics():
+    # The tangent and adjoint sweeps are one loop in dynamics; no other
+    # module reaches into the step operator or the LU a sweep holds.
+    leaks = {
+        path.stem: sorted(_names_used(path) & _STEP_INTERNALS)
+        for path in Path(pfc.__file__).parent.glob("*.py")
+        if path.stem != "dynamics"
+    }
+    assert not {stem: names for stem, names in leaks.items() if names}
+
+
 def test_benchmark_tracer_installs_on_every_traced_name():
     # The suite collects only tests/, so a traced name deleted from the
     # package would otherwise break only the benchmark's --trace run.

@@ -234,6 +234,26 @@ class TestOptimize:
         assert report.iterations == 0
         assert report.j_history == [1.0] and report.evaluations_history == []
 
+    def test_ascent_direction_resets_the_memory(self, monkeypatch):
+        # The third L-BFGS direction is turned uphill: the optimizer drops its
+        # two pairs, takes the steepest-descent step and keeps descending.
+        calls, direction = [], control._lbfgs_direction
+
+        def uphill_once(grad, pairs, free, spec):
+            calls.append((pairs, len(pairs)))
+            d = direction(grad, pairs, free, spec)
+            return -d if len(calls) == 3 else d
+
+        monkeypatch.setattr(control, "_lbfgs_direction", uphill_once)
+        opts = pfc.OptimizeOptions(stat_tol=1.0e-4, max_iter=400)
+        report = pfc.optimize(_small_spec(), opts=opts)
+        assert [n for _, n in calls[:4]] == [0, 1, 2, 1]
+        assert calls[2][0] == []
+        # The steepest-descent step is accepted at full length.
+        assert report.evaluations_history[2] == 1
+        assert report.termination == "stationary"
+        assert np.all(np.diff(report.j_history) <= 0.0)
+
     def test_reaches_stationarity_at_loose_tol(self):
         spec = _small_spec()
         opts = pfc.OptimizeOptions(stat_tol=1.0e-4, max_iter=400)

@@ -370,12 +370,24 @@ class TestStepOperator:
         held = dynamics.StepLU(stepop).refactor(np.ones(n))
         x, converged = held.refined(np.full(3 * n, np.nan), np.ones(n))
         assert not converged and not np.all(np.isfinite(x))
-        # The held LU of level 0 stalls at level 3, and so does a fresh one.
+        # The held LU of level 0 stalls at time step 4, and so does a fresh one.
         base = pfc.solve_state(zero_control(regular_spec), regular_spec)
         h = _random_control(regular_spec, seed=3)
         h[3, 5] = np.inf
-        with pytest.raises(pfc.LinearSolveDivergence, match="tangent sweep broke down at step 3"):
+        message = "^tangent sweep broke down at time step 4 of 16$"
+        with pytest.raises(pfc.LinearSolveDivergence, match=message):
             pfc.solve_tangent(h, base, regular_spec)
+
+    def test_non_finite_cost_gradient_ends_the_adjoint_sweep(self, regular_spec):
+        # The backward sweep meets the infinite cost gradient at level 5
+        # first, the level that time step 5 leads to.
+        base = pfc.solve_state(zero_control(regular_spec), regular_spec)
+        theta = base.theta.copy()
+        theta[5, 7] = np.inf
+        state = dataclasses.replace(base, theta=theta)
+        message = "^adjoint sweep broke down at time step 5 of 16$"
+        with pytest.raises(pfc.LinearSolveDivergence, match=message):
+            pfc.solve_adjoint(state, regular_spec)
 
     def test_fill_does_not_depend_on_the_coupling(self, monkeypatch):
         # The same MMD order applied to columns only, with partial pivoting,
@@ -695,6 +707,14 @@ class TestFailureModes:
         spec = desk_spec()
         monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
         message = r"^time step 1 of 16: no convergence after Newton iteration 1 "
+        with pytest.raises(pfc.NewtonDivergence, match=message):
+            pfc.solve_state(zero_control(spec), spec)
+
+    def test_damping_stall_names_step_and_iteration(self, monkeypatch):
+        # With no halvings allowed, the first damped Newton step stalls.
+        spec = desk_spec()
+        monkeypatch.setattr(dynamics, "_NEWTON_MAX_BACKTRACKS", 0)
+        message = r"^time step 1 of 16, Newton iteration 1: damping stalled at residual "
         with pytest.raises(pfc.NewtonDivergence, match=message):
             pfc.solve_state(zero_control(spec), spec)
 

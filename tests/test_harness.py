@@ -241,6 +241,17 @@ class TestGradientProbes:
         assert report.measured["slope"] == 0.0
         assert report.passed is False
 
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_frechet_probe_passes_at_a_large_constant_control(self, seed):
+        # An unscaled ladder, 0.1 to 1e-4, meets the solver noise near 1e-12
+        # at u = 50 from its second rung and leaves no quadratic run to fit.
+        spec = desk_spec("log", cells=64, steps=32)
+        u = np.full((32, 64), 50.0)
+        report = pfc.frechet_remainder_probe(u, spec, seed=seed)
+        assert report.passed
+        assert 1.8 <= report.measured["slope"] <= 2.2
+        assert report.measured["deltas"][0] == 0.1 * 51.0
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.sampled_from(["quartic", "yosida-log", "exact-log"]),
@@ -321,6 +332,14 @@ class TestRegularizationProbes:
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
         assert report.measured["sandwich_holds"]
         assert report.measured["max_mean_drift"] <= 1.0e-12
+
+    def test_yosida_probe_fails_an_inflated_regularized_slope(self, monkeypatch):
+        # A regularized slope above the exact one breaks the sandwich.
+        slope = pfc.Potential.dw_convex_eff
+        monkeypatch.setattr(pfc.Potential, "dw_convex_eff", lambda pot, r: 2.0 * slope(pot, r))
+        report = pfc.yosida_convergence_probe(_small("log"), seed=6)
+        assert report.measured["sandwich_holds"] is False
+        assert report.passed is False
 
     @pytest.mark.parametrize("regime", ["regular", "log"])
     def test_energy_probe(self, regime):
