@@ -24,11 +24,13 @@ Forward Newton, tangent and adjoint sweeps all solve with the same block step
 operator. Only its (mu, phi) diagonal depends on the linearization point and
 its sparsity pattern never changes, so each (grid, dt, physics) has one
 StepOperator (step_operator), built once and kept on the grid for as long as
-the grid lives. mu is eliminated: every factorization writes the slope into
-the (theta, phi) Schur complement, stored in its symmetric fill-reducing
-order, and factorizes that; solves recover mu by back-substitution. Each sweep
-holds one LU (StepLU), dropped before its replacement is factorized; forward
-Newton keeps it across iterations where a factorization costs many solves (2D).
+the grid lives. In 1D its LU is a LAPACK band LU of the whole operator in
+interleaved (theta_i, phi_i, mu_i) order, normwise backward stable. In 2D mu
+is eliminated: every factorization writes the slope into the (theta, phi)
+Schur complement, stored in its symmetric fill-reducing order, and factorizes
+that; solves recover mu by back-substitution. Each sweep holds one LU (StepLU),
+dropped before its replacement is factorized; where a factorization costs many
+solves (2D), Newton keeps it across iterations and the sweeps refine against it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -70,7 +73,8 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_BACKTRACKS = 40
 #: Relative residual 2-norm at which refined solves stop.
 _REFINE_TOL = 1.0e-12
-#: LU entries per unknown from which Newton reuses a held LU (1D grids 8 to 11, 2D 28 to 105).
+#: LU entries per unknown (StepLU.fill) from which sweeps refine against, and
+#: Newton reuses, a held LU: 1D band LUs hold at most 13, 2D Schur LUs 28 to 105.
 _CHORD_MIN_FILL = 32
 
 
@@ -129,7 +133,7 @@ def step_matrix(
     return sps.bmat([[a11, a12, None], [None, eye, a23], [a31, a32, eye]], format="csc")
 
 
-#: Pivot threshold of every step-operator factorization. SuperLU keeps a
+#: Pivot threshold of every 2D step-operator factorization. SuperLU keeps a
 #: diagonal pivot while it is at least this fraction of the largest entry of
 #: its column, so the symmetric fill-reducing order survives pivoting. With
 #: partial pivoting, the same order at latent 0.7 and coupling 1.3 gave 3x
@@ -164,30 +168,43 @@ def _act(matrices: dict, slope, x: np.ndarray, trans: str) -> np.ndarray:
 
 
 class StepOperator:
-    """The step operator of one (grid, dt, physics), factorized with mu eliminated.
+    """The step operator of one (grid, dt, physics), stored for its LUs.
 
-    A = step_matrix(grid, dt, physics, slope) = [[K, G], [H, I]] in the
-    unknowns ((theta, phi), mu), where only H = H0 - (0, diag(slope)) depends
-    on the linearization point. A x = b is S z = b_top - G b_mu with the Schur
-    complement S = K - G H = [[I - dt L, latent I], [dt coupling L,
-    I + dt L a32]], a32 = L - diag(visc/dt + slope), and mu = b_mu - H z;
-    A^T y = d is S^T z = d_top - H^T d_mu with y_mu = d_mu - G^T z. The slope
-    enters S only as G[:, j] * slope_j in the phi columns, on the pattern of L.
+    `template` holds step_matrix at slope 0 and its transpose (a view), keyed
+    by the trans flag "N" or "T"; the Newton residual and the refinement steps
+    act through it. `old_level` applies the old-level blocks from latent and
+    visc/dt alone. In 1D, `band` holds the template in interleaved (theta_i,
+    phi_i, mu_i) order, where stacked unknown order[j] sits at j, in LAPACK
+    band storage with kl and ku read off that pattern; a StepLU writes the
+    slope into the (mu_i, phi_i) slots of a copy and factorizes it.
 
-    The stored `matrix` is S[order][:, order], symmetrically permuted by a
-    minimum-degree ordering of S + S^T taken once at construction; a StepLU
-    writes the slope into its slots in place and factorizes it with the
-    natural ordering. `template` holds step_matrix at slope 0 and its
-    transpose (a view), keyed by the SuperLU trans flag "N" or "T"; the
-    Newton residual and the refinement steps act through it. `old_level`
-    applies the old-level blocks from latent and visc/dt alone.
-
-    Raises LinearSolveDivergence when the template is exactly singular.
+    In 2D mu is eliminated. A = step_matrix(grid, dt, physics, slope) =
+    [[K, G], [H, I]] in the unknowns ((theta, phi), mu), where only H = H0 -
+    (0, diag(slope)) depends on the linearization point. A x = b is S z =
+    b_top - G b_mu with the Schur complement S = K - G H = [[I - dt L, latent
+    I], [dt coupling L, I + dt L a32]], a32 = L - diag(visc/dt + slope), and
+    mu = b_mu - H z; A^T y = d is S^T z = d_top - H^T d_mu with y_mu = d_mu -
+    G^T z. The slope enters S only as G[:, j] * slope_j in the phi columns, on
+    the pattern of L. The stored `matrix` is S[order][:, order], permuted by a
+    minimum-degree ordering of S + S^T taken once here (LinearSolveDivergence
+    when exactly singular); a StepLU writes the slope into its slots in place
+    and factorizes it with the natural ordering.
     """
 
     def __init__(self, grid: Grid, dt: float, physics: PhysicsParams):
         n = grid.ncells
         template = step_matrix(grid, dt, physics, np.zeros(n))
+        self.template, self.band = _both(template), None
+        self._latent, self._damping = physics.latent, -(physics.visc / dt)
+        if grid.dim == 1:
+            # Stacked unknown c * n + i (c = theta, phi, mu) sits at 3 * i + c.
+            self.order = np.arange(3 * n).reshape(3, n).T.ravel()
+            at, coo = np.argsort(self.order), template.tocoo()
+            rows, cols = at[coo.row], at[coo.col]
+            self.kl, self.ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+            self.band = np.zeros((2 * self.kl + self.ku + 1, 3 * n), order="F")
+            self.band[self.kl + self.ku + rows - cols, cols] = coo.data
+            return
         g, h = template[: 2 * n, 2 * n :].tocoo(), template[2 * n :, : 2 * n]
         schur = (template[: 2 * n, : 2 * n] - g @ h).tocoo()
         # The slots of the slope stay stored (value 0 added) even where the
@@ -208,8 +225,7 @@ class StepOperator:
         self._slot_base = self.matrix.data[self._slots]
         self._slot_gain = g.data
         self._slot_slope = g.col
-        self.template, self._g, self._h = _both(template), _both(g), _both(h)
-        self._latent, self._damping = physics.latent, -(physics.visc / dt)
+        self._g, self._h = _both(g), _both(h)
 
     def old_level(self, x: np.ndarray, rest_slope, trans: str = "N") -> np.ndarray:
         """M_k x, or M_k^T x: the derivative of the step's old-level terms
@@ -232,10 +248,10 @@ class StepOperator:
 
 
 class StepLU:
-    """The one LU of a StepOperator that a sweep holds: forward Newton carries
-    it from step to step, and the tangent and adjoint sweeps refine each level
-    against it until it stalls. Solves act on stacked (theta, phi, mu)
-    vectors; trans="T" solves with the transpose."""
+    """The one LU of a StepOperator that a sweep holds, with `fill` stored
+    entries per unknown: forward Newton carries it from step to step, and the
+    sweeps solve each level with it (solve_at). Solves act on stacked
+    (theta, phi, mu) vectors; trans="T" solves with the transpose."""
 
     def __init__(self, stepop: StepOperator):
         self.stepop, self.lu, self.slope = stepop, None, None
@@ -244,15 +260,29 @@ class StepLU:
         """Drop the held LU, then factorize at the convex slope dconvex
         (LinearSolveDivergence when the operator is exactly singular)."""
         self.lu, self.slope, op = None, np.asarray(dconvex, dtype=float), self.stepop
+        if op.band is not None:
+            band = op.band.copy(order="F")
+            band[op.kl + op.ku + 1, 1::3] -= self.slope  # (mu_i, phi_i) at (3i + 2, 3i + 1)
+            lu, piv, info = dgbtrf(band, op.kl, op.ku, overwrite_ab=1)
+            assert info >= 0, f"dgbtrf argument {-info} is invalid"
+            if info > 0:
+                raise LinearSolveDivergence(f"step operator is exactly singular (pivot {info})")
+            self.lu, self.fill = (lu, piv), len(band)
+            return self
         op.matrix.data[op._slots] = op._slot_base + op._slot_gain * self.slope[op._slot_slope]
         self.lu = _factorize(op.matrix, permc_spec="NATURAL")
+        self.fill = self.lu.nnz / self.lu.shape[0]
         return self
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """The mu-eliminated solve with the operator at the LU's own slope."""
+        """The solve with the operator at the LU's own slope: the banded one
+        in 1D, the mu-eliminated one in 2D."""
         lu, slope, op, n = self.lu, self.slope, self.stepop, len(self.slope)
-        b_top, b_mu, order, g, h = rhs[: 2 * n], rhs[2 * n :], op.order, op._g, op._h
         x = np.empty(3 * n)
+        if op.band is not None:
+            x[op.order] = dgbtrs(lu[0], op.kl, op.ku, rhs[op.order], lu[1], int(trans == "T"))[0]
+            return x
+        b_top, b_mu, order, g, h = rhs[: 2 * n], rhs[2 * n :], op.order, op._g, op._h
         if trans == "N":
             x[order] = lu.solve((b_top - g["N"] @ b_mu)[order])
             x[2 * n :] = b_mu - h["N"] @ x[: 2 * n] + slope * x[n : 2 * n]
@@ -281,9 +311,10 @@ class StepLU:
         return x, True
 
     def solve_at(self, rhs: np.ndarray, slope: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Refine with the held LU; once that stalls, refactorize at `slope`.
-        A fresh LU that stalls gives its last iterate; sweeps check finiteness."""
-        if self.lu is not None:
+        """Refine with a held LU of _CHORD_MIN_FILL entries per unknown or more
+        (2D) until it stalls; then, or at once for a sparser LU (1D), refine a
+        fresh LU at `slope`, whose last iterate sweeps check for finiteness."""
+        if self.lu is not None and self.fill >= _CHORD_MIN_FILL:
             x, converged = self.refined(rhs, slope, trans)
             if converged:
                 return x
@@ -364,8 +395,7 @@ def _advance_step(
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if res_norm <= tol:
             return x
-        lu = held.lu
-        if lu is not None and (it == 1 or contracted and lu.nnz >= _CHORD_MIN_FILL * lu.shape[0]):
+        if held.lu is not None and (it == 1 or contracted and held.fill >= _CHORD_MIN_FILL):
             delta = held.solve(-res)
             if np.all(np.isfinite(delta)):
                 trial = x + guard(x[n : 2 * n], delta[n : 2 * n]) * delta
@@ -472,7 +502,7 @@ def linear_sweep(
         A_k^T Y_{k+1} = M_{k+1}^T Y_{k+2} + f_k            (Y_{Nt+1} = 0),
 
     where f_k is forcing[k] in the (theta, phi) rows and zero in the mu rows.
-    Each level is refined against the sweep's one StepLU (StepLU.solve_at).
+    Each level is solved with the sweep's one StepLU (StepLU.solve_at).
     Returns forcing with row k overwritten by the (theta, phi) rows of X_{k+1}
     or Y_{k+1}: in place, as a second (steps, 2n) array raised the 2D peak
     memory. LinearSolveDivergence when a level is not finite.

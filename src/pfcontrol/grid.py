@@ -26,7 +26,7 @@ __all__ = ["Grid", "TimeGrid"]
 #: Relative tolerance on |mean(f)| for the inverse Neumann operator.
 MEAN_RTOL = 1.0e-12
 
-#: Relative residual bound above which a direct solve is declared broken.
+#: Componentwise backward error above which a direct solve is declared broken.
 LINEAR_RTOL = 1.0e-10
 
 
@@ -140,8 +140,9 @@ class Grid:
         """Solve (I - 4 h^2 Laplacian) w = rhs, with h the coarsest spacing."""
         rhs = self._check(rhs)
         w = self._helmholtz_lu.solve(rhs)
-        residual = rhs - (w - self._helmholtz_coef * (self.laplacian @ w))
-        self._residual_guard(residual, rhs, "helmholtz solve")
+        coef, lap = self._helmholtz_coef, self.laplacian
+        scale = np.abs(w) + coef * (abs(lap) @ np.abs(w)) + np.abs(rhs)
+        self._residual_guard(rhs - (w - coef * (lap @ w)), scale, "helmholtz solve")
         return w
 
     def smooth_levels(self, levels: np.ndarray) -> np.ndarray:
@@ -149,14 +150,14 @@ class Grid:
         damps grid-frequency noise."""
         return np.stack([self.helmholtz_solve(level) for level in levels])
 
-    def _residual_guard(self, residual: np.ndarray, rhs: np.ndarray, what: str) -> None:
-        scale = float(np.linalg.norm(rhs))
-        if scale == 0.0:
-            scale = 1.0
-        rel = float(np.linalg.norm(residual)) / scale
-        if not np.isfinite(rel) or rel > LINEAR_RTOL:
+    def _residual_guard(self, residual: np.ndarray, scale: np.ndarray, what: str) -> None:
+        """Raise unless max_i |residual_i| / scale_i, with scale = |A||x| + |b| the
+        componentwise backward error (Oettli-Prager), is at most LINEAR_RTOL;
+        a scale that underflows below 2**-970 (tiny / eps) counts as that floor."""
+        err = float(np.max(np.abs(residual) / np.maximum(scale, 2.0**-970)))
+        if not err <= LINEAR_RTOL:
             raise LinearSolveDivergence(
-                f"{what}: relative residual {rel:.3e} exceeds {LINEAR_RTOL:.1e}"
+                f"{what}: componentwise backward error {err:.3e} exceeds {LINEAR_RTOL:.1e}"
             )
 
     def inverse_neumann(self, values: np.ndarray) -> np.ndarray:
@@ -177,10 +178,9 @@ class Grid:
             return np.zeros_like(f)
         rhs = np.concatenate([f - m, [0.0]])
         sol = self._neumann_lu.solve(rhs)
-        g = sol[:-1]
-        self._residual_guard(
-            (f - m) - (-(self.laplacian @ g)) - sol[-1], f, "inverse Neumann solve"
-        )
+        g, lap = sol[:-1], self.laplacian
+        scale = abs(lap) @ np.abs(g) + abs(sol[-1]) + np.abs(f - m)
+        self._residual_guard((f - m) - (-(lap @ g)) - sol[-1], scale, "inverse Neumann solve")
         g = g - np.sum(g) / self.ncells
         return g
 

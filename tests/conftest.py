@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pfcontrol as pfc
+from pfcontrol import dynamics
 
 
 def desk_spec(
@@ -71,3 +72,24 @@ def exact_log_spec() -> pfc.ProblemSpec:
 
 def zero_control(spec: pfc.ProblemSpec) -> np.ndarray:
     return np.zeros((spec.tgrid.steps, spec.grid.ncells))
+
+
+def singular_factorizations(monkeypatch, good=0):
+    """Make every step-operator factorization after the first `good` exactly
+    singular: LAPACK's dgbtrf reports a zero pivot for a 1D band LU, and
+    SuperLU's splu raises for a 2D Schur LU or its ordering."""
+    done, band, superlu = [], dynamics.dgbtrf, dynamics.splu
+
+    def dgbtrf(*args, **kw):
+        done.append(1)
+        lu, piv, info = band(*args, **kw)
+        return lu, piv, info if len(done) <= good else 7
+
+    def splu(*args, **kw):
+        done.append(1)
+        if len(done) > good:
+            raise RuntimeError("Factor is exactly singular")
+        return superlu(*args, **kw)
+
+    monkeypatch.setattr(dynamics, "dgbtrf", dgbtrf)
+    monkeypatch.setattr(dynamics, "splu", splu)

@@ -15,6 +15,7 @@ import pytest
 
 import pfcontrol as pfc
 import pfcontrol.cli as cli
+from conftest import singular_factorizations
 from pfcontrol import config, dynamics
 from pfcontrol.config import (
     _Collector,
@@ -652,12 +653,17 @@ class TestCliSolve:
         assert "solver error: time step 1 of 8" in err
         assert "Newton iteration 1" in err
 
-    def test_singular_step_operator_exits_1(self, config_file, capsys, monkeypatch):
-        def singular(_, **kw):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(dynamics, "splu", singular)
-        code, _, err = run_cli(["solve", "--config", config_file()], capsys)
+    @pytest.mark.parametrize("cells", [[16], [6, 5]], ids=["band", "schur"])
+    def test_singular_step_operator_exits_1(self, cells, config_file, capsys, monkeypatch):
+        singular_factorizations(monkeypatch)
+        grid = {"cells": cells, "lengths": [1.0] * len(cells)}
+        modes = [1] * len(cells)
+        initial = {
+            "theta": {"kind": "cosine", "amplitude": 0.1, "modes": modes},
+            "phi": {"kind": "cosine", "amplitude": 0.2, "modes": modes, "offset": 0.05},
+        }
+        cfg = config_file(grid=grid, initial=initial)
+        code, _, err = run_cli(["solve", "--config", cfg], capsys)
         assert code == 1
         assert "solver error:" in err and "exactly singular" in err
 

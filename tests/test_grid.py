@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 import pfcontrol as pfc
-from pfcontrol.errors import NonZeroMean, ShapeMismatch
+from pfcontrol.errors import LinearSolveDivergence, NonZeroMean, ShapeMismatch
 
 
 def test_interior_stencil_unit_spacing():
@@ -141,6 +143,33 @@ def test_helmholtz_solve_consistency():
     w = grid.helmholtz_solve(f)
     coef = 4.0 * (1.0 / 24) ** 2
     np.testing.assert_allclose(w - coef * (grid.laplacian @ w), f, rtol=0, atol=1e-10)
+
+
+def test_anisotropic_helmholtz_solve_passes_its_guard():
+    # The normwise relative residual here is 1.5e-8, above LINEAR_RTOL, but
+    # the componentwise backward error is about 1e-16.
+    grid = pfc.Grid((8, 2), (0.002, 5.0))
+    f = np.random.default_rng(0).standard_normal(grid.ncells)
+    w = grid.helmholtz_solve(f)
+    coef = 4.0 * 2.5**2
+    scale = np.abs(w) + coef * (abs(grid.laplacian) @ np.abs(w)) + np.abs(f)
+    assert np.max(np.abs(f - (w - coef * (grid.laplacian @ w))) / scale) <= 1.0e-15
+
+
+@pytest.mark.parametrize("cells", [24, (8, 2)])
+def test_corrupted_solves_raise(cells):
+    # Factors of a slightly wrong matrix leave a backward error of about 1e-6.
+    grid = pfc.Grid(cells)
+    n, lap = grid.ncells, grid.laplacian
+    wrong = (1.0 + 1.0e-6) * lap
+    grid._helmholtz_lu = splu((sps.identity(n) - grid._helmholtz_coef * wrong).tocsc())
+    ones = np.ones((n, 1))
+    grid._neumann_lu = splu(sps.bmat([[-wrong, ones], [ones.T, None]], format="csc"))
+    f = np.cos(np.arange(n))
+    with pytest.raises(LinearSolveDivergence, match="^helmholtz solve: componentwise"):
+        grid.helmholtz_solve(f)
+    with pytest.raises(LinearSolveDivergence, match="^inverse Neumann solve: componentwise"):
+        grid.inverse_neumann(f - f.mean())
 
 
 def test_2d_laplacian_consistent_with_1d():
