@@ -346,6 +346,24 @@ def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], fl
     return guard
 
 
+def _carried_convex(pot: Potential) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """pot.dw_and_d2w_convex_eff, each Yosida evaluation warm-started from the
+    one before it. Made once per solve_state call and dropped with it, so the
+    state map stays a pure function of (u, spec); the exact mode has nothing
+    to carry."""
+    if pot.yosida_eps == 0:
+        return pot.dw_and_d2w_convex_eff
+    last = None
+
+    def convex(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal last
+        value, slope = pot.dw_and_d2w_convex_eff(phi, last)
+        last = phi.copy(), value, slope  # solve_state shifts its iterate in place
+        return value, slope
+
+    return convex
+
+
 def _advance_step(
     held: StepLU,
     convex: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -369,12 +387,14 @@ def _advance_step(
     1/eps), below which the residual cannot be driven reliably.
 
     convex(phi) returns the implicit convex term and its slope together (one
-    resolvent solve in the Yosida mode). The residual of each iterate keeps
-    that slope, and a Newton step factorizes the operator linearized with it,
-    so the phase field of an iterate is never solved for twice. Iteration 1,
-    and on LUs of _CHORD_MIN_FILL entries per unknown every iteration after a
-    10x cut of the residual, first tries the chord step of the LU in `held`,
-    kept if it cuts the residual 10x.
+    resolvent solve in the Yosida mode). In solve_state it is
+    _carried_convex, whose resolvent starts from the root of the evaluation
+    before it, across the steps of that one call. The residual of each
+    iterate keeps that slope, and a Newton step factorizes the operator
+    linearized with it, so the phase field of an iterate is never solved for
+    twice. Iteration 1, and on LUs of _CHORD_MIN_FILL entries per unknown
+    every iteration after a 10x cut of the residual, first tries the chord
+    step of the LU in `held`, kept if it cuts the residual 10x.
     """
     n = len(explicit)
     old = held.stepop.old_level(x_n, 0.0)
@@ -463,9 +483,10 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     phi[0] = spec.init.phi0
     phase_mean = float(np.sum(phi[0])) / n
 
+    convex = _carried_convex(pot)
     mu_guess = (
         -(grid.laplacian @ phi[0])
-        + pot.dw_convex_eff(phi[0])
+        + convex(phi[0])[0]
         + pot.dw_rest(phi[0])
         - physics.coupling * theta[0]
     )
@@ -474,7 +495,7 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
     for k in range(nt):
         x = _advance_step(
             held,
-            pot.dw_and_d2w_convex_eff,
+            convex,
             pot.dw_rest(phi[k]),
             x,
             dt * source[k],

@@ -92,6 +92,11 @@ class Grid:
         return (sps.kron(ax[0], iy) + sps.kron(ix, ax[1])).tocsr()
 
     @cached_property
+    def _abs_laplacian(self) -> sps.csr_matrix:
+        """|L| entrywise, for the backward-error scales of the solve guards."""
+        return abs(self.laplacian)
+
+    @cached_property
     def _neumann_lu(self):
         # Saddle-point augmentation of -Laplacian with the mean constraint;
         # symmetric indefinite but nonsingular, factorized once per grid.
@@ -141,7 +146,7 @@ class Grid:
         rhs = self._check(rhs)
         w = self._helmholtz_lu.solve(rhs)
         coef, lap = self._helmholtz_coef, self.laplacian
-        scale = np.abs(w) + coef * (abs(lap) @ np.abs(w)) + np.abs(rhs)
+        scale = np.abs(w) + coef * (self._abs_laplacian @ np.abs(w)) + np.abs(rhs)
         self._residual_guard(rhs - (w - coef * (lap @ w)), scale, "helmholtz solve")
         return w
 
@@ -179,7 +184,7 @@ class Grid:
         rhs = np.concatenate([f - m, [0.0]])
         sol = self._neumann_lu.solve(rhs)
         g, lap = sol[:-1], self.laplacian
-        scale = abs(lap) @ np.abs(g) + abs(sol[-1]) + np.abs(f - m)
+        scale = self._abs_laplacian @ np.abs(g) + abs(sol[-1]) + np.abs(f - m)
         self._residual_guard((f - m) - (-(lap @ g)) - sol[-1], scale, "inverse Neumann solve")
         g = g - np.sum(g) / self.ncells
         return g

@@ -22,6 +22,15 @@ and either zero or at most half of a previous move, so a converged entry is
 never bisected again, and Newton's tiny but growing steps away from a
 singular end are never taken for convergence.
 
+A caller that solved at a nearby r0 can start Newton from there instead of
+from r: dw_and_d2w_convex_eff takes its earlier evaluation (r0, value,
+slope) and starts at the root at r0 moved along the resolvent's slope. Such
+a warm entry may also end after its first move, if that move is below
+ROOT_XTOL and at most _WARM_STOP times its distance to the domain end. A
+Newton crawl off a singular end, from distance d towards a root at distance
+D, moves about d * ln(D / d), so it passes that test only once d is within
+0.1% of D, where Newton has converged.
+
 There is one evaluator per job: w_convex, dw_convex, w_rest, dw_rest and
 d2w_rest are exact; dw_convex_eff, d2w_convex_eff, dw_and_d2w_convex_eff
 (value and slope from one resolvent solve) and w_convex_eff (the Moreau
@@ -53,6 +62,9 @@ ROOT_XTOL = 1.0e-15
 #: from below 2**1024 to the smallest subnormal 2**-1074 in about 2100
 #: halvings, so every bracket collapses to adjacent floats before this.
 _ROOT_MAX_ITER = 2200
+#: A warm-started entry may end after one move at most this fraction of its
+#: distance to the nearer domain end (see Potential.resolvent).
+_WARM_STOP = 1.0e-3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,48 +143,68 @@ class Potential:
     def with_eps(self, eps: float) -> "Potential":
         return dataclasses.replace(self, yosida_eps=float(eps))
 
-    def resolvent(self, r: np.ndarray, eps: float) -> np.ndarray:
+    def resolvent(
+        self, r: np.ndarray, eps: float, start: np.ndarray | None = None
+    ) -> np.ndarray:
         """Solve x + eps * dw_convex(x) = r for x in the open domain.
 
         Bracketed Newton with bisection fallback; the map is strictly
         increasing, so the root is unique, and it lies between 0 and r as
         dw_convex(0) = 0: the bracket starts as [min(r, 0), max(r, 0)] cut to
-        the domain. A NaN slope raises RootSolveFailure. A Newton step is
-        kept only if it stays in the closed bracket and moves at most half as
-        far as the step before it; otherwise the entry bisects. An entry is
-        done, and stays where it is, once its move is below ROOT_XTOL and is
-        either zero or at most half of a previous move. The first move alone
-        never ends an entry: from a start at a singular endpoint Newton crawls
-        in steps far below ROOT_XTOL that double each time. Each entry's root
-        is independent of the other entries of r.
+        the domain. Newton starts at r, or at `start` (warm) when given, each
+        clipped to the bracket. A NaN slope raises RootSolveFailure. A Newton
+        step is kept only if it stays in the closed bracket and moves at most
+        half as far as the step before it; otherwise the entry bisects. An
+        entry is done, and stays where it is, once its move is below
+        ROOT_XTOL and at most half of the move before it. The first move ends
+        a cold entry only if it is zero: from a start at a singular endpoint
+        Newton crawls in steps far below ROOT_XTOL that double each time. It
+        ends a warm entry if it is also at most _WARM_STOP times the distance
+        to the nearer domain end, which a crawl passes only once converged
+        (see the module docstring); a bisection move is half the bracket,
+        which holds the root. Each entry's root is independent of the other
+        entries of r.
         """
         if eps <= 0:
             raise ValueError("resolvent needs eps > 0")
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise RootSolveFailure("resolvent of a non-finite value")
-        lo = np.maximum(np.minimum(r, 0.0), np.nextafter(self.lo, np.inf))
-        hi = np.minimum(np.maximum(r, 0.0), np.nextafter(self.hi, -np.inf))
-        x = np.clip(r, lo, hi)
-        last = np.full(r.shape, np.inf)
-        done = np.zeros(r.shape, dtype=bool)
+        lo, hi = np.minimum(r, 0.0), np.maximum(r, 0.0)
+        if math.isfinite(self.lo):
+            lo = np.maximum(lo, math.nextafter(self.lo, math.inf))
+        if math.isfinite(self.hi):
+            hi = np.minimum(hi, math.nextafter(self.hi, -math.inf))
+        x = np.clip(r if start is None else start, lo, hi)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for _ in range(_ROOT_MAX_ITER):
+            for it in range(_ROOT_MAX_ITER):
                 g = x + eps * self._dw_convex(x) - r
                 lo = np.where(g <= 0, x, lo)
                 hi = np.where(g > 0, x, hi)
                 x_new = x - g / (1.0 + eps * self._d2w_convex(x))
-                newton = (lo <= x_new) & (x_new <= hi) & (np.abs(x_new - x) <= 0.5 * last)
-                x_new = np.where(done, x, np.where(newton, x_new, 0.5 * (lo + hi)))
+                if it:
+                    x_new = np.where(done, x, x_new)
                 move = np.abs(x_new - x)
-                contracted = (move <= 0.5 * last) & np.isfinite(last)
-                done = (move <= ROOT_XTOL * (1.0 + np.abs(x_new))) & ((move == 0) | contracted)
+                newton = (lo <= x_new) & (x_new <= hi)
+                if it:
+                    half = 0.5 * last
+                    newton &= move <= half
+                if not newton.all():
+                    x_new = np.where(newton, x_new, 0.5 * (lo + hi))
+                    move = np.abs(x_new - x)
+                done = move <= ROOT_XTOL * (1.0 + np.abs(x_new))
+                if it:
+                    done &= move <= half
+                elif start is None:
+                    done &= move == 0
+                else:
+                    done &= move <= _WARM_STOP * self.distance_to_boundary(x_new)
                 x, last = x_new, move
-                if np.all(done):
+                if done.all():
                     break
             else:
                 raise RootSolveFailure("resolvent iteration did not converge")
-        if np.any(np.isnan(g)):
+        if np.isnan(g).any():
             raise RootSolveFailure("resolvent of a convex part with a NaN slope")
         return x
 
@@ -185,16 +217,27 @@ class Potential:
     def d2w_convex_eff(self, r: np.ndarray) -> np.ndarray:
         return self.dw_and_d2w_convex_eff(r)[1]
 
-    def dw_and_d2w_convex_eff(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def dw_and_d2w_convex_eff(
+        self, r: np.ndarray, previous: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(dw_convex_eff(r), d2w_convex_eff(r)): exact, or the Yosida value
         and its derivative (implicit differentiation of the resolvent) from
-        one resolvent solve when regularized."""
+        one resolvent solve when regularized.
+
+        previous = (r0, value0, slope0), an earlier evaluation at r0, starts
+        that solve at the root there moved along its slope: j0 + (r - r0) /
+        (1 + eps * b0), with j0 = r0 - eps * value0 and 1 / (1 + eps * b0) =
+        1 - eps * slope0. The exact mode ignores it."""
         if self.yosida_eps == 0:
             r = self._require_inside(r)
             return self._dw_convex(r), self._d2w_convex(r)
         eps = self.yosida_eps
         r = np.asarray(r, dtype=float)
-        j = self.resolvent(r, eps)
+        start = None
+        if previous is not None:
+            r0, value0, slope0 = previous
+            start = (r0 - eps * value0) + (r - r0) * (1.0 - eps * slope0)
+        j = self.resolvent(r, eps, start)
         b = self._d2w_convex(j)
         return (r - j) / eps, b / (1.0 + eps * b)
 

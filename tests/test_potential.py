@@ -228,12 +228,12 @@ WELLS = {
 }
 
 
-def _root_iterations(pot, r, eps):
+def _root_iterations(pot, r, eps, start=None):
     """Resolvent iterations, counted as evaluations of the convex slope."""
     calls = []
     d2w = pot._d2w_convex
     counted = dataclasses.replace(pot, _d2w_convex=lambda x: calls.append(1) or d2w(x))
-    counted.resolvent(r, eps)
+    counted.resolvent(r, eps, start)
     return len(calls)
 
 
@@ -297,6 +297,40 @@ def test_resolvent_matches_bisection(well, r, eps):
     x = pot.resolvent(np.array([r]), eps)[0]
     ref = _bisected_root(pot, r, eps)
     assert abs(x - ref) <= 32 * np.spacing(abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(WELLS)),
+    st.floats(min_value=-1.0e6, max_value=1.0e6),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+# From next to a singular end Newton crawls off it in small moves; one of them
+# must not be taken for convergence, however close the root is to that end.
+@example("loglinear", -1.0e6, 1e-3, 0.5)
+@example("log", 1.03, 1e-3, 0.5)
+@example("log", -3.6e5, 2.7e-3, 0.5)
+def test_warm_started_resolvent_matches_bisection(well, r, eps, t):
+    pot = WELLS[well]
+    ref = _bisected_root(pot, r, eps)
+    lo = max(min(r, 0.0), np.nextafter(pot.lo, np.inf))
+    hi = min(max(r, 0.0), np.nextafter(pot.hi, -np.inf))
+    starts = np.array([
+        lo, hi, np.nextafter(pot.lo, np.inf), np.nextafter(pot.hi, -np.inf),
+        ref, np.nextafter(ref, -np.inf), np.nextafter(ref, np.inf),
+        0.5 * (lo + hi), lo + t * (hi - lo),
+    ])
+    x = pot.resolvent(np.full(starts.shape, r), eps, starts)
+    assert np.all(np.abs(x - ref) <= 32 * np.spacing(abs(ref)))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-1, 1.0])
+@pytest.mark.parametrize("well", sorted(WELLS))
+def test_start_at_the_root_takes_one_iteration(well, eps):
+    r = np.concatenate([np.linspace(-3.0, 3.0, 64), np.linspace(-1.0e6, 1.0e6, 64)])
+    root = WELLS[well].resolvent(r, eps)
+    assert _root_iterations(WELLS[well], r, eps, root) == 1
 
 
 @pytest.mark.parametrize(
