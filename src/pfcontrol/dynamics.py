@@ -31,12 +31,21 @@ Schur complement, stored in its symmetric fill-reducing order, and factorizes
 that; solves recover mu by back-substitution. Each sweep holds one LU (StepLU),
 dropped before its replacement is factorized; where a factorization costs many
 solves (2D), Newton keeps it across iterations and the sweeps refine against it.
+
+solve_states marches several controls of one spec together. Each control's
+march is one coroutine over its steps' Newton solves: it yields every iterate
+and is sent back its residual. In 1D all pending iterates share one round:
+one convex evaluation and one template product for all of them, while every
+Newton decision stays with its own control, so each trajectory is bit for
+bit the control's solo march. solve_state is the batch of one. In 2D the
+marches run one after another, so only one Schur LU is alive at a time. The
+linearized sweeps evaluate the slopes of all their levels in one call each.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sps
@@ -58,6 +67,7 @@ __all__ = [
     "Trajectory",
     "TangentSolution",
     "solve_state",
+    "solve_states",
     "solve_tangent",
     "mixture_energy",
     "step_matrix",
@@ -346,71 +356,49 @@ def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], fl
     return guard
 
 
-def _carried_convex(pot: Potential) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """pot.dw_and_d2w_convex_eff, each Yosida evaluation warm-started from the
-    one before it. Made once per solve_state call and dropped with it, so the
-    state map stays a pure function of (u, spec); the exact mode has nothing
-    to carry."""
-    if pot.yosida_eps == 0:
-        return pot.dw_and_d2w_convex_eff
-    last = None
-
-    def convex(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal last
-        value, slope = pot.dw_and_d2w_convex_eff(phi, last)
-        last = phi.copy(), value, slope  # solve_state shifts its iterate in place
-        return value, slope
-
-    return convex
+def _unguarded(phi: np.ndarray, dphi: np.ndarray) -> float:
+    return 1.0
 
 
 def _advance_step(
     held: StepLU,
-    convex: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     explicit: np.ndarray,
     x_n: np.ndarray,
     source_step: np.ndarray,
     guard: Callable[[np.ndarray, np.ndarray], float],
     noise_floor: float,
     where: str,
-) -> np.ndarray:
-    """One damped-Newton solve of the coupled step equations at step `where`.
+):
+    """One damped-Newton solve of the coupled step equations at step `where`,
+    as a coroutine that returns the new level.
 
     x_n stacks the old level (theta_n, phi_n) and the starting guess for mu;
     source_step is dt times the source at the new level. The residual is
-    template @ x - c(x_n) - (0, 0, B(phi)), with the old-level terms c(x_n)
-    formed once.
+    template @ x - old - (0, 0, B(phi)), with the old-level terms old = c(x_n)
+    formed once. The coroutine yields each iterate x with `old` and is sent
+    back (res, res_norm, slope): the residual, its max norm and the convex
+    slope at phi. solve_states forms them, for many controls at once.
 
     The tolerance scales with the size of the old level and of the source
     increment. noise_floor lifts it to the evaluation noise of the nonlinear
     terms (the Yosida values carry the resolvent root error amplified by
     1/eps), below which the residual cannot be driven reliably.
 
-    convex(phi) returns the implicit convex term and its slope together (one
-    resolvent solve in the Yosida mode). In solve_state it is
-    _carried_convex, whose resolvent starts from the root of the evaluation
-    before it, across the steps of that one call. The residual of each
-    iterate keeps that slope, and a Newton step factorizes the operator
-    linearized with it, so the phase field of an iterate is never solved for
-    twice. Iteration 1, and on LUs of _CHORD_MIN_FILL entries per unknown
-    every iteration after a 10x cut of the residual, first tries the chord
-    step of the LU in `held`, kept if it cuts the residual 10x.
+    The residual of each iterate keeps its slope, and a Newton step
+    factorizes the operator linearized with it, so the phase field of an
+    iterate is never evaluated twice. Iteration 1, and on LUs of
+    _CHORD_MIN_FILL entries per unknown every iteration after a 10x cut of
+    the residual, first tries the chord step of the LU in `held`, kept if it
+    cuts the residual 10x.
     """
     n = len(explicit)
     old = held.stepop.old_level(x_n, 0.0)
     old[:n] += source_step
     old[2 * n :] += explicit
-
-    def residual(x):
-        b, slope = convex(x[n : 2 * n])
-        res = held.stepop.template["N"] @ x - old
-        res[2 * n :] -= b
-        return res, float(np.max(np.abs(res))), slope
-
     x = x_n.copy()
     scale = 1.0 + max(float(np.max(np.abs(x_n[: 2 * n]))), float(np.max(np.abs(source_step))))
     tol = max(_NEWTON_TOL, noise_floor) * scale
-    res, res_norm, slope = residual(x)
+    res, res_norm, slope = yield x, old
     contracted = True
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if res_norm <= tol:
@@ -419,7 +407,7 @@ def _advance_step(
             delta = held.solve(-res)
             if np.all(np.isfinite(delta)):
                 trial = x + guard(x[n : 2 * n], delta[n : 2 * n]) * delta
-                trial_res, trial_norm, trial_slope = residual(trial)
+                trial_res, trial_norm, trial_slope = yield trial, old
                 if trial_norm <= max(0.1 * res_norm, tol):
                     x, res, res_norm, slope = trial, trial_res, trial_norm, trial_slope
                     continue
@@ -433,7 +421,7 @@ def _advance_step(
             )
         for _ in range(_NEWTON_MAX_BACKTRACKS):
             trial = x + alpha * delta
-            trial_res, trial_norm, trial_slope = residual(trial)
+            trial_res, trial_norm, trial_slope = yield trial, old
             if np.isfinite(trial_norm) and (trial_norm < res_norm or trial_norm <= tol):
                 break
             alpha *= 0.5
@@ -453,49 +441,22 @@ def _advance_step(
     )
 
 
-def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
-    """March the state system with source u over the whole horizon.
-
-    spec is valid by construction; only the source is checked here. Raises
-    ShapeMismatch / ConfigError for a wrongly shaped or non-finite source,
-    NewtonDivergence / DomainEscape (naming time step and Newton iteration)
-    when a step fails.
-    """
-    grid, tgrid = spec.grid, spec.tgrid
-    pot, physics = spec.potential, spec.physics
-    exact_singular = pot.is_singular and pot.yosida_eps == 0
+def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
+    """The march of one control over the whole horizon, as a coroutine that
+    passes on the iterates of every _advance_step and returns the Trajectory.
+    x0 stacks theta0, phi0 and the starting guess for mu."""
+    grid, tgrid, pot = spec.grid, spec.tgrid, spec.potential
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
-    source = np.asarray(u, dtype=float)
-    if source.shape != (nt, n):
-        raise ShapeMismatch(f"source: shape {source.shape} != {(nt, n)}")
-    if not np.all(np.isfinite(source)):
-        raise ConfigError("source: non-finite entries")
-
-    guard = _domain_guard(pot) if exact_singular else lambda phi, dphi: 1.0
-    noise_floor = 0.0
-    if pot.yosida_eps > 0:
-        noise_floor = 16.0 * np.finfo(float).eps / pot.yosida_eps
-
-    theta = np.empty((nt + 1, n))
-    phi = np.empty((nt + 1, n))
-    mu = np.empty((nt, n))
-    theta[0] = spec.init.theta0
-    phi[0] = spec.init.phi0
+    guard = _domain_guard(pot) if pot.is_singular and pot.yosida_eps == 0 else _unguarded
+    noise_floor = 16.0 * np.finfo(float).eps / pot.yosida_eps if pot.yosida_eps > 0 else 0.0
+    theta, phi, mu = np.empty((nt + 1, n)), np.empty((nt + 1, n)), np.empty((nt, n))
+    theta[0], phi[0] = x0[:n], x0[n : 2 * n]
     phase_mean = float(np.sum(phi[0])) / n
-
-    convex = _carried_convex(pot)
-    mu_guess = (
-        -(grid.laplacian @ phi[0])
-        + convex(phi[0])[0]
-        + pot.dw_rest(phi[0])
-        - physics.coupling * theta[0]
-    )
-    held = StepLU(step_operator(grid, dt, physics))
-    x = np.concatenate([theta[0], phi[0], mu_guess])
+    held = StepLU(step_operator(grid, dt, spec.physics))
+    x = x0
     for k in range(nt):
-        x = _advance_step(
+        x = yield from _advance_step(
             held,
-            convex,
             pot.dw_rest(phi[k]),
             x,
             dt * source[k],
@@ -507,6 +468,99 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
         x[n : 2 * n] += phase_mean - float(np.sum(x[n : 2 * n])) / n
         theta[k + 1], phi[k + 1], mu[k] = x[:n], x[n : 2 * n], x[2 * n :]
     return Trajectory(grid=grid, tgrid=tgrid, theta=theta, phi=phi, mu=mu)
+
+
+def solve_states(controls: Sequence[np.ndarray], spec: ProblemSpec) -> list[Trajectory]:
+    """March the state system under each source of `controls` over the whole
+    horizon; trajectory i is bit for bit solve_state(controls[i], spec).
+
+    spec is valid by construction; only the sources are checked here, all of
+    them before any march. Raises ShapeMismatch / ConfigError for a wrongly
+    shaped or non-finite source, NewtonDivergence / DomainEscape (naming
+    time step and Newton iteration) when a step fails, as the failing
+    control's own march would.
+
+    In 1D the marches go in lockstep: each round forms the residuals of all
+    pending iterates at once, with one convex evaluation and one template
+    product, while every Newton decision stays with its own control. Each
+    Yosida row starts its resolvent from that control's previous evaluation
+    (from the shared one at phi0 at first), so the state map stays a pure
+    function of (u, spec). In 2D, where a step LU holds megabytes, the
+    marches run one after another, so only one LU is ever alive.
+    """
+    grid, tgrid, pot = spec.grid, spec.tgrid, spec.potential
+    n, nt = grid.ncells, tgrid.steps
+    sources = []
+    for u in controls:
+        source = np.asarray(u, dtype=float)
+        if source.shape != (nt, n):
+            raise ShapeMismatch(f"source: shape {source.shape} != {(nt, n)}")
+        if not np.all(np.isfinite(source)):
+            raise ConfigError("source: non-finite entries")
+        sources.append(source)
+    theta0, phi0 = spec.init.theta0, spec.init.phi0
+    value, slope = pot.dw_and_d2w_convex_eff(phi0)
+    mu_guess = (
+        -(grid.laplacian @ phi0) + value + pot.dw_rest(phi0) - spec.physics.coupling * theta0
+    )
+    x0 = np.concatenate([theta0, phi0, mu_guess])
+    marches = [_march(source, spec, x0) for source in sources]
+    template = step_operator(grid, tgrid.dt, spec.physics).template["N"]
+    first = (phi0, value, slope) if pot.yosida_eps > 0 else None
+    if grid.dim == 1:
+        return _lockstep(marches, template, pot, first)
+    return [_lockstep([march], template, pot, first)[0] for march in marches]
+
+
+def _lockstep(marches: list, template: sps.csr_matrix, pot: Potential, first) -> list:
+    """Drive _march coroutines to their trajectories, one residual round at a
+    time. first = (phi, value, slope) is the evaluation every Yosida row
+    starts from, None in the exact mode, which carries nothing."""
+    m, n = len(marches), template.shape[0] // 3
+    carried = None if first is None else [np.tile(a, (m, 1)) for a in first]
+    done = [None] * m
+    pending = {i: march.send(None) for i, march in enumerate(marches)}
+    while len(pending) > 1:
+        rows = list(pending)
+        xs = np.array([pending[i][0] for i in rows])
+        # A C-contiguous stack: NumPy may take another ufunc loop on strided rows.
+        phi = xs[:, n : 2 * n].copy()
+        value, slope = pot.dw_and_d2w_convex_eff(
+            phi, None if carried is None else [a[rows] for a in carried]
+        )
+        if carried is not None:
+            for a, new in zip(carried, (phi, value, slope)):
+                a[rows] = new
+        res = (template @ xs.T).T - np.array([pending[i][1] for i in rows])
+        res[:, 2 * n :] -= value
+        norms = np.max(np.abs(res), axis=1)
+        for j, i in enumerate(rows):
+            try:
+                pending[i] = marches[i].send((res[j], float(norms[j]), slope[j]))
+            except StopIteration as stop:
+                done[i] = stop.value
+                del pending[i]
+    # The last march, or a batch of one, runs on alone with nothing to stack.
+    for i, (x, old) in pending.items():
+        previous = None if carried is None else [a[i] for a in carried]
+        try:
+            while True:
+                phi = x[n : 2 * n]
+                value, slope = pot.dw_and_d2w_convex_eff(phi, previous)
+                if previous is not None:
+                    previous = phi.copy(), value, slope  # _march shifts x in place
+                res = template @ x - old
+                res[2 * n :] -= value
+                x, old = marches[i].send((res, float(np.max(np.abs(res))), slope))
+        except StopIteration as stop:
+            done[i] = stop.value
+    return done
+
+
+def solve_state(u: np.ndarray, spec: ProblemSpec) -> Trajectory:
+    """March the state system with source u over the whole horizon: the
+    batch of one of solve_states, whose errors it raises."""
+    return solve_states([u], spec)[0]
 
 
 def linear_sweep(
@@ -531,11 +585,13 @@ def linear_sweep(
     nt, n, pot = state.tgrid.steps, state.grid.ncells, spec.potential
     tangent = trans == "N"
     held = StepLU(step_operator(state.grid, state.tgrid.dt, spec.physics))
+    # The slopes of all levels, each from one call: entries are independent.
+    convex, rest = pot.d2w_convex_eff(state.phi[1:]), pot.d2w_rest(state.phi)
     x = np.zeros(3 * n)
     for k in range(nt) if tangent else range(nt - 1, -1, -1):
-        rhs = held.stepop.old_level(x, pot.d2w_rest(state.phi[k if tangent else k + 1]), trans)
+        rhs = held.stepop.old_level(x, rest[k if tangent else k + 1], trans)
         rhs[: 2 * n] += forcing[k]
-        x = held.solve_at(rhs, pot.d2w_convex_eff(state.phi[k + 1]), trans)
+        x = held.solve_at(rhs, convex[k], trans)
         if not np.all(np.isfinite(x)):
             sweep = "tangent" if tangent else "adjoint"
             raise LinearSolveDivergence(f"{sweep} sweep broke down at time step {k + 1} of {nt}")

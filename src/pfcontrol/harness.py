@@ -9,7 +9,9 @@ so the two derivative routes stay independent. The continuous-dependence
 draws seeded control pairs and compares their ratios on the grid and on its
 doubling. The FD step, the Taylor ladder and slope band, the energy
 tolerance, the refinement factor and the eps ladder the probes judge by are
-the module constants below; no probe takes them as arguments.
+the module constants below; no probe takes them as arguments. The FD oracle
+and the Taylor probe march their base control and all its perturbations as
+one batch (dynamics.solve_states), each state bit for bit its solo march.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .adjoint import cost_value, solve_adjoint
 from .control import lq_inner, lq_norm, random_admissible_control
-from .dynamics import Trajectory, mixture_energy, solve_state, solve_tangent
+from .dynamics import Trajectory, mixture_energy, solve_state, solve_states, solve_tangent
 from .errors import ShapeMismatch
 from .grid import Grid, TimeGrid
 from .problem import ProblemSpec
@@ -100,13 +102,17 @@ def smooth_direction(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
     return h / max(float(np.max(np.abs(h))), 1.0e-30)
 
 
+def _central_difference(j_plus: float, j_minus: float, delta: float) -> float:
+    return (j_plus - j_minus) / (2.0 * delta)
+
+
 def fd_directional_derivative(
     u: np.ndarray, h: np.ndarray, spec: ProblemSpec, delta: float
 ) -> float:
-    """Central difference of the reduced cost along h at step delta."""
-    j_plus = cost_value(solve_state(u + delta * h, spec), spec.cost)
-    j_minus = cost_value(solve_state(u - delta * h, spec), spec.cost)
-    return (j_plus - j_minus) / (2.0 * delta)
+    """Central difference of the reduced cost along h at step delta, its two
+    states marched as one batch."""
+    plus, minus = solve_states([u + delta * h, u - delta * h], spec)
+    return _central_difference(cost_value(plus, spec.cost), cost_value(minus, spec.cost), delta)
 
 
 def fd_gradient_check(
@@ -117,18 +123,23 @@ def fd_gradient_check(
     tol: float = 1.0e-6,
 ) -> ProbeReport:
     """Adjoint gradient against the FD oracle along seeded directions: the
-    Richardson value (4 D(delta/2) - D(delta)) / 3, error estimate |D(delta/2) - D(delta)| / 3."""
-    state = solve_state(u, spec)
-    grad = solve_adjoint(state, spec)
+    Richardson value (4 D(delta/2) - D(delta)) / 3, error estimate |D(delta/2) - D(delta)| / 3.
+    The base state and the 4 perturbed states of every direction are marched
+    as one batch."""
     delta = FD_STEP * (float(np.max(np.abs(u))) + 1.0)
     rng = np.random.default_rng(seed)
+    hs = [smooth_direction(spec, rng) for _ in range(n_directions)]
+    steps = (delta, delta / 2.0)
+    controls = [v for h in hs for step in steps for v in (u + step * h, u - step * h)]
+    state, *perturbed = solve_states([u] + controls, spec)
+    grad = solve_adjoint(state, spec)
+    # The costs in march order: +-delta, then +-delta/2, direction by direction.
+    costs = iter([cost_value(traj, spec.cost) for traj in perturbed])
     directions = []
     worst = 0.0
-    for _ in range(n_directions):
-        h = smooth_direction(spec, rng)
+    for h in hs:
         predicted = lq_inner(grad, h, spec)
-        coarse = fd_directional_derivative(u, h, spec, delta)
-        fine = fd_directional_derivative(u, h, spec, delta / 2.0)
+        coarse, fine = (_central_difference(next(costs), next(costs), step) for step in steps)
         fd_value = (4.0 * fine - coarse) / 3.0
         rel = abs(fd_value - predicted) / max(abs(fd_value), abs(predicted), 1.0e-300)
         worst = max(worst, rel)
@@ -156,11 +167,10 @@ def frechet_remainder_probe(u: np.ndarray, spec: ProblemSpec, seed: int = 11) ->
     TAYLOR_DELTAS scaled by max|u| + 1, above the solver noise at large u."""
     h = smooth_direction(spec, np.random.default_rng(seed))
     deltas = (float(np.max(np.abs(u))) + 1.0) * np.asarray(TAYLOR_DELTAS)
-    base = solve_state(u, spec)
+    base, *perturbed = solve_states([u] + [u + delta * h for delta in deltas], spec)
     tangent = solve_tangent(h, base, spec)
     remainders = []
-    for delta in deltas:
-        pert = solve_state(u + delta * h, spec)
+    for delta, pert in zip(deltas, perturbed):
         r = trajectory_y_norm(
             pert.theta - base.theta - delta * tangent.dtheta,
             pert.phi - base.phi - delta * tangent.dphi,

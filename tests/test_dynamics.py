@@ -3,6 +3,7 @@ equation residuals, tangent linearization, and failure modes."""
 
 import dataclasses
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -535,6 +536,18 @@ class TestStepOperator:
         # by one LU solve (with the carried LU or one at the iterate's slope).
         assert len(solves) <= 1 + log_spec.tgrid.steps + len(steps)
 
+    def test_one_resolvent_solve_per_sweep(self, log_spec, monkeypatch):
+        # Each linear sweep evaluates the convex slopes of all its levels in one call.
+        base = pfc.solve_state(_random_control(log_spec, seed=2, amplitude=0.3), log_spec)
+        solves, resolvent = [], pfc.Potential.resolvent
+        monkeypatch.setattr(
+            pfc.Potential, "resolvent", lambda *a: solves.append(1) or resolvent(*a)
+        )
+        pfc.solve_tangent(_random_control(log_spec, seed=3), base, log_spec)
+        assert len(solves) == 1
+        pfc.solve_adjoint(base, log_spec)
+        assert len(solves) == 2
+
     def test_resolvent_iterations_per_call_in_a_state_solve(self, monkeypatch):
         # Each Yosida evaluation of a state solve starts from the root of the
         # one before it; from cold starts the resolvent took 2.80 iterations
@@ -703,10 +716,18 @@ class TestCarriedLU:
         spec = desk_spec(regime, cells=(12, 12), steps=8, yosida_eps=eps)
         evaluations, advance = [], dynamics._advance_step
 
-        def counting(held, convex, *rest):
+        def counting(*args):
+            # Each iterate the step yields is one convex evaluation.
             calls = []
             evaluations.append(calls)
-            return advance(held, lambda phi: calls.append(1) or convex(phi), *rest)
+            step, reply = advance(*args), None
+            while True:
+                try:
+                    iterate = step.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                calls.append(1)
+                reply = yield iterate
 
         monkeypatch.setattr(dynamics, "_advance_step", counting)
         pfc.solve_state(_random_control(spec, seed=0, amplitude=1.0e5), spec)
@@ -744,6 +765,124 @@ class TestCarriedLU:
         monkeypatch.setattr(dynamics, "_domain_guard", domain_guard)
         with pytest.raises(pfc.DomainEscape, match=r"^time step 2 of 16, Newton iteration 1: "):
             pfc.solve_state(zero_control(spec), spec)
+
+
+#: Wells of the batch tests, on desk_spec("log") data (unit viscosity).
+_BATCH_WELLS = {**_WELLS, "log-linear": pfc.log_linear()}
+
+
+def _solo_outcome(u, spec):
+    """solve_state's trajectory, or its error as (type, message)."""
+    try:
+        return pfc.solve_state(u, spec)
+    except pfc.PfcError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_trajectory(got, want):
+    for name in ("theta", "phi", "mu"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestBatchedMarches:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(_BATCH_WELLS)),
+        st.integers(min_value=2, max_value=40),
+        # 1e4 makes Newton backtrack on some wells and fail on the exact log one.
+        st.lists(st.sampled_from([0.0, 0.5, 50.0, 1.0e4]), min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_every_row_is_its_solo_march_property(self, well, cells, amplitudes, seed):
+        spec = dataclasses.replace(
+            desk_spec("log", cells=cells, steps=4), potential=_BATCH_WELLS[well]
+        )
+        rng = np.random.default_rng(seed)
+        controls = [a * rng.uniform(-1.0, 1.0, (4, cells)) for a in amplitudes]
+        solos = [_solo_outcome(u, spec) for u in controls]
+        failures = [s for s in solos if isinstance(s, tuple)]
+        if failures:
+            with pytest.raises(pfc.PfcError) as info:
+                pfc.solve_states(controls, spec)
+            assert (type(info.value), str(info.value)) in failures
+            return
+        for got, want in zip(pfc.solve_states(controls, spec), solos, strict=True):
+            _assert_same_trajectory(got, want)
+
+    def test_a_backtracking_row_is_its_solo_march(self, monkeypatch):
+        spec = desk_spec("log", cells=2, steps=4, yosida_eps=1.0e-3)
+        rng = np.random.default_rng(1)
+        big = 1.0e4 * rng.uniform(-1.0, 1.0, (4, 2))
+        controls = [0.5 * rng.uniform(-1.0, 1.0, (4, 2)), big, np.zeros((4, 2))]
+        got = pfc.solve_states(controls, spec)
+        for u, traj in zip(controls, got, strict=True):
+            _assert_same_trajectory(traj, pfc.solve_state(u, spec))
+        # With one trial per damped step, the big control's march stalls.
+        monkeypatch.setattr(dynamics, "_NEWTON_MAX_BACKTRACKS", 1)
+        with pytest.raises(pfc.NewtonDivergence, match="damping stalled"):
+            pfc.solve_state(big, spec)
+
+    def test_one_failing_control_raises_its_solo_error(self):
+        spec = desk_spec("log")
+        big = 1.0e4 * np.random.default_rng(1).uniform(-1.0, 1.0, (16, 32))
+        want = _solo_outcome(big, spec)
+        assert want[0] is pfc.NewtonDivergence
+        controls = [_random_control(spec, seed=0), big, zero_control(spec)]
+        with pytest.raises(pfc.PfcError) as info:
+            pfc.solve_states(controls, spec)
+        assert (type(info.value), str(info.value)) == want
+
+    def test_sources_are_checked_before_any_march(self, regular_spec, monkeypatch):
+        monkeypatch.setattr(dynamics, "_march", None)
+        with pytest.raises(pfc.ConfigError, match="non-finite"):
+            pfc.solve_states([zero_control(regular_spec), np.full((16, 32), np.nan)], regular_spec)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0e-3])
+    def test_one_convex_evaluation_per_round(self, eps, monkeypatch):
+        # Every round evaluates all pending iterates at once, so a batch
+        # makes as many evaluations as its longest march.
+        spec = desk_spec("log", yosida_eps=eps)
+        calls, evaluate = [], pfc.Potential.dw_and_d2w_convex_eff
+        monkeypatch.setattr(
+            pfc.Potential,
+            "dw_and_d2w_convex_eff",
+            lambda *a: calls.append(1) or evaluate(*a),
+        )
+        controls = [_random_control(spec, seed=s, amplitude=a) for s, a in enumerate([0, 50, 500])]
+        solo = []
+        for u in controls:
+            calls.clear()
+            pfc.solve_state(u, spec)
+            solo.append(len(calls))
+        calls.clear()
+        pfc.solve_states(controls, spec)
+        assert len(set(solo)) > 1
+        assert len(calls) == max(solo)
+
+    @pytest.mark.parametrize("regime,eps", [("regular", 0.0), ("log", 1.0e-3)])
+    def test_2d_batch_holds_one_lu_at_a_time(self, regime, eps, monkeypatch):
+        spec = desk_spec(regime, cells=(6, 6), steps=4, yosida_eps=eps)
+        controls = [_random_control(spec, seed=s, amplitude=2.0) for s in range(3)]
+        want = [pfc.solve_state(u, spec) for u in controls]
+        live, held = weakref.WeakSet(), []
+
+        class Counted(dynamics.StepLU):
+            def refactor(self, dconvex):
+                live.add(self)
+                super().refactor(dconvex)
+                held.append(sum(lu.lu is not None for lu in live))
+                return self
+
+        monkeypatch.setattr(dynamics, "StepLU", Counted)
+        got = pfc.solve_states(controls, spec)
+        for traj, solo in zip(got, want, strict=True):
+            _assert_same_trajectory(traj, solo)
+        assert held and max(held) == 1
+        # In 1D the marches go in lockstep, each with its own band LU.
+        held.clear()
+        spec = desk_spec(regime, steps=4, yosida_eps=eps)
+        pfc.solve_states([_random_control(spec, seed=s) for s in range(3)], spec)
+        assert max(held) == 3
 
 
 _GUARDED_WELLS = [pfc.log_double_well(c=2.0), pfc.log_linear(), pfc.quartic_double_well()]

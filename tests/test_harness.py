@@ -152,18 +152,19 @@ class TestGradientProbes:
 
     @pytest.mark.parametrize("n_directions", [1, 3])
     def test_fd_oracle_runs_four_state_solves_per_direction(self, monkeypatch, n_directions):
-        # One base solve for the adjoint gradient, then the +-delta and
-        # +-delta/2 solves of the Richardson pair along each direction.
-        calls = []
+        # One base march for the adjoint gradient, then the +-delta and
+        # +-delta/2 marches of the Richardson pair along each direction.
+        marched = []
 
-        def counting(u, spec):
-            calls.append(1)
-            return pfc.dynamics.solve_state(u, spec)
+        def counting(controls, spec):
+            marched.extend(controls)
+            return pfc.dynamics.solve_states(controls, spec)
 
-        monkeypatch.setattr(pfc.harness, "solve_state", counting)
+        monkeypatch.setattr(pfc.harness, "solve_state", None)
+        monkeypatch.setattr(pfc.harness, "solve_states", counting)
         spec = _small()
         pfc.fd_gradient_check(zero_control(spec), spec, n_directions=n_directions)
-        assert len(calls) == 1 + 4 * n_directions
+        assert len(marched) == 1 + 4 * n_directions
 
     @pytest.mark.parametrize("case", ["regular", "yosida-log", "exact-log", "quartic-2d"])
     @pytest.mark.parametrize("control", ["zero", "random"])

@@ -344,3 +344,31 @@ def test_value_and_slope_together(pot):
     value, slope = pot.dw_and_d2w_convex_eff(r)
     assert np.array_equal(value, pot.dw_convex_eff(r))
     assert np.array_equal(slope, pot.d2w_convex_eff(r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["log-exact", "log-yosida", "quartic", "loglinear-yosida"]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacked_rows_evaluate_as_alone_property(well, rows, cells, seed):
+    # Batched marches and the sweeps evaluate many levels in one call, cold
+    # and warm; each row must come out as it would alone.
+    pot = {
+        "log-exact": pfc.log_double_well(2.0),
+        "log-yosida": pfc.log_double_well(2.0, 1e-3),
+        "quartic": pfc.quartic_double_well(),
+        "loglinear-yosida": pfc.log_linear(1e-3),
+    }[well]
+    rng = np.random.default_rng(seed)
+    r0 = rng.uniform(-0.99, 0.99, (rows, cells))
+    r = r0 + rng.normal(0.0, 1e-2, (rows, cells)).clip(-0.005, 0.005)
+    value0, slope0 = pot.dw_and_d2w_convex_eff(r0)
+    for previous in (None, (r0, value0, slope0)):
+        value, slope = pot.dw_and_d2w_convex_eff(r, previous)
+        for i in range(rows):
+            alone = None if previous is None else [a[i].copy() for a in previous]
+            v, s = pot.dw_and_d2w_convex_eff(r[i].copy(), alone)
+            assert np.array_equal(value[i], v) and np.array_equal(slope[i], s)
