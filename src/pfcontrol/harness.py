@@ -9,9 +9,10 @@ so the two derivative routes stay independent. The continuous-dependence
 draws seeded control pairs and compares their ratios on the grid and on its
 doubling. The FD step, the Taylor ladder and slope band, the energy
 tolerance, the refinement factor and the eps ladder the probes judge by are
-the module constants below; no probe takes them as arguments. The FD oracle
-and the Taylor probe march their base control and all its perturbations as
-one batch (dynamics.solve_states), each state bit for bit its solo march.
+the module constants below; no probe takes them as arguments. A probe marches
+its controls of one spec as one batch (dynamics.solve_states), each state bit
+for bit its solo march; only the Yosida ladder and the energy run, with one
+control per spec, call solve_state.
 """
 
 from __future__ import annotations
@@ -234,19 +235,17 @@ def _weak_difference_norm(a: Trajectory, b: Trajectory) -> float:
 def _lipschitz_ratios(
     spec: ProblemSpec, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[list[float], list[float]]:
-    """Continuous-dependence ratios over the distinct control pairs; an
-    identical pair is skipped.
+    """Continuous-dependence ratios over the distinct control pairs, whose
+    controls are marched as one batch; an identical pair is skipped.
 
     strong: Y norm of the state difference over the L2(Q) control distance;
     weak: the dual-norm composite over the same denominator.
     """
+    dists = [lq_norm(u1 - u2, spec) for u1, u2 in pairs]
+    distinct = [(pair, dist) for pair, dist in zip(pairs, dists) if dist != 0.0]
+    states = solve_states([u for pair, _ in distinct for u in pair], spec)
     strong, weak = [], []
-    for u1, u2 in pairs:
-        dist = lq_norm(u1 - u2, spec)
-        if dist == 0.0:
-            continue
-        s1 = solve_state(u1, spec)
-        s2 = solve_state(u2, spec)
+    for (_, dist), s1, s2 in zip(distinct, states[::2], states[1::2]):
         strong.append(
             trajectory_y_norm(s1.theta - s2.theta, s1.phi - s2.phi, spec.grid, spec.tgrid)
             / dist
@@ -419,11 +418,9 @@ def separation_probe(
             name="separation", seed=seed, measured={"applicable": False}, thresholds={}, passed=True
         )
     rng = np.random.default_rng(seed)
-    margins = []
-    for _ in range(n_controls):
-        u = random_admissible_control(spec, rng)
-        traj = solve_state(u, spec)
-        margins.append(float(np.min(spec.potential.distance_to_boundary(traj.phi))))
+    controls = [random_admissible_control(spec, rng) for _ in range(n_controls)]
+    trajs = solve_states(controls, spec)
+    margins = [float(np.min(spec.potential.distance_to_boundary(t.phi))) for t in trajs]
     margin = min(margins)
     return ProbeReport(
         name="separation",

@@ -792,6 +792,29 @@ class TestCliProbe:
         assert code == 0
         assert json.loads(out)["measured"]["min_margin"] > 0.0
 
+    @pytest.mark.parametrize("name", ["separation", "refinement"])
+    def test_a_failing_control_of_a_probe_batch_exits_1(
+        self, config_file, capsys, monkeypatch, name
+    ):
+        # One of the batch's controls stalls the exact log well; the probe
+        # ends in that control's own solver error, like a solo march.
+        cfg = config_file(
+            potential={"kind": "logarithmic", "c": 2.0},
+            physics={"visc": 1.0, "latent": 1.0, "coupling": 1.0},
+            initial={"theta": 0.0, "phi": {"kind": "cosine", "amplitude": 0.2, "modes": [1]}},
+        )
+        spec = load_config(cfg).spec
+        big = 1.0e4 * np.random.default_rng(1).uniform(-1.0, 1.0, (8, 16))
+        with pytest.raises(pfc.NewtonDivergence) as solo:
+            pfc.solve_state(big, spec)
+        draws = iter([np.zeros((8, 16)), big, np.zeros((8, 16)), np.full((8, 16), 0.5)])
+        monkeypatch.setattr(pfc.harness, "random_admissible_control", lambda spec, rng: next(draws))
+        code, out, err = run_cli(
+            ["probe", "--config", cfg, "--name", name, "--samples", "2"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"solver error: {solo.value}"]
+
     @pytest.mark.parametrize("name", ["refinement"])
     def test_lipschitz_probes_without_distinct_pairs_pass(self, config_file, capsys, name):
         # A box of one point makes every sampled pair of controls the same.

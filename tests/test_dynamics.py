@@ -832,6 +832,34 @@ class TestBatchedMarches:
             pfc.solve_states(controls, spec)
         assert (type(info.value), str(info.value)) == want
 
+    def test_the_control_that_fails_first_raises(self):
+        # In 1D the batch raises the error of the control that fails after
+        # the fewest Newton rounds, the lowest index on a tie: on the exact
+        # log well `late` stalls at time step 4 in round 72, while `early`
+        # and `tied` use up their iterations at step 1, in round 51.
+        spec = desk_spec("log", cells=16, steps=8)
+        late, early, tied = (
+            amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, (8, 16))
+            for amplitude, seed in ((1.0e3, 2), (1.0e4, 0), (1.0e4, 1))
+        )
+        orders = (([late, early], early), ([early, late], early), ([tied, early], tied))
+        for controls, first in orders:
+            with pytest.raises(pfc.PfcError) as info:
+                pfc.solve_states(controls, spec)
+            assert (type(info.value), str(info.value)) == _solo_outcome(first, spec)
+
+    def test_a_2d_batch_raises_the_first_failing_control_in_order(self):
+        # The 2D marches run one after another, so `late` (stalling at time
+        # step 2, round 81) raises before `early` (step 1, round 51) marches.
+        spec = desk_spec("log", cells=(6, 6), steps=4)
+        late, early = (
+            amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, (4, 36))
+            for amplitude, seed in ((1.0e3, 1), (1.0e4, 0))
+        )
+        with pytest.raises(pfc.PfcError) as info:
+            pfc.solve_states([late, early], spec)
+        assert (type(info.value), str(info.value)) == _solo_outcome(late, spec)
+
     def test_sources_are_checked_before_any_march(self, regular_spec, monkeypatch):
         monkeypatch.setattr(dynamics, "_march", None)
         with pytest.raises(pfc.ConfigError, match="non-finite"):

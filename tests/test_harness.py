@@ -18,6 +18,25 @@ def _small(regime="regular", **kw):
     return desk_spec(regime, cells=16, steps=8, **kw)
 
 
+@pytest.fixture
+def batches(monkeypatch):
+    """The (controls, spec) of every harness.solve_states call, in order; a
+    harness.solve_state call fails, so a solo march cannot hide."""
+    calls = []
+
+    def counting(controls, spec):
+        calls.append((list(controls), spec))
+        return pfc.dynamics.solve_states(controls, spec)
+
+    monkeypatch.setattr(harness, "solve_state", None)
+    monkeypatch.setattr(harness, "solve_states", counting)
+    return calls
+
+
+def _batch_sizes(batches):
+    return [len(controls) for controls, _ in batches]
+
+
 def test_smooth_direction_unchanged():
     spec = desk_spec()
     raw = np.random.default_rng(5).standard_normal((spec.tgrid.steps, spec.grid.ncells))
@@ -151,20 +170,13 @@ class TestGradientProbes:
         assert len(report.measured["directions"]) == 3
 
     @pytest.mark.parametrize("n_directions", [1, 3])
-    def test_fd_oracle_runs_four_state_solves_per_direction(self, monkeypatch, n_directions):
+    def test_fd_oracle_runs_four_state_solves_per_direction(self, batches, n_directions):
         # One base march for the adjoint gradient, then the +-delta and
-        # +-delta/2 marches of the Richardson pair along each direction.
-        marched = []
-
-        def counting(controls, spec):
-            marched.extend(controls)
-            return pfc.dynamics.solve_states(controls, spec)
-
-        monkeypatch.setattr(pfc.harness, "solve_state", None)
-        monkeypatch.setattr(pfc.harness, "solve_states", counting)
+        # +-delta/2 marches of the Richardson pair along each direction, all
+        # in one batch.
         spec = _small()
         pfc.fd_gradient_check(zero_control(spec), spec, n_directions=n_directions)
-        assert len(marched) == 1 + 4 * n_directions
+        assert _batch_sizes(batches) == [1 + 4 * n_directions]
 
     @pytest.mark.parametrize("case", ["regular", "yosida-log", "exact-log", "quartic-2d"])
     @pytest.mark.parametrize("control", ["zero", "random"])
@@ -290,13 +302,34 @@ class TestStabilityProbes:
         for key in ("max_ratio_coarse", "max_ratio_weak_coarse"):
             assert np.isfinite(measured[key]) and measured[key] > 0.0
 
-    def test_identical_pair_skipped(self):
+    def test_identical_pair_skipped(self, batches):
+        # An identical pair is dropped before the march, not marched.
         spec = _small()
         u = pfc.random_admissible_control(spec, 3)
         assert _lipschitz_ratios(spec, [(u, u.copy())]) == ([], [])
         v = pfc.random_admissible_control(spec, 4)
         strong, weak = _lipschitz_ratios(spec, [(u, u.copy()), (u, v)])
         assert len(strong) == len(weak) == 1
+        assert _batch_sizes(batches) == [0, 2]
+        assert all(a is b for a, b in zip(batches[1][0], (u, v)))
+
+    def test_refinement_probe_marches_each_level_as_one_batch(self, batches):
+        spec = _small()
+        report = pfc.lipschitz_refinement_probe(spec, n_pairs=3, seed=4)
+        assert _batch_sizes(batches) == [6, 6]
+        (coarse, coarse_spec), (fine, fine_spec) = batches
+        assert coarse_spec is spec
+        assert (fine_spec.grid.cells, fine_spec.tgrid.steps) == ((32,), 16)
+        for u, v in zip(coarse, fine, strict=True):
+            assert np.array_equal(harness.prolong_control(u, spec), v)
+        # The ratios are those of the pairs marched one control at a time.
+        states = [pfc.solve_state(u, spec) for u in coarse]
+        strong = [
+            pfc.trajectory_y_norm(a.theta - b.theta, a.phi - b.phi, spec.grid, spec.tgrid)
+            / pfc.lq_norm(u - v, spec)
+            for a, b, u, v in zip(states[::2], states[1::2], coarse[::2], coarse[1::2])
+        ]
+        assert report.measured["max_ratio_coarse"] == max(strong)
 
     def test_weak_norm_drops_roundoff_mean_of_phase_difference(self):
         # A difference of sup 1e-5 whose mean, 3e-17, is roundoff for phases
@@ -356,6 +389,17 @@ class TestRegularizationProbes:
         assert report.passed
         assert report.measured["applicable"]
         assert report.measured["min_margin"] > 0.0
+
+    def test_separation_probe_marches_its_controls_as_one_batch(self, batches):
+        spec = _small("log")
+        report = pfc.separation_probe(spec, n_controls=3, seed=8)
+        assert _batch_sizes(batches) == [3]
+        assert batches[0][1] is spec
+        rng = np.random.default_rng(8)
+        solos = [pfc.solve_state(pfc.random_admissible_control(spec, rng), spec) for _ in range(3)]
+        assert report.measured["margins"] == [
+            float(np.min(spec.potential.distance_to_boundary(traj.phi))) for traj in solos
+        ]
 
     def test_separation_not_applicable_for_entire_potentials(self):
         report = pfc.separation_probe(_small("regular"))
