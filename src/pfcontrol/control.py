@@ -11,12 +11,12 @@ the control is bang-bang wherever the gradient has a definite sign.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
 from .adjoint import cost_value, solve_adjoint
-from .dynamics import solve_state
+from .dynamics import Trajectory, solve_state, solve_states
 from .errors import ShapeMismatch, ValidationError
 from .problem import ControlBox, ProblemSpec
 
@@ -129,7 +129,7 @@ class OptimizeOptions:
     stat_tol: stop once the L2(Q) stationarity residual is at most this.
     max_iter: iteration cap; reaching it terminates with "max_iterations".
     starts: seeds of extra random admissible starting controls; the run with
-    the lowest final cost is reported.
+    the lowest final cost is reported. All runs march together (see optimize).
     """
 
     stat_tol: float = 1.0e-6
@@ -190,15 +190,19 @@ def _lbfgs_direction(
 
 def _optimize_single(
     spec: ProblemSpec, u0: np.ndarray, opts: OptimizeOptions, start_seed: Optional[int]
-) -> OptimizeReport:
+) -> Generator[np.ndarray, Trajectory, OptimizeReport]:
     """Two-metric projected L-BFGS (Bertsekas, SIAM J. Control Optim. 1982), in
     NumPy because importing scipy.optimize costs start-up time and memory. Nodes
     within eps = min(_EPS_MAX, res / sqrt(dt * h)) of a box face that the
     gradient pushes against take a steepest-descent step, the others an L-BFGS
-    step; the Armijo search halves the step from 1 along the projection arc."""
+    step; the Armijo search halves the step from 1 along the projection arc.
+
+    A coroutine: it yields each control whose state it needs (the start, then
+    each line-search trial), is sent back that control's Trajectory, and
+    returns its OptimizeReport. _march_runs solves the states."""
     u = project_box(u0, spec)
     lo, hi = spec.box.bounds(u.shape)
-    state = solve_state(u, spec)
+    state = yield u
     j = cost_value(state, spec.cost)
     grad = solve_adjoint(state, spec)
     j_hist, res_hist, evals, pairs = [j], [], [], []
@@ -223,7 +227,7 @@ def _optimize_single(
             alpha = 0.5 ** (trials - 1)
             trial = project_box(u + alpha * d, spec)
             predicted = alpha * slope_free + lq_inner(grad * active, trial - u, spec)
-            trial_state = solve_state(trial, spec)
+            trial_state = yield trial
             trial_j = cost_value(trial_state, spec.cost)
             if trial_j <= j + _SIGMA * predicted:
                 break
@@ -247,6 +251,23 @@ def _optimize_single(
     )
 
 
+def _march_runs(runs: list, spec: ProblemSpec) -> list[OptimizeReport]:
+    """Drive _optimize_single coroutines to their reports in lockstep: each
+    round solves the pending control of every unfinished run in one
+    solve_states batch, whose trajectories are bit for bit the solo ones."""
+    reports = [None] * len(runs)
+    pending = {i: run.send(None) for i, run in enumerate(runs)}
+    while pending:
+        states = solve_states(list(pending.values()), spec)
+        for i, state in zip(list(pending), states):
+            try:
+                pending[i] = runs[i].send(state)
+            except StopIteration as stop:
+                reports[i] = stop.value
+                del pending[i]
+    return reports
+
+
 def optimize(
     spec: ProblemSpec,
     u0: np.ndarray | None = None,
@@ -259,7 +280,15 @@ def optimize(
     stationarity residual drops below opts.stat_tol, the iteration cap is
     reached or a line search finds no decrease; the cost history is
     non-increasing by construction. Optional multi-start: extra seeded
-    admissible initial controls, keeping the lowest final cost.
+    admissible initial controls, keeping the lowest final cost (the first
+    run, then opts.starts in order, replaced only by a strictly lower one).
+
+    The runs march together, one state solve of each unfinished run per
+    solve_states batch (_march_runs), so every report is the one its run
+    makes alone. The L-BFGS pairs and trajectories of all runs are alive at
+    once: about 5.9 MB of pairs per run at 48x48 cells and 16 steps in 2D.
+    Of several runs whose state solves fail, the one that fails first in
+    that lockstep order raises its error.
     """
     opts = opts or OptimizeOptions()
     physics, bad = spec.physics, []
@@ -277,11 +306,9 @@ def optimize(
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != shape:
         raise ShapeMismatch(f"u0: shape {u0.shape} != {shape}")
-    best = _optimize_single(spec, u0, opts, start_seed=None)
-    for seed in opts.starts:
-        candidate = _optimize_single(
-            spec, random_admissible_control(spec, seed), opts, start_seed=seed
-        )
-        if candidate.j_final < best.j_final:
-            best = candidate
-    return best
+    runs = [_optimize_single(spec, u0, opts, start_seed=None)] + [
+        _optimize_single(spec, random_admissible_control(spec, seed), opts, start_seed=seed)
+        for seed in opts.starts
+    ]
+    # min keeps the first of equal costs.
+    return min(_march_runs(runs, spec), key=lambda report: report.j_final)

@@ -37,7 +37,9 @@ march is one coroutine over its steps' Newton solves: it yields every iterate
 and is sent back its residual. In 1D all pending iterates share one round:
 one convex evaluation and one template product for all of them, while every
 Newton decision stays with its own control, so each trajectory is bit for
-bit the control's solo march. solve_state is the batch of one. In 2D the
+bit the control's solo march. solve_state is the batch of one. The FD
+oracle, the probes and the optimizer's starts (control.optimize, one state
+solve of each unfinished start per batch) all march this way. In 2D the
 marches run one after another, so only one Schur LU is alive at a time. The
 linearized sweeps evaluate the slopes of all their levels in one call each.
 """
@@ -475,7 +477,8 @@ def solve_states(controls: Sequence[np.ndarray], spec: ProblemSpec) -> list[Traj
     horizon; trajectory i is bit for bit solve_state(controls[i], spec).
 
     spec is valid by construction; only the sources are checked here, all of
-    them before any march. Raises ShapeMismatch / ConfigError for a wrongly
+    them before any march; an empty batch returns [] before anything is
+    built or evaluated. Raises ShapeMismatch / ConfigError for a wrongly
     shaped or non-finite source, NewtonDivergence / DomainEscape (naming
     time step and Newton iteration) when a step fails, as the failing
     control's own march would; of several, the first to fail (in 1D after the
@@ -499,6 +502,8 @@ def solve_states(controls: Sequence[np.ndarray], spec: ProblemSpec) -> list[Traj
         if not np.all(np.isfinite(source)):
             raise ConfigError("source: non-finite entries")
         sources.append(source)
+    if not sources:
+        return []
     theta0, phi0 = spec.init.theta0, spec.init.phi0
     value, slope = pot.dw_and_d2w_convex_eff(phi0)
     mu_guess = (
@@ -543,7 +548,8 @@ def _lockstep(marches: list, template: sps.csr_matrix, pot: Potential, first) ->
                 del pending[i]
     # The last march, or a batch of one, runs on alone with nothing to stack:
     # the stacked round costs a solo march about 4 us more per Newton round
-    # (2.10 -> 2.28 ms per quartic 1D desk solve); every optimizer solve is solo.
+    # (2.10 -> 2.28 ms per quartic 1D desk solve), and an optimizer round is
+    # a batch of one once a single run is left.
     for i, (x, old) in pending.items():
         previous = None if carried is None else [a[i] for a in carried]
         try:

@@ -16,7 +16,7 @@ import pytest
 import pfcontrol as pfc
 import pfcontrol.cli as cli
 from conftest import singular_factorizations
-from pfcontrol import config, dynamics
+from pfcontrol import config, control, dynamics
 from pfcontrol.config import (
     _Collector,
     build_field,
@@ -745,6 +745,25 @@ class TestCliOptimize:
         code, out, _ = run_cli(["optimize", "--config", cfg], capsys)
         assert code == 1
         assert json.loads(out)["termination"] == "max_iterations"
+
+    def test_a_failing_start_exits_1(self, config_file, capsys, monkeypatch):
+        # The starts march together; a state solve that fails in the third
+        # round ends the run in its solver error.
+        rounds, batch = [], control.solve_states
+        message = "time step 2 of 8, Newton iteration 3: non-finite step"
+
+        def failing(controls, spec):
+            rounds.append(len(controls))
+            if len(rounds) == 3:
+                raise pfc.NewtonDivergence(message)
+            return batch(controls, spec)
+
+        monkeypatch.setattr(control, "solve_states", failing)
+        cfg = config_file(optimize={"stat_tol": 1.0e-4, "starts": [1, 2]})
+        code, out, err = run_cli(["optimize", "--config", cfg], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"solver error: {message}"]
+        assert rounds == [3, 3, 3]
 
     def test_out_directory_artifacts(self, config_file, tmp_path, capsys):
         cfg = config_file(optimize={"max_iter": 3, "stat_tol": 1.0e-12})

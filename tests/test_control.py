@@ -208,24 +208,24 @@ class TestOptimize:
     def test_evaluations_count_every_state_solve(self, monkeypatch):
         # Every state solve is the initial solve of a start or a line-search
         # trial of an accepted iterate: the stationarity check costs none.
-        calls, reports = [], []
-        single = control._optimize_single
+        solves, reports = [], []
+        batch, drive = control.solve_states, control._march_runs
 
-        def counting_solve(u, spec):
-            calls.append(1)
-            return solve_state(u, spec)
+        def counting_solves(controls, spec):
+            solves.append(len(controls))
+            return batch(controls, spec)
 
-        def recording_single(*args, **kw):
-            reports.append(single(*args, **kw))
-            return reports[-1]
+        def recording_drive(runs, spec):
+            reports.extend(drive(runs, spec))
+            return reports
 
-        monkeypatch.setattr(control, "solve_state", counting_solve)
-        monkeypatch.setattr(control, "_optimize_single", recording_single)
+        monkeypatch.setattr(control, "solve_states", counting_solves)
+        monkeypatch.setattr(control, "_march_runs", recording_drive)
         opts = pfc.OptimizeOptions(stat_tol=1.0e-4, max_iter=400, starts=(1,))
         best = pfc.optimize(_small_spec(), opts=opts)
         assert len(reports) == 2 and best in reports
         assert all(r.termination == "stationary" for r in reports)
-        assert len(calls) == sum(sum(r.evaluations_history) for r in reports) + len(reports)
+        assert sum(solves) == sum(sum(r.evaluations_history) for r in reports) + len(reports)
 
     def test_line_search_stall_is_reported(self, monkeypatch):
         # A cost that rises off the start rejects every trial.
@@ -322,6 +322,77 @@ class TestOptimize:
         u0 = np.full((8, 16), 5.0)
         report = pfc.optimize(spec, u0=u0)
         assert np.all(report.u_opt <= 1.0)
+
+
+_LOCKSTEP_OPTS = pfc.OptimizeOptions(stat_tol=1.0e-3, max_iter=400, starts=(1, 2, 3))
+
+
+@pytest.fixture(scope="class")
+def lockstep_runs():
+    """The solo run of every start of _LOCKSTEP_OPTS on the desk problem with
+    its solve_states batch sizes, and the multi-start run with its own. The
+    first start is the ones control: its run is the longest, and seed 1's
+    run ends lowest."""
+    spec = desk_spec()
+    u0 = np.ones((spec.tgrid.steps, spec.grid.ncells))
+    solo = dataclasses.replace(_LOCKSTEP_OPTS, starts=())
+    starts = [u0] + [pfc.random_admissible_control(spec, s) for s in _LOCKSTEP_OPTS.starts]
+    batches, batch, runs = [], control.solve_states, []
+
+    def counting(controls, spec):
+        batches.append(len(controls))
+        return batch(controls, spec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(control, "solve_states", counting)
+        for start in starts:
+            batches.clear()
+            runs.append((pfc.optimize(spec, start, solo), list(batches)))
+        batches.clear()
+        multi = pfc.optimize(spec, u0, _LOCKSTEP_OPTS)
+    return runs, (multi, batches)
+
+
+class TestLockstepStarts:
+    """optimize marches its starts together, one solve_states batch a round."""
+
+    def test_report_is_the_best_solo_run(self, lockstep_runs):
+        runs, (multi, _) = lockstep_runs
+        best, seed = runs[0][0], None
+        for s, (report, _) in zip(_LOCKSTEP_OPTS.starts, runs[1:]):
+            if report.j_final < best.j_final:
+                best, seed = report, s
+        assert seed == 1
+        assert multi.start_seed == seed
+        assert np.array_equal(multi.u_opt, best.u_opt)
+        assert multi.j_history == best.j_history
+        assert multi.residual_history == best.residual_history
+        assert multi.evaluations_history == best.evaluations_history
+
+    def test_one_batch_per_solve_of_the_longest_run(self, lockstep_runs):
+        runs, (_, batches) = lockstep_runs
+        solves = [len(sizes) for _, sizes in runs]
+        assert all(sizes == [1] * len(sizes) for _, sizes in runs)
+        assert len(set(solves)) > 1 and solves[0] == max(solves)
+        assert len(batches) == max(solves) < sum(solves) == sum(batches)
+        # A run leaves the batch when it ends.
+        assert batches == [sum(n > k for n in solves) for k in range(max(solves))]
+
+    def test_a_failing_state_solve_raises_its_error(self, monkeypatch):
+        rounds, batch = [], control.solve_states
+        failure = pfc.NewtonDivergence("time step 2 of 16, Newton iteration 3: non-finite step")
+
+        def failing(controls, spec):
+            rounds.append(len(controls))
+            if len(rounds) == 3:
+                raise failure
+            return batch(controls, spec)
+
+        monkeypatch.setattr(control, "solve_states", failing)
+        with pytest.raises(pfc.NewtonDivergence) as info:
+            pfc.optimize(desk_spec(), opts=_LOCKSTEP_OPTS)
+        assert info.value is failure
+        assert rounds == [4, 4, 4]
 
 
 def test_yosida_ladder_of_optimal_values_is_first_order():

@@ -865,6 +865,13 @@ class TestBatchedMarches:
         with pytest.raises(pfc.ConfigError, match="non-finite"):
             pfc.solve_states([zero_control(regular_spec), np.full((16, 32), np.nan)], regular_spec)
 
+    @pytest.mark.parametrize("cells", [32, (6, 6)], ids=["1d", "2d"])
+    def test_an_empty_batch_builds_nothing(self, cells, monkeypatch):
+        spec = desk_spec("log", cells=cells, yosida_eps=1.0e-3)
+        monkeypatch.setattr(pfc.Potential, "dw_and_d2w_convex_eff", None)
+        assert pfc.solve_states([], spec) == []
+        assert spec.grid.step_operators == {}
+
     @pytest.mark.parametrize("eps", [0.0, 1.0e-3])
     def test_one_convex_evaluation_per_round(self, eps, monkeypatch):
         # Every round evaluates all pending iterates at once, so a batch
