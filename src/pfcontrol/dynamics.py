@@ -39,7 +39,7 @@ one convex evaluation and one template product for all of them, while every
 Newton decision stays with its own control, so each trajectory is bit for
 bit the control's solo march. solve_state is the batch of one. The FD
 oracle, the probes and the optimizer's starts (control.optimize, one state
-solve of each unfinished start per batch) all march this way. In 2D the
+solve of each of two marching starts per batch) all march this way. In 2D the
 marches run one after another, so only one Schur LU is alive at a time. The
 linearized sweeps evaluate the slopes of all their levels in one call each.
 """

@@ -747,8 +747,8 @@ class TestCliOptimize:
         assert json.loads(out)["termination"] == "max_iterations"
 
     def test_a_failing_start_exits_1(self, config_file, capsys, monkeypatch):
-        # The starts march together; a state solve that fails in the third
-        # round ends the run in its solver error.
+        # The starts march two at a time; a state solve that fails in the
+        # third round ends the run in its solver error.
         rounds, batch = [], control.solve_states
         message = "time step 2 of 8, Newton iteration 3: non-finite step"
 
@@ -763,7 +763,7 @@ class TestCliOptimize:
         code, out, err = run_cli(["optimize", "--config", cfg], capsys)
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"solver error: {message}"]
-        assert rounds == [3, 3, 3]
+        assert rounds == [2, 2, 2]
 
     def test_out_directory_artifacts(self, config_file, tmp_path, capsys):
         cfg = config_file(optimize={"max_iter": 3, "stat_tol": 1.0e-12})

@@ -354,7 +354,8 @@ def lockstep_runs():
 
 
 class TestLockstepStarts:
-    """optimize marches its starts together, one solve_states batch a round."""
+    """optimize marches its starts two at a time, one solve_states batch a
+    round."""
 
     def test_report_is_the_best_solo_run(self, lockstep_runs):
         runs, (multi, _) = lockstep_runs
@@ -369,14 +370,21 @@ class TestLockstepStarts:
         assert multi.residual_history == best.residual_history
         assert multi.evaluations_history == best.evaluations_history
 
-    def test_one_batch_per_solve_of_the_longest_run(self, lockstep_runs):
+    def test_runs_march_two_at_a_time(self, lockstep_runs):
         runs, (_, batches) = lockstep_runs
         solves = [len(sizes) for _, sizes in runs]
         assert all(sizes == [1] * len(sizes) for _, sizes in runs)
         assert len(set(solves)) > 1 and solves[0] == max(solves)
-        assert len(batches) == max(solves) < sum(solves) == sum(batches)
-        # A run leaves the batch when it ends.
-        assert batches == [sum(n > k for n in solves) for k in range(max(solves))]
+        # A run leaves the batch when it ends, and the next start takes its
+        # place in the following round.
+        left, waiting, expected = [], list(solves), []
+        while waiting or left:
+            while waiting and len(left) < 2:
+                left.append(waiting.pop(0))
+            expected.append(len(left))
+            left = [n - 1 for n in left if n > 1]
+        assert batches == expected
+        assert max(solves) < len(batches) < sum(solves) == sum(batches)
 
     def test_a_failing_state_solve_raises_its_error(self, monkeypatch):
         rounds, batch = [], control.solve_states
@@ -392,7 +400,7 @@ class TestLockstepStarts:
         with pytest.raises(pfc.NewtonDivergence) as info:
             pfc.optimize(desk_spec(), opts=_LOCKSTEP_OPTS)
         assert info.value is failure
-        assert rounds == [4, 4, 4]
+        assert rounds == [2, 2, 2]
 
 
 def test_yosida_ladder_of_optimal_values_is_first_order():
