@@ -21,16 +21,17 @@ term contributes its derivative at the new level, the explicit remainder its
 derivative at the old level. One loop, linear_sweep, runs it and its transpose.
 
 Forward Newton, tangent and adjoint sweeps all solve with the same block step
-operator. Only its (mu, phi) diagonal depends on the linearization point and
-its sparsity pattern never changes, so each (grid, dt, physics) has one
-StepOperator (step_operator), built once and kept on the grid for as long as
-the grid lives. In 1D its LU is a LAPACK band LU of the whole operator in
-interleaved (theta_i, phi_i, mu_i) order, normwise backward stable. In 2D mu
-is eliminated: every factorization writes the slope into the (theta, phi)
-Schur complement, stored in its symmetric fill-reducing order, and factorizes
-that; solves recover mu by back-substitution. Each sweep holds one LU (StepLU),
-dropped before its replacement is factorized; where a factorization costs many
-solves (2D), Newton keeps it across iterations and the sweeps refine against it.
+operator. Only its (mu, phi) diagonal depends on the linearization point, so
+each (grid, dt, physics) has one StepOperator (step_operator), built once and
+kept on the grid for as long as the grid lives. In 1D its factor is a LAPACK
+band LU of the whole operator in interleaved (theta_i, phi_i, mu_i) order,
+normwise backward stable. In 2D the grid's DCT diagonalizes the Laplacian, so
+at the mean slope the operator is one 3x3 block per mode; the factor holds the
+block inverses and every solve refines against the operator at the true
+slope. Only where that refinement stalls, on slopes far from their mean, is
+the operator at the true slope factorized, once, by splu. Each sweep holds
+one factor (StepLU); forward Newton first tries the chord step of the one
+carried from the previous step.
 
 solve_states marches several controls of one spec together. Each control's
 march is one coroutine over its steps' Newton solves: it yields every iterate
@@ -40,13 +41,14 @@ Newton decision stays with its own control, so each trajectory is bit for
 bit the control's solo march. solve_state is the batch of one. The FD
 oracle, the probes and the optimizer's starts (control.optimize, one state
 solve of each of two marching starts per batch) all march this way. In 2D the
-marches run one after another, so only one Schur LU is alive at a time. The
-linearized sweeps evaluate the slopes of all their levels in one call each.
+marches run one after another. The linearized sweeps evaluate the slopes of
+all their levels in one call each.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,9 +87,6 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_BACKTRACKS = 40
 #: Relative residual 2-norm at which refined solves stop.
 _REFINE_TOL = 1.0e-12
-#: LU entries per unknown (StepLU.fill) from which sweeps refine against, and
-#: Newton reuses, a held LU: 1D band LUs hold at most 13, 2D Schur LUs 28 to 105.
-_CHORD_MIN_FILL = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,24 +144,9 @@ def step_matrix(
     return sps.bmat([[a11, a12, None], [None, eye, a23], [a31, a32, eye]], format="csc")
 
 
-#: Pivot threshold of every 2D step-operator factorization. SuperLU keeps a
-#: diagonal pivot while it is at least this fraction of the largest entry of
-#: its column, so the symmetric fill-reducing order survives pivoting. With
-#: partial pivoting, the same order at latent 0.7 and coupling 1.3 gave 3x
-#: the fill on 16x16 cells and 15x on 48x48.
-DIAG_PIVOT_THRESH = 0.1
-
-
-def _factorize(matrix: sps.csc_matrix, **options):
-    try:
-        return splu(matrix, diag_pivot_thresh=DIAG_PIVOT_THRESH, **options)
-    except RuntimeError as exc:
-        raise LinearSolveDivergence(f"step operator could not be factorized: {exc}") from exc
-
-
 def _both(matrix: sps.spmatrix) -> dict[str, sps.spmatrix]:
     """A matrix in CSR form and its transpose as a view of the same arrays,
-    keyed by the SuperLU `trans` flag."""
+    keyed by the `trans` flag."""
     csr = matrix.tocsr()
     return {"N": csr, "T": csr.T}
 
@@ -179,6 +163,21 @@ def _act(matrices: dict, slope, x: np.ndarray, trans: str) -> np.ndarray:
     return out
 
 
+def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of 3x3 blocks, shaped (3, 3, modes), by
+    cofactors; LinearSolveDivergence when a determinant is zero."""
+    inverse = np.empty_like(blocks)
+    for i in range(3):
+        for j in range(3):
+            # The cofactor of entry (j, i); cyclic order carries its sign.
+            (a, b), (c, d) = ((j + 1) % 3, (j + 2) % 3), ((i + 1) % 3, (i + 2) % 3)
+            inverse[i, j] = blocks[a, c] * blocks[b, d] - blocks[a, d] * blocks[b, c]
+    det = np.sum(blocks[0] * inverse[:, 0], axis=0)
+    if not np.all(det != 0.0):
+        raise LinearSolveDivergence("step operator is exactly singular (a DCT mode block)")
+    return inverse / det
+
+
 class StepOperator:
     """The step operator of one (grid, dt, physics), stored for its LUs.
 
@@ -190,23 +189,20 @@ class StepOperator:
     band storage with kl and ku read off that pattern; a StepLU writes the
     slope into the (mu_i, phi_i) slots of a copy and factorizes it.
 
-    In 2D mu is eliminated. A = step_matrix(grid, dt, physics, slope) =
-    [[K, G], [H, I]] in the unknowns ((theta, phi), mu), where only H = H0 -
-    (0, diag(slope)) depends on the linearization point. A x = b is S z =
-    b_top - G b_mu with the Schur complement S = K - G H = [[I - dt L, latent
-    I], [dt coupling L, I + dt L a32]], a32 = L - diag(visc/dt + slope), and
-    mu = b_mu - H z; A^T y = d is S^T z = d_top - H^T d_mu with y_mu = d_mu -
-    G^T z. The slope enters S only as G[:, j] * slope_j in the phi columns, on
-    the pattern of L. The stored `matrix` is S[order][:, order], permuted by a
-    minimum-degree ordering of S + S^T taken once here (LinearSolveDivergence
-    when exactly singular); a StepLU writes the slope into its slots in place
-    and factorizes it with the natural ordering.
+    In 2D the orthonormal DCT-II of the grid (Grid.dct) diagonalizes the
+    Laplacian, so at a constant slope s the operator is one 3x3 block per
+    mode with Laplacian eigenvalue lam,
+    [[1 - dt lam, latent, 0], [0, 1, -dt lam], [coupling, lam - visc/dt - s, 1]],
+    and its transpose is the transposed block. `blocks` holds them at s = 0,
+    shaped (3, 3, modes).
     """
 
     def __init__(self, grid: Grid, dt: float, physics: PhysicsParams):
         n = grid.ncells
         template = step_matrix(grid, dt, physics, np.zeros(n))
         self.template, self.band = _both(template), None
+        # Weak: the grid keeps its operators, and a cycle would wait for the gc.
+        self.grid, self.dt, self.physics = weakref.proxy(grid), dt, physics
         self._latent, self._damping = physics.latent, -(physics.visc / dt)
         if grid.dim == 1:
             # Stacked unknown c * n + i (c = theta, phi, mu) sits at 3 * i + c.
@@ -217,27 +213,14 @@ class StepOperator:
             self.band = np.zeros((2 * self.kl + self.ku + 1, 3 * n), order="F")
             self.band[self.kl + self.ku + rows - cols, cols] = coo.data
             return
-        g, h = template[: 2 * n, 2 * n :].tocoo(), template[2 * n :, : 2 * n]
-        schur = (template[: 2 * n, : 2 * n] - g @ h).tocoo()
-        # The slots of the slope stay stored (value 0 added) even where the
-        # slope-0 entries cancel: sums of sparse matrices drop exact zeros.
-        rows = np.concatenate([schur.row, g.row])
-        cols = np.concatenate([schur.col, g.col + n])
-        data = np.concatenate([schur.data, np.zeros(g.nnz)])
-        shape = (2 * n, 2 * n)
-        perm_c = _factorize(
-            sps.csc_matrix((data, (rows, cols)), shape=shape), permc_spec="MMD_AT_PLUS_A"
-        ).perm_c
-        # Entry (r, c) of S sits at (perm_c[r], perm_c[c]) of the stored matrix.
-        self.matrix = sps.csc_matrix((data, (perm_c[rows], perm_c[cols])), shape=shape)
-        self.order = np.argsort(perm_c)
-        ptr = self.matrix.indptr
-        keys = self.matrix.indices + 2 * n * np.repeat(np.arange(2 * n), np.diff(ptr))
-        self._slots = np.searchsorted(keys, perm_c[g.row] + 2 * n * perm_c[g.col + n])
-        self._slot_base = self.matrix.data[self._slots]
-        self._slot_gain = g.data
-        self._slot_slope = g.col
-        self._g, self._h = _both(g), _both(h)
+        lam, zero, one = grid.eigenvalues, np.zeros(n), np.ones(n)
+        self.blocks = np.array(
+            [
+                [1.0 - dt * lam, physics.latent * one, zero],
+                [zero, one, -dt * lam],
+                [physics.coupling * one, lam + self._damping, one],
+            ]
+        )
 
     def old_level(self, x: np.ndarray, rest_slope, trans: str = "N") -> np.ndarray:
         """M_k x, or M_k^T x: the derivative of the step's old-level terms
@@ -260,17 +243,24 @@ class StepOperator:
 
 
 class StepLU:
-    """The one LU of a StepOperator that a sweep holds, with `fill` stored
-    entries per unknown: forward Newton carries it from step to step, and the
-    sweeps solve each level with it (solve_at). Solves act on stacked
-    (theta, phi, mu) vectors; trans="T" solves with the transpose."""
+    """The one factor of a StepOperator that a sweep holds, linearized at the
+    convex slope `slope`: forward Newton carries it from step to step, and
+    the sweeps refactor it at each level. Solves act on stacked (theta, phi,
+    mu) vectors; trans="T" solves with the transpose.
+
+    In 1D it is the band LU of the whole operator, with `fill` stored entries
+    per unknown. In 2D it is the inverse of every DCT mode block at the mean
+    of the slope, and solves refine against the operator at the true slope;
+    where that refinement stalls, the operator at that slope is factorized
+    once with splu and the refinement goes on with that LU."""
 
     def __init__(self, stepop: StepOperator):
         self.stepop, self.lu, self.slope = stepop, None, None
 
     def refactor(self, dconvex: np.ndarray) -> "StepLU":
-        """Drop the held LU, then factorize at the convex slope dconvex
-        (LinearSolveDivergence when the operator is exactly singular)."""
+        """Drop the held factor, then factorize at the convex slope dconvex, in
+        2D by inverting the mode blocks at its mean (LinearSolveDivergence
+        when the operator is exactly singular)."""
         self.lu, self.slope, op = None, np.asarray(dconvex, dtype=float), self.stepop
         if op.band is not None:
             band = op.band.copy(order="F")
@@ -281,61 +271,62 @@ class StepLU:
                 raise LinearSolveDivergence(f"step operator is exactly singular (pivot {info})")
             self.lu, self.fill = (lu, piv), len(band)
             return self
-        op.matrix.data[op._slots] = op._slot_base + op._slot_gain * self.slope[op._slot_slope]
-        self.lu = _factorize(op.matrix, permc_spec="NATURAL")
-        self.fill = self.lu.nnz / self.lu.shape[0]
+        blocks = op.blocks.copy()
+        blocks[2, 1] -= np.mean(self.slope)
+        self.lu = _invert_blocks(blocks)
         return self
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """The solve with the operator at the LU's own slope: the banded one
-        in 1D, the mu-eliminated one in 2D."""
-        lu, slope, op, n = self.lu, self.slope, self.stepop, len(self.slope)
-        x = np.empty(3 * n)
+    def _apply(self, rhs: np.ndarray, trans: str) -> np.ndarray:
+        """The solve with the held factor alone: the band LU, the DCT mode
+        blocks at the mean slope, or the splu of a stalled refinement."""
+        lu, op = self.lu, self.stepop
         if op.band is not None:
+            x = np.empty(len(rhs))
             x[op.order] = dgbtrs(lu[0], op.kl, op.ku, rhs[op.order], lu[1], int(trans == "T"))[0]
             return x
-        b_top, b_mu, order, g, h = rhs[: 2 * n], rhs[2 * n :], op.order, op._g, op._h
-        if trans == "N":
-            x[order] = lu.solve((b_top - g["N"] @ b_mu)[order])
-            x[2 * n :] = b_mu - h["N"] @ x[: 2 * n] + slope * x[n : 2 * n]
-        else:
-            top = b_top - h["T"] @ b_mu
-            top[n:] += slope * b_mu
-            x[order] = lu.solve(top[order], trans="T")
-            x[2 * n :] = b_mu - g["T"] @ x[: 2 * n]
-        return x
+        if not isinstance(lu, np.ndarray):
+            return lu.solve(rhs, trans=trans)
+        modes = op.grid.dct(rhs.reshape(3, -1))
+        blocks = "jik" if trans == "T" else "ijk"
+        return op.grid.dct(np.einsum(f"{blocks},jk->ik", lu, modes), True).ravel()
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """The solve with the operator at the factor's own slope: the band LU's
+        in 1D, refined in 2D."""
+        if self.stepop.band is not None:
+            return self._apply(rhs, trans)
+        return self.refined(rhs, self.slope, trans)[0]
 
     def refined(self, rhs: np.ndarray, slope: np.ndarray, trans: str = "N"):
         """(x, converged) with the operator at `slope`: refined against the
         assembled operator to a residual 2-norm of _REFINE_TOL times that of rhs,
-        else the iterate before the first correction that fails to halve it."""
+        else the iterate before the first correction that fails to halve it.
+        Where that stalls with the DCT blocks, the held factor becomes the splu
+        LU of step_matrix at `slope`, and the refinement starts again with it."""
         template, bound = self.stepop.template, _REFINE_TOL * np.linalg.norm(rhs)
-        x = self.solve(rhs, trans)
+        x = self._apply(rhs, trans)
         res = rhs - _act(template, -slope, x, trans)
         res_norm = np.linalg.norm(res)
         while not res_norm <= bound:
-            trial = x + self.solve(res, trans)
+            trial = x + self._apply(res, trans)
             res = rhs - _act(template, -slope, trial, trans)
             last, res_norm = res_norm, np.linalg.norm(res)
             if not res_norm <= 0.5 * last:
-                return x, False
+                if not isinstance(self.lu, np.ndarray):
+                    return x, False
+                op = self.stepop
+                try:
+                    self.lu = splu(step_matrix(op.grid, op.dt, op.physics, slope))
+                except RuntimeError as exc:
+                    raise LinearSolveDivergence(f"fallback LU of the step operator: {exc}") from exc
+                return self.refined(rhs, slope, trans)
             x = trial
         return x, True
 
-    def solve_at(self, rhs: np.ndarray, slope: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Refine with a held LU of _CHORD_MIN_FILL entries per unknown or more
-        (2D) until it stalls; then, or at once for a sparser LU (1D), refine a
-        fresh LU at `slope`, whose last iterate sweeps check for finiteness."""
-        if self.lu is not None and self.fill >= _CHORD_MIN_FILL:
-            x, converged = self.refined(rhs, slope, trans)
-            if converged:
-                return x
-        return self.refactor(slope).refined(rhs, slope, trans)[0]
-
 
 def step_operator(grid: Grid, dt: float, physics: PhysicsParams) -> StepOperator:
-    """The StepOperator of (grid, dt, physics), built and ordered on first use
-    and kept on the grid, so that it lives exactly as long as the grid."""
+    """The StepOperator of (grid, dt, physics), built on first use and kept
+    on the grid, so that it lives exactly as long as the grid."""
     key = (float(dt), physics)
     stepop = grid.step_operators.get(key)
     if stepop is None:
@@ -388,10 +379,9 @@ def _advance_step(
 
     The residual of each iterate keeps its slope, and a Newton step
     factorizes the operator linearized with it, so the phase field of an
-    iterate is never evaluated twice. Iteration 1, and on LUs of
-    _CHORD_MIN_FILL entries per unknown every iteration after a 10x cut of
-    the residual, first tries the chord step of the LU in `held`, kept if it
-    cuts the residual 10x.
+    iterate is never evaluated twice. Iteration 1 first tries the chord step
+    of the factor in `held`, carried from the previous step, kept if it cuts
+    the residual 10x.
     """
     n = len(explicit)
     old = held.stepop.old_level(x_n, 0.0)
@@ -401,11 +391,10 @@ def _advance_step(
     scale = 1.0 + max(float(np.max(np.abs(x_n[: 2 * n]))), float(np.max(np.abs(source_step))))
     tol = max(_NEWTON_TOL, noise_floor) * scale
     res, res_norm, slope = yield x, old
-    contracted = True
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if res_norm <= tol:
             return x
-        if held.lu is not None and (it == 1 or contracted and held.fill >= _CHORD_MIN_FILL):
+        if it == 1 and held.lu is not None:
             delta = held.solve(-res)
             if np.all(np.isfinite(delta)):
                 trial = x + guard(x[n : 2 * n], delta[n : 2 * n]) * delta
@@ -432,7 +421,6 @@ def _advance_step(
                 f"{where}, Newton iteration {it}: damping stalled at residual "
                 f"{res_norm:.3e} (tol {tol:.1e})"
             )
-        contracted = trial_norm <= 0.1 * res_norm
         x = trial
         res, res_norm, slope = trial_res, trial_norm, trial_slope
     if res_norm <= tol:
@@ -489,8 +477,7 @@ def solve_states(controls: Sequence[np.ndarray], spec: ProblemSpec) -> list[Traj
     product, while every Newton decision stays with its own control. Each
     Yosida row starts its resolvent from that control's previous evaluation
     (from the shared one at phi0 at first), so the state map stays a pure
-    function of (u, spec). In 2D, where a step LU holds megabytes, the
-    marches run one after another, so only one LU is ever alive.
+    function of (u, spec). In 2D the marches run one after another.
     """
     grid, tgrid, pot = spec.grid, spec.tgrid, spec.potential
     n, nt = grid.ncells, tgrid.steps
@@ -586,7 +573,9 @@ def linear_sweep(
         A_k^T Y_{k+1} = M_{k+1}^T Y_{k+2} + f_k            (Y_{Nt+1} = 0),
 
     where f_k is forcing[k] in the (theta, phi) rows and zero in the mu rows.
-    Each level is solved with the sweep's one StepLU (StepLU.solve_at).
+    Each level refactors the sweep's one StepLU at its slope and refines
+    against the operator there (StepLU.refined), whose last iterate is
+    checked for finiteness.
     Returns forcing with row k overwritten by the (theta, phi) rows of X_{k+1}
     or Y_{k+1}: in place, as a second (steps, 2n) array raised the 2D peak
     memory. LinearSolveDivergence when a level is not finite.
@@ -600,7 +589,7 @@ def linear_sweep(
     for k in range(nt) if tangent else range(nt - 1, -1, -1):
         rhs = held.stepop.old_level(x, rest[k if tangent else k + 1], trans)
         rhs[: 2 * n] += forcing[k]
-        x = held.solve_at(rhs, convex[k], trans)
+        x = held.refactor(convex[k]).refined(rhs, convex[k], trans)[0]
         if not np.all(np.isfinite(x)):
             sweep = "tangent" if tangent else "adjoint"
             raise LinearSolveDivergence(f"{sweep} sweep broke down at time step {k + 1} of {nt}")

@@ -3,7 +3,9 @@
 The spatial operators live here: the divergence-form Laplacian with mirror
 ghost cells (zero boundary flux), means and integrals, the inverse Neumann
 operator on zero-mean data, the H / V / dual norms built on it, and the
-smoothing step: one Helmholtz solve per level with one cached LU.
+smoothing step: one Helmholtz solve per level. The orthonormal DCT-II of each
+axis diagonalizes the Laplacian, so the Helmholtz and inverse Neumann solves
+divide by its eigenvalues in the DCT basis (`dct`, `eigenvalues`).
 
 Fields are cell values flattened in C order. All cells have the same measure,
 so the measure-weighted mean is the plain arithmetic average.
@@ -12,12 +14,11 @@ so the measure-weighted mean is the plain arithmetic average.
 from __future__ import annotations
 
 import dataclasses
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.sparse.linalg import splu
 
 from .errors import LinearSolveDivergence, NonZeroMean, ShapeMismatch
 
@@ -36,6 +37,17 @@ def _axis_laplacian(n: int, h: float) -> sps.csr_matrix:
     main[0] = main[-1] = -1.0
     off = np.ones(n - 1)
     return sps.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
+
+
+@lru_cache(maxsize=None)
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix of an axis of n cells: row k is the cosine
+    mode k, which the axis Laplacian scales by -(4/h^2) sin^2(pi k / 2n).
+    Read-only and built once per n, as every command builds its grids anew."""
+    c = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(np.arange(n), np.arange(n) + 0.5) / n)
+    c[0] /= np.sqrt(2.0)
+    c.flags.writeable = False
+    return c
 
 
 class Grid:
@@ -97,24 +109,24 @@ class Grid:
         return abs(self.laplacian)
 
     @cached_property
-    def _neumann_lu(self):
-        # Saddle-point augmentation of -Laplacian with the mean constraint;
-        # symmetric indefinite but nonsingular, factorized once per grid.
-        a = (-self.laplacian).tocoo()
-        n = self.ncells
-        ones = np.ones(n)
-        k = sps.bmat(
-            [[a, ones[:, None]], [ones[None, :], None]], format="csc"
-        )
-        return splu(k)
+    def eigenvalues(self) -> np.ndarray:
+        """Laplacian eigenvalue of each DCT mode, flattened like a field; mode
+        0, the mean, is the only zero."""
+        axes = [
+            -(4.0 / h**2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+            for n, h in zip(self.cells, self.spacing)
+        ]
+        return sum(np.meshgrid(*axes, indexing="ij")).ravel()
 
-    @cached_property
-    def _helmholtz_coef(self) -> float:
-        return 4.0 * max(self.spacing) ** 2
-
-    @cached_property
-    def _helmholtz_lu(self):
-        return splu((sps.identity(self.ncells) - self._helmholtz_coef * self.laplacian).tocsc())
+    def dct(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """The DCT-II coefficients of fields on the last axis of values, or with
+        inverse=True the fields of coefficients: the Laplacian is diag(eigenvalues)
+        between them."""
+        mats = [_dct_matrix(n).T if inverse else _dct_matrix(n) for n in self.cells]
+        v = values.reshape(values.shape[:-1] + self.cells)
+        if self.dim == 2:
+            v = mats[0] @ v
+        return (v @ mats[-1].T).reshape(values.shape)
 
     @cached_property
     def step_operators(self) -> dict:
@@ -143,9 +155,8 @@ class Grid:
 
     def helmholtz_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - 4 h^2 Laplacian) w = rhs, with h the coarsest spacing."""
-        rhs = self._check(rhs)
-        w = self._helmholtz_lu.solve(rhs)
-        coef, lap = self._helmholtz_coef, self.laplacian
+        rhs, coef, lap = self._check(rhs), 4.0 * max(self.spacing) ** 2, self.laplacian
+        w = self.dct(self.dct(rhs) / (1.0 - coef * self.eigenvalues), True)
         scale = np.abs(w) + coef * (self._abs_laplacian @ np.abs(w)) + np.abs(rhs)
         self._residual_guard(rhs - (w - coef * (lap @ w)), scale, "helmholtz solve")
         return w
@@ -181,13 +192,13 @@ class Grid:
             )
         if scale == 0.0:
             return np.zeros_like(f)
-        rhs = np.concatenate([f - m, [0.0]])
-        sol = self._neumann_lu.solve(rhs)
-        g, lap = sol[:-1], self.laplacian
-        scale = self._abs_laplacian @ np.abs(g) + abs(sol[-1]) + np.abs(f - m)
-        self._residual_guard((f - m) - (-(lap @ g)) - sol[-1], scale, "inverse Neumann solve")
-        g = g - np.sum(g) / self.ncells
-        return g
+        modes = self.dct(f - m)
+        modes[0] = 0.0
+        modes[1:] /= -self.eigenvalues[1:]
+        g, lap = self.dct(modes, True), self.laplacian
+        scale = self._abs_laplacian @ np.abs(g) + np.abs(f - m)
+        self._residual_guard((f - m) + lap @ g, scale, "inverse Neumann solve")
+        return g - np.sum(g) / self.ncells
 
     # -- norms ----------------------------------------------------------------
 

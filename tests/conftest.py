@@ -74,16 +74,22 @@ def zero_control(spec: pfc.ProblemSpec) -> np.ndarray:
     return np.zeros((spec.tgrid.steps, spec.grid.ncells))
 
 
-def singular_factorizations(monkeypatch, good=0):
+def singular_factorizations(monkeypatch, good=0, blocks=True):
     """Make every step-operator factorization after the first `good` exactly
-    singular: LAPACK's dgbtrf reports a zero pivot for a 1D band LU, and
-    SuperLU's splu raises for a 2D Schur LU or its ordering."""
-    done, band, superlu = [], dynamics.dgbtrf, dynamics.splu
+    singular: LAPACK's dgbtrf reports a zero pivot for a 1D band LU, a 2D DCT
+    mode block gets a zero determinant, and splu raises for the LU of a
+    stalled 2D refinement. With blocks=False the mode blocks neither count
+    nor fail, so only band LUs and splu fallbacks do."""
+    done, band, invert, superlu = [], dynamics.dgbtrf, dynamics._invert_blocks, dynamics.splu
 
     def dgbtrf(*args, **kw):
         done.append(1)
         lu, piv, info = band(*args, **kw)
         return lu, piv, info if len(done) <= good else 7
+
+    def invert_blocks(stack):
+        done.append(1)
+        return invert(stack if len(done) <= good else 0.0 * stack)
 
     def splu(*args, **kw):
         done.append(1)
@@ -93,3 +99,5 @@ def singular_factorizations(monkeypatch, good=0):
 
     monkeypatch.setattr(dynamics, "dgbtrf", dgbtrf)
     monkeypatch.setattr(dynamics, "splu", splu)
+    if blocks:
+        monkeypatch.setattr(dynamics, "_invert_blocks", invert_blocks)

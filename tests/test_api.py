@@ -129,7 +129,7 @@ def test_no_unread_module_constants(path):
 
 #: The step operator, its LU and their methods: dynamics alone uses them.
 _STEP_INTERNALS = {
-    "StepLU", "StepOperator", "step_operator", "old_level", "solve_at", "refined", "refactor"
+    "StepLU", "StepOperator", "step_operator", "old_level", "refined", "refactor"
 }
 
 

@@ -21,6 +21,13 @@ def _random_control(spec, seed=0, amplitude=0.5):
     return amplitude * rng.uniform(-1.0, 1.0, (spec.tgrid.steps, spec.grid.ncells))
 
 
+def _counted_splu(monkeypatch):
+    """The splu factorizations of the step operator from here on, one entry each."""
+    factored, factor = [], dynamics.splu
+    monkeypatch.setattr(dynamics, "splu", lambda *a, **kw: factored.append(1) or factor(*a, **kw))
+    return factored
+
+
 def _constant_spec(regime, theta_c, phi_c):
     spec = desk_spec(regime, cells=16, steps=8)
     init = pfc.InitialData(
@@ -272,27 +279,31 @@ def _backward_errors(a, x, rhs):
 class TestStepOperator:
     @pytest.mark.parametrize("cells", [(6, 5)], ids=["cells1"])
     @pytest.mark.parametrize("visc", [0.0, 1.0])
-    def test_stored_matrix_is_the_schur_complement(self, cells, visc):
+    def test_mode_blocks_are_the_step_operator(self, cells, visc):
         grid = pfc.Grid(cells)
         n = grid.ncells
         physics = pfc.PhysicsParams(visc=visc, latent=0.7, coupling=1.3)
         dt = 0.05
         stepop = dynamics.StepOperator(grid, dt, physics)
+        # In the DCT basis of every field, the operator at a constant slope
+        # is the 3x3 block of each mode and zero between modes.
+        basis = np.kron(np.eye(3), grid.dct(np.eye(n)).T)
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(3 * n)
         # Relinearizing twice: the second slope must fully replace the first.
         for _ in range(2):
             slope = rng.uniform(0.0, 4.0, n)
-            dynamics.StepLU(stepop).refactor(slope)
-            a = dynamics.step_matrix(grid, dt, physics, slope).toarray()
-            schur = a[: 2 * n, : 2 * n] - a[: 2 * n, 2 * n :] @ a[2 * n :, : 2 * n]
-            got = stepop.matrix.toarray()
-            want = schur[stepop.order][:, stepop.order]
-            assert np.max(np.abs(got - want)) <= 1.0e-14 * np.max(np.abs(want))
-        # The slope's slots stay stored, so the pattern never changes.
-        nnz = stepop.matrix.nnz
-        dynamics.StepLU(stepop).refactor(np.zeros(n))
-        assert stepop.matrix.nnz == nnz
+            held = dynamics.StepLU(stepop).refactor(slope)
+            a = dynamics.step_matrix(grid, dt, physics, np.full(n, np.mean(slope))).toarray()
+            modes = (basis @ a @ basis.T).reshape(3, n, 3, n)
+            want = np.zeros((3, 3, n, n))
+            want[..., np.arange(n), np.arange(n)] = stepop.blocks
+            want[2, 1, np.arange(n), np.arange(n)] -= np.mean(slope)
+            scale = np.max(np.abs(a))
+            assert np.max(np.abs(modes.transpose(0, 2, 1, 3) - want)) <= 1.0e-13 * scale
+            # The held factor inverts each block at the mean slope.
+            product = np.einsum("ijk,jlk->ilk", held.lu, want[..., np.arange(n), np.arange(n)])
+            assert np.max(np.abs(product - np.eye(3)[..., None])) <= 1.0e-12
         first = dynamics.StepLU(stepop).refactor(slope).refined(rhs, slope)
         again = dynamics.StepLU(stepop).refactor(slope).refined(rhs, slope)
         assert first[1] and again[1]
@@ -347,8 +358,8 @@ class TestStepOperator:
         rhs = rng.standard_normal(3 * n)
         for slope in (np.zeros(n), rng.exponential(2.0, n)):
             lu = dynamics.StepLU(stepop).refactor(slope)
-            # Refined at its own slope, and at a nearby one, as a held LU is
-            # at the next level of a sweep.
+            # Refined at its own slope, and at a nearby one, as Newton's
+            # carried factor is at the next step.
             nearby = slope * rng.uniform(0.8, 1.2, n) + rng.uniform(0.0, 0.1, n)
             for target in (slope, nearby):
                 a = dynamics.step_matrix(grid, dt, physics, target)
@@ -357,12 +368,13 @@ class TestStepOperator:
                     assert converged
                     assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
 
-    def test_stalled_refinement_refactorizes(self):
-        # Only an LU of _CHORD_MIN_FILL entries per unknown, as on 8x8 cells,
-        # is refined at another slope (StepLU.solve_at).
+    def test_stalled_refinement_refactorizes(self, monkeypatch):
+        # Three slopes 1e3 times the rest stall the refinement with the DCT
+        # blocks at the mean slope; one splu LU at the true slope finishes it.
         grid, dt = pfc.Grid((8, 8)), 0.05
         physics = pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0)
         held = dynamics.StepLU(dynamics.StepOperator(grid, dt, physics))
+        factored = _counted_splu(monkeypatch)
         rng = np.random.default_rng(8)
         rhs = rng.standard_normal(3 * grid.ncells)
         slope = rng.uniform(1.0, 4.0, grid.ncells)
@@ -370,10 +382,12 @@ class TestStepOperator:
         jumped[[2, 7, 11]] *= 1.0e3
         a = dynamics.step_matrix(grid, dt, physics, jumped)
         for trans, op in (("N", a), ("T", a.T)):
-            assert held.refactor(slope).fill >= dynamics._CHORD_MIN_FILL
-            assert not held.refined(rhs, jumped, trans)[1]
-            x = held.solve_at(rhs, jumped, trans)
-            assert np.array_equal(held.slope, jumped)
+            factored.clear()
+            assert held.refactor(slope).refined(rhs, slope, trans)[1]
+            assert isinstance(held.lu, np.ndarray) and not factored
+            x, converged = held.refactor(jumped).refined(rhs, jumped, trans)
+            assert converged and len(factored) == 1
+            assert not isinstance(held.lu, np.ndarray)
             assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
 
     def test_non_finite_residual_ends_the_sweep(self, regular_spec):
@@ -384,7 +398,7 @@ class TestStepOperator:
         held = dynamics.StepLU(stepop).refactor(np.ones(n))
         x, converged = held.refined(np.full(3 * n, np.nan), np.ones(n))
         assert not converged and not np.all(np.isfinite(x))
-        # The held LU of level 0 stalls at time step 4, and so does a fresh one.
+        # The refinement of level 4 stalls on the infinite direction there.
         base = pfc.solve_state(zero_control(regular_spec), regular_spec)
         h = _random_control(regular_spec, seed=3)
         h[3, 5] = np.inf
@@ -450,45 +464,46 @@ class TestStepOperator:
                 assert max(_backward_errors(op, held.solve(rhs, trans), rhs)) <= 16.0
 
     def test_fill_does_not_depend_on_the_coupling(self, monkeypatch):
-        # The same MMD order applied to columns only, with partial pivoting,
-        # let the pivots leave the diagonal at latent 0.7, coupling 1.3:
-        # 83,941 fill against 26,860 at latent = coupling = 1.
+        # The splu LU of a stalled refinement, in the natural (theta, phi,
+        # mu) order with SuperLU's default ordering, holds 68 entries per
+        # unknown on 16x16 cells at latent = coupling = 1 and at latent 0.7,
+        # coupling 1.3 alike.
         fill, factor = [], dynamics.splu
 
-        def counted(a, **kw):
-            lu = factor(a, **kw)
+        def counted(a):
+            lu = factor(a)
             fill.append(lu.L.nnz + lu.U.nnz)
             return lu
 
         monkeypatch.setattr(dynamics, "splu", counted)
         grid = pfc.Grid((16, 16))
         slope = np.random.default_rng(9).uniform(0.0, 4.0, grid.ncells)
+        slope[[3, 40, 77]] *= 1.0e4
         for physics in (
             pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0),
             pfc.PhysicsParams(visc=0.0, latent=0.7, coupling=1.3),
         ):
-            dynamics.StepLU(dynamics.StepOperator(grid, 0.05, physics)).refactor(slope)
-        reference, other = fill[1], fill[3]
+            held = dynamics.StepLU(dynamics.StepOperator(grid, 0.05, physics)).refactor(slope)
+            assert held.refined(np.ones(3 * grid.ncells), slope)[1]
+        reference, other = fill
         assert abs(other - reference) <= 0.1 * reference
 
     def test_one_assembly_per_problem(self, monkeypatch):
-        assembled, factored = [], []
-        step_matrix, factor = dynamics.step_matrix, dynamics.splu
+        assembled, step_matrix = [], dynamics.step_matrix
         monkeypatch.setattr(
             dynamics, "step_matrix", lambda *a: assembled.append(1) or step_matrix(*a)
         )
-        monkeypatch.setattr(
-            dynamics, "splu", lambda a, **kw: factored.append(1) or factor(a, **kw)
-        )
+        factored = _counted_splu(monkeypatch)
         spec = desk_spec("log", cells=(12, 12), yosida_eps=1.0e-3)
         u = _random_control(spec, seed=2, amplitude=0.3)
         base = pfc.solve_state(u, spec)
         assert len(assembled) == 1
-        assert len(factored) == 2  # the ordering, and one Newton LU held across steps
         pfc.solve_state(u, spec)
         pfc.solve_tangent(u, base, spec)
         pfc.solve_adjoint(base, spec)
-        assert len(assembled) == 1
+        # The DCT refinement never stalls here, so no sweep assembles or
+        # factorizes a fallback.
+        assert len(assembled) == 1 and not factored
         assert len(spec.grid.step_operators) == 1
 
     def test_operator_lives_on_its_grid(self, regular_spec):
@@ -577,23 +592,25 @@ class TestStepOperator:
             assert np.array_equal(getattr(first, name), getattr(again, name))
 
     def test_factorizations_per_sweep(self, monkeypatch):
-        # On 2D fill each sweep refines every level against its first LU.
+        # In 2D each sweep inverts the mode blocks once per level and, with
+        # no stall, factorizes nothing else.
         spec = desk_spec(cells=(12, 12))
         dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
-        factored, factor = [], dynamics.splu
+        inverted, invert = [], dynamics._invert_blocks
         monkeypatch.setattr(
-            dynamics, "splu", lambda a, **kw: factored.append(1) or factor(a, **kw)
+            dynamics, "_invert_blocks", lambda b: inverted.append(1) or invert(b)
         )
+        factored = _counted_splu(monkeypatch)
         u = _random_control(spec, seed=2, amplitude=0.3)
         base = pfc.solve_state(u, spec)
-        assert len(factored) <= spec.tgrid.steps + 3
+        assert len(inverted) <= 2 * spec.tgrid.steps and not factored
         for sweep in (
             lambda: pfc.solve_tangent(u, base, spec),
             lambda: pfc.solve_adjoint(base, spec),
         ):
-            factored.clear()
+            inverted.clear()
             sweep()
-            assert len(factored) == 1
+            assert len(inverted) == spec.tgrid.steps and not factored
 
     @pytest.mark.parametrize("regime,eps", _REGIMES)
     def test_one_band_factorization_and_solve_per_1d_level(self, regime, eps, monkeypatch):
@@ -619,27 +636,26 @@ class TestStepOperator:
 
     @pytest.mark.parametrize("regime,eps", _REGIMES)
     def test_factorizations_per_2d_solve(self, regime, eps, monkeypatch):
-        # On 2D fill forward Newton keeps its LU across iterations and steps.
+        # The DCT refinement of a 2D desk solve never stalls, so it makes no
+        # splu factorization.
         spec = desk_spec(regime, cells=(12, 12), steps=8, yosida_eps=eps)
         dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
-        factored, factor = [], dynamics.splu
-        monkeypatch.setattr(
-            dynamics, "splu", lambda a, **kw: factored.append(1) or factor(a, **kw)
-        )
+        factored = _counted_splu(monkeypatch)
         pfc.solve_state(_random_control(spec, seed=2, amplitude=0.3), spec)
-        assert len(factored) <= 2
+        assert not factored
 
-    def test_chord_gate_separates_1d_from_2d_fill(self):
-        # Stored LU entries per unknown: 13 for the 1D band LUs (kl = ku = 4),
-        # 54 and 105 for the 2D Schur LUs.
-        def fill(spec):
-            held = dynamics.StepLU(dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics))
-            return held.refactor(np.zeros(spec.grid.ncells)).fill
+    def test_held_factors_are_small(self):
+        # Stored entries per unknown: 13 for the 1D band LUs (kl = ku = 4),
+        # and the nine entries of one inverse block per 2D mode.
+        def held(spec):
+            stepop = dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
+            return dynamics.StepLU(stepop).refactor(np.zeros(spec.grid.ncells))
 
         for cells in (32, 64, 128, 256, 512):
-            assert fill(desk_spec(cells=cells)) <= 0.5 * dynamics._CHORD_MIN_FILL
+            assert held(desk_spec(cells=cells)).fill <= 13
         for cells in ((12, 12), (48, 48)):
-            assert fill(desk_spec(cells=cells)) >= 1.5 * dynamics._CHORD_MIN_FILL
+            spec = desk_spec(cells=cells)
+            assert held(spec).lu.shape == (3, 3, spec.grid.ncells)
 
     @pytest.mark.parametrize("cells", [32, (12, 12)], ids=["band", "schur"])
     def test_singular_factorization_is_typed(self, cells, monkeypatch):
@@ -650,8 +666,8 @@ class TestStepOperator:
 
     @pytest.mark.parametrize("cells", [32, (12, 12)], ids=["band", "schur"])
     def test_singular_newton_factorization_is_typed(self, cells, monkeypatch):
-        # The first factorization succeeds: the first Newton LU in 1D, the
-        # ordering in 2D. A later Newton factorization fails.
+        # The first factorization succeeds: the first Newton band LU in 1D,
+        # the first mode blocks in 2D. A later Newton factorization fails.
         spec = desk_spec(cells=cells)
         singular_factorizations(monkeypatch, good=1)
         with pytest.raises(pfc.LinearSolveDivergence, match="exactly singular"):
@@ -696,14 +712,10 @@ class TestCarriedLU:
         monkeypatch.setattr(dynamics, "StepLU", stale)
         used.clear()
         got = pfc.solve_state(u, spec)
-        # Every step after the first tries its carried LU, rejects its step
-        # and goes on with as many Newton iterations as with no carry: once
-        # in 1D, and on 2D fill again after each 10x cut of the residual.
+        # Every step after the first tries its carried factor once, rejects
+        # its step and goes on with as many Newton iterations as with no carry.
         stale = sum(all(lu is not f for f in fresh) for lu in used)
-        if spec.grid.dim == 1:
-            assert stale == spec.tgrid.steps - 1
-        else:
-            assert stale > spec.tgrid.steps - 1
+        assert stale == spec.tgrid.steps - 1
         assert len(fresh) == len(uncarried_fresh)
         for name in ("theta", "phi", "mu"):
             assert np.max(np.abs(getattr(got, name) - getattr(uncarried, name))) <= 1.0e-12
@@ -711,8 +723,9 @@ class TestCarriedLU:
 
     @pytest.mark.parametrize("regime,eps", [("regular", 0.0), ("log", 1.0e-3)])
     def test_large_2d_source_needs_few_evaluations_per_step(self, regime, eps, monkeypatch):
-        # A chord step counts only when it cuts the residual 10x: accepting
-        # 2x cuts takes 38 evaluations on a quartic step here.
+        # Only iteration 1 tries the carried chord step; every later Newton
+        # iteration refactorizes at its iterate. A step here takes at most 12
+        # evaluations on the quartic well and 16 on the Yosida-log one.
         spec = desk_spec(regime, cells=(12, 12), steps=8, yosida_eps=eps)
         evaluations, advance = [], dynamics._advance_step
 
@@ -765,6 +778,49 @@ class TestCarriedLU:
         monkeypatch.setattr(dynamics, "_domain_guard", domain_guard)
         with pytest.raises(pfc.DomainEscape, match=r"^time step 2 of 16, Newton iteration 1: "):
             pfc.solve_state(zero_control(spec), spec)
+
+
+def _bang_bang(spec, amplitude):
+    """amplitude * sign(cos(pi x)) at every level."""
+    x = spec.grid.coords()[:, 0]
+    return np.tile(amplitude * np.sign(np.cos(np.pi * x)), (spec.tgrid.steps, 1))
+
+
+class TestSpluFallback:
+    @pytest.mark.parametrize(
+        "regime,eps,amplitude",
+        [("regular", None, 3.0e3), ("log", 1.0e-3, 300.0)],
+        ids=["quartic-3000", "yosida-log-300"],
+    )
+    def test_stalled_2d_refinement_falls_back_to_splu(self, regime, eps, amplitude, monkeypatch):
+        # Bang-bang sources this large move the slope so far from its mean
+        # that refinement with the DCT blocks stalls; the splu LU of the
+        # operator at the true slope then solves every sweep exactly.
+        spec = desk_spec(regime, (8, 8), 4, eps)
+        factored = _counted_splu(monkeypatch)
+        u = _bang_bang(spec, amplitude)
+        state = pfc.solve_state(u, spec)
+        h = np.random.default_rng(0).standard_normal(u.shape)
+        lhs = pfc.lq_inner(pfc.solve_adjoint(state, spec), h, spec)
+        rhs = pfc.dj_along_tangent(pfc.solve_tangent(h, state, spec), state, spec.cost)
+        assert abs(lhs - rhs) <= 1.0e-10 * max(abs(lhs), abs(rhs))
+        assert factored
+
+    def test_singular_fallback_lu_is_typed(self, monkeypatch):
+        spec = desk_spec("regular", (8, 8), 4)
+        singular_factorizations(monkeypatch, blocks=False)
+        with pytest.raises(pfc.LinearSolveDivergence, match="exactly singular"):
+            pfc.solve_state(_bang_bang(spec, 3.0e3), spec)
+
+    def test_benchmark_sized_2d_problem_never_falls_back(self, monkeypatch):
+        # The 48x48, Nt=16 quartic problem of the 2D sweep benchmark.
+        spec = desk_spec(cells=(48, 48), steps=16)
+        factored = _counted_splu(monkeypatch)
+        u = _random_control(spec, seed=7, amplitude=1.0)
+        state = pfc.solve_state(u, spec)
+        pfc.solve_tangent(_random_control(spec, seed=8), state, spec)
+        pfc.solve_adjoint(state, spec)
+        assert not factored
 
 
 #: Wells of the batch tests, on desk_spec("log") data (unit viscosity).

@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
 
 import pfcontrol as pfc
 from pfcontrol.errors import LinearSolveDivergence, NonZeroMean, ShapeMismatch
@@ -158,18 +156,31 @@ def test_anisotropic_helmholtz_solve_passes_its_guard():
 
 @pytest.mark.parametrize("cells", [24, (8, 2)])
 def test_corrupted_solves_raise(cells):
-    # Factors of a slightly wrong matrix leave a backward error of about 1e-6.
+    # Eigenvalues off by a relative 1e-6 leave a backward error of about 1e-6.
     grid = pfc.Grid(cells)
-    n, lap = grid.ncells, grid.laplacian
-    wrong = (1.0 + 1.0e-6) * lap
-    grid._helmholtz_lu = splu((sps.identity(n) - grid._helmholtz_coef * wrong).tocsc())
-    ones = np.ones((n, 1))
-    grid._neumann_lu = splu(sps.bmat([[-wrong, ones], [ones.T, None]], format="csc"))
-    f = np.cos(np.arange(n))
+    grid.eigenvalues = (1.0 + 1.0e-6) * grid.eigenvalues
+    f = np.cos(np.arange(grid.ncells))
     with pytest.raises(LinearSolveDivergence, match="^helmholtz solve: componentwise"):
         grid.helmholtz_solve(f)
     with pytest.raises(LinearSolveDivergence, match="^inverse Neumann solve: componentwise"):
         grid.inverse_neumann(f - f.mean())
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [pfc.Grid(24), pfc.Grid((16, 4), (1.0, 0.3)), pfc.Grid((48, 48))],
+    ids=["24", "16x4-anisotropic", "48x48"],
+)
+def test_dct_diagonalizes_the_laplacian(grid):
+    # C^T diag(eigenvalues) C, applied to the unit fields in chunks of rows;
+    # the Laplacian is symmetric, so row j of the product is its row j.
+    lap = grid.laplacian
+    for rows in np.array_split(np.arange(grid.ncells), max(1, grid.ncells // 256)):
+        unit = np.zeros((len(rows), grid.ncells))
+        unit[np.arange(len(rows)), rows] = 1.0
+        got = grid.dct(grid.eigenvalues * grid.dct(unit), inverse=True)
+        want = lap[rows].toarray()
+        assert np.max(np.abs(got - want)) <= 1.0e-13 * np.max(np.abs(lap.data))
 
 
 def test_2d_laplacian_consistent_with_1d():
