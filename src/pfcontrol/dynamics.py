@@ -301,17 +301,22 @@ class StepLU:
         """(x, converged) with the operator at `slope`: refined against the
         assembled operator to a residual 2-norm of _REFINE_TOL times that of rhs,
         else the iterate before the first correction that fails to halve it.
+        The refinement aims at half that bound, so that the rounding of another
+        evaluation of the residual cannot carry a converged x past it; it stops
+        at the bound itself only where the next correction fails to halve.
         Where that stalls with the DCT blocks, the held factor becomes the splu
         LU of step_matrix at `slope`, and the refinement starts again with it."""
         template, bound = self.stepop.template, _REFINE_TOL * np.linalg.norm(rhs)
         x = self._apply(rhs, trans)
         res = rhs - _act(template, -slope, x, trans)
         res_norm = np.linalg.norm(res)
-        while not res_norm <= bound:
+        while not res_norm <= 0.5 * bound:
             trial = x + self._apply(res, trans)
             res = rhs - _act(template, -slope, trial, trans)
             last, res_norm = res_norm, np.linalg.norm(res)
             if not res_norm <= 0.5 * last:
+                if last <= bound:
+                    return x, True
                 if not isinstance(self.lu, np.ndarray):
                     return x, False
                 op = self.stepop
