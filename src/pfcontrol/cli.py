@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -275,6 +276,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# Built once per process, with the command functions it dispatches to: a
+# parser is a web of reference cycles (actions, groups, formatters), and one
+# built per call left about 280 objects that only a full collection frees.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfcontrol",

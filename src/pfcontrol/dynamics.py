@@ -31,7 +31,12 @@ block inverses and every solve refines against the operator at the true
 slope. Only where that refinement stalls, on slopes far from their mean, is
 the operator at the true slope factorized, once, by splu. Each sweep holds
 one factor (StepLU); forward Newton first tries the chord step of the one
-carried from the previous step.
+carried from the previous step. It also starts from the residual and slope
+of the previous step's last iterate, so only step 1 evaluates its old level.
+In 1D a fresh band LU needs no refinement: a linearized sweep solves every
+level with its band LU alone, checks the residuals of all levels in one
+template product, and refines level by level only from the first level that
+misses the bound.
 
 solve_states marches several controls of one spec together. Each control's
 march is one coroutine over its steps' Newton solves: it yields every iterate
@@ -248,11 +253,11 @@ class StepLU:
     the sweeps refactor it at each level. Solves act on stacked (theta, phi,
     mu) vectors; trans="T" solves with the transpose.
 
-    In 1D it is the band LU of the whole operator, with `fill` stored entries
-    per unknown. In 2D it is the inverse of every DCT mode block at the mean
-    of the slope, and solves refine against the operator at the true slope;
-    where that refinement stalls, the operator at that slope is factorized
-    once with splu and the refinement goes on with that LU."""
+    In 1D it is the band LU of the whole operator. In 2D it is the inverse of
+    every DCT mode block at the mean of the slope, and solves refine against
+    the operator at the true slope; where that refinement stalls, the
+    operator at that slope is factorized once with splu and the refinement
+    goes on with that LU."""
 
     def __init__(self, stepop: StepOperator):
         self.stepop, self.lu, self.slope = stepop, None, None
@@ -269,7 +274,7 @@ class StepLU:
             assert info >= 0, f"dgbtrf argument {-info} is invalid"
             if info > 0:
                 raise LinearSolveDivergence(f"step operator is exactly singular (pivot {info})")
-            self.lu, self.fill = (lu, piv), len(band)
+            self.lu = lu, piv
             return self
         blocks = op.blocks.copy()
         blocks[2, 1] -= np.mean(self.slope)
@@ -365,10 +370,11 @@ def _advance_step(
     source_step: np.ndarray,
     guard: Callable[[np.ndarray, np.ndarray], float],
     noise_floor: float,
+    carry: tuple[np.ndarray, np.ndarray] | None,
     where: str,
 ):
     """One damped-Newton solve of the coupled step equations at step `where`,
-    as a coroutine that returns the new level.
+    as a coroutine that returns the new level and its carry.
 
     x_n stacks the old level (theta_n, phi_n) and the starting guess for mu;
     source_step is dt times the source at the new level. The residual is
@@ -376,6 +382,14 @@ def _advance_step(
     formed once. The coroutine yields each iterate x with `old` and is sent
     back (res, res_norm, slope): the residual, its max norm and the convex
     slope at phi. solve_states forms them, for many controls at once.
+
+    carry = (acted, slope) is the previous step's last evaluation, acted =
+    template @ x_n - (0, 0, B(phi_n)) and the convex slope at phi_n, both
+    owned arrays; the step takes it over, so Newton starts from res = acted -
+    old without evaluating x_n again. It was evaluated before _march shifted
+    phi_n to re-anchor the phase mean, a shift below the Newton tolerance.
+    With carry None (step 1) the step yields x_n first. The step returns
+    (x, carry) for the next one.
 
     The tolerance scales with the size of the old level and of the source
     increment. noise_floor lifts it to the evaluation noise of the nonlinear
@@ -395,10 +409,16 @@ def _advance_step(
     x = x_n.copy()
     scale = 1.0 + max(float(np.max(np.abs(x_n[: 2 * n]))), float(np.max(np.abs(source_step))))
     tol = max(_NEWTON_TOL, noise_floor) * scale
-    res, res_norm, slope = yield x, old
+    if carry is None:
+        res, res_norm, slope = yield x, old
+    else:
+        res, slope = carry
+        res -= old
+        res_norm = float(np.max(np.abs(res)))
+    del carry
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if res_norm <= tol:
-            return x
+            break
         if it == 1 and held.lu is not None:
             delta = held.solve(-res)
             if np.all(np.isfinite(delta)):
@@ -428,18 +448,21 @@ def _advance_step(
             )
         x = trial
         res, res_norm, slope = trial_res, trial_norm, trial_slope
-    if res_norm <= tol:
-        return x
-    raise NewtonDivergence(
-        f"{where}: no convergence after Newton iteration {_NEWTON_MAX_ITER} "
-        f"(residual {res_norm:.3e}, tol {tol:.1e})"
-    )
+    if not res_norm <= tol:
+        raise NewtonDivergence(
+            f"{where}: no convergence after Newton iteration {_NEWTON_MAX_ITER} "
+            f"(residual {res_norm:.3e}, tol {tol:.1e})"
+        )
+    # Owned copies: in lockstep res and slope are rows of the round's stacks.
+    return x, (res + old, slope.copy())
 
 
 def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
     """The march of one control over the whole horizon, as a coroutine that
     passes on the iterates of every _advance_step and returns the Trajectory.
-    x0 stacks theta0, phi0 and the starting guess for mu."""
+    x0 stacks theta0, phi0 and the starting guess for mu. Each step hands its
+    last evaluation to the next (the carry of _advance_step), so only step 1
+    evaluates its old level x0."""
     grid, tgrid, pot = spec.grid, spec.tgrid, spec.potential
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
     guard = _domain_guard(pot) if pot.is_singular and pot.yosida_eps == 0 else _unguarded
@@ -448,17 +471,20 @@ def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
     theta[0], phi[0] = x0[:n], x0[n : 2 * n]
     phase_mean = float(np.sum(phi[0])) / n
     held = StepLU(step_operator(grid, dt, spec.physics))
-    x = x0
+    x, carry = x0, None
     for k in range(nt):
-        x = yield from _advance_step(
+        step = _advance_step(
             held,
             pot.dw_rest(phi[k]),
             x,
             dt * source[k],
             guard,
             noise_floor,
+            carry,
             f"time step {k + 1} of {nt}",
         )
+        carry = None  # the step owns it now and reuses its array
+        x, carry = yield from step
         # Re-anchor the conserved mean; the shift is below Newton tolerance.
         x[n : 2 * n] += phase_mean - float(np.sum(x[n : 2 * n])) / n
         theta[k + 1], phi[k + 1], mu[k] = x[:n], x[n : 2 * n], x[2 * n :]
@@ -539,9 +565,9 @@ def _lockstep(marches: list, template: sps.csr_matrix, pot: Potential, first) ->
                 done[i] = stop.value
                 del pending[i]
     # The last march, or a batch of one, runs on alone with nothing to stack:
-    # the stacked round costs a solo march about 4 us more per Newton round
-    # (2.10 -> 2.28 ms per quartic 1D desk solve), and an optimizer round is
-    # a batch of one once a single run is left.
+    # stacking and indexing the rows of a round of one only add to each
+    # Newton round, and an optimizer round is a batch of one once a single
+    # run is left.
     for i, (x, old) in pending.items():
         previous = None if carried is None else [a[i] for a in carried]
         try:
@@ -581,6 +607,13 @@ def linear_sweep(
     Each level refactors the sweep's one StepLU at its slope and refines
     against the operator there (StepLU.refined), whose last iterate is
     checked for finiteness.
+
+    In 1D a fresh band LU meets the refinement bound with no correction, so
+    every level is first solved with its band LU alone, and the residuals of
+    all levels are formed in one template product and checked against the
+    bound StepLU.refined aims at. From the first level, in sweep order, that
+    misses it or is not finite, the sweep goes on level by level as in 2D, so
+    its results and errors are those of the level-by-level sweep.
     Returns forcing with row k overwritten by the (theta, phi) rows of X_{k+1}
     or Y_{k+1}: in place, as a second (steps, 2n) array raised the 2D peak
     memory. LinearSolveDivergence when a level is not finite.
@@ -590,8 +623,28 @@ def linear_sweep(
     held = StepLU(step_operator(state.grid, state.tgrid.dt, spec.physics))
     # The slopes of all levels, each from one call: entries are independent.
     convex, rest = pot.d2w_convex_eff(state.phi[1:]), pot.d2w_rest(state.phi)
+    levels = range(nt) if tangent else range(nt - 1, -1, -1)
     x = np.zeros(3 * n)
-    for k in range(nt) if tangent else range(nt - 1, -1, -1):
+    if held.stepop.band is not None:
+        rhs, xs = np.empty((nt, 3 * n)), np.empty((nt, 3 * n))
+        for k in levels:
+            rhs[k] = held.stepop.old_level(x, rest[k if tangent else k + 1], trans)
+            rhs[k, : 2 * n] += forcing[k]
+            xs[k] = x = held.refactor(convex[k])._apply(rhs[k], trans)
+        bound = 0.5 * _REFINE_TOL * np.linalg.norm(rhs, axis=1)
+        # The residuals rhs_k - A_k x_k of all levels, in place.
+        rhs -= (held.stepop.template[trans] @ xs.T).T
+        if tangent:
+            rhs[:, 2 * n :] += convex * xs[:, n : 2 * n]
+        else:
+            rhs[:, n : 2 * n] += convex * xs[:, 2 * n :]
+        passed = np.linalg.norm(rhs, axis=1) <= bound
+        checked = next((j for j, k in enumerate(levels) if not passed[k]), nt)
+        for k in levels[:checked]:
+            forcing[k] = xs[k, : 2 * n]
+        x = xs[levels[checked - 1]] if checked else np.zeros(3 * n)
+        levels = levels[checked:]
+    for k in levels:
         rhs = held.stepop.old_level(x, rest[k if tangent else k + 1], trans)
         rhs[: 2 * n] += forcing[k]
         x = held.refactor(convex[k]).refined(rhs, convex[k], trans)[0]

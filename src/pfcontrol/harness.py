@@ -133,9 +133,11 @@ def fd_gradient_check(
     steps = (delta, delta / 2.0)
     controls = [v for h in hs for step in steps for v in (u + step * h, u - step * h)]
     state, *perturbed = solve_states([u] + controls, spec)
-    grad = solve_adjoint(state, spec)
     # The costs in march order: +-delta, then +-delta/2, direction by direction.
+    # The perturbed trajectories go before the adjoint sweep runs.
     costs = iter([cost_value(traj, spec.cost) for traj in perturbed])
+    del perturbed
+    grad = solve_adjoint(state, spec)
     directions = []
     worst = 0.0
     for h in hs:

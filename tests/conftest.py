@@ -1,6 +1,9 @@
 """Shared fixtures: two small 1D configurations exercising both potential
 regimes, sized so the full suite stays fast."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,13 @@ def log_spec() -> pfc.ProblemSpec:
 @pytest.fixture
 def exact_log_spec() -> pfc.ProblemSpec:
     return desk_spec("log")
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this checkout's
+    pfcontrol and the tests' helpers."""
+    paths = [str(Path(pfc.__file__).parent.parent), str(Path(__file__).parent)]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def zero_control(spec: pfc.ProblemSpec) -> np.ndarray:

@@ -6,7 +6,6 @@ SciPy modules."""
 import ast
 import importlib
 import importlib.util
-import os
 import pkgutil
 import re
 import subprocess
@@ -16,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import pfcontrol as pfc
+from conftest import child_env
 
 MODULES = ["pfcontrol"] + [
     f"pfcontrol.{info.name}"
@@ -58,10 +58,8 @@ def test_optimize_does_not_import_scipy_optimize():
         "assert pfc.optimize(desk_spec(cells=8, steps=4), opts=opts).iterations > 0\n"
         "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n"
     )
-    paths = [str(Path(pfc.__file__).parent.parent), str(Path(__file__).parent)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"

@@ -4,6 +4,7 @@ deterministic outputs, exit codes."""
 import argparse
 import copy
 import dataclasses
+import gc
 import json
 import re
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 import pfcontrol as pfc
 import pfcontrol.cli as cli
-from conftest import singular_factorizations
+from conftest import child_env, singular_factorizations
 from pfcontrol import config, control, dynamics
 from pfcontrol.config import (
     _Collector,
@@ -973,11 +974,28 @@ class TestCliMisc:
         assert code == 0
         assert pfc.__version__ in out
 
+    def test_calls_leave_no_parsers_behind(self, config_file, capsys):
+        # A parser is a web of reference cycles: one built per call would
+        # stay alive until the cyclic garbage collector ran.
+        path = config_file()
+        run_cli(["solve", "--config", path], capsys)
+        gc.collect()
+        gc.disable()
+        try:
+            before = sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+            for _ in range(3):
+                assert run_cli(["solve", "--config", path], capsys)[0] == 0
+            after = sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert after == before
+
     def test_module_entry_point(self, config_file):
         proc = subprocess.run(
             [sys.executable, "-m", "pfcontrol", "--version"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert pfc.__version__ in proc.stdout

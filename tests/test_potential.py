@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pfcontrol as pfc
+from conftest import child_env
 from pfcontrol.errors import OutOfDomain
 
 
@@ -175,7 +176,7 @@ def test_resolvent_fails_instead_of_hanging(call):
         f"try:\n    {call}\nexcept pfc.RootSolveFailure:\n    print('RootSolveFailure')\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.stdout.strip() == "RootSolveFailure", proc.stderr
 
