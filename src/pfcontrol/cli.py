@@ -56,8 +56,25 @@ _EXIT_CONFIG = 2
 _EXIT_CHECK = 3
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), with the C encoder for all
+    but the indentation: indent selects json's pure-Python encoder, whose
+    closures every call leaves behind as cyclic garbage."""
+    inner, ends = indent + "  ", "[]"
+    if isinstance(value, dict) and value:
+        ends, items = "{}", [
+            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+    elif isinstance(value, (list, tuple)) and value:
+        items = [_json_text(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def _write_json(payload: dict, path: Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if path:
         Path(path).write_text(text)
     else:

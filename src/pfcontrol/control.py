@@ -179,18 +179,21 @@ def _lbfgs_direction(
 ) -> np.ndarray:
     """-H grad on the free nodes, zero elsewhere, by the two-loop recursion: H
     is the L-BFGS inverse-Hessian estimate, in the L2(Q) inner product, of the
-    stored (s, y) pairs restricted to the free nodes. Pairs without positive
-    curvature there are skipped."""
-    pairs = [(s * free, y * free) for s, y in pairs]
-    pairs = [(s, y) for s, y in pairs if lq_inner(s, y, spec) > _CURVATURE * lq_inner(y, y, spec)]
+    stored (s, y) pairs restricted to the free nodes, masked as they are used.
+    Pairs without positive curvature there are skipped."""
+
+    def inner(a, b):  # on the free nodes; q is zero off them and needs no mask
+        return lq_inner(a, b * free, spec)
+
+    pairs = [(s, y) for s, y in pairs if inner(s, y) > _CURVATURE * inner(y, y)]
     q, alphas = grad * free, []
     for s, y in reversed(pairs):
-        alphas.append(lq_inner(s, q, spec) / lq_inner(s, y, spec))
-        q -= alphas[-1] * y
+        alphas.append(lq_inner(s, q, spec) / inner(s, y))
+        q -= alphas[-1] * y * free
     if pairs:
-        q *= lq_inner(*pairs[-1], spec) / lq_inner(pairs[-1][1], pairs[-1][1], spec)
+        q *= inner(*pairs[-1]) / inner(pairs[-1][1], pairs[-1][1])
     for (s, y), a in zip(pairs, reversed(alphas)):
-        q += (a - lq_inner(y, q, spec) / lq_inner(s, y, spec)) * s
+        q += (a - lq_inner(y, q, spec) / inner(s, y)) * s * free
     return -q
 
 

@@ -26,13 +26,15 @@ each (grid, dt, physics) has one StepOperator (step_operator), built once and
 kept on the grid for as long as the grid lives. In 1D its factor is a LAPACK
 band LU of the whole operator in interleaved (theta_i, phi_i, mu_i) order,
 normwise backward stable. In 2D the grid's DCT diagonalizes the Laplacian, so
-at the mean slope the operator is one 3x3 block per mode; the factor holds the
-block inverses and every solve refines against the operator at the true
-slope. Only where that refinement stalls, on slopes far from their mean, is
-the operator at the true slope factorized, once, by splu. Each sweep holds
-one factor (StepLU); forward Newton first tries the chord step of the one
-carried from the previous step. It also starts from the residual and slope
-of the previous step's last iterate, so only step 1 evaluates its old level.
+at the mean slope the operator is one 3x3 block per mode, which a solve
+eliminates in closed form; solves refine against the operator at the true
+slope, Newton's to a residual of _FORCING times its right-hand side (inexact
+Newton), the linearized sweeps' to _REFINE_TOL. Only where that refinement
+stalls, on slopes far from their mean, is the operator at the true slope
+factorized, once, by splu. Each sweep holds one factor (StepLU); forward
+Newton first tries the chord step of the one carried from the previous step.
+It also starts from the residual and slope of the previous step's last
+iterate, so only step 1 evaluates its old level.
 In 1D a fresh band LU needs no refinement: a linearized sweep solves every
 level with its band LU alone, checks the residuals of all levels in one
 template product, and refines level by level only from the first level that
@@ -92,6 +94,9 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_BACKTRACKS = 40
 #: Relative residual 2-norm at which refined solves stop.
 _REFINE_TOL = 1.0e-12
+#: Forcing term of inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+#: Anal. 1982): the residual cut of a 2D Newton solve and of a chord step.
+_FORCING = 0.1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,19 +173,12 @@ def _act(matrices: dict, slope, x: np.ndarray, trans: str) -> np.ndarray:
     return out
 
 
-def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
-    """The inverses of a stack of 3x3 blocks, shaped (3, 3, modes), by
-    cofactors; LinearSolveDivergence when a determinant is zero."""
-    inverse = np.empty_like(blocks)
-    for i in range(3):
-        for j in range(3):
-            # The cofactor of entry (j, i); cyclic order carries its sign.
-            (a, b), (c, d) = ((j + 1) % 3, (j + 2) % 3), ((i + 1) % 3, (i + 2) % 3)
-            inverse[i, j] = blocks[a, c] * blocks[b, d] - blocks[a, d] * blocks[b, c]
-    det = np.sum(blocks[0] * inverse[:, 0], axis=0)
-    if not np.all(det != 0.0):
+def _mode_pivots(b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """den = 1 + b g per DCT mode (StepOperator); a zero makes its block singular."""
+    den = 1.0 + b * g
+    if not np.all(den != 0.0):
         raise LinearSolveDivergence("step operator is exactly singular (a DCT mode block)")
-    return inverse / det
+    return den
 
 
 class StepOperator:
@@ -196,10 +194,12 @@ class StepOperator:
 
     In 2D the orthonormal DCT-II of the grid (Grid.dct) diagonalizes the
     Laplacian, so at a constant slope s the operator is one 3x3 block per
-    mode with Laplacian eigenvalue lam,
-    [[1 - dt lam, latent, 0], [0, 1, -dt lam], [coupling, lam - visc/dt - s, 1]],
-    and its transpose is the transposed block. `blocks` holds them at s = 0,
-    shaped (3, 3, modes).
+    mode with Laplacian eigenvalue lam, [[a, latent, 0], [0, 1, b], [coupling,
+    lam - visc/dt - s, 1]] with a = 1 - dt lam >= 1 and b = -dt lam. Without
+    theta it is a 2x2 block of determinant den = 1 + b g, g = coupling latent
+    / a - (lam - visc/dt) + s, which StepLU solves by Cramer's rule (phi =
+    r2 - b mu would cancel where b is large). `a`, `b`, `latent_a`,
+    `coupling_a` (latent, coupling over a) and `g0` (g at s = 0) hold them.
     """
 
     def __init__(self, grid: Grid, dt: float, physics: PhysicsParams):
@@ -218,14 +218,10 @@ class StepOperator:
             self.band = np.zeros((2 * self.kl + self.ku + 1, 3 * n), order="F")
             self.band[self.kl + self.ku + rows - cols, cols] = coo.data
             return
-        lam, zero, one = grid.eigenvalues, np.zeros(n), np.ones(n)
-        self.blocks = np.array(
-            [
-                [1.0 - dt * lam, physics.latent * one, zero],
-                [zero, one, -dt * lam],
-                [physics.coupling * one, lam + self._damping, one],
-            ]
-        )
+        lam = grid.eigenvalues
+        self.a, self.b = 1.0 - dt * lam, -dt * lam
+        self.latent_a, self.coupling_a = physics.latent / self.a, physics.coupling / self.a
+        self.g0 = physics.latent * self.coupling_a - (lam + self._damping)
 
     def old_level(self, x: np.ndarray, rest_slope, trans: str = "N") -> np.ndarray:
         """M_k x, or M_k^T x: the derivative of the step's old-level terms
@@ -253,19 +249,19 @@ class StepLU:
     the sweeps refactor it at each level. Solves act on stacked (theta, phi,
     mu) vectors; trans="T" solves with the transpose.
 
-    In 1D it is the band LU of the whole operator. In 2D it is the inverse of
-    every DCT mode block at the mean of the slope, and solves refine against
-    the operator at the true slope; where that refinement stalls, the
-    operator at that slope is factorized once with splu and the refinement
-    goes on with that LU."""
+    In 1D it is the band LU of the whole operator. In 2D it is (g, den) of
+    every DCT mode block at the mean of the slope, solved in closed form, and
+    solves refine against the operator at the true slope; where that
+    refinement stalls, the operator at that slope is factorized once with
+    splu and the refinement goes on with that LU."""
 
     def __init__(self, stepop: StepOperator):
         self.stepop, self.lu, self.slope = stepop, None, None
 
     def refactor(self, dconvex: np.ndarray) -> "StepLU":
         """Drop the held factor, then factorize at the convex slope dconvex, in
-        2D by inverting the mode blocks at its mean (LinearSolveDivergence
-        when the operator is exactly singular)."""
+        2D by the mode pivots at its mean (LinearSolveDivergence when the
+        operator is exactly singular)."""
         self.lu, self.slope, op = None, np.asarray(dconvex, dtype=float), self.stepop
         if op.band is not None:
             band = op.band.copy(order="F")
@@ -276,14 +272,13 @@ class StepLU:
                 raise LinearSolveDivergence(f"step operator is exactly singular (pivot {info})")
             self.lu = lu, piv
             return self
-        blocks = op.blocks.copy()
-        blocks[2, 1] -= np.mean(self.slope)
-        self.lu = _invert_blocks(blocks)
+        g = op.g0 + np.mean(self.slope)
+        self.lu = np.array([g, _mode_pivots(op.b, g)])
         return self
 
     def _apply(self, rhs: np.ndarray, trans: str) -> np.ndarray:
         """The solve with the held factor alone: the band LU, the DCT mode
-        blocks at the mean slope, or the splu of a stalled refinement."""
+        blocks at the mean slope (StepOperator), or a stalled refinement's splu."""
         lu, op = self.lu, self.stepop
         if op.band is not None:
             x = np.empty(len(rhs))
@@ -291,27 +286,36 @@ class StepLU:
             return x
         if not isinstance(lu, np.ndarray):
             return lu.solve(rhs, trans=trans)
-        modes = op.grid.dct(rhs.reshape(3, -1))
-        blocks = "jik" if trans == "T" else "ijk"
-        return op.grid.dct(np.einsum(f"{blocks},jk->ik", lu, modes), True).ravel()
+        (g, den), (r1, r2, r3) = lu, op.grid.dct(rhs.reshape(3, -1))
+        if trans == "N":
+            t = r3 - op.coupling_a * r1
+            phi = (r2 - op.b * t) / den
+            x = ((r1 - op.physics.latent * phi) / op.a, phi, (t + g * r2) / den)
+        else:
+            t = r2 - op.latent_a * r1
+            mu = (r3 - op.b * t) / den
+            x = ((r1 - op.physics.coupling * mu) / op.a, (t + g * r3) / den, mu)
+        return op.grid.dct(np.array(x), True).ravel()
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """The solve with the operator at the factor's own slope: the band LU's
-        in 1D, refined in 2D."""
+        """A Newton step's solve with the operator at the factor's own slope:
+        the band LU's in 1D, refined to a residual of _FORCING times rhs in 2D."""
         if self.stepop.band is not None:
             return self._apply(rhs, trans)
-        return self.refined(rhs, self.slope, trans)[0]
+        return self.refined(rhs, self.slope, trans, _FORCING)[0]
 
-    def refined(self, rhs: np.ndarray, slope: np.ndarray, trans: str = "N"):
+    def refined(
+        self, rhs: np.ndarray, slope: np.ndarray, trans: str = "N", rtol: float = _REFINE_TOL
+    ):
         """(x, converged) with the operator at `slope`: refined against the
-        assembled operator to a residual 2-norm of _REFINE_TOL times that of rhs,
+        assembled operator to a residual 2-norm of rtol times that of rhs,
         else the iterate before the first correction that fails to halve it.
         The refinement aims at half that bound, so that the rounding of another
         evaluation of the residual cannot carry a converged x past it; it stops
         at the bound itself only where the next correction fails to halve.
-        Where that stalls with the DCT blocks, the held factor becomes the splu
+        Where that stalls with the DCT modes, the held factor becomes the splu
         LU of step_matrix at `slope`, and the refinement starts again with it."""
-        template, bound = self.stepop.template, _REFINE_TOL * np.linalg.norm(rhs)
+        template, bound = self.stepop.template, rtol * np.linalg.norm(rhs)
         x = self._apply(rhs, trans)
         res = rhs - _act(template, -slope, x, trans)
         res_norm = np.linalg.norm(res)
@@ -329,7 +333,7 @@ class StepLU:
                     self.lu = splu(step_matrix(op.grid, op.dt, op.physics, slope))
                 except RuntimeError as exc:
                     raise LinearSolveDivergence(f"fallback LU of the step operator: {exc}") from exc
-                return self.refined(rhs, slope, trans)
+                return self.refined(rhs, slope, trans, rtol)
             x = trial
         return x, True
 
@@ -400,7 +404,7 @@ def _advance_step(
     factorizes the operator linearized with it, so the phase field of an
     iterate is never evaluated twice. Iteration 1 first tries the chord step
     of the factor in `held`, carried from the previous step, kept if it cuts
-    the residual 10x.
+    the residual by _FORCING, as much as a 2D Newton step's solve must.
     """
     n = len(explicit)
     old = held.stepop.old_level(x_n, 0.0)
@@ -424,7 +428,7 @@ def _advance_step(
             if np.all(np.isfinite(delta)):
                 trial = x + guard(x[n : 2 * n], delta[n : 2 * n]) * delta
                 trial_res, trial_norm, trial_slope = yield trial, old
-                if trial_norm <= max(0.1 * res_norm, tol):
+                if trial_norm <= max(_FORCING * res_norm, tol):
                     x, res, res_norm, slope = trial, trial_res, trial_norm, trial_slope
                     continue
         delta = held.refactor(slope).solve(-res)

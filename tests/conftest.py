@@ -87,19 +87,20 @@ def zero_control(spec: pfc.ProblemSpec) -> np.ndarray:
 def singular_factorizations(monkeypatch, good=0, blocks=True):
     """Make every step-operator factorization after the first `good` exactly
     singular: LAPACK's dgbtrf reports a zero pivot for a 1D band LU, a 2D DCT
-    mode block gets a zero determinant, and splu raises for the LU of a
-    stalled 2D refinement. With blocks=False the mode blocks neither count
-    nor fail, so only band LUs and splu fallbacks do."""
-    done, band, invert, superlu = [], dynamics.dgbtrf, dynamics._invert_blocks, dynamics.splu
+    mode gets a zero pivot, and splu raises for the LU of a stalled 2D
+    refinement. With blocks=False the mode pivots neither count nor fail, so
+    only band LUs and splu fallbacks do."""
+    done, band, pivots, superlu = [], dynamics.dgbtrf, dynamics._mode_pivots, dynamics.splu
 
     def dgbtrf(*args, **kw):
         done.append(1)
         lu, piv, info = band(*args, **kw)
         return lu, piv, info if len(done) <= good else 7
 
-    def invert_blocks(stack):
+    def mode_pivots(b, g):
         done.append(1)
-        return invert(stack if len(done) <= good else 0.0 * stack)
+        # 1 + (-1)(1) is an exact zero pivot in every mode.
+        return pivots(b, g) if len(done) <= good else pivots(-np.ones_like(b), np.ones_like(g))
 
     def splu(*args, **kw):
         done.append(1)
@@ -110,4 +111,4 @@ def singular_factorizations(monkeypatch, good=0, blocks=True):
     monkeypatch.setattr(dynamics, "dgbtrf", dgbtrf)
     monkeypatch.setattr(dynamics, "splu", splu)
     if blocks:
-        monkeypatch.setattr(dynamics, "_invert_blocks", invert_blocks)
+        monkeypatch.setattr(dynamics, "_mode_pivots", mode_pivots)

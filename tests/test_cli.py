@@ -990,6 +990,25 @@ class TestCliMisc:
             gc.enable()
         assert after == before
 
+    @pytest.mark.parametrize("command", ["solve", "adjoint"])
+    def test_calls_leave_no_cyclic_garbage(self, command, config_file, capsys):
+        # Garbage in reference cycles waits for a full collection, so the
+        # resident set of a process that runs many commands would creep. The
+        # report writer's bytes are json.dumps(payload, indent=2, sort_keys=True).
+        path = config_file()
+        code, out, _ = run_cli([command, "--config", path], capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                assert run_cli([command, "--config", path], capsys)[0] == 0
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
+
     def test_module_entry_point(self, config_file):
         proc = subprocess.run(
             [sys.executable, "-m", "pfcontrol", "--version"],

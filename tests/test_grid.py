@@ -143,6 +143,18 @@ def test_helmholtz_solve_consistency():
     np.testing.assert_allclose(w - coef * (grid.laplacian @ w), f, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("cells", [32, 64, (48, 48), (12, 12), (16, 4)])
+def test_smoothing_all_levels_at_once_is_the_per_level_loop_to_the_bit(cells):
+    # Reference: one Helmholtz solve per level, each a lone field's DCTs.
+    grid = pfc.Grid(cells)
+    coef = 4.0 * max(grid.spacing) ** 2
+    levels = np.random.default_rng(4).standard_normal((16, grid.ncells))
+    want = [grid.dct(grid.dct(f) / (1.0 - coef * grid.eigenvalues), True) for f in levels]
+    got = grid.smooth_levels(levels)
+    assert got.tobytes() == np.stack(want).tobytes()
+    assert grid.helmholtz_solve(levels[3]).tobytes() == want[3].tobytes()
+
+
 def test_anisotropic_helmholtz_solve_passes_its_guard():
     # The normwise relative residual here is 1.5e-8, above LINEAR_RTOL, but
     # the componentwise backward error is about 1e-16.
