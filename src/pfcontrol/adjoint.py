@@ -37,17 +37,17 @@ def cost_value(state: Trajectory, cost: CostSpec) -> float:
     running = 0.0
     if cost.w_theta:
         diff = state.theta[1:] - theta_q
-        running += 0.5 * cost.w_theta * float(np.sum(diff * diff))
+        running += 0.5 * cost.w_theta * float((diff * diff).sum())
     if cost.w_phi:
         diff = state.phi[1:] - phi_q
-        running += 0.5 * cost.w_phi * float(np.sum(diff * diff))
+        running += 0.5 * cost.w_phi * float((diff * diff).sum())
     total = running * dt * m
     if cost.w_theta_final:
         diff = state.theta[-1] - theta_om
-        total += 0.5 * cost.w_theta_final * float(np.sum(diff * diff)) * m
+        total += 0.5 * cost.w_theta_final * float((diff * diff).sum()) * m
     if cost.w_phi_final:
         diff = state.phi[-1] - phi_om
-        total += 0.5 * cost.w_phi_final * float(np.sum(diff * diff)) * m
+        total += 0.5 * cost.w_phi_final * float((diff * diff).sum()) * m
     return total
 
 

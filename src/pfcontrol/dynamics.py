@@ -50,11 +50,16 @@ oracle, the probes and the optimizer's starts (control.optimize, one state
 solve of each of two marching starts per batch) all march this way. In 2D the
 marches run one after another. The linearized sweeps evaluate the slopes of
 all their levels in one call each.
+
+Per Newton iterate and sweep level, reductions call ndarray methods (r.max(),
+not np.max(r)): the same bits without the wrapper's dispatch, which on a 1D
+grid costs more than the arithmetic.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import weakref
 from typing import Callable, Sequence
 
@@ -176,7 +181,7 @@ def _act(matrices: dict, slope, x: np.ndarray, trans: str) -> np.ndarray:
 def _mode_pivots(b: np.ndarray, g: np.ndarray) -> np.ndarray:
     """den = 1 + b g per DCT mode (StepOperator); a zero makes its block singular."""
     den = 1.0 + b * g
-    if not np.all(den != 0.0):
+    if not (den != 0.0).all():
         raise LinearSolveDivergence("step operator is exactly singular (a DCT mode block)")
     return den
 
@@ -188,7 +193,7 @@ class StepOperator:
     by the trans flag "N" or "T"; the Newton residual and the refinement steps
     act through it. `old_level` applies the old-level blocks from latent and
     visc/dt alone. In 1D, `band` holds the template in interleaved (theta_i,
-    phi_i, mu_i) order, where stacked unknown order[j] sits at j, in LAPACK
+    phi_i, mu_i) order, stacked unknown order[j] at j and i at at[i], in LAPACK
     band storage with kl and ku read off that pattern; a StepLU writes the
     slope into the (mu_i, phi_i) slots of a copy and factorizes it.
 
@@ -212,8 +217,8 @@ class StepOperator:
         if grid.dim == 1:
             # Stacked unknown c * n + i (c = theta, phi, mu) sits at 3 * i + c.
             self.order = np.arange(3 * n).reshape(3, n).T.ravel()
-            at, coo = np.argsort(self.order), template.tocoo()
-            rows, cols = at[coo.row], at[coo.col]
+            self.at, coo = np.argsort(self.order), template.tocoo()
+            rows, cols = self.at[coo.row], self.at[coo.col]
             self.kl, self.ku = int(np.max(rows - cols)), int(np.max(cols - rows))
             self.band = np.zeros((2 * self.kl + self.ku + 1, 3 * n), order="F")
             self.band[self.kl + self.ku + rows - cols, cols] = coo.data
@@ -228,18 +233,17 @@ class StepOperator:
         c(x_n) = (theta_n + latent phi_n, phi_n, R(phi_n) - visc/dt phi_n)
         (source left out) with respect to x_n, where rest_slope = R'(phi_n).
         M_k = [[I, latent I, 0], [0, I, 0], [0, diag(rest_slope) - visc/dt I, 0]];
-        each entry sums its terms onto 0.0 in the order a CSR product with
+        each entry adds the sum of its terms to 0.0, as a CSR product with
         M_k, or M_k^T, sums them, so it matches that product to the bit."""
         n, latent, damping = len(x) // 3, self._latent, self._damping
         theta, phi, mu = x[:n], x[n : 2 * n], x[2 * n :]
-        out = np.zeros(3 * n)
         if trans == "N":
-            out[:n] += theta + latent * phi
-            out[n : 2 * n] += phi
-            out[2 * n :] += damping * phi + rest_slope * phi
+            out = np.concatenate((theta + latent * phi, phi, damping * phi + rest_slope * phi))
         else:
-            out[:n] += theta
-            out[n : 2 * n] += latent * theta + phi + damping * mu + rest_slope * mu
+            out = np.zeros(3 * n)
+            out[:n] = theta
+            out[n : 2 * n] = latent * theta + phi + damping * mu + rest_slope * mu
+        out += 0.0
         return out
 
 
@@ -272,7 +276,7 @@ class StepLU:
                 raise LinearSolveDivergence(f"step operator is exactly singular (pivot {info})")
             self.lu = lu, piv
             return self
-        g = op.g0 + np.mean(self.slope)
+        g = op.g0 + self.slope.mean()
         self.lu = np.array([g, _mode_pivots(op.b, g)])
         return self
 
@@ -281,9 +285,7 @@ class StepLU:
         blocks at the mean slope (StepOperator), or a stalled refinement's splu."""
         lu, op = self.lu, self.stepop
         if op.band is not None:
-            x = np.empty(len(rhs))
-            x[op.order] = dgbtrs(lu[0], op.kl, op.ku, rhs[op.order], lu[1], int(trans == "T"))[0]
-            return x
+            return dgbtrs(lu[0], op.kl, op.ku, rhs[op.order], lu[1], int(trans == "T"))[0][op.at]
         if not isinstance(lu, np.ndarray):
             return lu.solve(rhs, trans=trans)
         (g, den), (r1, r2, r3) = lu, op.grid.dct(rhs.reshape(3, -1))
@@ -354,17 +356,13 @@ def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], fl
     def guard(phi: np.ndarray, dphi: np.ndarray) -> float:
         room = np.where(dphi < 0, phi - lo, hi - phi)  # a zero move has ratio inf
         with np.errstate(divide="ignore"):
-            alpha = min(1.0, float(np.min(_BOUNDARY_FRACTION * room / np.abs(dphi))))
+            alpha = min(1.0, float((_BOUNDARY_FRACTION * room / np.abs(dphi)).min()))
         # Rounding can still put the step on an endpoint: halve it until not.
-        while not np.all(potential.contains(phi + alpha * dphi)):
+        while not potential.contains(phi + alpha * dphi).all():
             alpha *= 0.5
         return alpha
 
     return guard
-
-
-def _unguarded(phi: np.ndarray, dphi: np.ndarray) -> float:
-    return 1.0
 
 
 def _advance_step(
@@ -372,7 +370,7 @@ def _advance_step(
     explicit: np.ndarray,
     x_n: np.ndarray,
     source_step: np.ndarray,
-    guard: Callable[[np.ndarray, np.ndarray], float],
+    guard: Callable[[np.ndarray, np.ndarray], float] | None,
     noise_floor: float,
     carry: tuple[np.ndarray, np.ndarray] | None,
     where: str,
@@ -395,10 +393,11 @@ def _advance_step(
     With carry None (step 1) the step yields x_n first. The step returns
     (x, carry) for the next one.
 
-    The tolerance scales with the size of the old level and of the source
-    increment. noise_floor lifts it to the evaluation noise of the nonlinear
-    terms (the Yosida values carry the resolvent root error amplified by
-    1/eps), below which the residual cannot be driven reliably.
+    guard(phi, dphi) caps the step length on a singular domain, None takes
+    full steps. The tolerance scales with the size of the old level and of
+    the source increment. noise_floor lifts it to the evaluation noise of the
+    nonlinear terms (the Yosida values carry the resolvent root error
+    amplified by 1/eps), below which the residual cannot be driven reliably.
 
     The residual of each iterate keeps its slope, and a Newton step
     factorizes the operator linearized with it, so the phase field of an
@@ -411,30 +410,31 @@ def _advance_step(
     old[:n] += source_step
     old[2 * n :] += explicit
     x = x_n.copy()
-    scale = 1.0 + max(float(np.max(np.abs(x_n[: 2 * n]))), float(np.max(np.abs(source_step))))
+    scale = 1.0 + max(float(np.abs(x_n[: 2 * n]).max()), float(np.abs(source_step).max()))
     tol = max(_NEWTON_TOL, noise_floor) * scale
     if carry is None:
         res, res_norm, slope = yield x, old
     else:
         res, slope = carry
         res -= old
-        res_norm = float(np.max(np.abs(res)))
+        res_norm = float(np.abs(res).max())
     del carry
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if res_norm <= tol:
             break
         if it == 1 and held.lu is not None:
             delta = held.solve(-res)
-            if np.all(np.isfinite(delta)):
-                trial = x + guard(x[n : 2 * n], delta[n : 2 * n]) * delta
+            if np.isfinite(delta).all():
+                step = delta if guard is None else guard(x[n : 2 * n], delta[n : 2 * n]) * delta
+                trial = x + step
                 trial_res, trial_norm, trial_slope = yield trial, old
                 if trial_norm <= max(_FORCING * res_norm, tol):
                     x, res, res_norm, slope = trial, trial_res, trial_norm, trial_slope
                     continue
         delta = held.refactor(slope).solve(-res)
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             raise NewtonDivergence(f"{where}, Newton iteration {it}: non-finite step")
-        alpha = guard(x[n : 2 * n], delta[n : 2 * n])
+        alpha = 1.0 if guard is None else guard(x[n : 2 * n], delta[n : 2 * n])
         if alpha < _MIN_STEP_FRACTION:
             raise DomainEscape(
                 f"{where}, Newton iteration {it}: iterate pinned to the domain boundary"
@@ -442,7 +442,7 @@ def _advance_step(
         for _ in range(_NEWTON_MAX_BACKTRACKS):
             trial = x + alpha * delta
             trial_res, trial_norm, trial_slope = yield trial, old
-            if np.isfinite(trial_norm) and (trial_norm < res_norm or trial_norm <= tol):
+            if math.isfinite(trial_norm) and (trial_norm < res_norm or trial_norm <= tol):
                 break
             alpha *= 0.5
         else:
@@ -469,11 +469,11 @@ def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
     evaluates its old level x0."""
     grid, tgrid, pot = spec.grid, spec.tgrid, spec.potential
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
-    guard = _domain_guard(pot) if pot.is_singular and pot.yosida_eps == 0 else _unguarded
+    guard = _domain_guard(pot) if pot.is_singular and pot.yosida_eps == 0 else None
     noise_floor = 16.0 * np.finfo(float).eps / pot.yosida_eps if pot.yosida_eps > 0 else 0.0
     theta, phi, mu = np.empty((nt + 1, n)), np.empty((nt + 1, n)), np.empty((nt, n))
     theta[0], phi[0] = x0[:n], x0[n : 2 * n]
-    phase_mean = float(np.sum(phi[0])) / n
+    phase_mean = float(phi[0].sum()) / n
     held = StepLU(step_operator(grid, dt, spec.physics))
     x, carry = x0, None
     for k in range(nt):
@@ -490,7 +490,7 @@ def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
         carry = None  # the step owns it now and reuses its array
         x, carry = yield from step
         # Re-anchor the conserved mean; the shift is below Newton tolerance.
-        x[n : 2 * n] += phase_mean - float(np.sum(x[n : 2 * n])) / n
+        x[n : 2 * n] += phase_mean - float(x[n : 2 * n].sum()) / n
         theta[k + 1], phi[k + 1], mu[k] = x[:n], x[n : 2 * n], x[2 * n :]
     return Trajectory(grid=grid, tgrid=tgrid, theta=theta, phi=phi, mu=mu)
 
@@ -550,7 +550,7 @@ def _lockstep(marches: list, template: sps.csr_matrix, pot: Potential, first) ->
     pending = {i: march.send(None) for i, march in enumerate(marches)}
     while len(pending) > 1:
         rows = list(pending)
-        xs = np.array([pending[i][0] for i in rows])
+        xs = np.array([x for x, _ in pending.values()])
         # A C-contiguous stack: NumPy may take another ufunc loop on strided rows.
         phi = xs[:, n : 2 * n].copy()
         value, slope = pot.dw_and_d2w_convex_eff(
@@ -559,12 +559,12 @@ def _lockstep(marches: list, template: sps.csr_matrix, pot: Potential, first) ->
         if carried is not None:
             for a, new in zip(carried, (phi, value, slope)):
                 a[rows] = new
-        res = (template @ xs.T).T - np.array([pending[i][1] for i in rows])
+        res = (template @ xs.T).T - np.array([old for _, old in pending.values()])
         res[:, 2 * n :] -= value
-        norms = np.max(np.abs(res), axis=1)
-        for j, i in enumerate(rows):
+        norms = np.abs(res).max(axis=1).tolist()
+        for i, row, norm, row_slope in zip(rows, res, norms, slope):
             try:
-                pending[i] = marches[i].send((res[j], float(norms[j]), slope[j]))
+                pending[i] = marches[i].send((row, norm, row_slope))
             except StopIteration as stop:
                 done[i] = stop.value
                 del pending[i]
@@ -582,7 +582,7 @@ def _lockstep(marches: list, template: sps.csr_matrix, pot: Potential, first) ->
                     previous = phi.copy(), value, slope  # _march shifts x in place
                 res = template @ x - old
                 res[2 * n :] -= value
-                x, old = marches[i].send((res, float(np.max(np.abs(res))), slope))
+                x, old = marches[i].send((res, float(np.abs(res).max()), slope))
         except StopIteration as stop:
             done[i] = stop.value
     return done
@@ -652,7 +652,7 @@ def linear_sweep(
         rhs = held.stepop.old_level(x, rest[k if tangent else k + 1], trans)
         rhs[: 2 * n] += forcing[k]
         x = held.refactor(convex[k]).refined(rhs, convex[k], trans)[0]
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             sweep = "tangent" if tangent else "adjoint"
             raise LinearSolveDivergence(f"{sweep} sweep broke down at time step {k + 1} of {nt}")
         forcing[k] = x[: 2 * n]

@@ -144,10 +144,10 @@ class Grid:
 
     def mean(self, values: np.ndarray) -> float:
         """Measure-weighted mean; uniform cells make it the arithmetic average."""
-        return float(np.sum(self._check(values)) / self.ncells)
+        return float(self._check(values).sum() / self.ncells)
 
     def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self._check(values)) * self.cell_measure)
+        return float(self._check(values).sum() * self.cell_measure)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """Discrete L2(Omega) inner product."""
@@ -209,7 +209,7 @@ class Grid:
 
     def h_norm(self, values: np.ndarray) -> float:
         v = self._check(values)
-        return float(np.sqrt(np.sum(v * v) * self.cell_measure))
+        return float(np.sqrt((v * v).sum() * self.cell_measure))
 
     def grad_sq(self, values: np.ndarray) -> float:
         """Squared discrete Dirichlet energy, sum over interior faces."""
@@ -217,7 +217,7 @@ class Grid:
         total = 0.0
         for axis, h in enumerate(self.spacing):
             d = np.diff(v, axis=axis)
-            total += float(np.sum(d * d)) * self.cell_measure / h**2
+            total += float((d * d).sum()) * self.cell_measure / h**2
         return total
 
     def v_norm(self, values: np.ndarray) -> float:

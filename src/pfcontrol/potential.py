@@ -109,11 +109,8 @@ class Potential:
 
     def _require_inside(self, r: np.ndarray, closure: bool = False) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if closure:
-            ok = (r >= self.lo) & (r <= self.hi)
-        else:
-            ok = self.contains(r)
-        if not np.all(ok):
+        ok = (r >= self.lo) & (r <= self.hi) if closure else (r > self.lo) & (r < self.hi)
+        if not ok.all():
             bad = float(np.asarray(r)[~ok].flat[0])
             raise OutOfDomain(
                 f"value {bad!r} outside domain ({self.lo}, {self.hi}) of the convex part"

@@ -153,6 +153,35 @@ class TestSharedHelpers:
         assert np.array_equal(pfc.random_admissible_control(spec, 11), expected)
 
 
+def _reference_direction(grad, pairs, free, spec):
+    """The two-loop recursion with every curvature formed where it is used:
+    the reference the curvature cache of control._lbfgs_direction must match
+    to the bit."""
+
+    def inner(a, b):
+        return control.lq_inner(a, b * free, spec)
+
+    pairs = [(s, y) for s, y in pairs if inner(s, y) > control._CURVATURE * inner(y, y)]
+    q, alphas = grad * free, []
+    for s, y in reversed(pairs):
+        alphas.append(control.lq_inner(s, q, spec) / inner(s, y))
+        q -= alphas[-1] * y * free
+    if pairs:
+        q *= inner(*pairs[-1]) / inner(pairs[-1][1], pairs[-1][1])
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q += (a - control.lq_inner(y, q, spec) / inner(s, y)) * s * free
+    return -q
+
+
+def _curved_pairs(rng, shape, count):
+    """count (s, y) pairs with y = 2 s + noise: positive curvature."""
+    pairs = []
+    for _ in range(count):
+        s = rng.standard_normal(shape)
+        pairs.append((s, 2.0 * s + 0.1 * rng.standard_normal(shape)))
+    return pairs
+
+
 class TestLbfgsDirection:
     def test_secant_equation_and_free_nodes(self):
         # With the newest pair kept, H y = s for that pair; nodes outside the
@@ -160,10 +189,7 @@ class TestLbfgsDirection:
         spec = _small_spec()
         rng = np.random.default_rng(3)
         shape = (spec.tgrid.steps, spec.grid.ncells)
-        pairs = []
-        for _ in range(3):
-            s = rng.standard_normal(shape)
-            pairs.append((s, 2.0 * s + 0.1 * rng.standard_normal(shape)))
+        pairs = _curved_pairs(rng, shape, 3)
         free = np.ones(shape, dtype=bool)
         s, y = pairs[-1]
         assert np.allclose(-control._lbfgs_direction(y, pairs, free, spec), s, atol=1e-12)
@@ -179,6 +205,42 @@ class TestLbfgsDirection:
         free = np.ones(g.shape, dtype=bool)
         bad = [(g, -g)]
         assert np.array_equal(control._lbfgs_direction(g, bad, free, spec), -g)
+
+    @pytest.mark.parametrize(
+        "count,partial,flat",
+        [(10, False, None), (10, True, None), (6, True, 3), (1, True, None), (0, True, None)],
+        ids=["ten", "ten-partial", "one-flat", "one", "none"],
+    )
+    def test_matches_the_reference_bit_for_bit(self, count, partial, flat):
+        # 16x32 pairs; `flat` turns that pair's y into -s, without curvature.
+        spec = desk_spec()
+        shape = (spec.tgrid.steps, spec.grid.ncells)
+        rng = np.random.default_rng(count)
+        pairs = _curved_pairs(rng, shape, count)
+        if flat is not None:
+            pairs[flat] = (pairs[flat][0], -pairs[flat][0])
+        free = rng.random(shape) < 0.7 if partial else np.ones(shape, dtype=bool)
+        grad = rng.standard_normal(shape)
+        got = control._lbfgs_direction(grad, pairs, free, spec)
+        assert got.tobytes() == _reference_direction(grad, pairs, free, spec).tobytes()
+
+    def test_inner_products_per_direction(self, monkeypatch):
+        # Each kept pair's s.y and y.y are formed once: 4 inner products per
+        # pair, where forming them at every use takes 6 per pair and 2 more.
+        spec = desk_spec()
+        shape = (spec.tgrid.steps, spec.grid.ncells)
+        rng = np.random.default_rng(4)
+        pairs, calls = _curved_pairs(rng, shape, 10), []
+        inner = control.lq_inner
+
+        def counted(a, b, spec):
+            calls.append(1)
+            return inner(a, b, spec)
+
+        monkeypatch.setattr(control, "lq_inner", counted)
+        free = np.ones(shape, dtype=bool)
+        control._lbfgs_direction(rng.standard_normal(shape), pairs, free, spec)
+        assert len(calls) == 40
 
 
 class TestOptimize:
