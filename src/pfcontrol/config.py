@@ -66,7 +66,9 @@ from .grid import Grid, TimeGrid
 from .potential import log_double_well, log_linear, quartic_double_well
 from .problem import ControlBox, CostSpec, InitialData, PhysicsParams, ProblemSpec, broadcast
 
-__all__ = ["RunConfig", "load_config", "parse_config", "config_digest", "build_field"]
+# parse_config is load_config without the file: the benchmark builds its
+# configs in memory through it.
+__all__ = ["RunConfig", "load_config", "parse_config", "config_digest"]
 
 _POTENTIALS = ("quartic", "logarithmic", "loglinear")
 _CONTROL_KINDS = ("zeros", "constant", "random", "values")

@@ -11,12 +11,12 @@ the control is bang-bang wherever the gradient has a definite sign.
 from __future__ import annotations
 
 import dataclasses
-from typing import Generator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .adjoint import cost_value, solve_adjoint
-from .dynamics import Trajectory, solve_state, solve_states
+from .dynamics import solve_state
 from .errors import ShapeMismatch, ValidationError
 from .problem import ControlBox, ProblemSpec
 
@@ -25,7 +25,6 @@ __all__ = [
     "OptimizeReport",
     "BangBangReport",
     "reduced_gradient",
-    "project_box",
     "stationarity_residual",
     "optimize",
     "bang_bang_classify",
@@ -129,8 +128,7 @@ class OptimizeOptions:
     stat_tol: stop once the L2(Q) stationarity residual is at most this.
     max_iter: iteration cap; reaching it terminates with "max_iterations".
     starts: seeds of extra random admissible starting controls; the run with
-    the lowest final cost is reported. The runs march two at a time (see
-    optimize).
+    the lowest final cost is reported.
     """
 
     stat_tol: float = 1.0e-6
@@ -167,11 +165,6 @@ class OptimizeReport:
 #: and the least relative curvature s.y / y.y of a pair the recursion uses.
 _MEMORY, _SIGMA, _MAX_BACKTRACKS, _EPS_MAX = 10, 1.0e-4, 60, 1.0e-3
 _CURVATURE = np.finfo(float).eps
-#: Runs of optimize that march together. Each keeps its _MEMORY L-BFGS pairs
-#: alive: on the 1D benchmark problem (32 cells, 16 steps, four starts) all
-#: four together cut 62 batches to 17 but raised the peak RSS by about 0.2 MB;
-#: two cut them to 33 within 0.1 MB.
-_MARCHING_RUNS = 2
 
 
 def _lbfgs_direction(
@@ -202,20 +195,17 @@ def _lbfgs_direction(
 
 def _optimize_single(
     spec: ProblemSpec, u0: np.ndarray, opts: OptimizeOptions, start_seed: Optional[int]
-) -> Generator[np.ndarray, Trajectory, OptimizeReport]:
+) -> OptimizeReport:
     """Two-metric projected L-BFGS (Bertsekas, SIAM J. Control Optim. 1982), in
     NumPy because importing scipy.optimize costs start-up time and memory. Nodes
     within eps = min(_EPS_MAX, res / sqrt(dt * h)) of a box face that the
     gradient pushes against take a steepest-descent step, the others an L-BFGS
     step; the Armijo search halves the step from 1 along the projection arc.
-
-    A coroutine: it yields each control whose state it needs (the start, then
-    each line-search trial), is sent back that control's Trajectory, and
-    returns its OptimizeReport. _march_runs solves the states. While it waits
-    for one it holds no trajectory and no array its next step does not read."""
+    A trajectory lives only until its cost and, if accepted, its adjoint are
+    taken."""
     u = project_box(u0, spec)
     lo, hi = np.asarray(spec.box.lower), np.asarray(spec.box.upper)
-    state = yield u
+    state = solve_state(u, spec)
     j, grad = cost_value(state, spec.cost), solve_adjoint(state, spec)
     del state
     j_hist, res_hist, evals, pairs = [j], [], [], []
@@ -241,7 +231,7 @@ def _optimize_single(
             alpha = 0.5 ** (trials - 1)
             trial = project_box(u + alpha * d, spec)
             predicted = alpha * slope_free + lq_inner(grad * active, trial - u, spec)
-            trial_state = yield trial
+            trial_state = solve_state(trial, spec)
             trial_j = cost_value(trial_state, spec.cost)
             if trial_j <= j + _SIGMA * predicted:
                 break
@@ -267,33 +257,6 @@ def _optimize_single(
     )
 
 
-def _march_runs(runs: list, spec: ProblemSpec) -> list[OptimizeReport]:
-    """Drive _optimize_single coroutines to their reports in lockstep: each
-    round solves the pending control of every marching run in one
-    solve_states batch, whose trajectories are bit for bit the solo ones.
-    _MARCHING_RUNS march at a time; a run that ends makes room for the next
-    in order."""
-    reports, waiting, pending = [None] * len(runs), list(enumerate(runs)), {}
-
-    def admit():
-        while waiting and len(pending) < _MARCHING_RUNS:
-            i, run = waiting.pop(0)
-            pending[i] = run.send(None)
-
-    admit()
-    while pending:
-        states = solve_states(list(pending.values()), spec)
-        for i in list(pending):
-            try:
-                # Popped: a trajectory lives only until its run has read it.
-                pending[i] = runs[i].send(states.pop(0))
-            except StopIteration as stop:
-                reports[i] = stop.value
-                del pending[i]
-        admit()
-    return reports
-
-
 def optimize(
     spec: ProblemSpec,
     u0: np.ndarray | None = None,
@@ -308,13 +271,9 @@ def optimize(
     non-increasing by construction. Optional multi-start: extra seeded
     admissible initial controls, keeping the lowest final cost (the first
     run, then opts.starts in order, replaced only by a strictly lower one).
-
-    The runs march two at a time (_MARCHING_RUNS), one state solve of each
-    marching run per solve_states batch (_march_runs), so every report is
-    the one its run makes alone. The L-BFGS pairs and trajectories of both
-    marching runs are alive at once: about 5.9 MB of pairs per run at 48x48
-    cells and 16 steps in 2D. Of several runs whose state solves fail, the
-    one that fails first in that lockstep order raises its error.
+    The runs go one after another, so only one run's L-BFGS pairs are alive
+    at a time; the first run, in that order, whose state solve fails raises
+    its error.
     """
     opts = opts or OptimizeOptions()
     physics, bad = spec.physics, []
@@ -332,9 +291,9 @@ def optimize(
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != shape:
         raise ShapeMismatch(f"u0: shape {u0.shape} != {shape}")
-    runs = [_optimize_single(spec, u0, opts, start_seed=None)] + [
+    reports = [_optimize_single(spec, u0, opts, start_seed=None)] + [
         _optimize_single(spec, random_admissible_control(spec, seed), opts, start_seed=seed)
         for seed in opts.starts
     ]
     # min keeps the first of equal costs.
-    return min(_march_runs(runs, spec), key=lambda report: report.j_final)
+    return min(reports, key=lambda report: report.j_final)

@@ -45,11 +45,10 @@ march is one coroutine over its steps' Newton solves: it yields every iterate
 and is sent back its residual. In 1D all pending iterates share one round:
 one convex evaluation and one template product for all of them, while every
 Newton decision stays with its own control, so each trajectory is bit for
-bit the control's solo march. solve_state is the batch of one. The FD
-oracle, the probes and the optimizer's starts (control.optimize, one state
-solve of each of two marching starts per batch) all march this way. In 2D the
-marches run one after another. The linearized sweeps evaluate the slopes of
-all their levels in one call each.
+bit the control's solo march. solve_state is the batch of one, the one the
+optimizer calls. The FD oracle and the probes march their controls in
+batches. In 2D the marches run one after another. The linearized sweeps
+evaluate the slopes of all their levels in one call each.
 
 Per Newton iterate and sweep level, reductions call ndarray methods (r.max(),
 not np.max(r)): the same bits without the wrapper's dispatch, which on a 1D
@@ -86,7 +85,6 @@ __all__ = [
     "solve_states",
     "solve_tangent",
     "mixture_energy",
-    "step_matrix",
 ]
 
 #: Relative distance to the domain boundary preserved by the Newton safeguard.
@@ -570,8 +568,7 @@ def _lockstep(marches: list, template: sps.csr_matrix, pot: Potential, first) ->
                 del pending[i]
     # The last march, or a batch of one, runs on alone with nothing to stack:
     # stacking and indexing the rows of a round of one only add to each
-    # Newton round, and an optimizer round is a batch of one once a single
-    # run is left.
+    # Newton round, and every state solve of the optimizer is a batch of one.
     for i, (x, old) in pending.items():
         previous = None if carried is None else [a[i] for a in carried]
         try:
@@ -609,8 +606,7 @@ def linear_sweep(
 
     where f_k is forcing[k] in the (theta, phi) rows and zero in the mu rows.
     Each level refactors the sweep's one StepLU at its slope and refines
-    against the operator there (StepLU.refined), whose last iterate is
-    checked for finiteness.
+    against the operator there (StepLU.refined), which must converge.
 
     In 1D a fresh band LU meets the refinement bound with no correction, so
     every level is first solved with its band LU alone, and the residuals of
@@ -620,7 +616,8 @@ def linear_sweep(
     its results and errors are those of the level-by-level sweep.
     Returns forcing with row k overwritten by the (theta, phi) rows of X_{k+1}
     or Y_{k+1}: in place, as a second (steps, 2n) array raised the 2D peak
-    memory. LinearSolveDivergence when a level is not finite.
+    memory. LinearSolveDivergence when a level's refinement stalls above its
+    bound, as a non-finite level does.
     """
     nt, n, pot = state.tgrid.steps, state.grid.ncells, spec.potential
     tangent = trans == "N"
@@ -651,8 +648,8 @@ def linear_sweep(
     for k in levels:
         rhs = held.stepop.old_level(x, rest[k if tangent else k + 1], trans)
         rhs[: 2 * n] += forcing[k]
-        x = held.refactor(convex[k]).refined(rhs, convex[k], trans)[0]
-        if not np.isfinite(x).all():
+        x, converged = held.refactor(convex[k]).refined(rhs, convex[k], trans)
+        if not converged:
             sweep = "tangent" if tangent else "adjoint"
             raise LinearSolveDivergence(f"{sweep} sweep broke down at time step {k + 1} of {nt}")
         forcing[k] = x[: 2 * n]

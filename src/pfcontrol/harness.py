@@ -32,7 +32,6 @@ from .problem import ProblemSpec
 
 __all__ = [
     "ProbeReport",
-    "fd_directional_derivative",
     "fd_gradient_check",
     "frechet_remainder_probe",
     "lipschitz_refinement_probe",

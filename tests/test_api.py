@@ -234,6 +234,25 @@ def test_benchmark_tracer_installs_on_every_traced_name():
     assert not spans.wrapped_bindings()
 
 
+#: Helpers only their own module and its tests call, so they are not in
+#: __all__; the benchmark still binds step_matrix, project_box and
+#: fd_directional_derivative by module attribute.
+_MODULE_ONLY = {
+    "dynamics": ["step_matrix"],
+    "control": ["project_box"],
+    "harness": ["fd_directional_derivative"],
+    "config": ["build_field"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(_MODULE_ONLY))
+def test_module_only_helpers_stay_attributes_outside_all(module):
+    mod = importlib.import_module(f"pfcontrol.{module}")
+    for name in _MODULE_ONLY[module]:
+        assert callable(getattr(mod, name)) and name not in mod.__all__
+        assert name not in pfc.__all__
+
+
 def _quickstart_block() -> str:
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     section = readme.split("## Quickstart (Python)", 1)[1]

@@ -748,23 +748,23 @@ class TestCliOptimize:
         assert json.loads(out)["termination"] == "max_iterations"
 
     def test_a_failing_start_exits_1(self, config_file, capsys, monkeypatch):
-        # The starts march two at a time; a state solve that fails in the
-        # third round ends the run in its solver error.
-        rounds, batch = [], control.solve_states
+        # A state solve that fails ends the run in its solver error, and no
+        # later solve runs.
+        calls, solo = [], control.solve_state
         message = "time step 2 of 8, Newton iteration 3: non-finite step"
 
-        def failing(controls, spec):
-            rounds.append(len(controls))
-            if len(rounds) == 3:
+        def failing(u, spec):
+            calls.append(1)
+            if len(calls) == 3:
                 raise pfc.NewtonDivergence(message)
-            return batch(controls, spec)
+            return solo(u, spec)
 
-        monkeypatch.setattr(control, "solve_states", failing)
+        monkeypatch.setattr(control, "solve_state", failing)
         cfg = config_file(optimize={"stat_tol": 1.0e-4, "starts": [1, 2]})
         code, out, err = run_cli(["optimize", "--config", cfg], capsys)
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"solver error: {message}"]
-        assert rounds == [2, 2, 2]
+        assert len(calls) == 3
 
     def test_out_directory_artifacts(self, config_file, tmp_path, capsys):
         cfg = config_file(optimize={"max_iter": 3, "stat_tol": 1.0e-12})

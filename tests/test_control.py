@@ -29,12 +29,12 @@ class TestProjection:
     def test_clamps_nodewise(self):
         spec = _boxed(-1.0, 1.0, steps=1, cells=3)
         u = np.array([[-2.0, 0.5, 3.0]])
-        assert np.array_equal(pfc.project_box(u, spec), [[-1.0, 0.5, 1.0]])
+        assert np.array_equal(control.project_box(u, spec), [[-1.0, 0.5, 1.0]])
 
     def test_spatial_bound_arrays(self):
         spec = _boxed(np.array([0.0, -1.0]), np.array([0.5, 2.0]), steps=2, cells=2)
         u = np.array([[1.0, -3.0], [-1.0, 1.5]])
-        assert np.array_equal(pfc.project_box(u, spec), [[0.5, -1.0], [0.0, 1.5]])
+        assert np.array_equal(control.project_box(u, spec), [[0.5, -1.0], [0.0, 1.5]])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -47,8 +47,8 @@ class TestProjection:
     )
     def test_projection_is_nonexpansive(self, a, b):
         spec = _boxed(-2.0, 3.0, steps=1, cells=4)
-        pa = pfc.project_box(np.array([a]), spec)
-        pb = pfc.project_box(np.array([b]), spec)
+        pa = control.project_box(np.array([a]), spec)
+        pb = control.project_box(np.array([b]), spec)
         assert np.all(np.abs(pa - pb) <= np.abs(np.array([a]) - np.array([b])) + 1e-15)
 
 
@@ -271,23 +271,23 @@ class TestOptimize:
         # Every state solve is the initial solve of a start or a line-search
         # trial of an accepted iterate: the stationarity check costs none.
         solves, reports = [], []
-        batch, drive = control.solve_states, control._march_runs
+        solo, run = control.solve_state, control._optimize_single
 
-        def counting_solves(controls, spec):
-            solves.append(len(controls))
-            return batch(controls, spec)
+        def counting_solve(u, spec):
+            solves.append(u)
+            return solo(u, spec)
 
-        def recording_drive(runs, spec):
-            reports.extend(drive(runs, spec))
-            return reports
+        def recording_run(*args, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
 
-        monkeypatch.setattr(control, "solve_states", counting_solves)
-        monkeypatch.setattr(control, "_march_runs", recording_drive)
+        monkeypatch.setattr(control, "solve_state", counting_solve)
+        monkeypatch.setattr(control, "_optimize_single", recording_run)
         opts = pfc.OptimizeOptions(stat_tol=1.0e-4, max_iter=400, starts=(1,))
         best = pfc.optimize(_small_spec(), opts=opts)
         assert len(reports) == 2 and best in reports
         assert all(r.termination == "stationary" for r in reports)
-        assert sum(solves) == sum(sum(r.evaluations_history) for r in reports) + len(reports)
+        assert len(solves) == sum(sum(r.evaluations_history) for r in reports) + len(reports)
 
     def test_line_search_stall_is_reported(self, monkeypatch):
         # A cost that rises off the start rejects every trial.
@@ -386,43 +386,29 @@ class TestOptimize:
         assert np.all(report.u_opt <= 1.0)
 
 
-_LOCKSTEP_OPTS = pfc.OptimizeOptions(stat_tol=1.0e-3, max_iter=400, starts=(1, 2, 3))
+_MULTI_START_OPTS = pfc.OptimizeOptions(stat_tol=1.0e-3, max_iter=400, starts=(1, 2, 3))
 
 
 @pytest.fixture(scope="class")
-def lockstep_runs():
-    """The solo run of every start of _LOCKSTEP_OPTS on the desk problem with
-    its solve_states batch sizes, and the multi-start run with its own. The
-    first start is the ones control: its run is the longest, and seed 1's
-    run ends lowest."""
+def multi_start_runs():
+    """The solo run of every start of _MULTI_START_OPTS on the desk problem,
+    and the multi-start run. The first start is the ones control: its run is
+    the longest, and seed 1's run ends lowest."""
     spec = desk_spec()
     u0 = np.ones((spec.tgrid.steps, spec.grid.ncells))
-    solo = dataclasses.replace(_LOCKSTEP_OPTS, starts=())
-    starts = [u0] + [pfc.random_admissible_control(spec, s) for s in _LOCKSTEP_OPTS.starts]
-    batches, batch, runs = [], control.solve_states, []
-
-    def counting(controls, spec):
-        batches.append(len(controls))
-        return batch(controls, spec)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(control, "solve_states", counting)
-        for start in starts:
-            batches.clear()
-            runs.append((pfc.optimize(spec, start, solo), list(batches)))
-        batches.clear()
-        multi = pfc.optimize(spec, u0, _LOCKSTEP_OPTS)
-    return runs, (multi, batches)
+    solo = dataclasses.replace(_MULTI_START_OPTS, starts=())
+    starts = [u0] + [pfc.random_admissible_control(spec, s) for s in _MULTI_START_OPTS.starts]
+    runs = [pfc.optimize(spec, start, solo) for start in starts]
+    return runs, pfc.optimize(spec, u0, _MULTI_START_OPTS)
 
 
-class TestLockstepStarts:
-    """optimize marches its starts two at a time, one solve_states batch a
-    round."""
+class TestMultiStart:
+    """optimize runs its starts one after another and keeps the lowest."""
 
-    def test_report_is_the_best_solo_run(self, lockstep_runs):
-        runs, (multi, _) = lockstep_runs
-        best, seed = runs[0][0], None
-        for s, (report, _) in zip(_LOCKSTEP_OPTS.starts, runs[1:]):
+    def test_report_is_the_best_solo_run(self, multi_start_runs):
+        runs, multi = multi_start_runs
+        best, seed = runs[0], None
+        for s, report in zip(_MULTI_START_OPTS.starts, runs[1:]):
             if report.j_final < best.j_final:
                 best, seed = report, s
         assert seed == 1
@@ -432,37 +418,29 @@ class TestLockstepStarts:
         assert multi.residual_history == best.residual_history
         assert multi.evaluations_history == best.evaluations_history
 
-    def test_runs_march_two_at_a_time(self, lockstep_runs):
-        runs, (_, batches) = lockstep_runs
-        solves = [len(sizes) for _, sizes in runs]
-        assert all(sizes == [1] * len(sizes) for _, sizes in runs)
-        assert len(set(solves)) > 1 and solves[0] == max(solves)
-        # A run leaves the batch when it ends, and the next start takes its
-        # place in the following round.
-        left, waiting, expected = [], list(solves), []
-        while waiting or left:
-            while waiting and len(left) < 2:
-                left.append(waiting.pop(0))
-            expected.append(len(left))
-            left = [n - 1 for n in left if n > 1]
-        assert batches == expected
-        assert max(solves) < len(batches) < sum(solves) == sum(batches)
+    def test_the_first_failing_start_raises_its_error(self, monkeypatch):
+        # Seed 2's and seed 3's starts both fail their first state solve;
+        # seed 2 comes first, so its error ends the run and seed 3 never runs.
+        spec, solo = desk_spec(), control.solve_state
+        failures = {
+            s: (pfc.random_admissible_control(spec, s), pfc.NewtonDivergence(f"start {s}"))
+            for s in (2, 3)
+        }
+        solves = []
 
-    def test_a_failing_state_solve_raises_its_error(self, monkeypatch):
-        rounds, batch = [], control.solve_states
-        failure = pfc.NewtonDivergence("time step 2 of 16, Newton iteration 3: non-finite step")
+        def failing(u, spec):
+            solves.append(u)
+            for start, failure in failures.values():
+                if np.array_equal(u, start):
+                    raise failure
+            return solo(u, spec)
 
-        def failing(controls, spec):
-            rounds.append(len(controls))
-            if len(rounds) == 3:
-                raise failure
-            return batch(controls, spec)
-
-        monkeypatch.setattr(control, "solve_states", failing)
+        monkeypatch.setattr(control, "solve_state", failing)
         with pytest.raises(pfc.NewtonDivergence) as info:
-            pfc.optimize(desk_spec(), opts=_LOCKSTEP_OPTS)
-        assert info.value is failure
-        assert rounds == [2, 2, 2]
+            pfc.optimize(spec, opts=_MULTI_START_OPTS)
+        assert info.value is failures[2][1]
+        assert np.array_equal(solves[-1], failures[2][0])
+        assert not any(np.array_equal(u, failures[3][0]) for u in solves)
 
 
 def test_yosida_ladder_of_optimal_values_is_first_order():

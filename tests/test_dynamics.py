@@ -442,6 +442,29 @@ class TestStepOperator:
         with pytest.raises(pfc.LinearSolveDivergence, match=message):
             pfc.solve_tangent(h, base, regular_spec)
 
+    @pytest.mark.parametrize("cells", [32, (8, 8)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_a_stalled_level_ends_the_sweep(self, cells, trans, monkeypatch):
+        # Every solve with the held factor, the splu fallback's included,
+        # returns 0.4 of its answer, so each correction cuts the residual only
+        # to 0.6 of the last: the first level in sweep order stalls, finite,
+        # above its bound.
+        spec = desk_spec(cells=cells, steps=4)
+        base = pfc.solve_state(zero_control(spec), spec)
+        apply = dynamics.StepLU._apply
+        monkeypatch.setattr(
+            dynamics.StepLU, "_apply", lambda held, rhs, how: 0.4 * apply(held, rhs, how)
+        )
+        n, stepop = spec.grid.ncells, dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
+        held = dynamics.StepLU(stepop).refactor(np.ones(n))
+        x, converged = held.refined(np.ones(3 * n), np.ones(n))
+        assert not converged and np.all(np.isfinite(x))
+        forcing = np.random.default_rng(1).standard_normal((4, 2 * n))
+        sweep, k = ("tangent", 1) if trans == "N" else ("adjoint", 4)
+        message = f"^{sweep} sweep broke down at time step {k} of 4$"
+        with pytest.raises(pfc.LinearSolveDivergence, match=message):
+            dynamics.linear_sweep(base, spec, forcing, trans)
+
     def test_non_finite_cost_gradient_ends_the_adjoint_sweep(self, regular_spec):
         # The backward sweep meets the infinite cost gradient at level 5
         # first, the level that time step 5 leads to.
@@ -1247,6 +1270,21 @@ class TestFailureModes:
         spec = desk_spec()
         monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
         message = r"^time step 1 of 16: no convergence after Newton iteration 1 "
+        with pytest.raises(pfc.NewtonDivergence, match=message):
+            pfc.solve_state(zero_control(spec), spec)
+
+    def test_non_finite_newton_step_names_step_and_iteration(self, monkeypatch):
+        # A NaN convex slope at one node spoils the factor, and with it the
+        # first Newton step, while the residual stays finite.
+        spec = desk_spec()
+        evaluate = pfc.Potential.dw_and_d2w_convex_eff
+
+        def nan_slope(pot, r, previous=None):
+            value, slope = evaluate(pot, r, previous)
+            return value, np.where(np.arange(slope.shape[-1]) == 5, np.nan, slope)
+
+        monkeypatch.setattr(pfc.Potential, "dw_and_d2w_convex_eff", nan_slope)
+        message = r"^time step 1 of 16, Newton iteration 1: non-finite step$"
         with pytest.raises(pfc.NewtonDivergence, match=message):
             pfc.solve_state(zero_control(spec), spec)
 
