@@ -5,7 +5,7 @@ marked required):
 
     grid      (required)  {"cells": [nx] or [nx, ny], "lengths": [...]}
     time      (required)  {"horizon": T, "steps": Nt}
-    physics               {"visc": 0.0, "latent": 1.0, "coupling": 1.0}
+    physics               {"visc": .., "latent": .., "coupling": ..}
     potential             {"kind": "quartic" | "logarithmic" | "loglinear",
                            "c": 2.0 (logarithmic only), "eps": 0.0}
     initial   (required)  {"theta": <field>, "phi": <field>}
@@ -14,7 +14,7 @@ marked required):
                            "phi_target": .., "theta_final_target": ..,
                            "phi_final_target": ..}
     box                   {"lower": <field>, "upper": ..}
-    optimize              {"stat_tol": 1e-6, "max_iter": 500, "starts": [seeds >= 0]}
+    optimize              {"stat_tol": .., "max_iter": .., "starts": [seeds >= 0]}
     control               {"kind": "zeros" | "constant" | "random" | "values",
                            "value": .., "seed": >= 0, "values": [[..]]}
                           (source / initial control)
@@ -45,8 +45,10 @@ section key or a <field> key that no reader takes is a violation, and so is
 a key the chosen kind does not read (only the logarithmic kind reads
 potential.c; control.value, seed and values are read by the constant,
 random and values kinds). A key given twice in one JSON object is a
-ParseError. The per-step Newton solve has no section: its tolerance and
-budgets are constants of the dynamics module.
+ParseError. A key left out of physics, cost, box, optimize or output takes
+the default of its field in PhysicsParams, CostSpec, ControlBox,
+OptimizeOptions or RunConfig. The per-step Newton solve has no section: its
+tolerance and budgets are constants of the dynamics module.
 """
 
 from __future__ import annotations
@@ -238,9 +240,10 @@ def parse_config(raw: dict) -> RunConfig:
 
     phys_sec = col.section(raw, "physics")
     physics = PhysicsParams(
-        visc=col.number(phys_sec, "visc", 0.0, "physics", minimum=0.0),
-        latent=col.number(phys_sec, "latent", 1.0, "physics", minimum=0.0),
-        coupling=col.number(phys_sec, "coupling", 1.0, "physics", minimum=0.0),
+        **{
+            key: col.number(phys_sec, key, default, "physics", minimum=0.0)
+            for key, default in dataclasses.asdict(PhysicsParams()).items()
+        }
     )
 
     pot_sec = col.section(raw, "potential")
@@ -265,20 +268,20 @@ def parse_config(raw: dict) -> RunConfig:
 
     cost_sec = col.section(raw, "cost")
     cost = CostSpec(
-        w_theta=col.number(cost_sec, "w_theta", 0.0, "cost", minimum=0.0),
-        w_phi=col.number(cost_sec, "w_phi", 0.0, "cost", minimum=0.0),
-        w_theta_final=col.number(cost_sec, "w_theta_final", 0.0, "cost", minimum=0.0),
-        w_phi_final=col.number(cost_sec, "w_phi_final", 0.0, "cost", minimum=0.0),
         **{
-            key: build_field(cost_sec.pop(key, 0.0), grid, f"cost.{key}", col, tgrid.steps)
-            for key in ("theta_target", "phi_target", "theta_final_target", "phi_final_target")
-        },
+            key: col.number(cost_sec, key, default, "cost", minimum=0.0)
+            if key.startswith("w_")
+            else build_field(cost_sec.pop(key, default), grid, f"cost.{key}", col, tgrid.steps)
+            for key, default in dataclasses.asdict(CostSpec()).items()
+        }
     )
 
     box_sec = col.section(raw, "box")
     box = ControlBox(
-        lower=build_field(box_sec.pop("lower", -1.0), grid, "box.lower", col, tgrid.steps),
-        upper=build_field(box_sec.pop("upper", 1.0), grid, "box.upper", col, tgrid.steps),
+        **{
+            key: build_field(box_sec.pop(key, default), grid, f"box.{key}", col, tgrid.steps)
+            for key, default in dataclasses.asdict(ControlBox()).items()
+        }
     )
 
     opt_sec = col.section(raw, "optimize")
@@ -288,8 +291,10 @@ def parse_config(raw: dict) -> RunConfig:
         starts = []
     starts = [col.integer({"starts": s}, "starts", 0, "optimize", minimum=0) for s in starts]
     optimize_opts = OptimizeOptions(
-        stat_tol=col.number(opt_sec, "stat_tol", 1.0e-6, "optimize", minimum=0.0, strict=True),
-        max_iter=col.integer(opt_sec, "max_iter", 500, "optimize", minimum=0),
+        stat_tol=col.number(
+            opt_sec, "stat_tol", OptimizeOptions.stat_tol, "optimize", minimum=0.0, strict=True
+        ),
+        max_iter=col.integer(opt_sec, "max_iter", OptimizeOptions.max_iter, "optimize", minimum=0),
         starts=tuple(starts),
     )
 
@@ -308,7 +313,8 @@ def parse_config(raw: dict) -> RunConfig:
         col.add(f"control.kind: expected one of {_CONTROL_KINDS}, got {ckind!r}")
 
     out_sec = col.section(raw, "output")
-    snapshot_stride = col.integer(out_sec, "snapshot_stride", 0, "output", minimum=0)
+    stride = RunConfig.snapshot_stride
+    snapshot_stride = col.integer(out_sec, "snapshot_stride", stride, "output", minimum=0)
 
     unread = []
     for name in raw:

@@ -118,7 +118,7 @@ def random_admissible_control(spec: ProblemSpec, seed: int | np.random.Generator
     smoothing step per level to suppress grid-frequency noise, then clamped."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     lo, hi = spec.box.bounds((spec.tgrid.steps, spec.grid.ncells))
-    return np.clip(spec.grid.smooth_levels(rng.uniform(lo, hi)), lo, hi)
+    return np.clip(spec.grid.helmholtz_solve(rng.uniform(lo, hi)), lo, hi)
 
 
 @dataclasses.dataclass(frozen=True)

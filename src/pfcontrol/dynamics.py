@@ -125,7 +125,7 @@ class Trajectory:
             raise ShapeMismatch(f"state on {grid}, {tgrid}; spec on {spec.grid}, {spec.tgrid}")
         want = (tgrid.steps + 1, grid.ncells)
         if self.theta.shape != want or self.phi.shape != want:
-            raise ShapeMismatch(f"trajectory shape {self.theta.shape} does not match {want}")
+            raise ShapeMismatch(f"trajectory shapes {self.theta.shape}, {self.phi.shape} != {want}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,16 +157,10 @@ def step_matrix(
     return sps.bmat([[a11, a12, None], [None, eye, a23], [a31, a32, eye]], format="csc")
 
 
-def _both(matrix: sps.spmatrix) -> dict[str, sps.spmatrix]:
-    """A matrix in CSR form and its transpose as a view of the same arrays,
-    keyed by the `trans` flag."""
-    csr = matrix.tocsr()
-    return {"N": csr, "T": csr.T}
-
-
 def _act(matrices: dict, slope, x: np.ndarray, trans: str) -> np.ndarray:
-    """(M + D) x, or its transpose, for M in _both form, where D holds
-    diag(slope) in the (mu, phi) block of a stacked (theta, phi, mu) operator."""
+    """(M + D) x, or its transpose, for M a StepOperator template (keyed by
+    trans), where D holds diag(slope) in the (mu, phi) block of a stacked
+    (theta, phi, mu) operator."""
     n = len(x) // 3
     out = matrices[trans] @ x
     if trans == "N":
@@ -208,7 +202,8 @@ class StepOperator:
     def __init__(self, grid: Grid, dt: float, physics: PhysicsParams):
         n = grid.ncells
         template = step_matrix(grid, dt, physics, np.zeros(n))
-        self.template, self.band = _both(template), None
+        csr = template.tocsr()
+        self.template, self.band = {"N": csr, "T": csr.T}, None
         # Weak: the grid keeps its operators, and a cycle would wait for the gc.
         self.grid, self.dt, self.physics = weakref.proxy(grid), dt, physics
         self._latent, self._damping = physics.latent, -(physics.visc / dt)

@@ -59,9 +59,10 @@ class RootSolveFailure(PfcError):
 
 
 class LinearSolveDivergence(PfcError):
-    """A step-operator factorization was singular, a linear sweep
-    (tangent/adjoint) produced non-finite values, or a grid solve (Helmholtz,
-    inverse Neumann) left a bad residual."""
+    """A step-operator factorization was exactly singular (1D band pivot, 2D DCT
+    mode block or fallback LU), a tangent/adjoint sweep level's refinement
+    stalled above its bound (non-finite included), or a grid solve (Helmholtz,
+    inverse Neumann) failed its componentwise backward-error guard."""
 
 
 class NewtonDivergence(PfcError):

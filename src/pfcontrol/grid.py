@@ -3,9 +3,10 @@
 The spatial operators live here: the divergence-form Laplacian with mirror
 ghost cells (zero boundary flux), means and integrals, the inverse Neumann
 operator on zero-mean data, the H / V / dual norms built on it, and the
-smoothing step: one Helmholtz solve of all levels. The orthonormal DCT-II of
-each axis diagonalizes the Laplacian, so the Helmholtz and inverse Neumann
-solves divide by its eigenvalues in the DCT basis (`dct`, `eigenvalues`).
+smoothing step: one Helmholtz solve of a field or of a stack of fields. The
+orthonormal DCT-II of each axis diagonalizes the Laplacian, so the Helmholtz
+and inverse Neumann solves divide by its eigenvalues in the DCT basis (`dct`,
+`eigenvalues`).
 
 Fields are cell values flattened in C order. All cells have the same measure,
 so the measure-weighted mean is the plain arithmetic average.
@@ -154,22 +155,20 @@ class Grid:
         return float(np.dot(self._check(u), self._check(v)) * self.cell_measure)
 
     def helmholtz_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - 4 h^2 Laplacian) w = rhs: smooth_levels of one level."""
-        return self.smooth_levels(self._check(rhs)[None])[0]
-
-    def smooth_levels(self, levels: np.ndarray) -> np.ndarray:
-        """Solve (I - 4 h^2 Laplacian) w = level, h the coarsest spacing, for all
-        rows of levels in one DCT solve: damps grid-frequency noise. A 1D stack
-        goes as (levels, 1, n): one matrix-vector product per level, as alone."""
-        levels = np.asarray(levels, dtype=float)
-        if levels.ndim != 2 or levels.shape[1] != self.ncells:
-            raise ShapeMismatch(f"levels of shape {levels.shape}, not (m, {self.ncells})")
+        """Solve (I - 4 h^2 Laplacian) w = rhs, h the coarsest spacing, for one
+        field (ncells,) or every row of a stack (m, ncells) in one DCT solve:
+        damps grid-frequency noise. A 1D stack goes as (m, 1, n): one
+        matrix-vector product per row, as a lone field."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim not in (1, 2) or rhs.shape[-1] != self.ncells:
+            raise ShapeMismatch(f"shape {rhs.shape}, not ({self.ncells},) or (m, {self.ncells})")
+        levels = np.atleast_2d(rhs)
         coef, lap = 4.0 * max(self.spacing) ** 2, self.laplacian
         stack = levels[:, None] if self.dim == 1 else levels
         w = self.dct(self.dct(stack) / (1.0 - coef * self.eigenvalues), True).reshape(levels.shape)
         scale = np.abs(w) + coef * (self._abs_laplacian @ np.abs(w).T).T + np.abs(levels)
         self._residual_guard(levels - (w - coef * (lap @ w.T).T), scale, "helmholtz solve")
-        return w
+        return w.reshape(rhs.shape)
 
     def _residual_guard(self, residual: np.ndarray, scale: np.ndarray, what: str) -> None:
         """Raise unless max_i |residual_i| / scale_i, with scale = |A||x| + |b| the

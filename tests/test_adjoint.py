@@ -201,3 +201,27 @@ class TestPlumbing:
         state = pfc.solve_state(zero_control(other), other)
         with pytest.raises(pfc.ShapeMismatch, match="^state on "):
             pfc.solve_adjoint(state, regular_spec)
+
+
+@pytest.mark.parametrize(
+    "regime, yosida_eps, state_tol",
+    [("regular", None, 3.0e-13), ("log", None, 2.0e-13), ("log", 1.0e-3, 1.5e-12)],
+    ids=["quartic", "exact-log", "yosida-log"],
+)
+def test_1d_and_2d_solvers_agree_on_data_that_vary_along_x(regime, yosida_eps, state_tol):
+    # The band-LU path (1D) against the DCT path (2D): desk data vary along x
+    # only, and so does the control, one seeded random control repeated
+    # along y. The bounds are about ten times the measured gaps.
+    one = desk_spec(regime, cells=32, steps=16, yosida_eps=yosida_eps)
+    two = desk_spec(regime, cells=(32, 4), steps=16, yosida_eps=yosida_eps)
+    u = pfc.random_admissible_control(one, 7)
+    line, plane = pfc.solve_state(u, one), pfc.solve_state(np.repeat(u, 4, axis=1), two)
+    for field in ("theta", "phi"):
+        flat, cols = getattr(line, field), getattr(plane, field).reshape(17, 32, 4)
+        assert np.max(np.abs(cols - flat[:, :, None])) <= state_tol
+        assert np.max(np.ptp(cols, axis=2)) <= 2.0e-15
+    grad = pfc.solve_adjoint(line, one)
+    grad_2d = pfc.solve_adjoint(plane, two).reshape(16, 32, 4)
+    assert np.max(np.abs(grad_2d - grad[:, :, None])) <= 2.0e-13 * np.max(np.abs(grad))
+    j, j_2d = pfc.cost_value(line, one.cost), pfc.cost_value(plane, two.cost)
+    assert abs(j_2d - j) <= 5.0e-13 * abs(j)

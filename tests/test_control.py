@@ -361,6 +361,17 @@ class TestOptimize:
             pfc.optimize(decoupled)
         assert any("latent" in v for v in err.value.violations)
 
+    def test_coupling_must_be_positive(self):
+        spec = _small_spec()
+        uncoupled = dataclasses.replace(
+            spec, physics=dataclasses.replace(spec.physics, coupling=0.0)
+        )
+        with pytest.raises(pfc.ValidationError) as err:
+            pfc.optimize(uncoupled)
+        assert err.value.violations == [
+            "physics.coupling: must be positive for the control problem"
+        ]
+
     @pytest.mark.parametrize("eps", [0.0, 1.0e-3], ids=["exact", "yosida"])
     def test_inviscid_singular_well_is_one_violation(self, eps):
         # The exact well cannot be built without viscosity (the constructor's

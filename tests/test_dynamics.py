@@ -1252,6 +1252,13 @@ class TestFailureModes:
         with pytest.raises(pfc.ShapeMismatch):
             pfc.solve_state(np.zeros((2, 2)), regular_spec)
 
+    def test_trajectory_shape_checked(self, regular_spec):
+        state = pfc.solve_state(zero_control(regular_spec), regular_spec)
+        short = dataclasses.replace(state, phi=state.phi[:-1])
+        message = r"^trajectory shapes \(17, 32\), \(16, 32\) != \(17, 32\)$"
+        with pytest.raises(pfc.ShapeMismatch, match=message):
+            short.check(regular_spec)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_source_rejected(self, regular_spec, bad):
         # An inf source made the Newton tolerance inf, so every level kept

@@ -1,5 +1,7 @@
 """Spatial operators: stencils, conservation, inverse Neumann, norms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,14 @@ def test_helmholtz_solve_consistency():
     np.testing.assert_allclose(w - coef * (grid.laplacian @ w), f, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(), (9,), (3, 9), (2, 3, 8)])
+def test_helmholtz_solve_rejects_other_shapes(shape):
+    grid = pfc.Grid(8)
+    message = rf"^shape {re.escape(str(shape))}, not \(8,\) or \(m, 8\)$"
+    with pytest.raises(ShapeMismatch, match=message):
+        grid.helmholtz_solve(np.ones(shape))
+
+
 @pytest.mark.parametrize("cells", [32, 64, (48, 48), (12, 12), (16, 4)])
 def test_smoothing_all_levels_at_once_is_the_per_level_loop_to_the_bit(cells):
     # Reference: one Helmholtz solve per level, each a lone field's DCTs.
@@ -150,7 +160,7 @@ def test_smoothing_all_levels_at_once_is_the_per_level_loop_to_the_bit(cells):
     coef = 4.0 * max(grid.spacing) ** 2
     levels = np.random.default_rng(4).standard_normal((16, grid.ncells))
     want = [grid.dct(grid.dct(f) / (1.0 - coef * grid.eigenvalues), True) for f in levels]
-    got = grid.smooth_levels(levels)
+    got = grid.helmholtz_solve(levels)
     assert got.tobytes() == np.stack(want).tobytes()
     assert grid.helmholtz_solve(levels[3]).tobytes() == want[3].tobytes()
 
@@ -219,6 +229,11 @@ def test_grid_construction_errors():
         pfc.Grid((4, 4, 4))
     with pytest.raises(ValueError):
         pfc.Grid(8, -1.0)
+
+
+def test_grid_lengths_must_match_the_axes():
+    with pytest.raises(ValueError, match="^lengths must match the number of axes$"):
+        pfc.Grid(8, (1.0, 2.0))
 
 
 @pytest.mark.parametrize("length", [np.inf, np.nan], ids=["inf", "nan"])

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import pfcontrol as pfc
 from conftest import child_env
-from pfcontrol.errors import OutOfDomain
+from pfcontrol import potential
+from pfcontrol.errors import OutOfDomain, RootSolveFailure
 
 
 def _central(fn, r, delta=1e-6):
@@ -179,6 +180,44 @@ def test_resolvent_fails_instead_of_hanging(call):
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.stdout.strip() == "RootSolveFailure", proc.stderr
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"yosida_eps": -1.0e-3}, "yosida_eps must be nonnegative"),
+        ({"lo": 1.0, "hi": 1.0}, "domain must be a nonempty open interval"),
+    ],
+    ids=["eps", "domain"],
+)
+def test_potential_construction_errors(change, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(pfc.log_double_well(2.0), **change)
+
+
+def test_resolvent_needs_positive_eps():
+    with pytest.raises(ValueError, match="^resolvent needs eps > 0$"):
+        pfc.quartic_double_well().resolvent(np.array([0.5]), 0.0)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf])
+def test_resolvent_of_a_non_finite_value_raises(r):
+    with pytest.raises(RootSolveFailure, match="^resolvent of a non-finite value$"):
+        pfc.quartic_double_well(1.0e-3).resolvent(np.array([0.5, r]), 1.0e-3)
+
+
+def test_resolvent_out_of_iterations_raises(monkeypatch):
+    monkeypatch.setattr(potential, "_ROOT_MAX_ITER", 2)
+    with pytest.raises(RootSolveFailure, match="^resolvent iteration did not converge$"):
+        pfc.log_double_well(2.0, 1.0e-3).resolvent(np.array([0.5]), 1.0e-3)
+
+
+def test_resolvent_of_a_nan_slope_raises():
+    nan_slope = dataclasses.replace(
+        pfc.log_double_well(2.0, 1.0e-3), _dw_convex=lambda r: np.full_like(r, np.nan)
+    )
+    with pytest.raises(RootSolveFailure, match="^resolvent of a convex part with a NaN slope$"):
+        nan_slope.resolvent(np.array([0.5, -0.3]), 1.0e-3)
 
 
 def test_split_methods():

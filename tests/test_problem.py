@@ -61,3 +61,18 @@ def test_time_indexed_data_must_fit_the_time_grid():
         "box.lower: shape (16, 32) incompatible with (32, 32)",
         "theta_target: shape (16, 32) incompatible with (32, 32)",
     ]
+
+
+@pytest.mark.parametrize(
+    "cls, change, message",
+    [
+        (pfc.PhysicsParams, {"visc": -1.0}, "visc must be nonnegative"),
+        (pfc.PhysicsParams, {"latent": -1.0}, "latent and coupling must be nonnegative"),
+        (pfc.PhysicsParams, {"coupling": -1.0}, "latent and coupling must be nonnegative"),
+        (pfc.CostSpec, {"w_phi_final": -1.0}, "cost weights must be nonnegative"),
+    ],
+    ids=["visc", "latent", "coupling", "weight"],
+)
+def test_negative_coefficients_rejected(cls, change, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(**change)
