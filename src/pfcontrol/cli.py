@@ -73,12 +73,12 @@ def _json_text(value, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
-def _write_json(payload: dict, path: Path | None) -> None:
+def _write_json(payload: dict, out: Path | None, name: str) -> None:
     text = _json_text(payload) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+    else:
+        (out / name).write_text(text)
 
 
 def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
@@ -94,26 +94,16 @@ def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
             )
 
 
-def _report_path(args, name: str) -> Path | None:
-    return args.out / name if args.out is not None else None
-
-
 def _write_report(cfg, args, **fields) -> None:
-    """The command's report, opened by its command, version and config
-    digest, to stdout or into --out as <command>_report.json."""
     payload = {"command": args.command, "version": __version__, "config_digest": cfg.digest}
-    _write_json({**payload, **fields}, _report_path(args, f"{args.command}_report.json"))
-
-
-def _info(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    _write_json({**payload, **fields}, args.out, f"{args.command}_report.json")
 
 
 def _cmd_solve(cfg, args) -> int:
     spec = cfg.spec
     t0 = time.perf_counter()
     traj = solve_state(cfg.control, spec)
-    _info(f"solve: {spec.tgrid.steps} steps in {time.perf_counter() - t0:.3f}s")
+    print(f"solve: {spec.tgrid.steps} steps in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     times = spec.tgrid.times()
     means = traj.phase_mean_history()
     energies = [mixture_energy(spec.grid, spec.potential, lv) for lv in traj.phi]
@@ -170,7 +160,7 @@ def _cmd_adjoint(cfg, args) -> int:
     state = solve_state(cfg.control, spec)
     t0 = time.perf_counter()
     grad = solve_adjoint(state, spec)
-    _info(f"adjoint: {time.perf_counter() - t0:.3f}s")
+    print(f"adjoint: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     h = smooth_direction(spec, np.random.default_rng(args.seed))
     tan = solve_tangent(h, state, spec)
     lhs = lq_inner(grad, h, spec)
@@ -197,9 +187,10 @@ def _cmd_optimize(cfg, args) -> int:
     spec = cfg.spec
     t0 = time.perf_counter()
     report = optimize(spec, cfg.control, cfg.optimize)
-    _info(
+    print(
         f"optimize: {report.iterations} iterations, termination {report.termination}, "
-        f"{time.perf_counter() - t0:.3f}s"
+        f"{time.perf_counter() - t0:.3f}s",
+        file=sys.stderr,
     )
     _write_report(
         cfg,
@@ -234,15 +225,10 @@ def _cmd_optimize(cfg, args) -> int:
                 "shape": list(report.u_opt.shape),
                 "values": report.u_opt.tolist(),
             },
-            args.out / "control.json",
+            args.out,
+            "control.json",
         )
     return _EXIT_OK if report.termination == "stationary" else _EXIT_SOLVER
-
-
-def _gradcheck(cfg, a):
-    return fd_gradient_check(
-        cfg.control, cfg.spec, n_directions=a.directions, seed=a.seed, tol=a.tol
-    )
 
 
 #: probe --name: the probe run on (config, arguments).
@@ -258,17 +244,20 @@ _PROBES = {
 
 
 def _cmd_check(cfg, args) -> int:
-    """gradcheck, or probe --name: time the check for stderr, write its
-    report with the config digest, and exit 3 when it did not pass."""
-    if args.command == "gradcheck":
-        check, report_name = _gradcheck, "gradcheck_report.json"
-    else:
-        check, report_name = _PROBES[args.name], f"probe_{args.name}_report.json"
     t0 = time.perf_counter()
-    report = check(cfg, args)
-    _info(f"{args.command} {report.name}: passed={report.passed}, {time.perf_counter() - t0:.3f}s")
-    payload = {**dataclasses.asdict(report), "config_digest": cfg.digest}
-    _write_json(payload, _report_path(args, report_name))
+    if args.command == "gradcheck":
+        name = "gradcheck_report.json"
+        report = fd_gradient_check(
+            cfg.control, cfg.spec, n_directions=args.directions, seed=args.seed, tol=args.tol
+        )
+    else:
+        name = f"probe_{args.name}_report.json"
+        report = _PROBES[args.name](cfg, args)
+    print(
+        f"{args.command} {report.name}: passed={report.passed}, {time.perf_counter() - t0:.3f}s",
+        file=sys.stderr,
+    )
+    _write_json({**dataclasses.asdict(report), "config_digest": cfg.digest}, args.out, name)
     return _EXIT_OK if report.passed else _EXIT_CHECK
 
 
@@ -293,9 +282,8 @@ def _tolerance(text: str) -> float:
     return value
 
 
-# Built once per process, with the command functions it dispatches to: a
-# parser is a web of reference cycles (actions, groups, formatters), and one
-# built per call left about 280 objects that only a full collection frees.
+# Built once per process: a parser is a web of reference cycles (actions,
+# groups, formatters) that only a full garbage collection frees.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

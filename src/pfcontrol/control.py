@@ -173,9 +173,7 @@ def _lbfgs_direction(
     """-H grad on the free nodes, zero elsewhere, by the two-loop recursion: H
     is the L-BFGS inverse-Hessian estimate, in the L2(Q) inner product, of the
     stored (s, y) pairs restricted to the free nodes, masked as they are used.
-    Pairs without positive curvature there are skipped. Each pair's s.y and
-    y.y there are formed once, by that filter, and cached for both loops and
-    the scaling: 4k inner products for k kept pairs, not 6k + 2."""
+    Pairs without positive curvature there are skipped."""
 
     def inner(a, b):  # on the free nodes; q is zero off them and needs no mask
         return lq_inner(a, b * free, spec)
@@ -295,5 +293,4 @@ def optimize(
         _optimize_single(spec, random_admissible_control(spec, seed), opts, start_seed=seed)
         for seed in opts.starts
     ]
-    # min keeps the first of equal costs.
     return min(reports, key=lambda report: report.j_final)

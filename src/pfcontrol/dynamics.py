@@ -160,13 +160,14 @@ def step_matrix(
 def _act(matrices: dict, slope, x: np.ndarray, trans: str) -> np.ndarray:
     """(M + D) x, or its transpose, for M a StepOperator template (keyed by
     trans), where D holds diag(slope) in the (mu, phi) block of a stacked
-    (theta, phi, mu) operator."""
-    n = len(x) // 3
-    out = matrices[trans] @ x
+    (theta, phi, mu) operator. x is one stacked vector, or a stack of them
+    as rows with one row of slope each."""
+    n = x.shape[-1] // 3
+    out = (matrices[trans] @ x.T).T
     if trans == "N":
-        out[2 * n :] += slope * x[n : 2 * n]
+        out[..., 2 * n :] += slope * x[..., n : 2 * n]
     else:
-        out[n : 2 * n] += slope * x[2 * n :]
+        out[..., n : 2 * n] += slope * x[..., 2 * n :]
     return out
 
 
@@ -186,8 +187,7 @@ class StepOperator:
     act through it. `old_level` applies the old-level blocks from latent and
     visc/dt alone. In 1D, `band` holds the template in interleaved (theta_i,
     phi_i, mu_i) order, stacked unknown order[j] at j and i at at[i], in LAPACK
-    band storage with kl and ku read off that pattern; a StepLU writes the
-    slope into the (mu_i, phi_i) slots of a copy and factorizes it.
+    band storage with kl and ku read off that pattern.
 
     In 2D the orthonormal DCT-II of the grid (Grid.dct) diagonalizes the
     Laplacian, so at a constant slope s the operator is one 3x3 block per
@@ -242,23 +242,15 @@ class StepOperator:
 
 class StepLU:
     """The one factor of a StepOperator that a sweep holds, linearized at the
-    convex slope `slope`: forward Newton carries it from step to step, and
-    the sweeps refactor it at each level. Solves act on stacked (theta, phi,
-    mu) vectors; trans="T" solves with the transpose.
-
-    In 1D it is the band LU of the whole operator. In 2D it is (g, den) of
-    every DCT mode block at the mean of the slope, solved in closed form, and
-    solves refine against the operator at the true slope; where that
-    refinement stalls, the operator at that slope is factorized once with
-    splu and the refinement goes on with that LU."""
+    convex slope `slope`. Solves act on stacked (theta, phi, mu) vectors;
+    trans="T" solves with the transpose."""
 
     def __init__(self, stepop: StepOperator):
         self.stepop, self.lu, self.slope = stepop, None, None
 
     def refactor(self, dconvex: np.ndarray) -> "StepLU":
-        """Drop the held factor, then factorize at the convex slope dconvex, in
-        2D by the mode pivots at its mean (LinearSolveDivergence when the
-        operator is exactly singular)."""
+        """Drop the held factor, then factorize at the convex slope dconvex
+        (LinearSolveDivergence when the operator is exactly singular)."""
         self.lu, self.slope, op = None, np.asarray(dconvex, dtype=float), self.stepop
         if op.band is not None:
             band = op.band.copy(order="F")
@@ -293,8 +285,7 @@ class StepLU:
         return op.grid.dct(np.array(x), True).ravel()
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """A Newton step's solve with the operator at the factor's own slope:
-        the band LU's in 1D, refined to a residual of _FORCING times rhs in 2D."""
+        """A Newton step's solve with the operator at the factor's own slope."""
         if self.stepop.band is not None:
             return self._apply(rhs, trans)
         return self.refined(rhs, self.slope, trans, _FORCING)[0]
@@ -307,9 +298,7 @@ class StepLU:
         else the iterate before the first correction that fails to halve it.
         The refinement aims at half that bound, so that the rounding of another
         evaluation of the residual cannot carry a converged x past it; it stops
-        at the bound itself only where the next correction fails to halve.
-        Where that stalls with the DCT modes, the held factor becomes the splu
-        LU of step_matrix at `slope`, and the refinement starts again with it."""
+        at the bound itself only where the next correction fails to halve."""
         template, bound = self.stepop.template, rtol * np.linalg.norm(rhs)
         x = self._apply(rhs, trans)
         res = rhs - _act(template, -slope, x, trans)
@@ -334,8 +323,7 @@ class StepLU:
 
 
 def step_operator(grid: Grid, dt: float, physics: PhysicsParams) -> StepOperator:
-    """The StepOperator of (grid, dt, physics), built on first use and kept
-    on the grid, so that it lives exactly as long as the grid."""
+    """The StepOperator of (grid, dt, physics), built on first use."""
     key = (float(dt), physics)
     stepop = grid.step_operators.get(key)
     if stepop is None:
@@ -376,7 +364,7 @@ def _advance_step(
     template @ x - old - (0, 0, B(phi)), with the old-level terms old = c(x_n)
     formed once. The coroutine yields each iterate x with `old` and is sent
     back (res, res_norm, slope): the residual, its max norm and the convex
-    slope at phi. solve_states forms them, for many controls at once.
+    slope at phi.
 
     carry = (acted, slope) is the previous step's last evaluation, acted =
     template @ x_n - (0, 0, B(phi_n)) and the convex slope at phi_n, both
@@ -457,9 +445,7 @@ def _advance_step(
 def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
     """The march of one control over the whole horizon, as a coroutine that
     passes on the iterates of every _advance_step and returns the Trajectory.
-    x0 stacks theta0, phi0 and the starting guess for mu. Each step hands its
-    last evaluation to the next (the carry of _advance_step), so only step 1
-    evaluates its old level x0."""
+    x0 stacks theta0, phi0 and the starting guess for mu."""
     grid, tgrid, pot = spec.grid, spec.tgrid, spec.potential
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
     guard = _domain_guard(pot) if pot.is_singular and pot.yosida_eps == 0 else None
@@ -603,12 +589,10 @@ def linear_sweep(
     Each level refactors the sweep's one StepLU at its slope and refines
     against the operator there (StepLU.refined), which must converge.
 
-    In 1D a fresh band LU meets the refinement bound with no correction, so
-    every level is first solved with its band LU alone, and the residuals of
-    all levels are formed in one template product and checked against the
-    bound StepLU.refined aims at. From the first level, in sweep order, that
-    misses it or is not finite, the sweep goes on level by level as in 2D, so
-    its results and errors are those of the level-by-level sweep.
+    The 1D check of all levels at once (module docstring) holds each level to
+    the bound StepLU.refined aims at. From the first level, in sweep order,
+    that misses it or is not finite, the sweep goes on level by level, so its
+    results and errors are those of the level-by-level sweep.
     Returns forcing with row k overwritten by the (theta, phi) rows of X_{k+1}
     or Y_{k+1}: in place, as a second (steps, 2n) array raised the 2D peak
     memory. LinearSolveDivergence when a level's refinement stalls above its
@@ -628,12 +612,7 @@ def linear_sweep(
             rhs[k, : 2 * n] += forcing[k]
             xs[k] = x = held.refactor(convex[k])._apply(rhs[k], trans)
         bound = 0.5 * _REFINE_TOL * np.linalg.norm(rhs, axis=1)
-        # The residuals rhs_k - A_k x_k of all levels, in place.
-        rhs -= (held.stepop.template[trans] @ xs.T).T
-        if tangent:
-            rhs[:, 2 * n :] += convex * xs[:, n : 2 * n]
-        else:
-            rhs[:, n : 2 * n] += convex * xs[:, 2 * n :]
+        rhs -= _act(held.stepop.template, -convex, xs, trans)
         passed = np.linalg.norm(rhs, axis=1) <= bound
         checked = next((j for j, k in enumerate(levels) if not passed[k]), nt)
         for k in levels[:checked]:

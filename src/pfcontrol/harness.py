@@ -105,8 +105,7 @@ def smooth_direction(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
 def fd_directional_derivative(
     u: np.ndarray, h: np.ndarray, spec: ProblemSpec, delta: float
 ) -> float:
-    """Central difference of the reduced cost along h at step delta, its two
-    states marched as one batch."""
+    """Central difference of the reduced cost along h at step delta."""
     plus, minus = solve_states([u + delta * h, u - delta * h], spec)
     return (cost_value(plus, spec.cost) - cost_value(minus, spec.cost)) / (2.0 * delta)
 
@@ -129,7 +128,6 @@ def fd_gradient_check(
     controls = [v for h in hs for step in steps for v in (u + step * h, u - step * h)]
     state, *perturbed = solve_states([u] + controls, spec)
     # The costs in march order: +-delta, then +-delta/2, direction by direction.
-    # The perturbed trajectories go before the adjoint sweep runs.
     costs = iter([cost_value(traj, spec.cost) for traj in perturbed])
     del perturbed
     grad = solve_adjoint(state, spec)
@@ -180,10 +178,8 @@ def frechet_remainder_probe(u: np.ndarray, spec: ProblemSpec, seed: int = 11) ->
     log_r = np.log10(np.maximum(remainders, 1.0e-300))
     # Rungs at the solver noise floor stop decaying and would flatten the
     # fit; keep the longest run of rungs with a near-quadratic pairwise
-    # decay rate. The gate (1.5 to 2.5) is strictly wider than the pass
-    # band, so a remainder that uniformly decays at any rate outside the
-    # band still fails: the gate can only discard saturated or transition
-    # rungs, never rescue a genuinely non-quadratic remainder.
+    # decay rate. The gate is wider than the pass band, so it can discard
+    # saturated rungs but never rescue a non-quadratic remainder.
     pair = (log_r[:-1] - log_r[1:]) / (log_d[:-1] - log_d[1:])
     good = (pair >= 1.5) & (pair <= 2.5)
     best_start, best_len, start = 0, 0, 0
@@ -232,8 +228,8 @@ def _weak_difference_norm(a: Trajectory, b: Trajectory) -> float:
 def _lipschitz_ratios(
     spec: ProblemSpec, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[list[float], list[float]]:
-    """Continuous-dependence ratios over the distinct control pairs, whose
-    controls are marched as one batch; an identical pair is skipped.
+    """Continuous-dependence ratios over the distinct control pairs; an
+    identical pair is skipped.
 
     strong: Y norm of the state difference over the L2(Q) control distance;
     weak: the dual-norm composite over the same denominator.

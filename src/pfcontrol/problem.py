@@ -145,8 +145,6 @@ class ProblemSpec:
     box: ControlBox = dataclasses.field(default_factory=ControlBox)
 
     def __post_init__(self):
-        """Raise one ValidationError listing every violation; the hypotheses
-        of the control theory are control.optimize's to check."""
         grid, pot, phi0 = self.grid, self.potential, self.init.phi0
         bad = []
         for name, arr in (("theta0", self.init.theta0), ("phi0", phi0)):

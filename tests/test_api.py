@@ -161,6 +161,7 @@ def test_step_operator_stays_inside_dynamics():
 # module, and the NumPy reduction wrappers they must not call.
 _HOT_PATHS = {
     "dynamics": [
+        "_act",
         "_advance_step",
         "_march",
         "_lockstep",
@@ -257,6 +258,18 @@ def _quickstart_block() -> str:
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     section = readme.split("## Quickstart (Python)", 1)[1]
     return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quickstart_runs_as_it_says():
+    # The Quickstart's optimize call must stop as stationary within a quarter
+    # of the iteration count the README gives for it.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    about = int(re.search(r"converges in about (\d+) iterations", readme).group(1))
+    namespace = {}
+    exec(_quickstart_block(), namespace)
+    report = namespace["report"]
+    assert report.termination == "stationary"
+    assert abs(report.iterations - about) <= 0.25 * about
 
 
 def test_exported_functions_have_a_caller():

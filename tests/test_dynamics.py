@@ -967,6 +967,20 @@ class TestSweepCheck:
             assert np.array_equal(pfc.solve_adjoint(base, spec), adjoint)
         assert len(refined) == spec.tgrid.steps - 5
 
+    @pytest.mark.parametrize("cells", [12, (6, 5)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_act_on_a_stack_is_act_row_by_row(self, cells, trans):
+        # The one-product check forms every level's residual through _act on
+        # the stack of levels; each row must be that level's own product.
+        grid = pfc.Grid(cells)
+        physics = pfc.PhysicsParams(visc=1.0, latent=0.7, coupling=1.3)
+        template = dynamics.StepOperator(grid, 0.05, physics).template
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((5, 3 * grid.ncells))
+        slopes = rng.uniform(-2.0, 4.0, (5, grid.ncells))
+        rows = [dynamics._act(template, s, x, trans) for s, x in zip(slopes, xs)]
+        assert np.array_equal(dynamics._act(template, slopes, xs, trans), np.array(rows))
+
     @pytest.mark.parametrize("trans,k", [("N", 3), ("N", 11), ("T", 4), ("T", 12)])
     def test_nan_forcing_names_its_time_step(self, trans, k):
         spec = desk_spec()
