@@ -31,9 +31,9 @@ eliminates in closed form; solves refine against the operator at the true
 slope, Newton's to a residual of _FORCING times its right-hand side (inexact
 Newton), the linearized sweeps' to _REFINE_TOL. Only where that refinement
 stalls, on slopes far from their mean, is the operator at the true slope
-factorized, once, by splu. Each sweep holds one factor (StepLU); forward
-Newton first tries the chord step of the one carried from the previous step.
-It also starts from the residual and slope of the previous step's last
+factorized, once, by splu. Each sweep holds one factor (StepLU); a Newton
+step of _march first tries the chord step of the one carried from the
+previous step, and starts from the residual and slope of that step's last
 iterate, so only step 1 evaluates its old level.
 In 1D a fresh band LU needs no refinement: a linearized sweep solves every
 level with its band LU alone, checks the residuals of all levels in one
@@ -41,11 +41,11 @@ template product, and refines level by level only from the first level that
 misses the bound.
 
 solve_states marches several controls of one spec together. Each control's
-march is one coroutine over its steps' Newton solves: it yields every iterate
-and is sent back its residual. In 1D all pending iterates share one round:
-one convex evaluation and one template product for all of them, while every
-Newton decision stays with its own control, so each trajectory is bit for
-bit the control's solo march. solve_state is the batch of one, the one the
+march (_march) is one coroutine over its steps' Newton solves: it yields
+every iterate and is sent back its residual. In 1D all pending iterates
+share one round: one convex evaluation and one template product for all of
+them, while every Newton decision stays with its own control, so each
+trajectory is bit for bit the control's solo march. solve_state is the batch of one, the one the
 optimizer calls. The FD oracle and the probes march their controls in
 batches. In 2D the marches run one after another. The linearized sweeps
 evaluate the slopes of all their levels in one call each.
@@ -91,7 +91,7 @@ __all__ = [
 _BOUNDARY_FRACTION = 0.99
 _MIN_STEP_FRACTION = 1.0e-10
 #: Per-step Newton solve: residual tolerance (scaled by the data, see
-#: _advance_step), iteration budget and halvings of a damped step.
+#: _march), iteration budget and halvings of a damped step.
 _NEWTON_TOL = 1.0e-12
 _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_BACKTRACKS = 40
@@ -285,21 +285,21 @@ class StepLU:
         return op.grid.dct(np.array(x), True).ravel()
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """A Newton step's solve with the operator at the factor's own slope."""
+        """The solve with the operator at the factor's own slope: the band LU
+        alone in 1D, refined to _FORCING in 2D (a Newton step's solve)."""
         if self.stepop.band is not None:
             return self._apply(rhs, trans)
-        return self.refined(rhs, self.slope, trans, _FORCING)[0]
+        return self.refined(rhs, trans, _FORCING)[0]
 
-    def refined(
-        self, rhs: np.ndarray, slope: np.ndarray, trans: str = "N", rtol: float = _REFINE_TOL
-    ):
-        """(x, converged) with the operator at `slope`: refined against the
-        assembled operator to a residual 2-norm of rtol times that of rhs,
-        else the iterate before the first correction that fails to halve it.
-        The refinement aims at half that bound, so that the rounding of another
-        evaluation of the residual cannot carry a converged x past it; it stops
-        at the bound itself only where the next correction fails to halve."""
-        template, bound = self.stepop.template, rtol * np.linalg.norm(rhs)
+    def refined(self, rhs: np.ndarray, trans: str = "N", rtol: float = _REFINE_TOL):
+        """(x, converged) with the operator at the factor's own slope: refined
+        against the assembled operator to a residual 2-norm of rtol times
+        that of rhs, else the iterate before the first correction that fails
+        to halve it. The refinement aims at half that bound, so that the
+        rounding of another evaluation of the residual cannot carry a
+        converged x past it; it stops at the bound itself only where the next
+        correction fails to halve."""
+        template, slope, bound = self.stepop.template, self.slope, rtol * np.linalg.norm(rhs)
         x = self._apply(rhs, trans)
         res = rhs - _act(template, -slope, x, trans)
         res_norm = np.linalg.norm(res)
@@ -317,7 +317,7 @@ class StepLU:
                     self.lu = splu(step_matrix(op.grid, op.dt, op.physics, slope))
                 except RuntimeError as exc:
                     raise LinearSolveDivergence(f"fallback LU of the step operator: {exc}") from exc
-                return self.refined(rhs, slope, trans, rtol)
+                return self.refined(rhs, trans, rtol)
             x = trial
         return x, True
 
@@ -338,114 +338,44 @@ def _domain_guard(potential: Potential) -> Callable[[np.ndarray, np.ndarray], fl
         room = np.where(dphi < 0, phi - lo, hi - phi)  # a zero move has ratio inf
         with np.errstate(divide="ignore"):
             alpha = min(1.0, float((_BOUNDARY_FRACTION * room / np.abs(dphi)).min()))
-        # Rounding can still put the step on an endpoint: halve it until not.
+        # Rounding can still put the step on an endpoint: halve it until not,
+        # unless phi itself is not strictly inside, where no step is.
         while not potential.contains(phi + alpha * dphi).all():
+            if not potential.contains(phi).all():
+                return 0.0
             alpha *= 0.5
         return alpha
 
     return guard
 
 
-def _advance_step(
-    held: StepLU,
-    explicit: np.ndarray,
-    x_n: np.ndarray,
-    source_step: np.ndarray,
-    guard: Callable[[np.ndarray, np.ndarray], float] | None,
-    noise_floor: float,
-    carry: tuple[np.ndarray, np.ndarray] | None,
-    where: str,
-):
-    """One damped-Newton solve of the coupled step equations at step `where`,
-    as a coroutine that returns the new level and its carry.
-
-    x_n stacks the old level (theta_n, phi_n) and the starting guess for mu;
-    source_step is dt times the source at the new level. The residual is
-    template @ x - old - (0, 0, B(phi)), with the old-level terms old = c(x_n)
-    formed once. The coroutine yields each iterate x with `old` and is sent
-    back (res, res_norm, slope): the residual, its max norm and the convex
-    slope at phi.
-
-    carry = (acted, slope) is the previous step's last evaluation, acted =
-    template @ x_n - (0, 0, B(phi_n)) and the convex slope at phi_n, both
-    owned arrays; the step takes it over, so Newton starts from res = acted -
-    old without evaluating x_n again. It was evaluated before _march shifted
-    phi_n to re-anchor the phase mean, a shift below the Newton tolerance.
-    With carry None (step 1) the step yields x_n first. The step returns
-    (x, carry) for the next one.
-
-    guard(phi, dphi) caps the step length on a singular domain, None takes
-    full steps. The tolerance scales with the size of the old level and of
-    the source increment. noise_floor lifts it to the evaluation noise of the
-    nonlinear terms (the Yosida values carry the resolvent root error
-    amplified by 1/eps), below which the residual cannot be driven reliably.
-
-    The residual of each iterate keeps its slope, and a Newton step
-    factorizes the operator linearized with it, so the phase field of an
-    iterate is never evaluated twice. Iteration 1 first tries the chord step
-    of the factor in `held`, carried from the previous step, kept if it cuts
-    the residual by _FORCING, as much as a 2D Newton step's solve must.
-    """
-    n = len(explicit)
-    old = held.stepop.old_level(x_n, 0.0)
-    old[:n] += source_step
-    old[2 * n :] += explicit
-    x = x_n.copy()
-    scale = 1.0 + max(float(np.abs(x_n[: 2 * n]).max()), float(np.abs(source_step).max()))
-    tol = max(_NEWTON_TOL, noise_floor) * scale
-    if carry is None:
-        res, res_norm, slope = yield x, old
-    else:
-        res, slope = carry
-        res -= old
-        res_norm = float(np.abs(res).max())
-    del carry
-    for it in range(1, _NEWTON_MAX_ITER + 1):
-        if res_norm <= tol:
-            break
-        if it == 1 and held.lu is not None:
-            delta = held.solve(-res)
-            if np.isfinite(delta).all():
-                step = delta if guard is None else guard(x[n : 2 * n], delta[n : 2 * n]) * delta
-                trial = x + step
-                trial_res, trial_norm, trial_slope = yield trial, old
-                if trial_norm <= max(_FORCING * res_norm, tol):
-                    x, res, res_norm, slope = trial, trial_res, trial_norm, trial_slope
-                    continue
-        delta = held.refactor(slope).solve(-res)
-        if not np.isfinite(delta).all():
-            raise NewtonDivergence(f"{where}, Newton iteration {it}: non-finite step")
-        alpha = 1.0 if guard is None else guard(x[n : 2 * n], delta[n : 2 * n])
-        if alpha < _MIN_STEP_FRACTION:
-            raise DomainEscape(
-                f"{where}, Newton iteration {it}: iterate pinned to the domain boundary"
-            )
-        for _ in range(_NEWTON_MAX_BACKTRACKS):
-            trial = x + alpha * delta
-            trial_res, trial_norm, trial_slope = yield trial, old
-            if math.isfinite(trial_norm) and (trial_norm < res_norm or trial_norm <= tol):
-                break
-            alpha *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"{where}, Newton iteration {it}: damping stalled at residual "
-                f"{res_norm:.3e} (tol {tol:.1e})"
-            )
-        x = trial
-        res, res_norm, slope = trial_res, trial_norm, trial_slope
-    if not res_norm <= tol:
-        raise NewtonDivergence(
-            f"{where}: no convergence after Newton iteration {_NEWTON_MAX_ITER} "
-            f"(residual {res_norm:.3e}, tol {tol:.1e})"
-        )
-    # Owned copies: in lockstep res and slope are rows of the round's stacks.
-    return x, (res + old, slope.copy())
-
-
 def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
-    """The march of one control over the whole horizon, as a coroutine that
-    passes on the iterates of every _advance_step and returns the Trajectory.
-    x0 stacks theta0, phi0 and the starting guess for mu."""
+    """The march of one control over the whole horizon, one damped-Newton
+    solve of the coupled step equations per step, as a coroutine that returns
+    the Trajectory. x0 stacks theta0, phi0 and the starting guess for mu.
+
+    Step k starts from x_n, the old level (theta_n, phi_n) with the last mu
+    as the guess. Its residual is template @ x - old - (0, 0, B(phi)), with
+    the old-level terms old = c(x_n) plus the source and remainder terms
+    formed once. The coroutine yields each iterate x with `old` and is sent back
+    (res, res_norm, slope): the residual, its max norm and the convex slope at
+    phi. Step 1 yields x0 first; every later step starts from acted - old,
+    with acted = template @ x_n - (0, 0, B(phi_n)) and the slope kept from the
+    previous step's last iterate, evaluated before the phase mean was
+    re-anchored, a shift below the Newton tolerance.
+
+    The tolerance scales with the size of the old level and of the source
+    increment. noise_floor lifts it to the evaluation noise of the nonlinear
+    terms (the Yosida values carry the resolvent root error amplified by
+    1/eps), below which the residual cannot be driven reliably. guard(phi,
+    dphi) caps the step length on a singular domain, None takes full steps.
+
+    A Newton step factorizes the operator linearized with the slope of its
+    iterate's residual, so the phase field of an iterate is never evaluated
+    twice. Iteration 1 first tries the chord step of the factor in `held`,
+    carried from the previous step, kept if it cuts the residual by _FORCING,
+    as much as a 2D Newton step's solve must.
+    """
     grid, tgrid, pot = spec.grid, spec.tgrid, spec.potential
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
     guard = _domain_guard(pot) if pot.is_singular and pot.yosida_eps == 0 else None
@@ -454,20 +384,59 @@ def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
     theta[0], phi[0] = x0[:n], x0[n : 2 * n]
     phase_mean = float(phi[0].sum()) / n
     held = StepLU(step_operator(grid, dt, spec.physics))
-    x, carry = x0, None
+    x = x0.copy()
     for k in range(nt):
-        step = _advance_step(
-            held,
-            pot.dw_rest(phi[k]),
-            x,
-            dt * source[k],
-            guard,
-            noise_floor,
-            carry,
-            f"time step {k + 1} of {nt}",
-        )
-        carry = None  # the step owns it now and reuses its array
-        x, carry = yield from step
+        where, source_step = f"time step {k + 1} of {nt}", dt * source[k]
+        old = held.stepop.old_level(x, 0.0)
+        old[:n] += source_step
+        old[2 * n :] += pot.dw_rest(phi[k])
+        scale = 1.0 + max(float(np.abs(x[: 2 * n]).max()), float(np.abs(source_step).max()))
+        tol = max(_NEWTON_TOL, noise_floor) * scale
+        if k == 0:
+            res, res_norm, slope = yield x, old
+        else:
+            res = acted - old
+            res_norm = float(np.abs(res).max())
+        for it in range(1, _NEWTON_MAX_ITER + 1):
+            if res_norm <= tol:
+                break
+            if it == 1 and held.lu is not None:
+                delta = held.solve(-res)
+                if np.isfinite(delta).all():
+                    step = delta if guard is None else guard(x[n : 2 * n], delta[n : 2 * n]) * delta
+                    trial = x + step
+                    trial_res, trial_norm, trial_slope = yield trial, old
+                    if trial_norm <= max(_FORCING * res_norm, tol):
+                        x, res, res_norm, slope = trial, trial_res, trial_norm, trial_slope
+                        continue
+            delta = held.refactor(slope).solve(-res)
+            if not np.isfinite(delta).all():
+                raise NewtonDivergence(f"{where}, Newton iteration {it}: non-finite step")
+            alpha = 1.0 if guard is None else guard(x[n : 2 * n], delta[n : 2 * n])
+            if alpha < _MIN_STEP_FRACTION:
+                raise DomainEscape(
+                    f"{where}, Newton iteration {it}: iterate pinned to the domain boundary"
+                )
+            for _ in range(_NEWTON_MAX_BACKTRACKS):
+                trial = x + alpha * delta
+                trial_res, trial_norm, trial_slope = yield trial, old
+                if math.isfinite(trial_norm) and (trial_norm < res_norm or trial_norm <= tol):
+                    break
+                alpha *= 0.5
+            else:
+                raise NewtonDivergence(
+                    f"{where}, Newton iteration {it}: damping stalled at residual "
+                    f"{res_norm:.3e} (tol {tol:.1e})"
+                )
+            x = trial
+            res, res_norm, slope = trial_res, trial_norm, trial_slope
+        if not res_norm <= tol:
+            raise NewtonDivergence(
+                f"{where}: no convergence after Newton iteration {_NEWTON_MAX_ITER} "
+                f"(residual {res_norm:.3e}, tol {tol:.1e})"
+            )
+        # Owned copies: in lockstep res and slope are rows of the round's stacks.
+        acted, slope = res + old, slope.copy()
         # Re-anchor the conserved mean; the shift is below Newton tolerance.
         x[n : 2 * n] += phase_mean - float(x[n : 2 * n].sum()) / n
         theta[k + 1], phi[k + 1], mu[k] = x[:n], x[n : 2 * n], x[2 * n :]
@@ -610,7 +579,7 @@ def linear_sweep(
         for k in levels:
             rhs[k] = held.stepop.old_level(x, rest[k if tangent else k + 1], trans)
             rhs[k, : 2 * n] += forcing[k]
-            xs[k] = x = held.refactor(convex[k])._apply(rhs[k], trans)
+            xs[k] = x = held.refactor(convex[k]).solve(rhs[k], trans)
         bound = 0.5 * _REFINE_TOL * np.linalg.norm(rhs, axis=1)
         rhs -= _act(held.stepop.template, -convex, xs, trans)
         passed = np.linalg.norm(rhs, axis=1) <= bound
@@ -622,7 +591,7 @@ def linear_sweep(
     for k in levels:
         rhs = held.stepop.old_level(x, rest[k if tangent else k + 1], trans)
         rhs[: 2 * n] += forcing[k]
-        x, converged = held.refactor(convex[k]).refined(rhs, convex[k], trans)
+        x, converged = held.refactor(convex[k]).refined(rhs, trans)
         if not converged:
             sweep = "tangent" if tangent else "adjoint"
             raise LinearSolveDivergence(f"{sweep} sweep broke down at time step {k + 1} of {nt}")

@@ -162,7 +162,6 @@ def test_step_operator_stays_inside_dynamics():
 _HOT_PATHS = {
     "dynamics": [
         "_act",
-        "_advance_step",
         "_march",
         "_lockstep",
         "linear_sweep",

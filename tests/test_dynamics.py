@@ -3,12 +3,15 @@ equation residuals, tangent linearization, and failure modes."""
 
 import dataclasses
 import re
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
-from conftest import desk_spec, singular_factorizations, zero_control
+from conftest import child_env, desk_spec, singular_factorizations, zero_control
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -312,8 +315,8 @@ class TestStepOperator:
             # The held factor's pivots are the block determinants over a.
             det = np.linalg.det(blocks.transpose(2, 0, 1))
             assert np.max(np.abs(stepop.a * held.lu[1] - det) / np.abs(det)) <= 1.0e-13
-        first = dynamics.StepLU(stepop).refactor(slope).refined(rhs, slope)
-        again = dynamics.StepLU(stepop).refactor(slope).refined(rhs, slope)
+        first = dynamics.StepLU(stepop).refactor(slope).refined(rhs)
+        again = dynamics.StepLU(stepop).refactor(slope).refined(rhs)
         assert first[1] and again[1]
         assert np.array_equal(first[0], again[0])
 
@@ -394,15 +397,11 @@ class TestStepOperator:
         rhs = rng.standard_normal(3 * n)
         for slope in (np.zeros(n), rng.exponential(2.0, n)):
             lu = dynamics.StepLU(stepop).refactor(slope)
-            # Refined at its own slope, and at a nearby one, as Newton's
-            # carried factor is at the next step.
-            nearby = slope * rng.uniform(0.8, 1.2, n) + rng.uniform(0.0, 0.1, n)
-            for target in (slope, nearby):
-                a = dynamics.step_matrix(grid, dt, physics, target)
-                for trans, op in (("N", a), ("T", a.T)):
-                    x, converged = lu.refined(rhs, target, trans)
-                    assert converged
-                    assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
+            a = dynamics.step_matrix(grid, dt, physics, slope)
+            for trans, op in (("N", a), ("T", a.T)):
+                x, converged = lu.refined(rhs, trans)
+                assert converged
+                assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
 
     def test_stalled_refinement_refactorizes(self, monkeypatch):
         # Three slopes 1e3 times the rest stall the refinement with the DCT
@@ -419,9 +418,9 @@ class TestStepOperator:
         a = dynamics.step_matrix(grid, dt, physics, jumped)
         for trans, op in (("N", a), ("T", a.T)):
             factored.clear()
-            assert held.refactor(slope).refined(rhs, slope, trans)[1]
+            assert held.refactor(slope).refined(rhs, trans)[1]
             assert isinstance(held.lu, np.ndarray) and not factored
-            x, converged = held.refactor(jumped).refined(rhs, jumped, trans)
+            x, converged = held.refactor(jumped).refined(rhs, trans)
             assert converged and len(factored) == 1
             assert not isinstance(held.lu, np.ndarray)
             assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
@@ -432,7 +431,7 @@ class TestStepOperator:
         )
         n = regular_spec.grid.ncells
         held = dynamics.StepLU(stepop).refactor(np.ones(n))
-        x, converged = held.refined(np.full(3 * n, np.nan), np.ones(n))
+        x, converged = held.refined(np.full(3 * n, np.nan))
         assert not converged and not np.all(np.isfinite(x))
         # The refinement of level 4 stalls on the infinite direction there.
         base = pfc.solve_state(zero_control(regular_spec), regular_spec)
@@ -457,7 +456,7 @@ class TestStepOperator:
         )
         n, stepop = spec.grid.ncells, dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
         held = dynamics.StepLU(stepop).refactor(np.ones(n))
-        x, converged = held.refined(np.ones(3 * n), np.ones(n))
+        x, converged = held.refined(np.ones(3 * n))
         assert not converged and np.all(np.isfinite(x))
         forcing = np.random.default_rng(1).standard_normal((4, 2 * n))
         sweep, k = ("tangent", 1) if trans == "N" else ("adjoint", 4)
@@ -543,7 +542,7 @@ class TestStepOperator:
             pfc.PhysicsParams(visc=0.0, latent=0.7, coupling=1.3),
         ):
             held = dynamics.StepLU(dynamics.StepOperator(grid, 0.05, physics)).refactor(slope)
-            assert held.refined(np.ones(3 * grid.ncells), slope)[1]
+            assert held.refined(np.ones(3 * grid.ncells))[1]
         reference, other = fill
         assert abs(other - reference) <= 0.1 * reference
 
@@ -751,6 +750,20 @@ def _carrying(refactored, far_off):
     return Carrying
 
 
+def _at_step_2(monkeypatch, action):
+    """Run action() as a march begins time step 2: StepOperator.old_level
+    runs once per step, before that step's Newton loop."""
+    begun, old_level = [], dynamics.StepOperator.old_level
+
+    def counted(stepop, *args):
+        begun.append(1)
+        if len(begun) == 2:
+            action()
+        return old_level(stepop, *args)
+
+    monkeypatch.setattr(dynamics.StepOperator, "old_level", counted)
+
+
 class TestCarriedLU:
     @pytest.mark.parametrize(
         "regime,eps,cells",
@@ -784,57 +797,47 @@ class TestCarriedLU:
     @pytest.mark.parametrize("regime,eps", [("regular", 0.0), ("log", 1.0e-3)])
     def test_large_2d_source_needs_few_evaluations_per_step(self, regime, eps, monkeypatch):
         # Only iteration 1 tries the carried chord step; every later Newton
-        # iteration refactorizes at its iterate. A step here takes at most 12
-        # evaluations on the quartic well and 16 on the Yosida-log one.
+        # iteration refactorizes at its iterate. A step here takes at most 11
+        # evaluations on the quartic well and 22 on the Yosida-log one.
         spec = desk_spec(regime, cells=(12, 12), steps=8, yosida_eps=eps)
-        evaluations, advance = [], dynamics._advance_step
+        steps, march = [], dynamics._march
 
         def counting(*args):
-            # Each iterate the step yields is one convex evaluation.
-            calls = []
-            evaluations.append(calls)
-            step, reply = advance(*args), None
+            # Each iterate the march yields is one convex evaluation, and it
+            # yields each with its step's own `old` array.
+            inner, reply = march(*args), None
             while True:
                 try:
-                    iterate = step.send(reply)
+                    x, old = inner.send(reply)
                 except StopIteration as stop:
                     return stop.value
-                calls.append(1)
-                reply = yield iterate
+                if not steps or steps[-1][0] is not old:
+                    steps.append([old])
+                steps[-1].append(x)
+                reply = yield x, old
 
-        monkeypatch.setattr(dynamics, "_advance_step", counting)
+        monkeypatch.setattr(dynamics, "_march", counting)
         pfc.solve_state(_random_control(spec, seed=0, amplitude=1.0e5), spec)
-        assert len(evaluations) == spec.tgrid.steps
-        assert max(len(calls) for calls in evaluations) <= 25
+        assert len(steps) == spec.tgrid.steps
+        assert max(len(step) - 1 for step in steps) <= 25
 
     def test_newton_failure_after_rejected_carry_names_step(self, monkeypatch):
         spec = desk_spec()
-        advance = dynamics._advance_step
-
-        def starved_from_step_2(*args):
-            if args[-1] != "time step 1 of 16":
-                monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1)
-            return advance(*args)
-
+        _at_step_2(monkeypatch, lambda: monkeypatch.setattr(dynamics, "_NEWTON_MAX_ITER", 1))
         monkeypatch.setattr(dynamics, "StepLU", _carrying([], True))
-        monkeypatch.setattr(dynamics, "_advance_step", starved_from_step_2)
         message = r"^time step 2 of 16: no convergence after Newton iteration 1 "
         with pytest.raises(pfc.NewtonDivergence, match=message):
             pfc.solve_state(_random_control(spec, seed=4), spec)
 
     def test_domain_escape_after_rejected_carry_names_step(self, monkeypatch):
         spec = desk_spec("log")
-        pinned, advance, guard = [], dynamics._advance_step, dynamics._domain_guard
-
-        def pinned_from_step_2(*args):
-            pinned.append(args[-1] != "time step 1 of 16")
-            return advance(*args)
+        pinned, guard = [], dynamics._domain_guard
+        _at_step_2(monkeypatch, lambda: pinned.append(True))
 
         def domain_guard(potential):
             real = guard(potential)
-            return lambda phi, dphi: 0.0 if pinned[-1] else real(phi, dphi)
+            return lambda phi, dphi: 0.0 if pinned else real(phi, dphi)
 
-        monkeypatch.setattr(dynamics, "_advance_step", pinned_from_step_2)
         monkeypatch.setattr(dynamics, "_domain_guard", domain_guard)
         with pytest.raises(pfc.DomainEscape, match=r"^time step 2 of 16, Newton iteration 1: "):
             pfc.solve_state(zero_control(spec), spec)
@@ -844,36 +847,54 @@ class TestCarriedResidual:
     @pytest.mark.parametrize("regime,eps", _REGIMES)
     @pytest.mark.parametrize("cells", [32, 128, (12, 12)], ids=["32", "128", "12x12"])
     def test_carried_residual_matches_a_fresh_evaluation(self, regime, eps, cells, monkeypatch):
-        # Each step after the first starts Newton from the residual of the
-        # previous step's last iterate, evaluated before the phase mean was
-        # re-anchored; it stays within roundoff of a fresh evaluation at x_n.
+        # Each step after the first starts Newton from the residual and slope
+        # of the previous step's last iterate, evaluated before the phase
+        # mean was re-anchored; they stay within roundoff of a fresh
+        # evaluation at x_n, the stored level (theta[k], phi[k], mu[k-1]).
         spec = desk_spec(regime, cells=cells, yosida_eps=eps)
-        pot, n = spec.potential, spec.grid.ncells
-        carried, advance = [], dynamics._advance_step
+        pot, n, dt = spec.potential, spec.grid.ncells, spec.tgrid.dt
+        stepop, marches = dynamics.step_operator(spec.grid, dt, spec.physics), []
 
-        def recording(held, explicit, x_n, source_step, guard, noise_floor, carry, where):
-            if carry is not None:
-                acted, slope = (a.copy() for a in carry)
-                carried.append((held.stepop, explicit, x_n.copy(), source_step, acted, slope))
-            return advance(held, explicit, x_n, source_step, guard, noise_floor, carry, where)
+        class Recording(dynamics.StepLU):
+            # A solve with no refactor right before it is a step's chord
+            # solve, of minus the carried residual. Refused as non-finite, it
+            # sends the step on to refactor at the carried slope.
+            def __init__(self, stepop):
+                super().__init__(stepop)
+                self.carried, self.refactored = [], False
+                marches.append(self.carried)
 
-        monkeypatch.setattr(dynamics, "_advance_step", recording)
+            def refactor(self, dconvex):
+                if self.carried and len(self.carried[-1]) == 1:
+                    self.carried[-1].append(np.array(dconvex))
+                self.refactored = True
+                return super().refactor(dconvex)
+
+            def solve(self, rhs, trans="N"):
+                if not self.refactored:
+                    self.carried.append([-rhs])
+                    return np.full_like(rhs, np.nan)
+                self.refactored = False
+                return super().solve(rhs, trans)
+
+        monkeypatch.setattr(dynamics, "StepLU", Recording)
         u = _random_control(spec, seed=5)
-        pfc.solve_states([u, -u], spec)
-        assert len(carried) == 2 * (spec.tgrid.steps - 1)
-        for stepop, explicit, x_n, source_step, acted, slope in carried:
-            old = stepop.old_level(x_n, 0.0)
-            old[:n] += source_step
-            old[2 * n :] += explicit
-            value, fresh_slope = pot.dw_and_d2w_convex_eff(x_n[n : 2 * n])
-            fresh = stepop.template["N"] @ x_n - old
-            fresh[2 * n :] -= value
-            scale = abs(stepop.template["N"]) @ np.abs(x_n) + np.abs(old)
-            scale[2 * n :] += np.abs(value)
-            gap = np.abs((acted - old) - fresh)
-            assert np.all(gap <= 16.0 * np.finfo(float).eps * scale)
-            gap = np.abs(slope - fresh_slope)
-            assert np.all(gap <= 16.0 * np.finfo(float).eps * (1.0 + np.abs(fresh_slope)))
+        states = pfc.solve_states([u, -u], spec)
+        assert [len(carried) for carried in marches] == [spec.tgrid.steps - 1] * 2
+        for source, state, carried in zip((u, -u), states, marches):
+            for k, (res, slope) in enumerate(carried, start=1):
+                x_n = np.concatenate([state.theta[k], state.phi[k], state.mu[k - 1]])
+                old = stepop.old_level(x_n, 0.0)
+                old[:n] += dt * source[k]
+                old[2 * n :] += pot.dw_rest(state.phi[k])
+                value, fresh_slope = pot.dw_and_d2w_convex_eff(state.phi[k])
+                fresh = stepop.template["N"] @ x_n - old
+                fresh[2 * n :] -= value
+                scale = abs(stepop.template["N"]) @ np.abs(x_n) + np.abs(old)
+                scale[2 * n :] += np.abs(value)
+                assert np.all(np.abs(res - fresh) <= 16.0 * np.finfo(float).eps * scale)
+                gap = np.abs(slope - fresh_slope)
+                assert np.all(gap <= 16.0 * np.finfo(float).eps * (1.0 + np.abs(fresh_slope)))
 
     def test_convex_evaluations_per_state_solve(self, monkeypatch):
         # One evaluation for the initial chemical potential and one per
@@ -900,7 +921,7 @@ def _level_by_level(state, spec, forcing, trans):
     for k in range(nt) if tangent else range(nt - 1, -1, -1):
         rhs = held.stepop.old_level(x, rest[k if tangent else k + 1], trans)
         rhs[: 2 * n] += forcing[k]
-        x = held.refactor(convex[k]).refined(rhs, convex[k], trans)[0]
+        x = held.refactor(convex[k]).refined(rhs, trans)[0]
         rows[k] = x[: 2 * n]
     return rows
 
@@ -1058,7 +1079,7 @@ class TestSpluFallback:
         monkeypatch.setattr(
             dynamics.StepLU,
             "solve",
-            lambda held, rhs, trans="N": held.refined(rhs, held.slope, trans)[0],
+            lambda held, rhs, trans="N": held.refined(rhs, trans)[0],
         )
         full = pfc.solve_state(u, spec)
         assert inexact < len(applied) and not factored
@@ -1323,6 +1344,49 @@ class TestFailureModes:
         dphi = np.array([-1.0, 0.0])
         alpha = dynamics._domain_guard(pfc.log_double_well(c=2.0))(phi, dphi)
         assert 0.0 < alpha and np.all(np.abs(phi + alpha * dphi) < 1.0)
+
+    def test_phase_on_the_boundary_ends_the_guard(self):
+        # A phase entry already on an endpoint, as the unguarded re-anchoring
+        # of the phase mean could leave one, admits no step: halving alpha
+        # to 0 never brings phi + alpha dphi inside. A march whose level is
+        # pushed there (old_level gets the march's own x_n) then fails typed.
+        # In a child process with a timeout, so a regression fails the test
+        # rather than hanging the suite.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            import pfcontrol as pfc
+            from conftest import desk_spec
+            from pfcontrol import dynamics
+
+            guard = dynamics._domain_guard
+            print(guard(pfc.log_double_well())(np.array([-1.0, 0.0]), np.array([0.0, 0.1])))
+
+            spec = desk_spec("log")
+            begun, old_level = [], dynamics.StepOperator.old_level
+
+            def pushed_at_step_2(stepop, x, rest_slope):
+                begun.append(1)
+                if len(begun) == 2:
+                    x[spec.grid.ncells] = spec.potential.lo
+                return old_level(stepop, x, rest_slope)
+
+            dynamics.StepOperator.old_level = pushed_at_step_2
+            u = np.random.default_rng(4).uniform(-0.5, 0.5, (16, spec.grid.ncells))
+            try:
+                pfc.solve_state(u, spec)
+            except pfc.PfcError:
+                print("PfcError")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert proc.stdout.splitlines() == ["0.0", "PfcError"], proc.stderr
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
