@@ -139,22 +139,23 @@ class TangentSolution:
 
 def step_matrix(
     grid: Grid, dt: float, physics: PhysicsParams, dconvex: np.ndarray
-) -> sps.csc_matrix:
-    """Implicit block operator of one step, linearized at the given convex slope.
+) -> sps.csr_matrix:
+    """Implicit block operator of one step, linearized at the given convex
+    slope, as a CSR matrix.
 
     Blocks act on the stacked new-level unknowns (theta, phi, mu). The same
     matrix is the per-step tangent operator, and its transpose drives the
     adjoint sweep.
     """
-    n = grid.ncells
-    lap = grid.laplacian
-    eye = sps.identity(n, format="csr")
-    a11 = eye - dt * lap
-    a12 = physics.latent * eye
-    a23 = -dt * lap
-    a31 = physics.coupling * eye
+    n, lap = grid.ncells, grid.laplacian
+    eye, zero = sps.identity(n, format="csr"), sps.csr_matrix((n, n))
     a32 = lap - sps.diags(physics.visc / dt + np.asarray(dconvex, dtype=float))
-    return sps.bmat([[a11, a12, None], [None, eye, a23], [a31, a32, eye]], format="csc")
+    rows = [
+        [eye - dt * lap, physics.latent * eye, zero],
+        [zero, eye, -dt * lap],
+        [physics.coupling * eye, a32, eye],
+    ]
+    return sps.vstack([sps.hstack(row, format="csr") for row in rows], format="csr")
 
 
 def _act(matrices: dict, slope, x: np.ndarray, trans: str) -> np.ndarray:
@@ -202,8 +203,7 @@ class StepOperator:
     def __init__(self, grid: Grid, dt: float, physics: PhysicsParams):
         n = grid.ncells
         template = step_matrix(grid, dt, physics, np.zeros(n))
-        csr = template.tocsr()
-        self.template, self.band = {"N": csr, "T": csr.T}, None
+        self.template, self.band = {"N": template, "T": template.T}, None
         # Weak: the grid keeps its operators, and a cycle would wait for the gc.
         self.grid, self.dt, self.physics = weakref.proxy(grid), dt, physics
         self._latent, self._damping = physics.latent, -(physics.visc / dt)
@@ -314,7 +314,7 @@ class StepLU:
                     return x, False
                 op = self.stepop
                 try:
-                    self.lu = splu(step_matrix(op.grid, op.dt, op.physics, slope))
+                    self.lu = splu(step_matrix(op.grid, op.dt, op.physics, slope).tocsc())
                 except RuntimeError as exc:
                     raise LinearSolveDivergence(f"fallback LU of the step operator: {exc}") from exc
                 return self.refined(rhs, trans, rtol)
@@ -403,12 +403,14 @@ def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
             if it == 1 and held.lu is not None:
                 delta = held.solve(-res)
                 if np.isfinite(delta).all():
-                    step = delta if guard is None else guard(x[n : 2 * n], delta[n : 2 * n]) * delta
-                    trial = x + step
-                    trial_res, trial_norm, trial_slope = yield trial, old
-                    if trial_norm <= max(_FORCING * res_norm, tol):
-                        x, res, res_norm, slope = trial, trial_res, trial_norm, trial_slope
-                        continue
+                    alpha = 1.0 if guard is None else guard(x[n : 2 * n], delta[n : 2 * n])
+                    # A chord step the guard pins is skipped: the refactor path names it.
+                    if alpha >= _MIN_STEP_FRACTION:
+                        trial = x + (delta if guard is None else alpha * delta)
+                        trial_res, trial_norm, trial_slope = yield trial, old
+                        if trial_norm <= max(_FORCING * res_norm, tol):
+                            x, res, res_norm, slope = trial, trial_res, trial_norm, trial_slope
+                            continue
             delta = held.refactor(slope).solve(-res)
             if not np.isfinite(delta).all():
                 raise NewtonDivergence(f"{where}, Newton iteration {it}: non-finite step")

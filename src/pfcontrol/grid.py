@@ -1,12 +1,12 @@
 """Uniform cell-centered grids and homogeneous-Neumann calculus.
 
 The spatial operators live here: the divergence-form Laplacian with mirror
-ghost cells (zero boundary flux), means and integrals, the inverse Neumann
-operator on zero-mean data, the H / V / dual norms built on it, and the
-smoothing step: one Helmholtz solve of a field or of a stack of fields. The
-orthonormal DCT-II of each axis diagonalizes the Laplacian, so the Helmholtz
-and inverse Neumann solves divide by its eigenvalues in the DCT basis (`dct`,
-`eigenvalues`).
+ghost cells (zero boundary flux), assembled from its stencil, means and
+integrals, the inverse Neumann operator on zero-mean data, the H / V / dual
+norms built on it, and the smoothing step: one Helmholtz solve of a field or
+of a stack of fields. The orthonormal DCT-II of each axis diagonalizes the
+Laplacian, so the Helmholtz and inverse Neumann solves divide by its
+eigenvalues in the DCT basis (`dct`, `eigenvalues`).
 
 Fields are cell values flattened in C order. All cells have the same measure,
 so the measure-weighted mean is the plain arithmetic average.
@@ -30,14 +30,6 @@ MEAN_RTOL = 1.0e-12
 
 #: Componentwise backward error above which a direct solve is declared broken.
 LINEAR_RTOL = 1.0e-10
-
-
-def _axis_laplacian(n: int, h: float) -> sps.csr_matrix:
-    """1D cell-centered Neumann Laplacian: zero flux through the boundary faces."""
-    main = np.full(n, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(n - 1)
-    return sps.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
 
 
 @lru_cache(maxsize=None)
@@ -96,13 +88,19 @@ class Grid:
 
     @cached_property
     def laplacian(self) -> sps.csr_matrix:
-        """Divergence-form Neumann Laplacian on flattened cell values."""
-        ax = [_axis_laplacian(n, h) for n, h in zip(self.cells, self.spacing)]
-        if self.dim == 1:
-            return ax[0]
-        ix = sps.identity(self.cells[0], format="csr")
-        iy = sps.identity(self.cells[1], format="csr")
-        return (sps.kron(ax[0], iy) + sps.kron(ix, ax[1])).tocsr()
+        """Divergence-form Neumann Laplacian on flattened cell values, from its
+        3-point (1D) or 5-point (2D) stencil: 1/h^2 to each neighbour across an
+        interior face of axis h, minus their sum on the diagonal (zero flux
+        through the boundary faces)."""
+        inv = [1.0 / h**2 for h in self.spacing]
+        axes = [-c * np.r_[1.0, np.full(n - 2, 2.0), 1.0] for n, c in zip(self.cells, inv)]
+        ny = self.cells[-1]
+        # Neighbours along the last axis, zero where a row wraps (dia -> csr
+        # drops them), and along the first, ny apart (none in 1D: ny = ncells).
+        side = np.where(np.arange(1, self.ncells) % ny, inv[-1], 0.0)
+        far = np.full(self.ncells - ny, inv[0])
+        main = sum(np.meshgrid(*axes, indexing="ij")).ravel()
+        return sps.diags([far, side, main, side, far], [-ny, -1, 0, 1, ny], format="csr")
 
     @cached_property
     def _abs_laplacian(self) -> sps.csr_matrix:

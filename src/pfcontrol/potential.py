@@ -109,7 +109,10 @@ class Potential:
 
     def _require_inside(self, r: np.ndarray, closure: bool = False) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        ok = (r >= self.lo) & (r <= self.hi) if closure else (r > self.lo) & (r < self.hi)
+        if closure:
+            ok = (r >= self.lo) & (r <= self.hi)
+        else:  # on the entire line, exactly the finite entries are inside
+            ok = (r > self.lo) & (r < self.hi) if self.is_singular else np.isfinite(r)
         if not ok.all():
             bad = float(np.asarray(r)[~ok].flat[0])
             raise OutOfDomain(
@@ -258,8 +261,9 @@ def quartic_double_well(yosida_eps: float = 0.0) -> Potential:
         lo=-math.inf,
         hi=math.inf,
         yosida_eps=yosida_eps,
-        _w_convex=lambda r: 0.25 * r**4,
-        _dw_convex=lambda r: r**3,
+        # Products, not r**3 and r**4, which NumPy sends to libm pow.
+        _w_convex=lambda r: 0.25 * (r * r) * (r * r),
+        _dw_convex=lambda r: r * r * r,
         _d2w_convex=lambda r: 3.0 * r**2,
         _w_rest=lambda r: 0.25 * (1.0 - 2.0 * r**2),
         _dw_rest=lambda r: -r,

@@ -112,3 +112,11 @@ def singular_factorizations(monkeypatch, good=0, blocks=True):
     monkeypatch.setattr(dynamics, "splu", splu)
     if blocks:
         monkeypatch.setattr(dynamics, "_mode_pivots", mode_pivots)
+
+
+def assert_same_csr(got, want):
+    """Equal CSR arrays: indptr, indices and data, with their dtypes."""
+    assert got.format == want.format == "csr" and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name

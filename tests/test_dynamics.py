@@ -11,7 +11,13 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sps
-from conftest import child_env, desk_spec, singular_factorizations, zero_control
+from conftest import (
+    assert_same_csr,
+    child_env,
+    desk_spec,
+    singular_factorizations,
+    zero_control,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -280,7 +286,41 @@ def _backward_errors(a, x, rhs):
     return normwise / eps, np.max(r / (abs(a) @ np.abs(x) + np.abs(rhs))) / eps
 
 
+def _bmat_step_matrix(grid, dt, physics, dconvex):
+    """step_matrix as one sps.bmat of its blocks, column-ordered: the
+    reference that the CSR block-row assembly must match array for array."""
+    lap, eye = grid.laplacian, sps.identity(grid.ncells, format="csr")
+    a32 = lap - sps.diags(physics.visc / dt + dconvex)
+    blocks = [
+        [eye - dt * lap, physics.latent * eye, None],
+        [None, eye, -dt * lap],
+        [physics.coupling * eye, a32, eye],
+    ]
+    return sps.bmat(blocks, format="csc")
+
+
 class TestStepOperator:
+    @pytest.mark.parametrize("cells", [2, 5, 64, (3, 4), (7, 5), (48, 48)])
+    @pytest.mark.parametrize("visc", [0.0, 0.8])
+    @pytest.mark.parametrize("random_slope", [False, True], ids=["zero-slope", "random-slope"])
+    # Decoupled, the latent and coupling blocks are stored zeros in both.
+    @pytest.mark.parametrize(
+        "latent,coupling", [(0.7, 1.3), (0.0, 0.0)], ids=["coupled", "decoupled"]
+    )
+    def test_step_matrix_is_the_block_matrix(self, cells, visc, random_slope, latent, coupling):
+        grid = pfc.Grid(cells)
+        physics = pfc.PhysicsParams(visc=visc, latent=latent, coupling=coupling)
+        slope = np.zeros(grid.ncells)
+        if random_slope:
+            slope = np.random.default_rng(3).uniform(-2.0, 6.0, grid.ncells)
+        got = dynamics.step_matrix(grid, 0.05, physics, slope)
+        want = _bmat_step_matrix(grid, 0.05, physics, slope)
+        assert_same_csr(got, want.tocsr())
+        # The stalled refinement's splu gets the reference's own columns.
+        column_ordered = got.tocsc()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(column_ordered, name), getattr(want, name)), name
+
     @pytest.mark.parametrize("cells", [(6, 5)], ids=["cells1"])
     @pytest.mark.parametrize("visc", [0.0, 1.0])
     def test_mode_blocks_are_the_step_operator(self, cells, visc):
@@ -841,6 +881,25 @@ class TestCarriedLU:
         monkeypatch.setattr(dynamics, "_domain_guard", domain_guard)
         with pytest.raises(pfc.DomainEscape, match=r"^time step 2 of 16, Newton iteration 1: "):
             pfc.solve_state(zero_control(spec), spec)
+
+    def test_phase_on_an_endpoint_names_step(self, monkeypatch):
+        # The mean re-anchoring is unguarded, so it could leave a phase entry
+        # on an endpoint. The guard then pins the carried chord step, which
+        # is skipped rather than evaluated at the endpoint (a bare
+        # OutOfDomain), and the refactorized step names the time step.
+        spec = desk_spec("log")
+        begun, old_level = [], dynamics.StepOperator.old_level
+
+        def pushed_at_step_2(stepop, x, rest_slope):
+            begun.append(1)
+            if len(begun) == 2:
+                x[spec.grid.ncells] = spec.potential.lo
+            return old_level(stepop, x, rest_slope)
+
+        monkeypatch.setattr(dynamics.StepOperator, "old_level", pushed_at_step_2)
+        message = r"^time step 2 of 16, Newton iteration 1: iterate pinned to the domain boundary$"
+        with pytest.raises(pfc.DomainEscape, match=message):
+            pfc.solve_state(_random_control(spec, seed=4), spec)
 
 
 class TestCarriedResidual:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+from conftest import assert_same_csr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,6 +205,32 @@ def test_dct_diagonalizes_the_laplacian(grid):
         got = grid.dct(grid.eigenvalues * grid.dct(unit), inverse=True)
         want = lap[rows].toarray()
         assert np.max(np.abs(got - want)) <= 1.0e-13 * np.max(np.abs(lap.data))
+
+
+def _kron_laplacian(grid):
+    """The Laplacian as a Kronecker sum of the axis Laplacians: the reference
+    that the stencil assembly must match array for array."""
+    axes = []
+    for n, h in zip(grid.cells, grid.spacing):
+        main = np.full(n, -2.0)
+        main[0] = main[-1] = -1.0
+        off = np.ones(n - 1)
+        axes.append(sps.diags([off, main, off], [-1, 0, 1], format="csr") / h**2)
+    if grid.dim == 1:
+        return axes[0]
+    ix, iy = (sps.identity(n, format="csr") for n in grid.cells)
+    return (sps.kron(axes[0], iy) + sps.kron(ix, axes[1])).tocsr()
+
+
+# Not a second axis of 2 cells: there sps.kron stores the zeros of its dense
+# 2x2 identity blocks, which the stencil assembly leaves out.
+@pytest.mark.parametrize(
+    "cells,lengths",
+    [(2, None), (5, 3.0), (64, None), ((3, 4), None), ((7, 5), (0.7, 2.5)), ((48, 48), None)],
+)
+def test_laplacian_is_the_kronecker_sum(cells, lengths):
+    grid = pfc.Grid(cells, lengths)
+    assert_same_csr(grid.laplacian, _kron_laplacian(grid))
 
 
 def test_2d_laplacian_consistent_with_1d():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 
@@ -54,6 +55,33 @@ class TestQuartic:
         for eps in (1.0, 1e-2, 1e-4):
             j = self.pot.resolvent(r, eps)
             np.testing.assert_allclose(j + eps * j**3, r, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_outside_the_line(self, bad):
+        # The domain is the open line, so the finite values are exactly inside;
+        # the message names the first entry outside.
+        r = np.array([0.5, bad, -np.inf, 2.0])
+        first = re.escape(repr(bad))
+        message = rf"^value {first} outside domain \(-inf, inf\) of the convex part$"
+        for evaluate in (self.pot.dw_convex, self.pot.dw_and_d2w_convex_eff):
+            with pytest.raises(OutOfDomain, match=message):
+                evaluate(r)
+        assert np.isfinite(self.pot.dw_and_d2w_convex_eff(np.array([-1.0e100, 1.0e100]))).all()
+
+    def test_closure_admits_the_infinite_ends(self):
+        assert self.pot.w_convex(np.array([-np.inf, np.inf])).tolist() == [np.inf, np.inf]
+        with pytest.raises(OutOfDomain, match=r"^value nan outside domain \(-inf, inf\) "):
+            self.pot.w_convex(np.array([1.0, np.nan]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=-1.0e70, max_value=1.0e70))
+    def test_products_agree_with_pow_property(self, r):
+        # r * r * r and 0.25 (r r)(r r) in place of libm's r**3 and r**4, up
+        # to where r**4 overflows.
+        r = np.array([r])
+        cube, quartic = r**3, 0.25 * r**4
+        assert np.abs(self.pot.dw_convex(r) - cube) <= 2 * np.spacing(np.abs(cube))
+        assert np.abs(self.pot.w_convex(r) - quartic) <= 3 * np.spacing(np.abs(quartic))
 
 
 class TestLogarithmic:
