@@ -27,14 +27,18 @@ kept on the grid for as long as the grid lives. In 1D its factor is a LAPACK
 band LU of the whole operator in interleaved (theta_i, phi_i, mu_i) order,
 normwise backward stable. In 2D the grid's DCT diagonalizes the Laplacian, so
 at the mean slope the operator is one 3x3 block per mode, which a solve
-eliminates in closed form; solves refine against the operator at the true
-slope, Newton's to a residual of _FORCING times its right-hand side (inexact
-Newton), the linearized sweeps' to _REFINE_TOL. Only where that refinement
-stalls, on slopes far from their mean, is the operator at the true slope
-factorized, once, by splu. Each sweep holds one factor (StepLU); a Newton
-step of _march first tries the chord step of the one carried from the
-previous step, and starts from the residual and slope of that step's last
-iterate, so only step 1 evaluates its old level.
+eliminates in closed form. The operator at the true slope differs from it in
+one diagonal block, so a 2D solve iterates on DCT coefficients with that
+factor, each step judged by its exact-arithmetic residual in that block
+(StepLU._split, a constant-coefficient preconditioning after Concus & Golub,
+SIAM J. Numer. Anal. 1973). Newton's solves stop there at _FORCING times
+their right-hand side (inexact Newton); the linearized sweeps' aim at
+_REFINE_TOL and check that bound once against the assembled operator. Only
+where either iteration stalls, on slopes far from their mean, is the
+operator at the true slope factorized, once, by splu. Each sweep holds one
+factor (StepLU); a Newton step of _march first tries the chord step of the
+one carried from the previous step, and starts from the residual and slope
+of that step's last iterate, so only step 1 evaluates its old level.
 In 1D a fresh band LU needs no refinement: a linearized sweep solves every
 level with its band LU alone, checks the residuals of all levels in one
 template product, and refines level by level only from the first level that
@@ -243,7 +247,10 @@ class StepOperator:
 class StepLU:
     """The one factor of a StepOperator that a sweep holds, linearized at the
     convex slope `slope`. Solves act on stacked (theta, phi, mu) vectors;
-    trans="T" solves with the transpose."""
+    trans="T" solves with the transpose. In 2D, lu holds g and the pivot den
+    of each DCT mode at the mean slope (StepOperator) and, per cell, shift =
+    slope - its mean, by which the operator at the true slope differs (_split).
+    """
 
     def __init__(self, stepop: StepOperator):
         self.stepop, self.lu, self.slope = stepop, None, None
@@ -261,48 +268,90 @@ class StepLU:
                 raise LinearSolveDivergence(f"step operator is exactly singular (pivot {info})")
             self.lu = lu, piv
             return self
-        g = op.g0 + self.slope.mean()
-        self.lu = np.array([g, _mode_pivots(op.b, g)])
+        mean = self.slope.mean()
+        g = op.g0 + mean
+        self.lu = np.array([g, _mode_pivots(op.b, g), self.slope - mean])
         return self
+
+    def _modes(self, coef: np.ndarray, trans: str) -> np.ndarray:
+        """The mode blocks' solve on the DCT coefficients (3, n) of a stacked
+        right-hand side, by the elimination of StepOperator."""
+        (g, den, _), op, (r1, r2, r3) = self.lu, self.stepop, coef
+        if trans == "N":
+            t = r3 - op.coupling_a * r1
+            phi = (r2 - op.b * t) / den
+            return np.array(((r1 - op.physics.latent * phi) / op.a, phi, (t + g * r2) / den))
+        t = r2 - op.latent_a * r1
+        mu = (r3 - op.b * t) / den
+        return np.array(((r1 - op.physics.coupling * mu) / op.a, (t + g * r3) / den, mu))
 
     def _apply(self, rhs: np.ndarray, trans: str) -> np.ndarray:
         """The solve with the held factor alone: the band LU, the DCT mode
-        blocks at the mean slope (StepOperator), or a stalled refinement's splu."""
+        blocks at the mean slope, or a stalled refinement's splu."""
         lu, op = self.lu, self.stepop
         if op.band is not None:
             return dgbtrs(lu[0], op.kl, op.ku, rhs[op.order], lu[1], int(trans == "T"))[0][op.at]
         if not isinstance(lu, np.ndarray):
             return lu.solve(rhs, trans=trans)
-        (g, den), (r1, r2, r3) = lu, op.grid.dct(rhs.reshape(3, -1))
-        if trans == "N":
-            t = r3 - op.coupling_a * r1
-            phi = (r2 - op.b * t) / den
-            x = ((r1 - op.physics.latent * phi) / op.a, phi, (t + g * r2) / den)
-        else:
-            t = r2 - op.latent_a * r1
-            mu = (r3 - op.b * t) / den
-            x = ((r1 - op.physics.coupling * mu) / op.a, (t + g * r3) / den, mu)
-        return op.grid.dct(np.array(x), True).ravel()
+        return op.grid.dct(self._modes(op.grid.dct(rhs.reshape(3, -1)), trans), True).ravel()
+
+    def _split(self, rhs: np.ndarray, trans: str, bound: float):
+        """(x, r): the splitting iteration A_mean x' = rhs + shift f of the
+        mode blocks from x = 0, on DCT coefficients, with f the phase (trans
+        "N") or chemical potential ("T") of x. The operator at the true slope
+        is A_mean - diag(shift) in that one block, so r = ||shift (f' - f)||
+        is the residual of x' with it in exact arithmetic. It stops once r <=
+        bound / 2, or on a step that fails to halve r, returning the iterate
+        before it."""
+        grid, shift = self.stepop.grid, self.lu[2]
+        row, col = (2, 1) if trans == "N" else (1, 2)
+        coef = grid.dct(rhs.reshape(3, -1))
+        x = grid.dct(self._modes(coef, trans), True)
+        lifted = shift * x[col]
+        res_norm = np.linalg.norm(lifted)
+        while not res_norm <= 0.5 * bound:
+            step = coef.copy()
+            step[row] += grid.dct(lifted)
+            trial = grid.dct(self._modes(step, trans), True)
+            trial_lifted = shift * trial[col]
+            last, res_norm = res_norm, np.linalg.norm(trial_lifted - lifted)
+            if not res_norm <= 0.5 * last:
+                return x.ravel(), last
+            x, lifted = trial, trial_lifted
+        return x.ravel(), res_norm
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """The solve with the operator at the factor's own slope: the band LU
-        alone in 1D, refined to _FORCING in 2D (a Newton step's solve)."""
+        alone in 1D; in 2D (a Newton step's solve) _split to _FORCING times
+        the 2-norm of rhs, judged by its own residual, and where it stalls
+        above that, refined to _FORCING."""
         if self.stepop.band is not None:
             return self._apply(rhs, trans)
+        if isinstance(self.lu, np.ndarray):
+            bound = _FORCING * np.linalg.norm(rhs)
+            x, res_norm = self._split(rhs, trans, bound)
+            if res_norm <= bound:
+                return x
         return self.refined(rhs, trans, _FORCING)[0]
 
     def refined(self, rhs: np.ndarray, trans: str = "N", rtol: float = _REFINE_TOL):
-        """(x, converged) with the operator at the factor's own slope: refined
-        against the assembled operator to a residual 2-norm of rtol times
+        """(x, converged) with the operator at the factor's own slope, its
+        residual 2-norm against the assembled operator at most rtol times
         that of rhs, else the iterate before the first correction that fails
-        to halve it. The refinement aims at half that bound, so that the
+        to halve it. With the 2D mode blocks, the x of _split is accepted on
+        one assembled residual within the bound. Otherwise corrections
+        through the assembled residual aim at half the bound, so that the
         rounding of another evaluation of the residual cannot carry a
-        converged x past it; it stops at the bound itself only where the next
-        correction fails to halve."""
+        converged x past it; they stop at the bound itself only where the
+        next correction fails to halve. A stall above the bound factorizes
+        the operator at the true slope by splu, once, and solves again."""
         template, slope, bound = self.stepop.template, self.slope, rtol * np.linalg.norm(rhs)
-        x = self._apply(rhs, trans)
+        split = isinstance(self.lu, np.ndarray)
+        x = self._split(rhs, trans, bound)[0] if split else self._apply(rhs, trans)
         res = rhs - _act(template, -slope, x, trans)
         res_norm = np.linalg.norm(res)
+        if split and res_norm <= bound:
+            return x, True
         while not res_norm <= 0.5 * bound:
             trial = x + self._apply(res, trans)
             res = rhs - _act(template, -slope, trial, trans)

@@ -405,7 +405,9 @@ def separation_probe(
     spec: ProblemSpec, n_controls: int = 10, seed: int = 3
 ) -> ProbeReport:
     """Minimum distance of the phase to the potential-domain boundary over
-    seeded admissible controls. Not applicable for entire-domain potentials."""
+    seeded admissible controls, on the levels the dynamics make (1..Nt);
+    initial_margin is that of phi0, the same under every control. Not
+    applicable for entire-domain potentials."""
     if not spec.potential.is_singular:
         return ProbeReport(
             name="separation", seed=seed, measured={"applicable": False}, thresholds={}, passed=True
@@ -413,7 +415,8 @@ def separation_probe(
     rng = np.random.default_rng(seed)
     controls = [random_admissible_control(spec, rng) for _ in range(n_controls)]
     trajs = solve_states(controls, spec)
-    margins = [float(np.min(spec.potential.distance_to_boundary(t.phi))) for t in trajs]
+    distance = spec.potential.distance_to_boundary
+    margins = [float(np.min(distance(t.phi[1:]))) for t in trajs]
     margin = min(margins)
     return ProbeReport(
         name="separation",
@@ -423,6 +426,7 @@ def separation_probe(
             "n_controls": n_controls,
             "min_margin": margin,
             "margins": margins,
+            "initial_margin": float(np.min(distance(spec.init.phi0))),
         },
         thresholds={"min_margin": 0.0},
         passed=bool(margin > 0.0),

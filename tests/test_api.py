@@ -168,6 +168,8 @@ _HOT_PATHS = {
         "StepOperator.old_level",
         "StepLU.refactor",
         "StepLU._apply",
+        "StepLU._modes",
+        "StepLU._split",
         "StepLU.solve",
         "StepLU.refined",
     ],

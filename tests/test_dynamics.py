@@ -443,6 +443,34 @@ class TestStepOperator:
                 assert converged
                 assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("cells", [(16, 16), (48, 48)], ids=["16", "48"])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_2d_solves_iterate_on_dct_coefficients(self, cells, trans, monkeypatch):
+        # A 2D solve judges its steps by their residual in the one block where
+        # the operator at the true slope differs from the mode blocks: a
+        # converged sweep forms one assembled residual per level, the check
+        # of its bound, and Newton solves form none.
+        spec = desk_spec(cells=cells, steps=16)
+        n, nt = spec.grid.ncells, spec.tgrid.steps
+        acted, act = [], dynamics._act
+        monkeypatch.setattr(dynamics, "_act", lambda *a: acted.append(1) or act(*a))
+        base = pfc.solve_state(_random_control(spec, seed=7, amplitude=1.0), spec)
+        assert not acted
+        forcing = np.random.default_rng(1).standard_normal((nt, 2 * n))
+        dynamics.linear_sweep(base, spec, forcing, trans)
+        assert len(acted) == nt
+        rng = np.random.default_rng(3)
+        rhs, slope = rng.standard_normal(3 * n), rng.uniform(1.0, 4.0, n)
+        held = dynamics.StepLU(dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics))
+        acted.clear()
+        held.refactor(slope).solve(rhs, trans)
+        assert not acted
+        x, converged = held.refined(rhs, trans)
+        a = dynamics.step_matrix(spec.grid, spec.tgrid.dt, spec.physics, slope)
+        op = a if trans == "N" else a.T
+        assert converged and len(acted) == 1
+        assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
+
     def test_stalled_refinement_refactorizes(self, monkeypatch):
         # Three slopes 1e3 times the rest stall the refinement with the DCT
         # blocks at the mean slope; one splu LU at the true slope finishes it.
@@ -484,15 +512,19 @@ class TestStepOperator:
     @pytest.mark.parametrize("cells", [32, (8, 8)], ids=["1d", "2d"])
     @pytest.mark.parametrize("trans", ["N", "T"])
     def test_a_stalled_level_ends_the_sweep(self, cells, trans, monkeypatch):
-        # Every solve with the held factor, the splu fallback's included,
-        # returns 0.4 of its answer, so each correction cuts the residual only
-        # to 0.6 of the last: the first level in sweep order stalls, finite,
-        # above its bound.
+        # Every solve with the held factor (the splu fallback's included) and
+        # every 2D mode solve returns 0.4 of its answer, so a 2D correction
+        # through _apply returns 0.16, and no correction cuts the residual
+        # below 0.6 of the last: the first level in sweep order stalls,
+        # finite, above its bound.
         spec = desk_spec(cells=cells, steps=4)
         base = pfc.solve_state(zero_control(spec), spec)
-        apply = dynamics.StepLU._apply
+        apply, modes = dynamics.StepLU._apply, dynamics.StepLU._modes
         monkeypatch.setattr(
             dynamics.StepLU, "_apply", lambda held, rhs, how: 0.4 * apply(held, rhs, how)
+        )
+        monkeypatch.setattr(
+            dynamics.StepLU, "_modes", lambda held, coef, how: 0.4 * modes(held, coef, how)
         )
         n, stepop = spec.grid.ncells, dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
         held = dynamics.StepLU(stepop).refactor(np.ones(n))
@@ -745,7 +777,8 @@ class TestStepOperator:
 
     def test_held_factors_are_small(self):
         # Stored entries per unknown: 13 for the 1D band LUs (kl = ku = 4),
-        # and g and the pivot per 2D mode.
+        # and in 2D g and the pivot per mode and the slope's shift from its
+        # mean per cell.
         def held(spec):
             stepop = dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
             return dynamics.StepLU(stepop).refactor(np.zeros(spec.grid.ncells))
@@ -754,7 +787,7 @@ class TestStepOperator:
             assert held(desk_spec(cells=cells)).lu[0].shape[0] <= 13
         for cells in ((12, 12), (48, 48)):
             spec = desk_spec(cells=cells)
-            assert held(spec).lu.shape == (2, spec.grid.ncells)
+            assert held(spec).lu.shape == (3, spec.grid.ncells)
 
     @pytest.mark.parametrize("cells", [32, (12, 12)], ids=["band", "schur"])
     def test_singular_factorization_is_typed(self, cells, monkeypatch):
@@ -1128,9 +1161,9 @@ class TestSpluFallback:
         spec = desk_spec(cells=(48, 48), steps=16)
         u = _random_control(spec, seed=7, amplitude=1.0)
         factored = _counted_splu(monkeypatch)
-        applied, apply = [], dynamics.StepLU._apply
+        applied, modes = [], dynamics.StepLU._modes
         monkeypatch.setattr(
-            dynamics.StepLU, "_apply", lambda *a: applied.append(1) or apply(*a)
+            dynamics.StepLU, "_modes", lambda *a: applied.append(1) or modes(*a)
         )
         forced = pfc.solve_state(u, spec)
         inexact = len(applied)

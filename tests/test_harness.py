@@ -398,8 +398,20 @@ class TestRegularizationProbes:
         rng = np.random.default_rng(8)
         solos = [pfc.solve_state(pfc.random_admissible_control(spec, rng), spec) for _ in range(3)]
         assert report.measured["margins"] == [
-            float(np.min(spec.potential.distance_to_boundary(traj.phi))) for traj in solos
+            float(np.min(spec.potential.distance_to_boundary(traj.phi[1:]))) for traj in solos
         ]
+
+    def test_separation_is_measured_on_the_dynamics(self):
+        # phi0 is the same under every control: its margin, 1 - max|phi0| =
+        # 0.800 on the log desk problem, is reported apart, and the minimum
+        # runs over the levels the controls reach.
+        spec = desk_spec("log")
+        report = pfc.separation_probe(spec, n_controls=3, seed=8)
+        initial = float(np.min(spec.potential.distance_to_boundary(spec.init.phi0)))
+        assert report.measured["initial_margin"] == initial
+        assert initial == pytest.approx(0.800, abs=5.0e-4)
+        assert report.measured["min_margin"] == min(report.measured["margins"])
+        assert report.measured["min_margin"] > initial + 0.04
 
     def test_separation_not_applicable_for_entire_potentials(self):
         report = pfc.separation_probe(_small("regular"))
