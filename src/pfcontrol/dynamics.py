@@ -248,8 +248,7 @@ class StepLU:
     """The one factor of a StepOperator that a sweep holds, linearized at the
     convex slope `slope`. Solves act on stacked (theta, phi, mu) vectors;
     trans="T" solves with the transpose. In 2D, lu holds g and the pivot den
-    of each DCT mode at the mean slope (StepOperator) and, per cell, shift =
-    slope - its mean, by which the operator at the true slope differs (_split).
+    of each DCT mode at the mean slope (StepOperator).
     """
 
     def __init__(self, stepop: StepOperator):
@@ -268,15 +267,14 @@ class StepLU:
                 raise LinearSolveDivergence(f"step operator is exactly singular (pivot {info})")
             self.lu = lu, piv
             return self
-        mean = self.slope.mean()
-        g = op.g0 + mean
-        self.lu = np.array([g, _mode_pivots(op.b, g), self.slope - mean])
+        g = op.g0 + self.slope.mean()
+        self.lu = np.array([g, _mode_pivots(op.b, g)])
         return self
 
     def _modes(self, coef: np.ndarray, trans: str) -> np.ndarray:
         """The mode blocks' solve on the DCT coefficients (3, n) of a stacked
         right-hand side, by the elimination of StepOperator."""
-        (g, den, _), op, (r1, r2, r3) = self.lu, self.stepop, coef
+        (g, den), op, (r1, r2, r3) = self.lu, self.stepop, coef
         if trans == "N":
             t = r3 - op.coupling_a * r1
             phi = (r2 - op.b * t) / den
@@ -298,12 +296,12 @@ class StepLU:
     def _split(self, rhs: np.ndarray, trans: str, bound: float):
         """(x, r): the splitting iteration A_mean x' = rhs + shift f of the
         mode blocks from x = 0, on DCT coefficients, with f the phase (trans
-        "N") or chemical potential ("T") of x. The operator at the true slope
-        is A_mean - diag(shift) in that one block, so r = ||shift (f' - f)||
-        is the residual of x' with it in exact arithmetic. It stops once r <=
-        bound / 2, or on a step that fails to halve r, returning the iterate
-        before it."""
-        grid, shift = self.stepop.grid, self.lu[2]
+        "N") or chemical potential ("T") of x and shift = slope - its mean.
+        The operator at the true slope is A_mean - diag(shift) in that one
+        block, so r = ||shift (f' - f)|| is the residual of x' with it in
+        exact arithmetic. It stops once r <= bound / 2, or on a step that
+        fails to halve r, returning the iterate before it."""
+        grid, shift = self.stepop.grid, self.slope - self.slope.mean()
         row, col = (2, 1) if trans == "N" else (1, 2)
         coef = grid.dct(rhs.reshape(3, -1))
         x = grid.dct(self._modes(coef, trans), True)
@@ -324,30 +322,34 @@ class StepLU:
         """The solve with the operator at the factor's own slope: the band LU
         alone in 1D; in 2D (a Newton step's solve) _split to _FORCING times
         the 2-norm of rhs, judged by its own residual, and where it stalls
-        above that, refined to _FORCING."""
+        above that, refined to _FORCING from its last iterate."""
         if self.stepop.band is not None:
             return self._apply(rhs, trans)
+        x = None
         if isinstance(self.lu, np.ndarray):
             bound = _FORCING * np.linalg.norm(rhs)
             x, res_norm = self._split(rhs, trans, bound)
             if res_norm <= bound:
                 return x
-        return self.refined(rhs, trans, _FORCING)[0]
+        return self.refined(rhs, trans, _FORCING, x)[0]
 
-    def refined(self, rhs: np.ndarray, trans: str = "N", rtol: float = _REFINE_TOL):
+    def refined(self, rhs: np.ndarray, trans: str = "N", rtol: float = _REFINE_TOL, x0=None):
         """(x, converged) with the operator at the factor's own slope, its
         residual 2-norm against the assembled operator at most rtol times
         that of rhs, else the iterate before the first correction that fails
-        to halve it. With the 2D mode blocks, the x of _split is accepted on
-        one assembled residual within the bound. Otherwise corrections
-        through the assembled residual aim at half the bound, so that the
-        rounding of another evaluation of the residual cannot carry a
-        converged x past it; they stop at the bound itself only where the
-        next correction fails to halve. A stall above the bound factorizes
-        the operator at the true slope by splu, once, and solves again."""
+        to halve it. It starts from x0 if given, else from the x of _split
+        with the 2D mode blocks or the held factor's solve; with the mode
+        blocks, a start whose one assembled residual is within the bound is
+        accepted. Otherwise corrections through the assembled residual aim
+        at half the bound, so that the rounding of another evaluation of the
+        residual cannot carry a converged x past it; they stop at the bound
+        itself only where the next correction fails to halve. A stall above
+        the bound factorizes the operator at the true slope by splu, once,
+        and solves again from rhs."""
         template, slope, bound = self.stepop.template, self.slope, rtol * np.linalg.norm(rhs)
-        split = isinstance(self.lu, np.ndarray)
-        x = self._split(rhs, trans, bound)[0] if split else self._apply(rhs, trans)
+        split, x = isinstance(self.lu, np.ndarray), x0
+        if x is None:
+            x = self._split(rhs, trans, bound)[0] if split else self._apply(rhs, trans)
         res = rhs - _act(template, -slope, x, trans)
         res_norm = np.linalg.norm(res)
         if split and res_norm <= bound:

@@ -474,10 +474,13 @@ class TestStepOperator:
     def test_stalled_refinement_refactorizes(self, monkeypatch):
         # Three slopes 1e3 times the rest stall the refinement with the DCT
         # blocks at the mean slope; one splu LU at the true slope finishes it.
+        # A Newton solve hands its stalled splitting iterate on, not rhs.
         grid, dt = pfc.Grid((8, 8)), 0.05
         physics = pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0)
         held = dynamics.StepLU(dynamics.StepOperator(grid, dt, physics))
         factored = _counted_splu(monkeypatch)
+        splits, split = [], dynamics.StepLU._split
+        monkeypatch.setattr(dynamics.StepLU, "_split", lambda *a: splits.append(1) or split(*a))
         rng = np.random.default_rng(8)
         rhs = rng.standard_normal(3 * grid.ncells)
         slope = rng.uniform(1.0, 4.0, grid.ncells)
@@ -492,6 +495,10 @@ class TestStepOperator:
             assert converged and len(factored) == 1
             assert not isinstance(held.lu, np.ndarray)
             assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
+            factored.clear(), splits.clear()
+            x = held.refactor(jumped).solve(rhs, trans)
+            assert len(splits) == 1 and len(factored) == 1
+            assert np.linalg.norm(op @ x - rhs) <= 0.1 * np.linalg.norm(rhs)
 
     def test_non_finite_residual_ends_the_sweep(self, regular_spec):
         stepop = dynamics.step_operator(
@@ -777,8 +784,7 @@ class TestStepOperator:
 
     def test_held_factors_are_small(self):
         # Stored entries per unknown: 13 for the 1D band LUs (kl = ku = 4),
-        # and in 2D g and the pivot per mode and the slope's shift from its
-        # mean per cell.
+        # and g and the pivot per 2D mode.
         def held(spec):
             stepop = dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
             return dynamics.StepLU(stepop).refactor(np.zeros(spec.grid.ncells))
@@ -787,7 +793,7 @@ class TestStepOperator:
             assert held(desk_spec(cells=cells)).lu[0].shape[0] <= 13
         for cells in ((12, 12), (48, 48)):
             spec = desk_spec(cells=cells)
-            assert held(spec).lu.shape == (3, spec.grid.ncells)
+            assert held(spec).lu.shape == (2, spec.grid.ncells)
 
     @pytest.mark.parametrize("cells", [32, (12, 12)], ids=["band", "schur"])
     def test_singular_factorization_is_typed(self, cells, monkeypatch):
