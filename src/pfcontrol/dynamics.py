@@ -23,26 +23,37 @@ derivative at the old level. One loop, linear_sweep, runs it and its transpose.
 Forward Newton, tangent and adjoint sweeps all solve with the same block step
 operator. Only its (mu, phi) diagonal depends on the linearization point, so
 each (grid, dt, physics) has one StepOperator (step_operator), built once and
-kept on the grid for as long as the grid lives. In 1D its factor is a LAPACK
-band LU of the whole operator in interleaved (theta_i, phi_i, mu_i) order,
-normwise backward stable. In 2D the grid's DCT diagonalizes the Laplacian, so
-at the mean slope the operator is one 3x3 block per mode, which a solve
-eliminates in closed form. The operator at the true slope differs from it in
-one diagonal block, so a 2D solve iterates on DCT coefficients with that
-factor, each step judged by its exact-arithmetic residual in that block
-(StepLU._split, a constant-coefficient preconditioning after Concus & Golub,
-SIAM J. Numer. Anal. 1973). Newton's solves stop there at _FORCING times
-their right-hand side (inexact Newton); the linearized sweeps' aim at
-_REFINE_TOL and check that bound once against the assembled operator. Only
-where either iteration stalls, on slopes far from their mean, is the
-operator at the true slope factorized, once, by splu. Each sweep holds one
-factor (StepLU); a Newton step of _march first tries the chord step of the
-one carried from the previous step, and starts from the residual and slope
-of that step's last iterate, so only step 1 evaluates its old level.
-In 1D a fresh band LU needs no refinement: a linearized sweep solves every
-level with its band LU alone, checks the residuals of all levels in one
-template product, and refines level by level only from the first level that
-misses the bound.
+kept on the grid for as long as the grid lives. Each sweep holds one factor
+(StepLU), and each kind of factor has one job:
+
+- Direct factors refine. In 1D the factor is a LAPACK band LU of the whole
+  operator in interleaved (theta_i, phi_i, mu_i) order, normwise backward
+  stable; a 2D miss (below) is a SuperLU factor by splu. One step of
+  refinement against the assembled operator makes an LU solve componentwise
+  backward stable (Skeel, Math. Comp. 1980), and on fine 1D grids sweeps do
+  accept such corrections.
+- The 2D mode blocks iterate and check once. The grid's DCT diagonalizes
+  the Laplacian, so at the mean slope the operator is one 3x3 block per
+  mode, which a solve eliminates in closed form. The operator at the true
+  slope differs from it in one diagonal block, so a 2D solve iterates on
+  DCT coefficients with that factor, each step judged by its
+  exact-arithmetic residual in that block (StepLU._split, a
+  constant-coefficient preconditioning after Concus & Golub, SIAM J. Numer.
+  Anal. 1973). Newton's solves stop there at _FORCING times their
+  right-hand side (inexact Newton); the linearized sweeps' aim at
+  _REFINE_TOL and check that bound once against the assembled operator.
+  Only where the iterate misses its bound, on slopes far from their mean,
+  is the operator at the true slope factorized, once, by splu, which goes
+  on as a direct factor.
+
+A Newton step of _march first tries the chord step of the factor carried
+from the previous step, and starts from the residual and slope of that
+step's last iterate, so only step 1 evaluates its old level. A direct
+factor's Newton solve is its solve alone: Newton judges the step by its
+nonlinear residual. In 1D a fresh band LU needs no refinement: a linearized
+sweep solves every level with its band LU alone, checks the residuals of
+all levels in one template product, and refines level by level only from
+the first level that misses the bound.
 
 solve_states marches several controls of one spec together. Each control's
 march (_march) is one coroutine over its steps' Newton solves: it yields
@@ -247,8 +258,10 @@ class StepOperator:
 class StepLU:
     """The one factor of a StepOperator that a sweep holds, linearized at the
     convex slope `slope`. Solves act on stacked (theta, phi, mu) vectors;
-    trans="T" solves with the transpose. In 2D, lu holds g and the pivot den
-    of each DCT mode at the mean slope (StepOperator).
+    trans="T" solves with the transpose. lu holds a direct factor, the 1D
+    band LU (lu, piv) or the splu of a 2D miss, or in 2D the mode blocks
+    as an array: g and the pivot den of each DCT mode at the mean slope
+    (StepOperator).
     """
 
     def __init__(self, stepop: StepOperator):
@@ -284,14 +297,12 @@ class StepLU:
         return np.array(((r1 - op.physics.coupling * mu) / op.a, (t + g * r3) / den, mu))
 
     def _apply(self, rhs: np.ndarray, trans: str) -> np.ndarray:
-        """The solve with the held factor alone: the band LU, the DCT mode
-        blocks at the mean slope, or a stalled refinement's splu."""
+        """The solve with the held direct factor alone: the 1D band LU, or the
+        splu of a 2D miss (refined)."""
         lu, op = self.lu, self.stepop
         if op.band is not None:
             return dgbtrs(lu[0], op.kl, op.ku, rhs[op.order], lu[1], int(trans == "T"))[0][op.at]
-        if not isinstance(lu, np.ndarray):
-            return lu.solve(rhs, trans=trans)
-        return op.grid.dct(self._modes(op.grid.dct(rhs.reshape(3, -1)), trans), True).ravel()
+        return lu.solve(rhs, trans=trans)
 
     def _split(self, rhs: np.ndarray, trans: str, bound: float):
         """(x, r): the splitting iteration A_mean x' = rhs + shift f of the
@@ -319,56 +330,49 @@ class StepLU:
         return x.ravel(), res_norm
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """The solve with the operator at the factor's own slope: the band LU
-        alone in 1D; in 2D (a Newton step's solve) _split to _FORCING times
-        the 2-norm of rhs, judged by its own residual, and where it stalls
-        above that, refined to _FORCING from its last iterate."""
-        if self.stepop.band is not None:
+        """The solve with the operator at the factor's own slope: a direct
+        factor's alone (Newton judges the step by its nonlinear residual); with
+        the 2D mode blocks (a Newton step's solve), _split to _FORCING times the
+        2-norm of rhs, judged by its own residual, and where it stalls above
+        that, refined to _FORCING from its last iterate."""
+        if not isinstance(self.lu, np.ndarray):
             return self._apply(rhs, trans)
-        x = None
-        if isinstance(self.lu, np.ndarray):
-            bound = _FORCING * np.linalg.norm(rhs)
-            x, res_norm = self._split(rhs, trans, bound)
-            if res_norm <= bound:
-                return x
+        bound = _FORCING * np.linalg.norm(rhs)
+        x, res_norm = self._split(rhs, trans, bound)
+        if res_norm <= bound:
+            return x
         return self.refined(rhs, trans, _FORCING, x)[0]
 
     def refined(self, rhs: np.ndarray, trans: str = "N", rtol: float = _REFINE_TOL, x0=None):
         """(x, converged) with the operator at the factor's own slope, its
         residual 2-norm against the assembled operator at most rtol times
-        that of rhs, else the iterate before the first correction that fails
-        to halve it. It starts from x0 if given, else from the x of _split
-        with the 2D mode blocks or the held factor's solve; with the mode
-        blocks, a start whose one assembled residual is within the bound is
-        accepted. Otherwise corrections through the assembled residual aim
-        at half the bound, so that the rounding of another evaluation of the
-        residual cannot carry a converged x past it; they stop at the bound
-        itself only where the next correction fails to halve. A stall above
-        the bound factorizes the operator at the true slope by splu, once,
-        and solves again from rhs."""
+        that of rhs. The 2D mode blocks check x0, else the x of _split, once
+        against that bound; a miss factorizes the operator at the true slope
+        by splu, which then goes on as the held direct factor. A direct
+        factor solves rhs and refines: corrections through the assembled
+        residual aim at half the bound, so that the rounding of another
+        evaluation of the residual cannot carry a converged x past it; they
+        stop at the bound itself only where the next correction fails to
+        halve, and return the iterate before it."""
         template, slope, bound = self.stepop.template, self.slope, rtol * np.linalg.norm(rhs)
-        split, x = isinstance(self.lu, np.ndarray), x0
-        if x is None:
-            x = self._split(rhs, trans, bound)[0] if split else self._apply(rhs, trans)
+        if isinstance(self.lu, np.ndarray):
+            x = self._split(rhs, trans, bound)[0] if x0 is None else x0
+            if np.linalg.norm(rhs - _act(template, -slope, x, trans)) <= bound:
+                return x, True
+            op = self.stepop
+            try:
+                self.lu = splu(step_matrix(op.grid, op.dt, op.physics, slope).tocsc())
+            except RuntimeError as exc:
+                raise LinearSolveDivergence(f"fallback LU of the step operator: {exc}") from exc
+        x = self._apply(rhs, trans)
         res = rhs - _act(template, -slope, x, trans)
         res_norm = np.linalg.norm(res)
-        if split and res_norm <= bound:
-            return x, True
         while not res_norm <= 0.5 * bound:
             trial = x + self._apply(res, trans)
             res = rhs - _act(template, -slope, trial, trans)
             last, res_norm = res_norm, np.linalg.norm(res)
             if not res_norm <= 0.5 * last:
-                if last <= bound:
-                    return x, True
-                if not isinstance(self.lu, np.ndarray):
-                    return x, False
-                op = self.stepop
-                try:
-                    self.lu = splu(step_matrix(op.grid, op.dt, op.physics, slope).tocsc())
-                except RuntimeError as exc:
-                    raise LinearSolveDivergence(f"fallback LU of the step operator: {exc}") from exc
-                return self.refined(rhs, trans, rtol)
+                return x, last <= bound
             x = trial
         return x, True
 
@@ -608,8 +612,9 @@ def linear_sweep(
         A_k^T Y_{k+1} = M_{k+1}^T Y_{k+2} + f_k            (Y_{Nt+1} = 0),
 
     where f_k is forcing[k] in the (theta, phi) rows and zero in the mu rows.
-    Each level refactors the sweep's one StepLU at its slope and refines
-    against the operator there (StepLU.refined), which must converge.
+    Each level refactors the sweep's one StepLU at its slope and solves to
+    _REFINE_TOL against the operator there (StepLU.refined), which must
+    converge.
 
     The 1D check of all levels at once (module docstring) holds each level to
     the bound StepLU.refined aims at. From the first level, in sweep order,

@@ -262,25 +262,23 @@ def prolong_control(u, spec: ProblemSpec):
 
 
 def refine_spec(spec: ProblemSpec) -> ProblemSpec:
-    """Double every axis and the time grid, prolonging data piecewise-constantly
-    so both levels discretize the same continuum problem."""
-    fine_grid = Grid(tuple(2 * c for c in spec.grid.cells), spec.grid.lengths)
-    fine_tgrid = TimeGrid(spec.tgrid.horizon, 2 * spec.tgrid.steps)
+    """Double every axis and the time grid, prolonging every field of the
+    initial data, cost and box piecewise-constantly (prolong_control passes
+    scalars through) so both levels discretize the same continuum problem."""
 
-    def prolonged(part, *names):
+    def prolonged(part):
+        fields = dataclasses.fields(part)
         return dataclasses.replace(
-            part, **{name: prolong_control(getattr(part, name), spec) for name in names}
+            part, **{f.name: prolong_control(getattr(part, f.name), spec) for f in fields}
         )
 
     return dataclasses.replace(
         spec,
-        grid=fine_grid,
-        tgrid=fine_tgrid,
-        init=prolonged(spec.init, "theta0", "phi0"),
-        cost=prolonged(
-            spec.cost, "theta_target", "phi_target", "theta_final_target", "phi_final_target"
-        ),
-        box=prolonged(spec.box, "lower", "upper"),
+        grid=Grid(tuple(2 * c for c in spec.grid.cells), spec.grid.lengths),
+        tgrid=TimeGrid(spec.tgrid.horizon, 2 * spec.tgrid.steps),
+        init=prolonged(spec.init),
+        cost=prolonged(spec.cost),
+        box=prolonged(spec.box),
     )
 
 

@@ -373,7 +373,7 @@ class TestStepOperator:
     def test_mode_elimination_solves_at_the_mean_slope_property(
         self, cells, visc, latent, coupling, log_dt, slope_scale, seed
     ):
-        # The held factor alone solves the operator at the mean of random
+        # The held mode blocks alone solve the operator at the mean of random
         # slopes, in both directions. The DCT is only normwise stable: a
         # seeded scan of 28,000 cases of this range measured up to about 310
         # eps componentwise, at dt near 1e-3.
@@ -385,7 +385,8 @@ class TestStepOperator:
         a = dynamics.step_matrix(grid, dt, physics, np.full(n, np.mean(slope)))
         rhs = rng.standard_normal(3 * n)
         for trans, op in (("N", a), ("T", a.T.tocsr())):
-            _, componentwise = _backward_errors(op, held._apply(rhs, trans), rhs)
+            x = grid.dct(held._modes(grid.dct(rhs.reshape(3, -1)), trans), True).ravel()
+            _, componentwise = _backward_errors(op, x, rhs)
             assert componentwise <= 1024.0
 
     @pytest.mark.parametrize("cells", [16, (6, 5)])
@@ -471,22 +472,30 @@ class TestStepOperator:
         assert converged and len(acted) == 1
         assert np.linalg.norm(op @ x - rhs) <= 1.0e-12 * np.linalg.norm(rhs)
 
-    def test_stalled_refinement_refactorizes(self, monkeypatch):
-        # Three slopes 1e3 times the rest stall the refinement with the DCT
-        # blocks at the mean slope; one splu LU at the true slope finishes it.
-        # A Newton solve hands its stalled splitting iterate on, not rhs.
+    @staticmethod
+    def _stalling_8x8():
+        """(grid, held, rhs, slope, jumped) on 8x8 cells: three slopes of
+        jumped are 1e3 times those of slope, which stalls the 2D mode blocks
+        there. The caller keeps grid, which held's operator refers to weakly."""
         grid, dt = pfc.Grid((8, 8)), 0.05
         physics = pfc.PhysicsParams(visc=0.0, latent=1.0, coupling=1.0)
         held = dynamics.StepLU(dynamics.StepOperator(grid, dt, physics))
-        factored = _counted_splu(monkeypatch)
-        splits, split = [], dynamics.StepLU._split
-        monkeypatch.setattr(dynamics.StepLU, "_split", lambda *a: splits.append(1) or split(*a))
         rng = np.random.default_rng(8)
         rhs = rng.standard_normal(3 * grid.ncells)
         slope = rng.uniform(1.0, 4.0, grid.ncells)
         jumped = slope.copy()
         jumped[[2, 7, 11]] *= 1.0e3
-        a = dynamics.step_matrix(grid, dt, physics, jumped)
+        return grid, held, rhs, slope, jumped
+
+    def test_stalled_refinement_refactorizes(self, monkeypatch):
+        # Three slopes 1e3 times the rest stall the splitting with the DCT
+        # blocks at the mean slope; one splu LU at the true slope finishes it.
+        # A Newton solve hands its stalled splitting iterate on, not rhs.
+        grid, held, rhs, slope, jumped = self._stalling_8x8()
+        factored = _counted_splu(monkeypatch)
+        splits, split = [], dynamics.StepLU._split
+        monkeypatch.setattr(dynamics.StepLU, "_split", lambda *a: splits.append(1) or split(*a))
+        a = dynamics.step_matrix(grid, held.stepop.dt, held.stepop.physics, jumped)
         for trans, op in (("N", a), ("T", a.T)):
             factored.clear()
             assert held.refactor(slope).refined(rhs, trans)[1]
@@ -499,6 +508,27 @@ class TestStepOperator:
             x = held.refactor(jumped).solve(rhs, trans)
             assert len(splits) == 1 and len(factored) == 1
             assert np.linalg.norm(op @ x - rhs) <= 0.1 * np.linalg.norm(rhs)
+
+    def test_only_direct_factors_refine(self, monkeypatch):
+        # A stalled refinement or Newton solve checks the mode blocks' iterate
+        # once against the assembled operator, then solves once with the splu
+        # LU of the miss and checks that: no mean-slope correction. A Newton
+        # solve with the held splu LU is that LU's solve alone.
+        grid, held, rhs, _, jumped = self._stalling_8x8()
+        acted, act = [], dynamics._act
+        monkeypatch.setattr(dynamics, "_act", lambda *a: acted.append(1) or act(*a))
+        applied, apply = [], dynamics.StepLU._apply
+        monkeypatch.setattr(dynamics.StepLU, "_apply", lambda *a: applied.append(1) or apply(*a))
+        for trans in ("N", "T"):
+            for stalled in (dynamics.StepLU.refined, dynamics.StepLU.solve):
+                acted.clear(), applied.clear()
+                stalled(held.refactor(jumped), rhs, trans)
+                assert not isinstance(held.lu, np.ndarray)
+                assert (len(acted), len(applied)) == (2, 1)
+            acted.clear()
+            x = held.solve(rhs, trans)
+            assert not acted
+            assert x.tobytes() == apply(held, rhs, trans).tobytes()
 
     def test_non_finite_residual_ends_the_sweep(self, regular_spec):
         stepop = dynamics.step_operator(
@@ -519,11 +549,11 @@ class TestStepOperator:
     @pytest.mark.parametrize("cells", [32, (8, 8)], ids=["1d", "2d"])
     @pytest.mark.parametrize("trans", ["N", "T"])
     def test_a_stalled_level_ends_the_sweep(self, cells, trans, monkeypatch):
-        # Every solve with the held factor (the splu fallback's included) and
-        # every 2D mode solve returns 0.4 of its answer, so a 2D correction
-        # through _apply returns 0.16, and no correction cuts the residual
-        # below 0.6 of the last: the first level in sweep order stalls,
-        # finite, above its bound.
+        # Every solve with a direct factor (the 1D band LU, the 2D splu) and
+        # every 2D mode solve returns 0.4 of its answer: the 2D mode blocks
+        # miss their one check, and no correction with the direct factor cuts
+        # the residual below 0.6 of the last, so the first level in sweep
+        # order stalls, finite, above its bound.
         spec = desk_spec(cells=cells, steps=4)
         base = pfc.solve_state(zero_control(spec), spec)
         apply, modes = dynamics.StepLU._apply, dynamics.StepLU._modes
@@ -638,7 +668,7 @@ class TestStepOperator:
         pfc.solve_state(u, spec)
         pfc.solve_tangent(u, base, spec)
         pfc.solve_adjoint(base, spec)
-        # The DCT refinement never stalls here, so no sweep assembles or
+        # The DCT splitting never misses here, so no sweep assembles or
         # factorizes a fallback.
         assert len(assembled) == 1 and not factored
         assert len(spec.grid.step_operators) == 1
@@ -774,7 +804,7 @@ class TestStepOperator:
 
     @pytest.mark.parametrize("regime,eps", _REGIMES)
     def test_factorizations_per_2d_solve(self, regime, eps, monkeypatch):
-        # The DCT refinement of a 2D desk solve never stalls, so it makes no
+        # The DCT splitting of a 2D desk solve never misses, so it makes no
         # splu factorization.
         spec = desk_spec(regime, cells=(12, 12), steps=8, yosida_eps=eps)
         dynamics.step_operator(spec.grid, spec.tgrid.dt, spec.physics)
@@ -1127,7 +1157,7 @@ class TestSpluFallback:
     )
     def test_stalled_2d_refinement_falls_back_to_splu(self, regime, eps, amplitude, monkeypatch):
         # Bang-bang sources this large move the slope so far from its mean
-        # that refinement with the DCT blocks stalls; the splu LU of the
+        # that the splitting with the DCT blocks stalls; the splu LU of the
         # operator at the true slope then solves every sweep exactly.
         spec = desk_spec(regime, (8, 8), 4, eps)
         factored = _counted_splu(monkeypatch)
