@@ -27,28 +27,25 @@ __all__ = [
 ]
 
 
-def cost_value(state: Trajectory, cost: CostSpec) -> float:
-    """Discrete tracking cost: right-endpoint rectangle rule in time."""
+def _misfits(state: Trajectory, cost: CostSpec) -> tuple[np.ndarray, ...]:
+    """State minus target: theta and phi on levels 1..Nt against the running
+    targets, then theta and phi at the final level against the final targets."""
     state.check()
-    grid, tgrid = state.grid, state.tgrid
-    theta_q, phi_q = cost.running_targets(grid, tgrid)
-    theta_om, phi_om = cost.final_targets(grid)
-    dt, m = tgrid.dt, grid.cell_measure
-    running = 0.0
-    if cost.w_theta:
-        diff = state.theta[1:] - theta_q
-        running += 0.5 * cost.w_theta * float((diff * diff).sum())
-    if cost.w_phi:
-        diff = state.phi[1:] - phi_q
-        running += 0.5 * cost.w_phi * float((diff * diff).sum())
-    total = running * dt * m
-    if cost.w_theta_final:
-        diff = state.theta[-1] - theta_om
-        total += 0.5 * cost.w_theta_final * float((diff * diff).sum()) * m
-    if cost.w_phi_final:
-        diff = state.phi[-1] - phi_om
-        total += 0.5 * cost.w_phi_final * float((diff * diff).sum()) * m
-    return total
+    theta_q, phi_q = cost.running_targets(state.grid, state.tgrid)
+    theta_om, phi_om = cost.final_targets(state.grid)
+    theta, phi = state.theta, state.phi
+    return theta[1:] - theta_q, phi[1:] - phi_q, theta[-1] - theta_om, phi[-1] - phi_om
+
+
+def cost_value(state: Trajectory, cost: CostSpec) -> float:
+    """Discrete tracking cost: right-endpoint rectangle rule in time. Each
+    term is half its weight times its squared misfit, skipped at weight 0;
+    the two running terms take dt * cell measure, the final ones the measure."""
+    weights = (cost.w_theta, cost.w_phi, cost.w_theta_final, cost.w_phi_final)
+    misfits = _misfits(state, cost)
+    terms = [0.5 * w * float((r * r).sum()) if w else 0.0 for w, r in zip(weights, misfits)]
+    dt, m = state.tgrid.dt, state.grid.cell_measure
+    return (terms[0] + terms[1]) * dt * m + terms[2] * m + terms[3] * m
 
 
 def cost_state_gradient(state: Trajectory, cost: CostSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -57,15 +54,12 @@ def cost_state_gradient(state: Trajectory, cost: CostSpec) -> tuple[np.ndarray, 
     Includes the quadrature weights (dt * cell measure) and, at the final
     level, the terminal terms.
     """
-    state.check()
-    grid, tgrid = state.grid, state.tgrid
-    theta_q, phi_q = cost.running_targets(grid, tgrid)
-    theta_om, phi_om = cost.final_targets(grid)
-    dt, m = tgrid.dt, grid.cell_measure
-    d_theta = cost.w_theta * (state.theta[1:] - theta_q) * dt * m
-    d_phi = cost.w_phi * (state.phi[1:] - phi_q) * dt * m
-    d_theta[-1] += cost.w_theta_final * (state.theta[-1] - theta_om) * m
-    d_phi[-1] += cost.w_phi_final * (state.phi[-1] - phi_om) * m
+    theta, phi, theta_final, phi_final = _misfits(state, cost)
+    dt, m = state.tgrid.dt, state.grid.cell_measure
+    d_theta = cost.w_theta * theta * dt * m
+    d_phi = cost.w_phi * phi * dt * m
+    d_theta[-1] += cost.w_theta_final * theta_final * m
+    d_phi[-1] += cost.w_phi_final * phi_final * m
     return d_theta, d_phi
 
 

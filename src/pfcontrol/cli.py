@@ -106,9 +106,9 @@ def _cmd_solve(cfg, args) -> int:
     print(f"solve: {spec.tgrid.steps} steps in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     times = spec.tgrid.times()
     means = traj.phase_mean_history()
-    energies = [mixture_energy(spec.grid, spec.potential, lv) for lv in traj.phi]
-    theta_norms = [spec.grid.h_norm(lv) for lv in traj.theta]
-    phi_norms = [spec.grid.h_norm(lv) for lv in traj.phi]
+    energies = mixture_energy(spec.grid, spec.potential, traj.phi).tolist()
+    theta_norms = spec.grid.h_norm(traj.theta).tolist()
+    phi_norms = spec.grid.h_norm(traj.phi).tolist()
     _write_report(
         cfg,
         args,
@@ -176,9 +176,9 @@ def _cmd_adjoint(cfg, args) -> int:
         duality_rhs=rhs,
         duality_rel_gap=gap,
         y_norm=trajectory_y_norm(tan.dtheta, tan.dphi, spec.grid, spec.tgrid),
-        dtheta_norms=[spec.grid.h_norm(lv) for lv in tan.dtheta],
-        dphi_norms=[spec.grid.h_norm(lv) for lv in tan.dphi],
-        max_dphi_mean=float(np.max(np.abs(tan.dphi.sum(axis=1) / spec.grid.ncells))),
+        dtheta_norms=spec.grid.h_norm(tan.dtheta).tolist(),
+        dphi_norms=spec.grid.h_norm(tan.dphi).tolist(),
+        max_dphi_mean=float(np.max(np.abs(spec.grid.mean(tan.dphi)))),
     )
     return _EXIT_OK
 

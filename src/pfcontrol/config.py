@@ -357,8 +357,8 @@ def load_config(path: str | Path) -> RunConfig:
     """Read, decode and validate a JSON config file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)

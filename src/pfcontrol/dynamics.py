@@ -128,7 +128,7 @@ class Trajectory:
     mu: np.ndarray
 
     def phase_mean_history(self) -> np.ndarray:
-        return self.phi.sum(axis=1) / self.grid.ncells
+        return self.grid.mean(self.phi)
 
     def check(self, spec: ProblemSpec | None = None) -> None:
         """Raise ShapeMismatch unless theta and phi fit the trajectory's own
@@ -674,9 +674,11 @@ def solve_tangent(h: np.ndarray, base: Trajectory, spec: ProblemSpec) -> Tangent
     return TangentSolution(dtheta=dtheta, dphi=dphi)
 
 
-def mixture_energy(grid: Grid, potential: Potential, phi: np.ndarray) -> float:
+def mixture_energy(grid: Grid, potential: Potential, phi: np.ndarray) -> np.ndarray:
     """Free energy driving the decoupled flow: gradient term plus both
     potential parts, with the convex part evaluated in the mode that actually
-    drives the dynamics (Moreau envelope when regularized)."""
+    drives the dynamics (Moreau envelope when regularized). Of one field, or
+    of every row of a stack (m, ncells), such as a trajectory's levels, with
+    one resolvent solve for the whole stack when regularized."""
     bulk = potential.w_convex_eff(phi) + potential.w_rest(phi)
     return 0.5 * grid.grad_sq(phi) + grid.integrate(bulk)

@@ -9,7 +9,12 @@ Laplacian, so the Helmholtz and inverse Neumann solves divide by its
 eigenvalues in the DCT basis (`dct`, `eigenvalues`).
 
 Fields are cell values flattened in C order. All cells have the same measure,
-so the measure-weighted mean is the plain arithmetic average.
+so the measure-weighted mean is the plain arithmetic average. Means,
+integrals, the H and V norms and the squared gradient norm take one field
+(ncells,), giving a NumPy float64 scalar, or a stack of fields (m, ncells),
+such as the levels of a trajectory, giving one value per row, each bit for
+bit the value of that row alone. The inner product, the inverse Neumann
+operator and the dual norm take one field.
 """
 
 from __future__ import annotations
@@ -133,33 +138,32 @@ class Grid:
         by dynamics.step_operator: they live exactly as long as the grid."""
         return {}
 
-    def _check(self, values: np.ndarray) -> np.ndarray:
+    def _check(self, values: np.ndarray, stack: bool = True) -> np.ndarray:
+        """values as floats, if they are one field (ncells,) or, unless stack
+        is False, a stack of fields (m, ncells)."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.ncells,):
-            raise ShapeMismatch(
-                f"expected flat field of length {self.ncells}, got shape {values.shape}"
-            )
+        if values.shape[-1:] != (self.ncells,) or values.ndim > (2 if stack else 1):
+            also = f" or (m, {self.ncells})" if stack else ""
+            raise ShapeMismatch(f"shape {values.shape}, not ({self.ncells},){also}")
         return values
 
-    def mean(self, values: np.ndarray) -> float:
+    def mean(self, values: np.ndarray) -> np.ndarray:
         """Measure-weighted mean; uniform cells make it the arithmetic average."""
-        return float(self._check(values).sum() / self.ncells)
+        return self._check(values).sum(axis=-1) / self.ncells
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self._check(values).sum() * self.cell_measure)
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        return self._check(values).sum(axis=-1) * self.cell_measure
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """Discrete L2(Omega) inner product."""
-        return float(np.dot(self._check(u), self._check(v)) * self.cell_measure)
+        return float(np.dot(self._check(u, False), self._check(v, False)) * self.cell_measure)
 
     def helmholtz_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - 4 h^2 Laplacian) w = rhs, h the coarsest spacing, for one
         field (ncells,) or every row of a stack (m, ncells) in one DCT solve:
         damps grid-frequency noise. A 1D stack goes as (m, 1, n): one
         matrix-vector product per row, as a lone field."""
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim not in (1, 2) or rhs.shape[-1] != self.ncells:
-            raise ShapeMismatch(f"shape {rhs.shape}, not ({self.ncells},) or (m, {self.ncells})")
+        rhs = self._check(rhs)
         levels = np.atleast_2d(rhs)
         coef, lap = 4.0 * max(self.spacing) ** 2, self.laplacian
         stack = levels[:, None] if self.dim == 1 else levels
@@ -184,7 +188,7 @@ class Grid:
         The data must have (numerically) zero mean: |mean(f)| is allowed up to
         MEAN_RTOL * ||f||_inf. The solution mean is removed by post-projection.
         """
-        f = self._check(values)
+        f = self._check(values, False)
         scale = float(np.max(np.abs(f))) if f.size else 0.0
         m = self.mean(f)
         if abs(m) > MEAN_RTOL * scale:
@@ -204,25 +208,28 @@ class Grid:
 
     # -- norms ----------------------------------------------------------------
 
-    def h_norm(self, values: np.ndarray) -> float:
+    def h_norm(self, values: np.ndarray) -> np.ndarray:
         v = self._check(values)
-        return float(np.sqrt((v * v).sum() * self.cell_measure))
+        return np.sqrt((v * v).sum(axis=-1) * self.cell_measure)
 
-    def grad_sq(self, values: np.ndarray) -> float:
+    def grad_sq(self, values: np.ndarray) -> np.ndarray:
         """Squared discrete Dirichlet energy, sum over interior faces."""
-        v = self._check(values).reshape(self.cells)
+        v = self._check(values)
+        rows = v.shape[:-1]
         total = 0.0
         for axis, h in enumerate(self.spacing):
-            d = np.diff(v, axis=axis)
-            total += float((d * d).sum()) * self.cell_measure / h**2
+            d = np.diff(v.reshape(rows + self.cells), axis=axis - self.dim)
+            total += (d * d).reshape(rows + (-1,)).sum(axis=-1) * self.cell_measure / h**2
         return total
 
-    def v_norm(self, values: np.ndarray) -> float:
-        return float(np.sqrt(self.h_norm(values) ** 2 + self.grad_sq(values)))
+    def v_norm(self, values: np.ndarray) -> np.ndarray:
+        # float_power squares with libm's pow, as a float's ** does; on an
+        # array, ** 2 multiplies, which rounds some squares differently.
+        return np.sqrt(np.float_power(self.h_norm(values), 2) + self.grad_sq(values))
 
     def dual_norm(self, values: np.ndarray) -> float:
         """Norm induced by the inverse Neumann operator on zero-mean data."""
-        f = self._check(values)
+        f = self._check(values, False)
         g = self.inverse_neumann(f)
         return float(np.sqrt(max(self.inner(f, g), 0.0)))
 

@@ -177,6 +177,37 @@ class TestCostValues:
         assert np.array_equal(doubled, 2.0 * base)
 
 
+    @pytest.mark.parametrize("mask", range(16))
+    def test_cost_is_its_terms_summed_in_order(self, mask):
+        # The reference sums the weighted running terms, scales them by dt
+        # and the cell measure, then adds each final term times the measure,
+        # to the bit (dt and the measure are not powers of 2, so the order
+        # shows). A term of zero weight is skipped: its infinite target
+        # leaves the cost finite.
+        spec = desk_spec("regular", cells=24, steps=12)
+        state = pfc.solve_state(_random_control(spec, 9), spec)
+        terms = [
+            ("w_theta", "theta_target", state.theta[1:], 0.1),
+            ("w_phi", "phi_target", state.phi[1:], -0.2),
+            ("w_theta_final", "theta_final_target", state.theta[-1], 0.05),
+            ("w_phi_final", "phi_final_target", state.phi[-1], 0.1),
+        ]
+        fields, halves = {}, []
+        for k, (weight, target, level, value) in enumerate(terms):
+            on = bool(mask >> k & 1)
+            fields[weight], fields[target] = (0.5 + k, value) if on else (0.0, np.inf)
+            halves.append(0.5 * (0.5 + k) * float(((level - value) ** 2).sum()) if on else None)
+        dt, m = spec.tgrid.dt, spec.grid.cell_measure
+        running = 0.0
+        for half in halves[:2]:
+            if half is not None:
+                running += half
+        want = running * dt * m
+        for half in halves[2:]:
+            if half is not None:
+                want += half * m
+        assert pfc.cost_value(state, pfc.CostSpec(**fields)) == want
+
 class TestPlumbing:
     def test_reduced_gradient_shape(self, regular_spec):
         u = zero_control(regular_spec)

@@ -408,6 +408,18 @@ class TestLoadConfig:
         with pytest.raises(pfc.ParseError):
             load_config(path)
 
+    def test_config_that_is_not_utf8(self, tmp_path):
+        # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding.
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + json.dumps(base_config()).encode())
+        with pytest.raises(pfc.ParseError, match=f"^cannot read config {re.escape(str(path))}: "):
+            load_config(path)
+        text = json.dumps({**base_config(), "\u00e9t\u00e9": 1}, ensure_ascii=False)
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(pfc.ValidationError) as err:
+            load_config(path)
+        assert any("\u00e9t\u00e9" in line for line in err.value.violations)
+
 
 _VALUES = np.zeros((8, 16)).tolist()
 
@@ -632,6 +644,16 @@ class TestCliSolve:
         )
         assert code == 2
         assert "config error:" in err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(["solve", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"config error: cannot read config {path}: ")
+        assert "Traceback" not in err
 
     def test_solver_section_exits_2(self, config_file, capsys):
         # The Newton settings are constants of the dynamics module.

@@ -217,6 +217,31 @@ class TestEnergyStability:
         assert np.max(np.diff(energies)) <= tol
 
 
+class TestMixtureEnergyOfAStack:
+    @pytest.mark.parametrize(
+        "potential",
+        [pfc.quartic_double_well(), pfc.log_double_well(c=2.0), pfc.log_double_well(2.0, 1.0e-3)],
+        ids=["quartic", "exact-log", "yosida-log"],
+    )
+    @pytest.mark.parametrize("cells", [32, (48, 48), (16, 4)])
+    def test_stack_is_its_levels_to_the_bit(self, monkeypatch, potential, cells):
+        grid = pfc.Grid(cells)
+        phi = 0.9 * np.tanh(np.random.default_rng(9).standard_normal((17, grid.ncells)))
+        levels = [pfc.mixture_energy(grid, potential, level) for level in phi]
+        calls = []
+        resolvent = pfc.Potential.resolvent
+
+        def counting(self, *args, **kw):
+            calls.append(np.shape(args[0]))
+            return resolvent(self, *args, **kw)
+
+        monkeypatch.setattr(pfc.Potential, "resolvent", counting)
+        got = pfc.mixture_energy(grid, potential, phi)
+        assert got.tobytes() == np.array(levels).tobytes()
+        # Regularized, the whole stack takes one resolvent solve.
+        assert calls == ([phi.shape] if potential.yosida_eps else [])
+
+
 class TestTangent:
     def test_zero_direction_gives_zero(self, regular_spec):
         base = pfc.solve_state(zero_control(regular_spec), regular_spec)

@@ -250,6 +250,56 @@ def test_shape_guard():
         grid.mean(np.ones(7))
 
 
+_STACK_GRIDS = [pfc.Grid(32), pfc.Grid((48, 48)), pfc.Grid((16, 4), (1.0, 0.3))]
+_STACK_IDS = ["32", "48x48", "16x4-anisotropic"]
+
+
+@pytest.mark.parametrize("grid", _STACK_GRIDS, ids=_STACK_IDS)
+@pytest.mark.parametrize("name", ["mean", "integrate", "h_norm", "grad_sq", "v_norm"])
+def test_stack_functionals_are_their_rows_to_the_bit(grid, name):
+    stack = np.random.default_rng(6).standard_normal((17, grid.ncells))
+    stack[3] *= 1.0e-9
+    stack[5] = 0.0
+    fn = getattr(grid, name)
+    rows = [fn(row) for row in stack]
+    assert all(type(value) is np.float64 for value in rows)
+    got = fn(stack)
+    assert got.shape == (17,)
+    assert got.tobytes() == np.array(rows).tobytes()
+    assert fn(stack[:1]).tobytes() == rows[0].tobytes()
+
+
+def test_v_norm_squares_the_h_norm_as_a_float_does():
+    # Python's float ** is libm's pow, which can round a square away from
+    # x * x; the V norm of a stack keeps the values of the per-level loop.
+    # Smooth rows, whose gradient term does not swamp the last bit of h^2.
+    grid = pfc.Grid(8)
+    rng = np.random.default_rng(2)
+    x = grid.coords()[:, 0]
+    stack = rng.standard_normal((40000, 1)) * (1.0 + 0.05 * np.cos(np.pi * x))
+    h_sq = [h**2 for h in grid.h_norm(stack).tolist()]
+    want = np.sqrt(np.array(h_sq) + grid.grad_sq(stack))
+    assert grid.v_norm(stack).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", _STACK_GRIDS, ids=_STACK_IDS)
+@pytest.mark.parametrize("name", ["inner", "inverse_neumann", "dual_norm"])
+def test_field_only_operators_reject_a_stack(grid, name):
+    n = grid.ncells
+    stack = np.zeros((3, n))
+    args = (stack, stack) if name == "inner" else (stack,)
+    with pytest.raises(ShapeMismatch, match=rf"^shape \(3, {n}\), not \({n},\)$"):
+        getattr(grid, name)(*args)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 7), (2, 3, 8)])
+@pytest.mark.parametrize("name", ["mean", "integrate", "h_norm", "grad_sq", "v_norm"])
+def test_stack_functionals_reject_other_shapes(name, shape):
+    message = rf"^shape {re.escape(str(shape))}, not \(8,\) or \(m, 8\)$"
+    with pytest.raises(ShapeMismatch, match=message):
+        getattr(pfc.Grid(8), name)(np.ones(shape))
+
+
 def test_grid_construction_errors():
     with pytest.raises(ValueError):
         pfc.Grid(1)

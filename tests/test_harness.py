@@ -85,6 +85,42 @@ class TestYNorm:
         assert three == pytest.approx(3.0 * one, rel=1e-13)
 
 
+    def test_l2_in_time_squares_and_adds_as_floats_do(self):
+        # ** on a float is libm's pow, which can round a square away from
+        # x * x, and the builtin sum adds left to right (compensated from
+        # Python 3.12): the values of the per-level loop.
+        norms = np.abs(np.random.default_rng(5).standard_normal((20000, 3)))
+        got = [harness._l2_in_time(row, 1.0 / 3.0) for row in norms]
+        want = [np.sqrt(sum(v**2 for v in row) * (1.0 / 3.0)) for row in norms.tolist()]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_time_norms_are_the_per_level_loops(self):
+        # The per-level formulas as the reference, to the bit: float levels
+        # squared by ** and added by the builtin sum.
+        grid, tgrid = pfc.Grid(8), pfc.TimeGrid(1.0, 400)
+        rng = np.random.default_rng(3)
+        a, b = (
+            pfc.Trajectory(grid, tgrid, *rng.standard_normal((3, tgrid.steps + 1, 8)))
+            for _ in range(2)
+        )
+        d_theta, d_phi, dt = a.theta - b.theta, a.phi - b.phi, tgrid.dt
+
+        def l2(norm, levels):
+            return np.sqrt(sum(float(norm(lv)) ** 2 for lv in levels[1:]) * dt)
+
+        want = 0.0
+        for comp in (d_theta, d_phi):
+            want += max(float(grid.h_norm(lv)) for lv in comp) + l2(grid.v_norm, comp)
+        assert pfc.trajectory_y_norm(d_theta, d_phi, grid, tgrid) == float(want)
+        anti = harness.time_antiderivative(d_theta[1:], tgrid)
+        weak = (
+            l2(grid.h_norm, d_theta)
+            + max(float(grid.v_norm(lv)) for lv in anti)
+            + max(grid.dual_norm(lv - grid.mean(lv)) for lv in d_phi)
+            + l2(grid.v_norm, d_phi)
+        )
+        assert _weak_difference_norm(a, b) == float(weak)
+
 class TestDirections:
     def test_smooth_direction_sup_normalized(self):
         spec = _small()
@@ -412,6 +448,20 @@ class TestRegularizationProbes:
         assert initial == pytest.approx(0.800, abs=5.0e-4)
         assert report.measured["min_margin"] == min(report.measured["margins"])
         assert report.measured["min_margin"] > initial + 0.04
+
+    def test_separation_probe_without_controls(self, batches):
+        # As the refinement probe without distinct pairs: nothing measured,
+        # nothing violated.
+        spec = _small("log")
+        report = pfc.separation_probe(spec, n_controls=0, seed=8)
+        assert report.passed is True
+        assert report.measured == {
+            "applicable": True,
+            "n_controls": 0,
+            "margins": [],
+            "initial_margin": float(np.min(spec.potential.distance_to_boundary(spec.init.phi0))),
+        }
+        assert report.thresholds == {"min_margin": 0.0}
 
     def test_separation_not_applicable_for_entire_potentials(self):
         report = pfc.separation_probe(_small("regular"))
