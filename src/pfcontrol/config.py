@@ -30,25 +30,33 @@ kind), or one of
     {"kind": "values", "values": [...]}
 
 build_field is the one reader of this grammar. A value list holds ncells
-values in any nesting; cost targets and box bounds also take exactly
-(steps, ncells) values, one field per time level. The control is built once,
-here: its values list is exactly (steps, ncells), and a random control is
-drawn only from a valid spec. Every number must be finite, and every list
-(grid.lengths too) must be a list of numbers only; a violation names its
-key path (for example cost.theta_target.amplitude). The cosine kind builds
-a * prod_i cos(m_i * pi * x_i / L_i) + b, which has zero boundary flux for
-integer modes. Validation is collecting: every violation found is reported,
-not just the first, those of the ProblemSpec constructor (initial data,
-box, target shapes, viscosity of an exact singular well) after the
-readers'. The readers are the only list of keys: a top-level section, a
-section key or a <field> key that no reader takes is a violation, and so is
-a key the chosen kind does not read (only the logarithmic kind reads
-potential.c; control.value, seed and values are read by the constant,
-random and values kinds). A key given twice in one JSON object is a
-ParseError. A key left out of physics, cost, box, optimize or output takes
-the default of its field in PhysicsParams, CostSpec, ControlBox,
-OptimizeOptions or RunConfig. The per-step Newton solve has no section: its
-tolerance and budgets are constants of the dynamics module.
+values in any nesting; cost targets and box bounds also take exactly (steps,
+ncells) values, one field per time level. The control is built once, here:
+its values list is exactly (steps, ncells), and a random control is drawn
+only from a valid spec. Every number must be finite, and every list
+(grid.lengths too) must be a list of numbers only; a violation names its key
+path (for example cost.theta_target.amplitude). An integer too large for a
+double is not finite either. time.steps, optimize.max_iter, the
+optimize.starts seeds, control.seed and output.snapshot_stride are integers:
+2.0 or true is a violation there. Without grid.lengths the grid takes Grid's
+unit lengths; the cell spacings h must keep h**2 and the Laplacian's largest
+eigenvalue, sum(4 / h**2), finite (in 1D, h between about 1.5e-154 and
+1.3e154). A positive potential.eps must be at least about 3.6e-10: below it
+the Newton tolerance rises with the Yosida evaluation noise, 16 ulp / eps,
+past 1e-5, and a smaller eps only gives a less accurate solve. The cosine
+kind builds a * prod_i cos(m_i * pi * x_i / L_i) + b, which has zero
+boundary flux for integer modes. Validation is collecting: every violation
+found is reported, not just the first, those of the ProblemSpec constructor
+(initial data, box, target shapes, viscosity of an exact singular well,
+Yosida eps) after the readers'. The readers are the only list of keys: a
+top-level section, a section key or a <field> key that no reader takes is a
+violation, and so is a key the chosen kind does not read (only the
+logarithmic kind reads potential.c; control.value, seed and values are read
+by the constant, random and values kinds). A key given twice in one JSON
+object is a ParseError. A key left out of physics, cost, box, optimize or
+output takes the default of its field in PhysicsParams, CostSpec,
+ControlBox, OptimizeOptions or RunConfig. The per-step Newton solve has no
+section: its tolerance and budgets are constants of the dynamics module.
 """
 
 from __future__ import annotations
@@ -109,31 +117,27 @@ class _Collector:
         self.errors.append(msg)
 
     def number(self, section: dict, key: str, default, where: str, minimum=None, strict=False):
+        """Pop section[key] as a finite float, or as an int when default is an
+        int, and check it against minimum (strictly above it with strict).
+        An absent key reads default, so a None default makes the number
+        required. A violation is recorded and default returned."""
         value = section.pop(key, default)
-        if value is None:
-            self.add(f"{where}.{key}: missing required value")
-            return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.add(f"{where}.{key}: expected a number, got {value!r}")
-            return default
-        value = float(value)
-        if not math.isfinite(value):
-            self.add(f"{where}.{key}: must be finite")
-            return default
-        if minimum is not None and (value <= minimum if strict else value < minimum):
-            self.add(f"{where}.{key}: must be {'>' if strict else '>='} {minimum}, got {value!r}")
-            return default
-        return value
-
-    def integer(self, section: dict, key: str, default, where: str, minimum=None):
-        value = section.pop(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.add(f"{where}.{key}: expected an integer, got {value!r}")
-            return default
-        if minimum is not None and value < minimum:
-            self.add(f"{where}.{key}: must be >= {minimum}, got {value!r}")
-            return default
-        return value
+        integer = isinstance(default, int)
+        try:
+            if value is None and not integer:
+                error = "missing required value"
+            elif isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                error = f"expected {'an integer' if integer else 'a number'}, got {value!r}"
+            elif not (integer or math.isfinite(value := float(value))):
+                error = "must be finite"
+            elif minimum is not None and (value <= minimum if strict else value < minimum):
+                error = f"must be {'>' if strict else '>='} {minimum}, got {value!r}"
+            else:
+                return value
+        except OverflowError:  # float() of a JSON integer beyond the largest double
+            error = "must be finite"
+        self.add(f"{where}.{key}: {error}")
+        return default
 
     def section(self, raw: dict, key: str, required: bool = False) -> dict:
         value = raw.get(key)
@@ -216,26 +220,25 @@ def parse_config(raw: dict) -> RunConfig:
     col = _Collector()
     grid_sec = col.section(raw, "grid", required=True)
     cells = grid_sec.pop("cells", None)
-    lengths = grid_sec.pop("lengths", [1.0] * len(cells) if isinstance(cells, list) else None)
-    grid = None
+    lengths = grid_sec.pop("lengths", None)
+    grid = Grid((2,))
     if not isinstance(cells, list) or not cells or len(cells) > 2:
         col.add("grid.cells: expected a list of 1 or 2 positive integers")
     elif not all(isinstance(c, int) and not isinstance(c, bool) for c in cells):
         col.add(f"grid.cells: expected integers, got {cells!r}")
     else:
         n_errors = len(col.errors)
-        lengths = _numbers(lengths, "grid.lengths", col, (len(cells),))
+        if "lengths" in raw["grid"]:  # given, even as null; else Grid's unit lengths
+            lengths = _numbers(lengths, "grid.lengths", col, (len(cells),))
         if len(col.errors) == n_errors:
             try:
                 grid = Grid(tuple(cells), lengths)
             except ValueError as exc:
                 col.add(f"grid: {exc}")
-    if grid is None:
-        grid = Grid((2,))
 
     time_sec = col.section(raw, "time", required=True)
     horizon = col.number(time_sec, "horizon", None, "time", minimum=0.0, strict=True)
-    steps = col.integer(time_sec, "steps", 1, "time", minimum=1)
+    steps = col.number(time_sec, "steps", 1, "time", minimum=1)
     tgrid = TimeGrid(horizon or 1.0, steps)
 
     phys_sec = col.section(raw, "physics")
@@ -289,12 +292,12 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(starts, list):
         col.add(f"optimize.starts: expected a list of integer seeds, got {starts!r}")
         starts = []
-    starts = [col.integer({"starts": s}, "starts", 0, "optimize", minimum=0) for s in starts]
+    starts = [col.number({"starts": s}, "starts", 0, "optimize", minimum=0) for s in starts]
     optimize_opts = OptimizeOptions(
         stat_tol=col.number(
             opt_sec, "stat_tol", OptimizeOptions.stat_tol, "optimize", minimum=0.0, strict=True
         ),
-        max_iter=col.integer(opt_sec, "max_iter", OptimizeOptions.max_iter, "optimize", minimum=0),
+        max_iter=col.number(opt_sec, "max_iter", OptimizeOptions.max_iter, "optimize", minimum=0),
         starts=tuple(starts),
     )
 
@@ -306,7 +309,7 @@ def parse_config(raw: dict) -> RunConfig:
     elif ckind == "constant":
         control = np.full(shape, col.number(control_sec, "value", 0.0, "control"))
     elif ckind == "random":
-        seed = col.integer(control_sec, "seed", 0, "control", minimum=0)
+        seed = col.number(control_sec, "seed", 0, "control", minimum=0)
     elif ckind == "values":
         control = _numbers(control_sec.pop("values", []), "control.values", col, shape)
     else:
@@ -314,7 +317,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     out_sec = col.section(raw, "output")
     stride = RunConfig.snapshot_stride
-    snapshot_stride = col.integer(out_sec, "snapshot_stride", stride, "output", minimum=0)
+    snapshot_stride = col.number(out_sec, "snapshot_stride", stride, "output", minimum=0)
 
     unread = []
     for name in raw:
@@ -333,13 +336,7 @@ def parse_config(raw: dict) -> RunConfig:
     if ckind == "random":
         control = random_admissible_control(spec, seed)
     control.flags.writeable = False
-    return RunConfig(
-        spec=spec,
-        optimize=optimize_opts,
-        control=control,
-        digest=config_digest(raw),
-        snapshot_stride=snapshot_stride,
-    )
+    return RunConfig(spec, optimize_opts, control, config_digest(raw), snapshot_stride)
 
 
 def _unique_keys(pairs: list) -> dict:

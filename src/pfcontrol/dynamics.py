@@ -420,10 +420,11 @@ def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
     re-anchored, a shift below the Newton tolerance.
 
     The tolerance scales with the size of the old level and of the source
-    increment. noise_floor lifts it to the evaluation noise of the nonlinear
-    terms (the Yosida values carry the resolvent root error amplified by
-    1/eps), below which the residual cannot be driven reliably. guard(phi,
-    dphi) caps the step length on a singular domain, None takes full steps.
+    increment. The potential's noise_floor lifts it to the evaluation noise of
+    the nonlinear terms (the Yosida values carry the resolvent root error
+    amplified by 1/eps), below which the residual cannot be driven reliably.
+    guard(phi, dphi) caps the step length on a singular domain, None takes
+    full steps.
 
     A Newton step factorizes the operator linearized with the slope of its
     iterate's residual, so the phase field of an iterate is never evaluated
@@ -434,7 +435,6 @@ def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
     grid, tgrid, pot = spec.grid, spec.tgrid, spec.potential
     n, nt, dt = grid.ncells, tgrid.steps, tgrid.dt
     guard = _domain_guard(pot) if pot.is_singular and pot.yosida_eps == 0 else None
-    noise_floor = 16.0 * np.finfo(float).eps / pot.yosida_eps if pot.yosida_eps > 0 else 0.0
     theta, phi, mu = np.empty((nt + 1, n)), np.empty((nt + 1, n)), np.empty((nt, n))
     theta[0], phi[0] = x0[:n], x0[n : 2 * n]
     phase_mean = float(phi[0].sum()) / n
@@ -446,7 +446,7 @@ def _march(source: np.ndarray, spec: ProblemSpec, x0: np.ndarray):
         old[:n] += source_step
         old[2 * n :] += pot.dw_rest(phi[k])
         scale = 1.0 + max(float(np.abs(x[: 2 * n]).max()), float(np.abs(source_step).max()))
-        tol = max(_NEWTON_TOL, noise_floor) * scale
+        tol = max(_NEWTON_TOL, pot.noise_floor) * scale
         if k == 0:
             res, res_norm, slope = yield x, old
         else:

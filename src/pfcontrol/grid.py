@@ -54,7 +54,9 @@ class Grid:
     Args:
         cells: cells per axis, an int (1D) or a pair (2D); at least 2 per axis.
         lengths: axis lengths, each finite and positive; defaults to the unit
-            interval/square.
+            interval/square. The cell spacings h must keep h**2 and the
+            Laplacian's largest eigenvalue, the sum of 4 / h**2 over the axes,
+            finite: in 1D, h between about 1.5e-154 and 1.3e154.
     """
 
     def __init__(self, cells: int | Sequence[int], lengths: float | Sequence[float] | None = None):
@@ -76,6 +78,11 @@ class Grid:
         if not all(0.0 < L < np.inf for L in self.lengths):
             raise ValueError(f"axis lengths must be finite and positive, got {self.lengths}")
         self.spacing: tuple[float, ...] = tuple(L / n for L, n in zip(self.lengths, self.cells))
+        sq = [h * h for h in self.spacing]  # the Laplacian's largest eigenvalue is sum(4 / h**2)
+        if not 0.0 < min(sq) <= max(sq) < np.inf or sum(4.0 / s for s in sq) == np.inf:
+            raise ValueError(
+                f"cell spacing {self.spacing}: h**2 and sum(4 / h**2) must be finite and positive"
+            )
         self.cell_measure: float = float(np.prod(self.spacing))
         self.ncells: int = int(np.prod(self.cells))
 

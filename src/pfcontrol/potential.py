@@ -92,6 +92,13 @@ class Potential:
         if not self.lo < self.hi:
             raise ValueError("domain must be a nonempty open interval")
 
+    @property
+    def noise_floor(self) -> float:
+        """Evaluation noise of the Yosida values, 16 ulps of the resolvent root
+        amplified by 1/eps; 0 in exact mode. The Newton tolerance of a step
+        cannot go below it."""
+        return 16.0 * np.finfo(float).eps / self.yosida_eps if self.yosida_eps > 0 else 0.0
+
     # -- domain ---------------------------------------------------------------
 
     @property

@@ -1,7 +1,8 @@
 """Problem description types shared by the forward, adjoint and control
 layers. A ProblemSpec is valid once it is built: its constructor checks the
 initial data, the box and the cost targets against the grids and the
-potential, and the viscosity of an exact singular well, and raises one
+potential, the viscosity of an exact singular well and the Yosida eps (its
+noise floor, Potential.noise_floor, at most 1e-5), and raises one
 ValidationError listing every violation. A run is identified by its config
 digest (config.config_digest)."""
 
@@ -176,6 +177,8 @@ class ProblemSpec:
                 "physics.visc: singular potential in exact mode requires positive "
                 "viscosity (visc > 0)"
             )
+        if pot.noise_floor > 1.0e-5:  # the step's Newton tolerance rises with it
+            bad.append(f"potential.eps: must be 0 or >= about 3.6e-10, got {pot.yosida_eps!r}")
         try:
             self.cost.running_targets(grid, self.tgrid)
             self.cost.final_targets(grid)

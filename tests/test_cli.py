@@ -513,12 +513,23 @@ class TestCliSolve:
              "grid.lengths: expected a list of numbers"),
             ({"grid": {"cells": [16], "lengths": "@"}}, "2.0",
              "grid.lengths: expected a list of numbers"),
+            ({"grid": {"cells": [16], "lengths": "@"}}, "null",
+             "grid.lengths: expected a list of numbers"),
+            ({"grid": {"cells": [16], "lengths": "@"}, "control": {"kind": "random", "seed": 1}},
+             "[1e-200]",
+             "grid: cell spacing (6.25e-202,): h**2 and sum(4 / h**2) must be finite and positive"),
+            ({"grid": {"cells": [16], "lengths": "@"}}, "[1e-160]",
+             "grid: cell spacing (6.25e-162,): h**2 and sum(4 / h**2) must be finite and positive"),
+            ({"grid": {"cells": [16], "lengths": "@"}}, "[1e200]",
+             "grid: cell spacing (6.25e+198,): h**2 and sum(4 / h**2) must be finite and positive"),
         ],
         ids=["control-value-text", "control-value-overflow", "control-values-text",
              "initial-value-text", "target-values-ragged", "target-amplitude-text",
              "target-overflow", "box-overflow-random-control", "box-text",
              "initial-field-unknown-key", "grid-length-overflow-random-control",
-             "grid-length-bool", "grid-length-text", "grid-length-bare-number"],
+             "grid-length-bool", "grid-length-text", "grid-length-bare-number",
+             "grid-length-null", "grid-length-underflow-random-control",
+             "grid-length-infinite-laplacian", "grid-length-square-overflow"],
     )
     def test_bad_field_values_exit_2(self, tmp_path, capsys, overrides, entry, message):
         # JSON reads 1e400 as inf. Each bad value is one violation at its key
@@ -540,9 +551,21 @@ class TestCliSolve:
              "optimize.starts: expected a list of integer seeds, got 3"),
             ({"control": {"kind": "sine"}},
              "control.kind: expected one of ('zeros', 'constant', 'random', 'values'), got 'sine'"),
+            ({"potential": {"kind": "logarithmic", "eps": 1e-15}},
+             "potential.eps: must be 0 or >= about 3.6e-10, got 1e-15"),
+            ({"time": {"horizon": 10**400, "steps": 8}}, "time.horizon: must be finite"),
+            ({"time": {"horizon": 0.5, "steps": None}},
+             "time.steps: expected an integer, got None"),
+            ({"physics": {"visc": None}}, "physics.visc: missing required value"),
+            ({"optimize": {"max_iter": True}}, "optimize.max_iter: expected an integer, got True"),
+            ({"output": {"snapshot_stride": 2.0}},
+             "output.snapshot_stride: expected an integer, got 2.0"),
+            ({"control": {"kind": "random", "seed": 1.0}},
+             "control.seed: expected an integer, got 1.0"),
         ],
         ids=["fractional-steps", "section-not-object", "one-cell", "starts-not-list",
-             "control-kind"],
+             "control-kind", "yosida-eps-below-noise-floor", "horizon-integer-overflow",
+             "steps-null", "visc-null", "max-iter-bool", "stride-float", "seed-float"],
     )
     def test_bad_section_values_exit_2(self, config_file, capsys, overrides, message):
         code, out, err = run_cli(["solve", "--config", config_file(**overrides)], capsys)

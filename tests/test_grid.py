@@ -314,12 +314,25 @@ def test_grid_lengths_must_match_the_axes():
         pfc.Grid(8, (1.0, 2.0))
 
 
-@pytest.mark.parametrize("length", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "length",
+    [np.inf, np.nan, 1e-200, 1e-160, 5e-154, 1e200],
+    ids=["inf", "nan", "square-underflow", "inverse-square-overflow", "eigenvalue-overflow",
+         "square-overflow"],
+)
 def test_grid_rejects_non_finite_lengths(length):
     with pytest.raises(ValueError, match="finite and positive"):
         pfc.Grid(8, length)
     with pytest.raises(ValueError, match="finite and positive"):
         pfc.Grid((4, 4), (1.0, length))
+
+
+@pytest.mark.parametrize("h", [1.5e-154, 1.3e154], ids=["small", "large"])
+def test_grid_takes_every_spacing_whose_operators_are_finite(h):
+    # 4 / h**2 is the largest Laplacian eigenvalue of one axis; a RuntimeWarning fails here.
+    grid = pfc.Grid(8, 8 * h)
+    assert np.isfinite(grid.laplacian.data).all() and np.isfinite(grid.eigenvalues).all()
+    assert grid.laplacian.diagonal()[1] == pytest.approx(-2.0 / h**2)
 
 
 def test_inverse_neumann_undoes_laplacian():

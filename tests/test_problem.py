@@ -8,6 +8,7 @@ import pytest
 from conftest import desk_spec
 
 import pfcontrol as pfc
+from pfcontrol.harness import EPS_LADDER
 
 
 def test_every_violation_raised_together():
@@ -32,6 +33,18 @@ def test_every_violation_raised_together():
         "box: lower > upper at time level 3, cell 3 (np.float64(2.0) > np.float64(1.0))",
         "theta_target: shape (5,) incompatible with (16, 32)",
     ]
+
+
+def test_yosida_eps_below_the_noise_floor_is_rejected():
+    # At 16 ulp / eps > 1e-5 the Newton tolerance loses accuracy, and at
+    # eps = 1e-15 it passes the first residual, so the state would not move.
+    with pytest.raises(pfc.ValidationError) as err:
+        desk_spec("log", yosida_eps=1e-15)
+    assert err.value.violations == ["potential.eps: must be 0 or >= about 3.6e-10, got 1e-15"]
+    for eps in EPS_LADDER + (1e-9, 3.6e-10):
+        pot = desk_spec("log", yosida_eps=eps).potential
+        assert pot.noise_floor == 16.0 * np.finfo(float).eps / eps <= 1e-5
+    assert desk_spec("log").potential.noise_floor == 0.0
 
 
 def test_shapes_and_finiteness_of_initial_data():
