@@ -1,21 +1,27 @@
 """Command-line front end.
 
-Subcommands: solve, adjoint, gradcheck, optimize, probe. main
-creates --out DIR, then loads the JSON config (--config) once and hands it
-to the command, which writes its JSON report to stdout or into that directory.
+Subcommands: solve, adjoint, gradcheck, optimize, probe, one table
+(_COMMANDS) of help texts and handlers; adjoint, gradcheck and probe also
+take --seed (defaults 0, 7, 0). main creates --out DIR, then loads the JSON
+config (--config) once and hands it to the command, which writes its JSON
+report to stdout or into that directory.
 With --out, solve also writes a per-level time series CSV (and field
 snapshot rows every output.snapshot_stride levels), and optimize writes its
 iteration history CSV plus the final control. Every output file carries the
 config digest. The solve, adjoint and optimize reports carry the command
-and the version with it; gradcheck and probe write the check's
-report (name, seed, measured, thresholds, passed). The counts --directions,
+and the version with it; the optimize report holds every OptimizeReport
+field but u_opt (control.json), plus j_final and residual_final. gradcheck
+and probe write the check's report (name, seed, measured, thresholds,
+passed). The counts --directions,
 --samples and --steps are at least 1, --seed at least 0, gradcheck --tol
 finite and above 0. Outputs are deterministic: reruns are byte-identical,
 timing goes to stderr only.
 
 Exit codes: 0 success, 1 solver failure or non-converged optimization,
 2 invalid config or usage (an --out that cannot be made a directory too),
-3 a check or probe ran but did not pass.
+3 a check or probe ran but did not pass. A config error prints one
+"config error:" line per violation, a solver failure one "solver error:"
+line.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import functools
 import json
 import sys
 import time
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +43,7 @@ from .adjoint import dj_along_tangent, solve_adjoint
 from .config import load_config
 from .control import lq_inner, lq_norm, optimize
 from .dynamics import mixture_energy, solve_state, solve_tangent
-from .errors import ConfigError, PfcError, ValidationError
+from .errors import ConfigError, PfcError
 from .harness import (
     energy_probe,
     fd_gradient_check,
@@ -104,21 +111,15 @@ def _cmd_solve(cfg, args) -> int:
     t0 = time.perf_counter()
     traj = solve_state(cfg.control, spec)
     print(f"solve: {spec.tgrid.steps} steps in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    times = spec.tgrid.times()
-    means = traj.phase_mean_history()
-    energies = mixture_energy(spec.grid, spec.potential, traj.phi).tolist()
-    theta_norms = spec.grid.h_norm(traj.theta).tolist()
-    phi_norms = spec.grid.h_norm(traj.phi).tolist()
+    series = {
+        "times": spec.tgrid.times().tolist(),
+        "phase_mean": traj.phase_mean_history().tolist(),
+        "energy": mixture_energy(spec.grid, spec.potential, traj.phi).tolist(),
+        "theta_norms": spec.grid.h_norm(traj.theta).tolist(),
+        "phi_norms": spec.grid.h_norm(traj.phi).tolist(),
+    }
     _write_report(
-        cfg,
-        args,
-        times=times.tolist(),
-        phase_mean=means.tolist(),
-        energy=energies,
-        theta_norms=theta_norms,
-        phi_norms=phi_norms,
-        theta_final=traj.theta[-1].tolist(),
-        phi_final=traj.phi[-1].tolist(),
+        cfg, args, **series, theta_final=traj.theta[-1].tolist(), phi_final=traj.phi[-1].tolist()
     )
     if args.out is None:
         return _EXIT_OK
@@ -126,30 +127,19 @@ def _cmd_solve(cfg, args) -> int:
         args.out / "solve_timeseries.csv",
         cfg.digest,
         ["level", "time", "phase_mean", "energy", "theta_h", "phi_h"],
-        (
-            (k, float(times[k]), float(means[k]), energies[k], theta_norms[k], phi_norms[k])
-            for k in range(spec.tgrid.steps + 1)
-        ),
+        zip(count(), *series.values()),
     )
     if cfg.snapshot_stride > 0:
-        stride = cfg.snapshot_stride
-        levels = sorted(set(range(0, spec.tgrid.steps + 1, stride)) | {spec.tgrid.steps})
-        coords = spec.grid.coords()
-        axis_names = ["x", "y"][: spec.grid.dim]
+        steps = spec.tgrid.steps
+        coords = spec.grid.coords().tolist()
         _write_csv(
             args.out / "solve_snapshots.csv",
             cfg.digest,
-            ["level", "time", *axis_names, "theta", "phi"],
+            ["level", "time", *"xy"[: spec.grid.dim], "theta", "phi"],
             (
-                (
-                    k,
-                    float(times[k]),
-                    *(float(c) for c in coords[i]),
-                    float(traj.theta[k, i]),
-                    float(traj.phi[k, i]),
-                )
-                for k in levels
-                for i in range(spec.grid.ncells)
+                (k, series["times"][k], *xy, theta, phi)
+                for k in sorted({*range(0, steps + 1, cfg.snapshot_stride), steps})
+                for xy, theta, phi in zip(coords, traj.theta[k].tolist(), traj.phi[k].tolist())
             ),
         )
     return _EXIT_OK
@@ -192,18 +182,10 @@ def _cmd_optimize(cfg, args) -> int:
         f"{time.perf_counter() - t0:.3f}s",
         file=sys.stderr,
     )
+    fields = dataclasses.asdict(report)
+    u = fields.pop("u_opt")
     _write_report(
-        cfg,
-        args,
-        iterations=report.iterations,
-        termination=report.termination,
-        j_history=report.j_history,
-        residual_history=report.residual_history,
-        evaluations_history=report.evaluations_history,
-        j_final=report.j_final,
-        residual_final=report.residual_final,
-        bang_bang=dataclasses.asdict(report.bang_bang),
-        start_seed=report.start_seed,
+        cfg, args, **fields, j_final=report.j_final, residual_final=report.residual_final
     )
     if args.out is not None:
         # Row k describes iterate k; evaluations counts the state solves that
@@ -213,21 +195,14 @@ def _cmd_optimize(cfg, args) -> int:
             cfg.digest,
             ["iteration", "j", "residual", "evaluations"],
             zip(
-                range(len(report.j_history)),
+                count(),
                 report.j_history,
                 report.residual_history,
                 ["", *report.evaluations_history],
             ),
         )
-        _write_json(
-            {
-                "config_digest": cfg.digest,
-                "shape": list(report.u_opt.shape),
-                "values": report.u_opt.tolist(),
-            },
-            args.out,
-            "control.json",
-        )
+        control = {"config_digest": cfg.digest, "shape": list(u.shape), "values": u.tolist()}
+        _write_json(control, args.out, "control.json")
     return _EXIT_OK if report.termination == "stationary" else _EXIT_SOLVER
 
 
@@ -261,6 +236,8 @@ def _cmd_check(cfg, args) -> int:
     return _EXIT_OK if report.passed else _EXIT_CHECK
 
 
+# argparse names a type function in its message for an unparsable value
+# ("invalid _count value: 'x'"), so these stay named functions.
 def _count(text: str, minimum: int = 1) -> int:
     """An argparse type: an integer count of at least minimum."""
     value = int(text)
@@ -282,6 +259,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
+#: Subcommand: (help text, handler). Each takes --config and --out.
+_COMMANDS = {
+    "solve": ("run the forward solver", _cmd_solve),
+    "adjoint": ("adjoint gradient, tangent norms and their duality gap", _cmd_adjoint),
+    "gradcheck": ("adjoint gradient against the FD oracle", _cmd_check),
+    "optimize": ("projected L-BFGS optimization", _cmd_optimize),
+    "probe": ("run a verification probe", _cmd_check),
+}
+
+#: Subcommand: its --seed default.
+_SEEDS = {"adjoint": 0, "gradcheck": 7, "probe": 0}
+
+
 # Built once per process: a parser is a web of reference cycles (actions,
 # groups, formatters) that only a full garbage collection frees.
 @functools.cache
@@ -292,44 +282,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    parsers = {}
+    for name, (help_text, fn) in _COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument(
             "--out", type=Path, default=None, help="output directory for report and data files"
         )
-
-    p = sub.add_parser("solve", help="run the forward solver")
-    common(p)
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("adjoint", help="adjoint gradient, tangent norms and their duality gap")
-    common(p)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(fn=_cmd_adjoint)
-
-    p = sub.add_parser("gradcheck", help="adjoint gradient against the FD oracle")
-    common(p)
-    p.add_argument("--seed", type=_seed, default=7)
-    p.add_argument("--directions", type=_count, default=5)
-    p.add_argument("--tol", type=_tolerance, default=1.0e-6)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("optimize", help="projected L-BFGS optimization")
-    common(p)
-    p.set_defaults(fn=_cmd_optimize)
-
-    p = sub.add_parser("probe", help="run a verification probe")
-    common(p)
-    p.add_argument(
-        "--name",
-        required=True,
-        choices=list(_PROBES),
-    )
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--samples", type=_count, default=10, help="controls or pairs to sample")
-    p.add_argument("--steps", type=_count, default=256, help="time steps for the energy probe")
-    p.set_defaults(fn=_cmd_check)
+        p.set_defaults(fn=fn)
+    gradcheck, probe = parsers["gradcheck"], parsers["probe"]
+    probe.add_argument("--name", required=True, choices=list(_PROBES))  # before --seed in usage
+    for name, default in _SEEDS.items():
+        parsers[name].add_argument("--seed", type=_seed, default=default)
+    gradcheck.add_argument("--directions", type=_count, default=5)
+    gradcheck.add_argument("--tol", type=_tolerance, default=1.0e-6)
+    probe.add_argument("--samples", type=_count, default=10, help="controls or pairs to sample")
+    probe.add_argument("--steps", type=_count, default=256, help="time steps for the energy probe")
     return parser
 
 
@@ -343,12 +311,9 @@ def main(argv=None) -> int:
             return _EXIT_CONFIG
     try:
         return args.fn(load_config(args.config), args)
-    except ValidationError as exc:
-        for line in exc.violations:
+    except ConfigError as exc:  # a ValidationError lists every violation
+        for line in getattr(exc, "violations", [exc]):
             print(f"config error: {line}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except PfcError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

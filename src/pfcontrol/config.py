@@ -41,11 +41,13 @@ optimize.starts seeds, control.seed and output.snapshot_stride are integers:
 2.0 or true is a violation there. Without grid.lengths the grid takes Grid's
 unit lengths; the cell spacings h must keep h**2 and the Laplacian's largest
 eigenvalue, sum(4 / h**2), finite (in 1D, h between about 1.5e-154 and
-1.3e154). A positive potential.eps must be at least about 3.6e-10: below it
-the Newton tolerance rises with the Yosida evaluation noise, 16 ulp / eps,
-past 1e-5, and a smaller eps only gives a less accurate solve. The cosine
-kind builds a * prod_i cos(m_i * pi * x_i / L_i) + b, which has zero
-boundary flux for integer modes. Validation is collecting: every violation
+1.3e154). grid.cells and time.steps must keep a trajectory, (steps + 1) x 3
+x ncells doubles, within the largest array NumPy can index; whether it fits
+in memory is not checked. A positive potential.eps must be at least about
+3.6e-10: below it the Newton tolerance rises with the Yosida evaluation
+noise, 16 ulp / eps, past 1e-5, and a smaller eps only gives a less
+accurate solve. The cosine kind builds a * prod_i cos(m_i * pi * x_i / L_i)
++ b, which has zero boundary flux for integer modes. Validation is collecting: every violation
 found is reported, not just the first, those of the ProblemSpec constructor
 (initial data, box, target shapes, viscosity of an exact singular well,
 Yosida eps) after the readers'. The readers are the only list of keys: a
@@ -53,10 +55,12 @@ top-level section, a section key or a <field> key that no reader takes is a
 violation, and so is a key the chosen kind does not read (only the
 logarithmic kind reads potential.c; control.value, seed and values are read
 by the constant, random and values kinds). A key given twice in one JSON
-object is a ParseError. A key left out of physics, cost, box, optimize or
-output takes the default of its field in PhysicsParams, CostSpec,
-ControlBox, OptimizeOptions or RunConfig. The per-step Newton solve has no
-section: its tolerance and budgets are constants of the dynamics module.
+object is a ParseError, and so is a file json cannot decode (an integer
+literal of over 4,300 digits included, Python's conversion limit). A key
+left out of physics, cost, box, optimize or output takes the default of its
+field in PhysicsParams, CostSpec, ControlBox, OptimizeOptions or RunConfig.
+The per-step Newton solve has no section: its tolerance and budgets are
+constants of the dynamics module.
 """
 
 from __future__ import annotations
@@ -82,6 +86,10 @@ __all__ = ["RunConfig", "load_config", "parse_config", "config_digest"]
 
 _POTENTIALS = ("quartic", "logarithmic", "loglinear")
 _CONTROL_KINDS = ("zeros", "constant", "random", "values")
+#: The most doubles one NumPy array can hold. A trajectory, (steps + 1) x 3 x
+#: ncells doubles, must fit: a larger size fails in NumPy before any solve.
+_MAX_DOUBLES = np.iinfo(np.intp).max // 8
+_TOO_LARGE = "a trajectory of (steps + 1) x 3 x ncells doubles must fit one array"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,6 +234,8 @@ def parse_config(raw: dict) -> RunConfig:
         col.add("grid.cells: expected a list of 1 or 2 positive integers")
     elif not all(isinstance(c, int) and not isinstance(c, bool) for c in cells):
         col.add(f"grid.cells: expected integers, got {cells!r}")
+    elif 2 * 3 * math.prod(cells) > _MAX_DOUBLES:  # steps + 1 >= 2 levels
+        col.add(f"grid.cells: {_TOO_LARGE}")
     else:
         n_errors = len(col.errors)
         if "lengths" in raw["grid"]:  # given, even as null; else Grid's unit lengths
@@ -239,6 +249,9 @@ def parse_config(raw: dict) -> RunConfig:
     time_sec = col.section(raw, "time", required=True)
     horizon = col.number(time_sec, "horizon", None, "time", minimum=0.0, strict=True)
     steps = col.number(time_sec, "steps", 1, "time", minimum=1)
+    if (steps + 1) * 3 * grid.ncells > _MAX_DOUBLES:
+        col.add(f"time.steps: {_TOO_LARGE}")
+        steps = 1
     tgrid = TimeGrid(horizon or 1.0, steps)
 
     phys_sec = col.section(raw, "physics")
@@ -359,6 +372,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4,300 digits
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)

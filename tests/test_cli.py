@@ -3,6 +3,7 @@ deterministic outputs, exit codes."""
 
 import argparse
 import copy
+import csv
 import dataclasses
 import gc
 import json
@@ -422,6 +423,24 @@ class TestLoadConfig:
 
 
 _VALUES = np.zeros((8, 16)).tolist()
+#: One passing call of each subcommand on base_config.
+_COMMANDS = {
+    "solve": ["solve"],
+    "adjoint": ["adjoint", "--seed", "3"],
+    "gradcheck": ["gradcheck", "--directions", "2"],
+    "optimize": ["optimize"],
+    "probe-energy": ["probe", "--name", "energy", "--steps", "32"],
+}
+_TOO_LARGE = "a trajectory of (steps + 1) x 3 x ncells doubles must fit one array"
+
+
+def _decode_error(text: str) -> str | None:
+    """The message of the ValueError that json.loads raises on text."""
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestCliSolve:
@@ -438,7 +457,7 @@ class TestCliSolve:
     def test_byte_identical_reruns(self, config_file, tmp_path, capsys):
         cfg = config_file(output={"snapshot_stride": 4})
         for d in ("a", "b"):
-            for argv in (["solve"], ["adjoint", "--seed", "3"]):
+            for argv in _COMMANDS.values():
                 code, _, _ = run_cli(
                     argv + ["--config", cfg, "--out", str(tmp_path / d)], capsys
                 )
@@ -448,10 +467,63 @@ class TestCliSolve:
             "solve_timeseries.csv",
             "solve_snapshots.csv",
             "adjoint_report.json",
+            "optimize_report.json",
+            "optimize_history.csv",
+            "control.json",
+            "gradcheck_report.json",
+            "probe_energy_report.json",
         ):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("cells", [[16], [6, 5]], ids=["1d", "2d"])
+    def test_solve_outputs_hold_the_report_and_trajectory(
+        self, config_file, tmp_path, capsys, cells
+    ):
+        # Stride 3 does not divide the 8 steps: the final level is added.
+        modes = [[1], [1]] if len(cells) == 1 else [[1, 0], [0, 1]]
+        initial = {
+            "theta": {"kind": "cosine", "amplitude": 0.1, "modes": modes[0]},
+            "phi": {"kind": "cosine", "amplitude": 0.2, "modes": modes[1], "offset": 0.05},
+        }
+        cfg = config_file(
+            grid={"cells": cells}, initial=initial, output={"snapshot_stride": 3}
+        )
+        out = tmp_path / "r"
+        assert run_cli(["solve", "--config", cfg, "--out", str(out)], capsys)[0] == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        run = load_config(cfg)
+        traj = dynamics.solve_state(run.control, run.spec)
+
+        def rows(name):
+            lines = (out / name).read_text().splitlines()[2:]
+            return np.array([[float(v) for v in row] for row in csv.reader(lines)])
+
+        grid = run.spec.grid
+        series = ["times", "phase_mean", "energy", "theta_norms", "phi_norms"]
+        assert [report[key] for key in series] == [
+            run.spec.tgrid.times().tolist(),
+            traj.phase_mean_history().tolist(),
+            dynamics.mixture_energy(grid, run.spec.potential, traj.phi).tolist(),
+            grid.h_norm(traj.theta).tolist(),
+            grid.h_norm(traj.phi).tolist(),
+        ]
+        expected = np.column_stack([np.arange(9), *(report[key] for key in series)])
+        assert np.array_equal(rows("solve_timeseries.csv"), expected)
+        levels = [0, 3, 6, 8]
+        expected = np.column_stack(
+            [
+                np.repeat(levels, grid.ncells),
+                np.repeat(np.asarray(report["times"])[levels], grid.ncells),
+                np.tile(grid.coords(), (len(levels), 1)),
+                traj.theta[levels].ravel(),
+                traj.phi[levels].ravel(),
+            ]
+        )
+        assert np.array_equal(rows("solve_snapshots.csv"), expected)
+        header = ["level", "time", *["x", "y"][: len(cells)], "theta", "phi"]
+        assert (out / "solve_snapshots.csv").read_text().splitlines()[1] == ",".join(header)
 
     def test_csv_outputs_carry_digest(self, config_file, tmp_path, capsys):
         cfg = config_file(output={"snapshot_stride": 2})
@@ -522,6 +594,8 @@ class TestCliSolve:
              "grid: cell spacing (6.25e-162,): h**2 and sum(4 / h**2) must be finite and positive"),
             ({"grid": {"cells": [16], "lengths": "@"}}, "[1e200]",
              "grid: cell spacing (6.25e+198,): h**2 and sum(4 / h**2) must be finite and positive"),
+            ({"time": {"horizon": "@", "steps": 8}}, "1" * 5001,
+             f"config <path> is not valid JSON: {_decode_error('1' * 5001)}"),
         ],
         ids=["control-value-text", "control-value-overflow", "control-values-text",
              "initial-value-text", "target-values-ragged", "target-amplitude-text",
@@ -529,17 +603,19 @@ class TestCliSolve:
              "initial-field-unknown-key", "grid-length-overflow-random-control",
              "grid-length-bool", "grid-length-text", "grid-length-bare-number",
              "grid-length-null", "grid-length-underflow-random-control",
-             "grid-length-infinite-laplacian", "grid-length-square-overflow"],
+             "grid-length-infinite-laplacian", "grid-length-square-overflow",
+             "horizon-beyond-int-digits"],
     )
     def test_bad_field_values_exit_2(self, tmp_path, capsys, overrides, entry, message):
         # JSON reads 1e400 as inf. Each bad value is one violation at its key
-        # path, not a traceback, a frozen state or a mislabelled key.
+        # path, not a traceback, a frozen state or a mislabelled key. An
+        # integer literal the decoder refuses makes the file undecodable.
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(base_config(**overrides)).replace('"@"', entry))
         code, out, err = run_cli(["solve", "--config", str(path)], capsys)
         assert code == 2
         assert out == ""
-        assert err.splitlines() == [f"config error: {message}"]
+        assert err.splitlines() == [f"config error: {message}".replace("<path>", str(path))]
 
     @pytest.mark.parametrize(
         "overrides,message",
@@ -562,10 +638,14 @@ class TestCliSolve:
              "output.snapshot_stride: expected an integer, got 2.0"),
             ({"control": {"kind": "random", "seed": 1.0}},
              "control.seed: expected an integer, got 1.0"),
+            ({"time": {"horizon": 0.5, "steps": 10**30}}, f"time.steps: {_TOO_LARGE}"),
+            ({"grid": {"cells": [10**30]}}, f"grid.cells: {_TOO_LARGE}"),
+            ({"grid": {"cells": [10**400]}}, f"grid.cells: {_TOO_LARGE}"),
         ],
         ids=["fractional-steps", "section-not-object", "one-cell", "starts-not-list",
              "control-kind", "yosida-eps-below-noise-floor", "horizon-integer-overflow",
-             "steps-null", "visc-null", "max-iter-bool", "stride-float", "seed-float"],
+             "steps-null", "visc-null", "max-iter-bool", "stride-float", "seed-float",
+             "steps-beyond-arrays", "cells-beyond-arrays", "cells-beyond-doubles"],
     )
     def test_bad_section_values_exit_2(self, config_file, capsys, overrides, message):
         code, out, err = run_cli(["solve", "--config", config_file(**overrides)], capsys)
@@ -1035,20 +1115,20 @@ class TestCliMisc:
             gc.enable()
         assert after == before
 
-    @pytest.mark.parametrize("command", ["solve", "adjoint"])
-    def test_calls_leave_no_cyclic_garbage(self, command, config_file, capsys):
+    @pytest.mark.parametrize("argv", _COMMANDS.values(), ids=list(_COMMANDS))
+    def test_calls_leave_no_cyclic_garbage(self, argv, config_file, capsys):
         # Garbage in reference cycles waits for a full collection, so the
         # resident set of a process that runs many commands would creep. The
         # report writer's bytes are json.dumps(payload, indent=2, sort_keys=True).
         path = config_file()
-        code, out, _ = run_cli([command, "--config", path], capsys)
+        code, out, _ = run_cli(argv + ["--config", path], capsys)
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         gc.collect()
         gc.disable()
         try:
             for _ in range(3):
-                assert run_cli([command, "--config", path], capsys)[0] == 0
+                assert run_cli(argv + ["--config", path], capsys)[0] == 0
             garbage = gc.collect()
         finally:
             gc.enable()
